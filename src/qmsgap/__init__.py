@@ -15,7 +15,6 @@ from .errors import QmsGapError
 from .gap import (
     GapCurve,
     GapReport,
-    check_f_contractivity,
     decaying_subspace,
     empirical_decay_rate,
     f_operator_norm,
@@ -38,8 +37,6 @@ from .linalg import (
     choi_matrix,
     herm_eig,
     matrix_function,
-    multiplication_superop,
-    superop_from_map,
     unvec,
     vec,
 )
@@ -52,8 +49,6 @@ from .metric import (
     f_metric,
     f_norm,
     loewner_order_probe,
-    modular_flow,
-    modular_superop,
     moreau_form,
 )
 from .monotone import (
@@ -62,7 +57,6 @@ from .monotone import (
     bkm,
     check_om1_bounds,
     closed_form,
-    fit_loewner_measure,
     from_measure,
     gns,
     h_kernel,
@@ -80,7 +74,6 @@ from .qms import (
     fixed_point_structure,
     generator,
     invariant_state,
-    kadison_schwarz_probe,
     random_faithful_model,
     random_model,
     semigroup,

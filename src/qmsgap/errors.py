@@ -25,16 +25,8 @@ class DimensionMismatchError(QmsGapError):
     """Vector or matrix shape is incompatible with the requested operation."""
 
 
-class NotLinearError(QmsGapError):
-    """Callable handed to the superoperator builder fails the linearity probe."""
-
-
 class NegativeArgumentError(QmsGapError):
     """Operator monotone functions are only defined on the nonnegative axis."""
-
-
-class FitToleranceError(QmsGapError):
-    """Discrete measure fit did not reach the requested sup relative error."""
 
 
 class BoundViolationError(QmsGapError):
@@ -63,10 +55,6 @@ class OrderViolationError(QmsGapError):
 
 class RankDeficiencyError(QmsGapError):
     """Gram-based orthonormalization found fewer directions than expected."""
-
-
-class ContractionViolationError(QmsGapError):
-    """Semigroup operator norm exceeds 1 beyond tolerance (implementation bug)."""
 
 
 class PostconditionError(QmsGapError):

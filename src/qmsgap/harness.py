@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import config as cfgmod
 from .errors import (
@@ -57,7 +56,15 @@ from .metric import (
     loewner_order_probe,
     moreau_form,
 )
-from .monotone import MonotoneFunction, anti_gns, bkm, gns, kms, transpose
+from .monotone import (
+    MonotoneFunction,
+    anti_gns,
+    bkm,
+    check_om1_bounds,
+    gns,
+    kms,
+    transpose,
+)
 from .qms import (
     DensityMatrix,
     GKSLModel,
@@ -374,135 +381,150 @@ class PoolEntry:
         return f"model-{self.index:03d}"
 
 
-def _build_pool(
-    cfg: CampaignConfig, rng: np.random.Generator, n: int
-) -> tuple[list[PoolEntry], int]:
-    """Models enter the pool only after passing the structural probes:
+def _prepared(index: int, model: GKSLModel, rho: DensityMatrix) -> PoolEntry:
+    gen = generator(model)
+    return PoolEntry(index, model, rho, gen, fixed_point_structure(model, rho, gen=gen))
+
+
+def _draw_entry(
+    cfg: CampaignConfig, rng: np.random.Generator, index: int
+) -> tuple[PoolEntry, int]:
+    """One pool model and the draws rejected before it.
+
+    Models enter a pool only after passing the structural probes:
     unitality and *-preservation (checked by generator construction) and a
     complete-positivity check of Phi_1 via the Choi spectrum."""
-    entries = []
     rejected = 0
-    for i in range(n):
-        if cfg.model_override is not None:
-            model, rho = cfgmod.model_from_dict(cfg.model_override)
-            if rho is None:
-                rho = invariant_state(model)
-        else:
-            dim = cfg.dims[i % len(cfg.dims)]
-            model, rho, n_rej = random_faithful_model(rng, dim)
-            rejected += n_rej
-        gen = generator(model)
-        choi = choi_matrix(semigroup(model, 1.0, gen=gen))
-        choi_floor = float(np.linalg.eigvalsh((choi + dag(choi)) / 2.0)[0])
-        if choi_floor < -1e-9:
-            raise QmsGapError(
-                f"generated map is not completely positive: Choi floor "
-                f"{choi_floor:.3e}"
-            )
-        fps = fixed_point_structure(model, rho, gen=gen)
-        entries.append(PoolEntry(index=i, model=model, rho=rho, gen=gen, fps=fps))
-        if cfg.model_override is not None:
-            break  # one entry is enough; the model never varies
-    return entries, rejected
+    if cfg.model_override is not None:
+        model, rho = cfgmod.model_from_dict(cfg.model_override)
+        if rho is None:
+            rho = invariant_state(model)
+    else:
+        dim = cfg.dims[index % len(cfg.dims)]
+        model, rho, rejected = random_faithful_model(rng, dim)
+    entry = _prepared(index, model, rho)
+    choi = choi_matrix(semigroup(model, 1.0, gen=entry.gen))
+    choi_floor = float(np.linalg.eigvalsh((choi + dag(choi)) / 2.0)[0])
+    if choi_floor < -1e-9:
+        raise QmsGapError(
+            f"generated map is not completely positive: Choi floor "
+            f"{choi_floor:.3e}"
+        )
+    return entry, rejected
+
+
+def _draw_pool(
+    cfg: CampaignConfig, rng: np.random.Generator, n: int
+) -> Iterator[tuple[PoolEntry, int]]:
+    # An override model never varies, so one entry is enough.
+    for i in range(1 if cfg.model_override is not None else n):
+        yield _draw_entry(cfg, rng, i)
+
+
+class _SharedPool:
+    """The models that gap comparison and contractivity quantify over,
+    drawn from spawn key 0 on first use."""
+
+    def __init__(self, cfg: CampaignConfig):
+        self.cfg = cfg
+        self.entries: Optional[list[PoolEntry]] = None
+        self.n_rejected = 0
+
+    def __iter__(self):
+        if self.entries is None:
+            drawn = list(_draw_pool(self.cfg, _rng_for(self.cfg, 0), self.cfg.n_models))
+            self.entries = [entry for entry, _ in drawn]
+            self.n_rejected = sum(n_rej for _, n_rej in drawn)
+        return iter(self.entries)
 
 
 def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _counterexample(cfg, name, case_id, defect, model=None, rho=None, extra=None):
-    doc = {
-        "property": name,
-        "case": case_id,
-        "defect": defect,
-        "seed": cfg.seed,
-    }
-    if model is not None:
-        doc["model"] = cfgmod.model_to_dict(model, rho)
-    if extra:
-        doc.update(extra)
-    return doc
+def _lambda(entry: PoolEntry, f: MonotoneFunction) -> float:
+    return spectral_gap_f(
+        entry.model, entry.rho, f_metric(entry.rho, f), fps=entry.fps, gen=entry.gen
+    ).lambda_f
+
+
+def _contraction_defect(entry: PoolEntry, metrics, t_grid, tol: float) -> float:
+    """Worst (|Phi_t|_f - 1) / tol over the time grid and the metrics."""
+    defect = -math.inf
+    for t in t_grid:
+        phi = semigroup(entry.model, float(t), gen=entry.gen)
+        for metric in metrics:
+            defect = max(defect, (f_operator_norm(metric, phi) - 1.0) / tol)
+    return defect
 
 
 # ---------------------------------------------------------------------------
 # Properties
+#
+# Each property is a generator (cfg, rng, pool) -> Case that checks its
+# instances in a fixed order; _run_property turns the cases into records,
+# verdicts and counterexamples.
 # ---------------------------------------------------------------------------
 
 
-def _prop_gap_comparison(cfg, rng, pool):
+class Case(NamedTuple):
+    """One checked instance; defect <= 1 passes.  model and rho make a
+    failing case replayable, extra adds diagnostics to its counterexample,
+    and rejected counts the model draws discarded before it."""
+
+    case_id: str
+    dim: int
+    defect: float
+    model: Optional[GKSLModel] = None
+    rho: Optional[DensityMatrix] = None
+    extra: Optional[dict] = None
+    rejected: int = 0
+
+
+def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
     functions = cfg.functions()
-    result = PropertyResult(name="gap_comparison", tolerance=tol, cases=[])
     for entry in pool:
-        gns_report = spectral_gap_f(
-            entry.model, entry.rho, f_metric(entry.rho, gns()),
-            fps=entry.fps, gen=entry.gen,
-        )
-        lam_gns = gns_report.lambda_f
+        lam_gns = _lambda(entry, gns())
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for f in functions:
-            report = spectral_gap_f(
-                entry.model, entry.rho, f_metric(entry.rho, f),
-                fps=entry.fps, gen=entry.gen,
-            )
-            defect = max(defect, (lam_gns - report.lambda_f) / scale)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(entry.case_id, entry.dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "gap_comparison", entry.case_id, defect,
-                    entry.model, entry.rho, {"lambda_gns": lam_gns},
-                )
-            )
-    return result
+            defect = max(defect, (lam_gns - _lambda(entry, f)) / scale)
+        yield Case(
+            entry.case_id, entry.dim, defect, entry.model, entry.rho,
+            {"lambda_gns": lam_gns},
+        )
 
 
-def _prop_contractivity(cfg, rng, pool):
+def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
     functions = cfg.functions()
-    result = PropertyResult(name="contractivity", tolerance=tol, cases=[])
     for entry in pool:
         metrics = [f_metric(entry.rho, f) for f in functions]
-        defect = -math.inf
-        for t in cfg.t_grid:
-            phi = semigroup(entry.model, float(t), gen=entry.gen)
-            for metric in metrics:
-                norm = f_operator_norm(metric, phi)
-                defect = max(defect, (norm - 1.0) / tol)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(entry.case_id, entry.dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "contractivity", entry.case_id, defect,
-                    entry.model, entry.rho,
-                )
-            )
-    return result
+        defect = _contraction_defect(entry, metrics, cfg.t_grid, tol)
+        yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
 
-def _prop_decay_equivalence(cfg, rng, pool=None):
+def _decay_equivalence(cfg, rng, pool):
     """Eigenvalue gap vs measured decay rate, relative tolerance.
 
     A relative criterion needs gaps bounded away from zero, and random
     GKSL draws occasionally have numerical abscissa ~ 0 for some f (the
     no-reverse-inequality phenomenon), so draws whose smallest gap over
     the decay set falls below _DECAY_GAP_FLOOR are redrawn and counted.
+    Running out of the 20-draws-per-case budget raises.
     """
     tol = cfg.tolerance("decay_equivalence")
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _DECAY_SET)
     n_wanted = cfg.count("decay_equivalence")
-    result = PropertyResult(name="decay_equivalence", tolerance=tol, cases=[])
 
     produced = 0
     attempts = 0
+    rejected = 0
     while produced < n_wanted and attempts < 20 * n_wanted:
         attempts += 1
-        entries, n_rej = _build_pool(cfg, rng, 1)
-        result.n_rejected += n_rej
-        entry = entries[0]
+        entry, n_rej = _draw_entry(cfg, rng, 0)
+        rejected += n_rej
         metrics = [f_metric(entry.rho, f) for f in functions]
         reports = [
             spectral_gap_f(entry.model, entry.rho, m, fps=entry.fps, gen=entry.gen)
@@ -512,10 +534,8 @@ def _prop_decay_equivalence(cfg, rng, pool=None):
             min(r.lambda_f for r in reports) < _DECAY_GAP_FLOOR
             and cfg.model_override is None
         ):
-            result.n_rejected += 1
+            rejected += 1
             continue
-        case_id = f"model-{produced:03d}"
-        produced += 1
         defect = -math.inf
         for metric, report in zip(metrics, reports):
             measured = empirical_decay_rate(
@@ -524,76 +544,52 @@ def _prop_decay_equivalence(cfg, rng, pool=None):
             )
             rel = abs(measured - report.lambda_f) / max(report.lambda_f, 1e-12)
             defect = max(defect, rel / tol)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(case_id, entry.dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "decay_equivalence", case_id, defect,
-                    entry.model, entry.rho,
-                )
-            )
-    return result
+        yield Case(
+            f"model-{produced:03d}", entry.dim, defect, entry.model, entry.rho,
+            rejected=rejected,
+        )
+        produced += 1
+        rejected = 0
+    if produced < n_wanted:
+        raise QmsGapError(
+            f"decay_equivalence: {attempts} draws produced {produced} of "
+            f"{n_wanted} cases with every gap above {_DECAY_GAP_FLOOR:g}"
+        )
 
 
-def _prop_transpose_symmetry(cfg, rng, pool=None):
+def _transpose_symmetry(cfg, rng, pool):
     tol = cfg.tolerance("transpose_symmetry")
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
-    entries, rejected = _build_pool(cfg, rng, cfg.count("transpose_symmetry"))
-    result = PropertyResult(
-        name="transpose_symmetry", tolerance=tol, cases=[], n_rejected=rejected
-    )
-    for entry in entries:
+    for entry, n_rej in _draw_pool(cfg, rng, cfg.count("transpose_symmetry")):
         defect = -math.inf
         for f in functions:
-            lam = spectral_gap_f(
-                entry.model, entry.rho, f_metric(entry.rho, f),
-                fps=entry.fps, gen=entry.gen,
-            ).lambda_f
-            lam_t = spectral_gap_f(
-                entry.model, entry.rho, f_metric(entry.rho, transpose(f)),
-                fps=entry.fps, gen=entry.gen,
-            ).lambda_f
+            lam = _lambda(entry, f)
+            lam_t = _lambda(entry, transpose(f))
             defect = max(defect, abs(lam - lam_t) / (tol * max(1.0, lam)))
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(entry.case_id, entry.dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "transpose_symmetry", entry.case_id, defect,
-                    entry.model, entry.rho,
-                )
-            )
-    return result
+        yield Case(
+            entry.case_id, entry.dim, defect, entry.model, entry.rho, rejected=n_rej
+        )
 
 
-def _prop_alpha_curve(cfg, rng, pool=None):
+def _alpha_curve(cfg, rng, pool):
     tol = cfg.tolerance("alpha_curve")
-    entries, rejected = _build_pool(cfg, rng, cfg.count("alpha_curve"))
-    result = PropertyResult(
-        name="alpha_curve", tolerance=tol, cases=[], n_rejected=rejected
-    )
-    for entry in entries:
+    for entry, n_rej in _draw_pool(cfg, rng, cfg.count("alpha_curve")):
         curve = gap_curve(
             entry.model, entry.rho, _CURVE_ALPHAS, fps=entry.fps, gen=entry.gen
         )
         scale = curve.tolerance * (tol / 1e-7)  # curve tolerance uses 1e-7
         defect = max(curve.symmetry_defect, curve.monotonicity_defect) / scale
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(entry.case_id, entry.dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "alpha_curve", entry.case_id, defect,
-                    entry.model, entry.rho,
-                    {"points": [[a, l] for a, l in curve.points]},
-                )
-            )
-    return result
+        yield Case(
+            entry.case_id, entry.dim, defect, entry.model, entry.rho,
+            {"points": [[a, l] for a, l in curve.points]}, rejected=n_rej,
+        )
 
 
 def _minimize_moreau(a: np.ndarray, lam: float, xi: np.ndarray) -> float:
     """Direct descent on Q(eta) + |xi - eta|^2 / lam over real coordinates."""
+    # Imported here: scipy.optimize is slow to load and only this oracle uses it.
+    from scipy.optimize import minimize
+
     n = xi.size
 
     def objective(z):
@@ -613,9 +609,8 @@ def _minimize_moreau(a: np.ndarray, lam: float, xi: np.ndarray) -> float:
     return float(res.fun)
 
 
-def _prop_moreau_identity(cfg, rng, pool=None):
+def _moreau_identity(cfg, rng, pool):
     tol = cfg.tolerance("moreau_identity")
-    result = PropertyResult(name="moreau_identity", tolerance=tol, cases=[])
     for i in range(cfg.count("moreau_identity")):
         d = int(rng.integers(2, 6))
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -635,31 +630,19 @@ def _prop_moreau_identity(cfg, rng, pool=None):
             default=0.0,
         )
         mono = max(0.0, drop) / 1e-12
-        defect = max(agreement, mono)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(f"case-{i:03d}", d, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(cfg, "moreau_identity", f"case-{i:03d}", defect)
-            )
-    return result
+        yield Case(f"case-{i:03d}", d, max(agreement, mono))
 
 
-def _prop_om1_bounds(cfg, rng, pool=None):
+def _om1_bounds(cfg, rng, pool):
     tol = cfg.tolerance("om1_bounds")
     functions = cfg.functions()
-    result = PropertyResult(name="om1_bounds", tolerance=tol, cases=[])
-    from .monotone import check_om1_bounds
-
     for f in functions:
         try:
             check_om1_bounds(f)
             defect = 0.0
         except QmsGapError:
             defect = math.inf
-        result.cases.append(
-            CaseRecord(f"bounds[{f.label}]", 0, defect, defect <= 1.0)
-        )
+        yield Case(f"bounds[{f.label}]", 0, defect)
 
     for i in range(cfg.count("om1_bounds")):
         d = int(rng.integers(2, 6))
@@ -673,18 +656,11 @@ def _prop_om1_bounds(cfg, rng, pool=None):
             diff = g_sum - f_gram(f_metric(rho, f)).matrix
             min_eig = float(np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[0])
             defect = max(defect, -min_eig / tol)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(f"sandwich-{i:03d}", d, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(cfg, "om1_bounds", f"sandwich-{i:03d}", defect)
-            )
-    return result
+        yield Case(f"sandwich-{i:03d}", d, defect)
 
 
-def _prop_loewner_order(cfg, rng, pool=None):
+def _loewner_order(cfg, rng, pool):
     tol = cfg.tolerance("loewner_order")
-    result = PropertyResult(name="loewner_order", tolerance=tol, cases=[])
     for i in range(cfg.count("loewner_order")):
         d = int(rng.integers(2, 6))
         z1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -699,25 +675,16 @@ def _prop_loewner_order(cfg, rng, pool=None):
             defect = max(0.0, -min(margins)) / tol
         except OrderViolationError:
             defect = math.inf
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(f"pair-{i:03d}", d, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(cfg, "loewner_order", f"pair-{i:03d}", defect)
-            )
-    return result
+        yield Case(f"pair-{i:03d}", d, defect)
 
 
-def _prop_metric_closed_forms(cfg, rng, pool=None):
+def _metric_closed_forms(cfg, rng, pool):
     tol_bkm = cfg.tolerance("metric_closed_forms")
     tol_kms = KMS_CLOSED_FORM_TOL
     nodes, glweights = np.polynomial.legendre.leggauss(64)
     s_nodes = (nodes + 1.0) / 2.0
     s_weights = glweights / 2.0
 
-    result = PropertyResult(
-        name="metric_closed_forms", tolerance=tol_bkm, cases=[]
-    )
     for i in range(cfg.count("metric_closed_forms")):
         d = int(rng.integers(2, 6))
         rho = random_density(rng, d)
@@ -744,162 +711,120 @@ def _prop_metric_closed_forms(cfg, rng, pool=None):
         bkm_defect = abs(bkm_val - bkm_direct) / (
             tol_bkm * max(1.0, abs(bkm_direct))
         )
-
-        defect = max(kms_defect, bkm_defect)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(f"triple-{i:03d}", d, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "metric_closed_forms", f"triple-{i:03d}", defect
-                )
-            )
-    return result
+        yield Case(f"triple-{i:03d}", d, max(kms_defect, bkm_defect))
 
 
-def _prop_detailed_balance_collapse(cfg, rng, pool=None):
+def _detailed_balance_collapse(cfg, rng, pool):
     tol = cfg.tolerance("detailed_balance_collapse")
     functions = cfg.functions() + (gns(),)
-    result = PropertyResult(
-        name="detailed_balance_collapse", tolerance=tol, cases=[]
-    )
     for i in range(cfg.count("detailed_balance_collapse")):
-        dim = cfg.dims[i % len(cfg.dims)]
-        model, rho = random_detailed_balance(rng, dim)
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
-        lambdas = [
-            spectral_gap_f(model, rho, f_metric(rho, f), fps=fps, gen=gen).lambda_f
-            for f in functions
-        ]
-        lam_gns = spectral_gap_f(
-            model, rho, f_metric(rho, gns()), fps=fps, gen=gen
-        ).lambda_f
+        model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
+        entry = _prepared(i, model, rho)
+        lambdas = [_lambda(entry, f) for f in functions]
         spread = max(lambdas) - min(lambdas)
-        defect = spread / (tol * lam_gns)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(f"balanced-{i:03d}", dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "detailed_balance_collapse", f"balanced-{i:03d}",
-                    defect, model, rho,
-                )
-            )
-    return result
+        # the sweep ends with gns, so its last gap is lambda_gns
+        yield Case(
+            f"balanced-{i:03d}", entry.dim, spread / (tol * lambdas[-1]), model, rho
+        )
 
 
-def _prop_strict_gap(cfg, rng, pool=None):
+def _strict_gap(cfg, rng, pool):
     tol = cfg.tolerance("strict_gap")
     search = strict_gap_search(cfg, rng=rng, dims=(2,))
-    defect = tol / max(search.max_ratio, 1e-300)
-    passed = search.found
-    result = PropertyResult(name="strict_gap", tolerance=tol, cases=[])
-    result.cases.append(
-        CaseRecord(f"search-{search.n_draws}draws", 2, defect, passed)
+    yield Case(
+        f"search-{search.n_draws}draws", 2, tol / max(search.max_ratio, 1e-300),
+        extra={"best_ratio": search.best_ratio}, rejected=search.n_rejected,
     )
-    result.n_rejected = search.n_rejected
-    if not passed:
-        result.counterexamples.append(
-            _counterexample(
-                cfg, "strict_gap", "search", defect,
-                extra={"best_ratio": search.best_ratio},
-            )
-        )
-    return result
 
 
-def _prop_degenerate_gap(cfg, rng, pool=None):
+def _degenerate_gap(cfg, rng, pool):
     tol = cfg.tolerance("degenerate_gap")
     contraction_tol = cfg.tolerance("contractivity")
     functions = cfg.functions()
-    result = PropertyResult(name="degenerate_gap", tolerance=tol, cases=[])
     for i in range(cfg.count("degenerate_gap")):
         model, rho = degenerate_block_model(rng)
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
-        if not fps.degenerate:
-            result.cases.append(CaseRecord(f"block-{i:03d}", model.dim, math.inf, False))
+        entry = _prepared(i, model, rho)
+        case_id = f"block-{i:03d}"
+        if not entry.fps.degenerate:
+            yield Case(case_id, model.dim, math.inf, model, rho)
             continue
 
-        gns_metric = f_metric(rho, gns())
-        lam_gns = spectral_gap_f(model, rho, gns_metric, fps=fps, gen=gen).lambda_f
+        metrics = [f_metric(rho, f) for f in functions]
+        lam_gns = _lambda(entry, gns())
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
-        for f in functions:
-            metric = f_metric(rho, f)
-            report = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
+        for metric in metrics:
+            report = spectral_gap_f(model, rho, metric, fps=entry.fps, gen=entry.gen)
             defect = max(defect, (lam_gns - report.lambda_f) / scale)
-            basis = decaying_subspace(metric, fps)
-            leak = float(np.linalg.norm(fps.projector.matrix @ basis, axis=0).max())
-            defect = max(defect, leak / 1e-9)
-        for t in cfg.t_grid:
-            phi = semigroup(model, float(t), gen=gen)
-            for f in functions:
-                norm = f_operator_norm(f_metric(rho, f), phi)
-                defect = max(defect, (norm - 1.0) / contraction_tol)
-        passed = defect <= 1.0
-        result.cases.append(CaseRecord(f"block-{i:03d}", model.dim, defect, passed))
-        if not passed:
-            result.counterexamples.append(
-                _counterexample(
-                    cfg, "degenerate_gap", f"block-{i:03d}", defect, model, rho
-                )
+            basis = decaying_subspace(metric, entry.fps)
+            leak = float(
+                np.linalg.norm(entry.fps.projector.matrix @ basis, axis=0).max()
             )
-    return result
+            defect = max(defect, leak / 1e-9)
+        defect = max(
+            defect, _contraction_defect(entry, metrics, cfg.t_grid, contraction_tol)
+        )
+        yield Case(case_id, model.dim, defect, model, rho)
 
 
-_PROPERTY_FUNCS: dict[str, Callable] = {
-    "gap_comparison": _prop_gap_comparison,
-    "contractivity": _prop_contractivity,
-    "decay_equivalence": _prop_decay_equivalence,
-    "transpose_symmetry": _prop_transpose_symmetry,
-    "alpha_curve": _prop_alpha_curve,
-    "moreau_identity": _prop_moreau_identity,
-    "om1_bounds": _prop_om1_bounds,
-    "loewner_order": _prop_loewner_order,
-    "metric_closed_forms": _prop_metric_closed_forms,
-    "detailed_balance_collapse": _prop_detailed_balance_collapse,
-    "strict_gap": _prop_strict_gap,
-    "degenerate_gap": _prop_degenerate_gap,
+_PROPERTY_CASES: dict[str, Callable[..., Iterator[Case]]] = {
+    "gap_comparison": _gap_comparison,
+    "contractivity": _contractivity,
+    "decay_equivalence": _decay_equivalence,
+    "transpose_symmetry": _transpose_symmetry,
+    "alpha_curve": _alpha_curve,
+    "moreau_identity": _moreau_identity,
+    "om1_bounds": _om1_bounds,
+    "loewner_order": _loewner_order,
+    "metric_closed_forms": _metric_closed_forms,
+    "detailed_balance_collapse": _detailed_balance_collapse,
+    "strict_gap": _strict_gap,
+    "degenerate_gap": _degenerate_gap,
 }
 
-_POOL_PROPERTIES = ("gap_comparison", "contractivity")
+
+def _run_property(cfg: CampaignConfig, name: str, pool: _SharedPool) -> PropertyResult:
+    """Check one property: every case is recorded, passes iff its defect is
+    at most 1, and carries a counterexample when it fails."""
+    rng = _rng_for(cfg, 10 + PROPERTY_ORDER.index(name))
+    start = time.perf_counter()
+    result = PropertyResult(name=name, tolerance=cfg.tolerance(name), cases=[])
+    for case in _PROPERTY_CASES[name](cfg, rng, pool):
+        passed = bool(case.defect <= 1.0)
+        result.cases.append(CaseRecord(case.case_id, case.dim, case.defect, passed))
+        result.n_rejected += case.rejected
+        if not passed:
+            doc = {
+                "property": name,
+                "case": case.case_id,
+                "defect": case.defect,
+                "seed": cfg.seed,
+            }
+            if case.model is not None:
+                doc["model"] = cfgmod.model_to_dict(case.model, case.rho)
+            doc.update(case.extra or {})
+            result.counterexamples.append(doc)
+    result.seconds = time.perf_counter() - start
+    if result.n_cases == 0:
+        raise ConfigError(f"property {name!r} executed on zero cases")
+    return result
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run every configured property on freshly generated models.
 
-    Deterministic given the seed: the model pool and each property draw
-    from fixed spawn keys of the campaign seed.  Properties that quantify
-    over "the same models" (gap comparison and contractivity) share one
-    pool; the rest own their streams.
+    Deterministic given the seed: each property draws from its own spawn
+    key of the campaign seed.  Gap comparison and contractivity quantify
+    over "the same models" and share one pool; its rejected draws count
+    toward the campaign total but toward no property.
     """
     t0 = time.perf_counter()
-    pool = None
-    pool_rejected = 0
-    if any(name in cfg.properties for name in _POOL_PROPERTIES):
-        pool, pool_rejected = _build_pool(cfg, _rng_for(cfg, 0), cfg.n_models)
-
-    results = []
-    rejected = pool_rejected
-    for name in cfg.properties:
-        rng = _rng_for(cfg, 10 + PROPERTY_ORDER.index(name))
-        start = time.perf_counter()
-        if name in _POOL_PROPERTIES:
-            result = _PROPERTY_FUNCS[name](cfg, rng, pool)
-        else:
-            result = _PROPERTY_FUNCS[name](cfg, rng)
-        result.seconds = time.perf_counter() - start
-        rejected += result.n_rejected
-        if result.n_cases == 0:
-            raise ConfigError(f"property {name!r} executed on zero cases")
-        results.append(result)
-
+    pool = _SharedPool(cfg)
+    results = [_run_property(cfg, name, pool) for name in cfg.properties]
     return CampaignReport(
         config=cfg,
         results=results,
-        n_rejected_draws=rejected,
+        n_rejected_draws=pool.n_rejected + sum(r.n_rejected for r in results),
         total_seconds=time.perf_counter() - t0,
     )
 

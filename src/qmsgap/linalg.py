@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatchError,
     FunctionDomainError,
     NotHermitianError,
-    NotLinearError,
     NotPSDError,
 )
 
@@ -171,48 +170,6 @@ class Superoperator:
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
         return cls(dim=dim, matrix=np.eye(dim * dim, dtype=complex))
-
-
-def multiplication_superop(left, right) -> Superoperator:
-    """Superoperator of x -> left @ x @ right, i.e. kron(right.T, left)."""
-    left = _as_complex_square(left, "left factor")
-    right = _as_complex_square(right, "right factor")
-    if left.shape != right.shape:
-        raise DimensionMismatchError("left/right factors must share a dimension")
-    return Superoperator(dim=left.shape[0], matrix=np.kron(right.T, left))
-
-
-def superop_from_map(dim: int, action, tol: float = DEFAULT_TOL) -> Superoperator:
-    """Build the matrix of a linear map from its action on matrix units.
-
-    Column k of the matrix is ``vec(action(unvec(e_k)))``.  The action is
-    probed for complex linearity afterwards; conjugate-linear maps such as
-    x -> x^H fail the ``action(i*x) == i*action(x)`` test and are rejected.
-    """
-    d2 = dim * dim
-    matrix = np.empty((d2, d2), dtype=complex)
-    for k in range(d2):
-        e = np.zeros(d2, dtype=complex)
-        e[k] = 1.0
-        out = np.asarray(action(unvec(e)), dtype=complex)
-        if out.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"action returned shape {out.shape}, expected {(dim, dim)}"
-            )
-        matrix[:, k] = vec(out)
-
-    # Deterministic probe with nontrivial real and imaginary parts.
-    probe = (np.arange(1, d2 + 1) + 1j * np.arange(2, d2 + 2)).reshape(
-        (dim, dim)
-    ) / d2
-    direct = vec(action(probe))
-    scale = max(1.0, float(np.linalg.norm(direct)))
-    if np.linalg.norm(matrix @ vec(probe) - direct) > tol * scale:
-        raise NotLinearError("action is not additive over the matrix-unit basis")
-    rotated = vec(action(1j * probe))
-    if np.linalg.norm(rotated - 1j * direct) > tol * scale:
-        raise NotLinearError("action fails complex homogeneity (conjugate-linear?)")
-    return Superoperator(dim=dim, matrix=matrix)
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:

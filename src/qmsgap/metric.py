@@ -56,26 +56,6 @@ from .qms import DensityMatrix
 COND_GUARD = 1e12
 
 
-def modular_superop(rho: DensityMatrix) -> Superoperator:
-    """Matrix of Delta(x) = rho x rho^{-1}; positive and invertible for
-    faithful rho, with Delta(rho^{1/2}) = rho^{1/2}."""
-    if not rho.faithful:
-        raise NotFaithfulError("modular operator needs a faithful state")
-    u = rho.eigen.vectors
-    inv = (u / rho.eigen.values) @ dag(u)
-    return Superoperator(dim=rho.dim, matrix=np.kron(inv.T, rho.rho))
-
-
-def modular_flow(rho: DensityMatrix, x, t: float) -> np.ndarray:
-    """sigma_t(x) = rho^{it} x rho^{-it}: unitary conjugation, a group in t."""
-    if not rho.faithful:
-        raise NotFaithfulError("modular flow needs a faithful state")
-    u = rho.eigen.vectors
-    phases = np.exp(1j * t * np.log(rho.eigen.values))
-    rho_it = (u * phases) @ dag(u)
-    return rho_it @ np.asarray(x, dtype=complex) @ dag(rho_it)
-
-
 @dataclass(frozen=True)
 class FMetric:
     """Spectral data of rho plus the weight matrix of <., .>_f.

@@ -11,9 +11,9 @@ with a finite Borel measure m; f(1) = 1 exactly when m is a probability
 measure.  This module provides the named members used by the state-induced
 inner products (GNS f = 1, anti-GNS f = t, KMS f = sqrt t, BKM
 f = (t - 1)/log t, the power family t^alpha), discrete-measure and
-closed-form representations, the transpose f~(t) = t f(1/t), a grid fit of
-the representing measure, and diagnostic checks of the normalized bounds
-f(1) = 1, f(t) <= t + 1 and monotonicity.
+closed-form representations, the transpose f~(t) = t f(1/t), and
+diagnostic checks of the normalized bounds f(1) = 1, f(t) <= t + 1 and
+monotonicity.
 
 The infinity atom of a discrete measure is encoded by ``math.inf``; the
 kernel is evaluated by its limit h(t, inf) = t there.
@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     BoundViolationError,
-    FitToleranceError,
     NegativeArgumentError,
     QmsGapError,
 )
@@ -240,51 +238,6 @@ def transpose(f: MonotoneFunction) -> MonotoneFunction:
 
     name = f"transpose({f.label})"
     return closed_form(transposed, name=name)
-
-
-def fit_loewner_measure(
-    f: MonotoneFunction,
-    n_atoms: int,
-    lam_range: tuple[float, float] = (1e-4, 1e4),
-    fit_t_range: tuple[float, float] = (1e-4, 1e4),
-    n_fit: int = 240,
-    check_t_range: tuple[float, float] = (1e-3, 1e3),
-    n_check: int = 400,
-    tol: float = 1e-3,
-) -> MonotoneFunction:
-    """Fit a discrete representing measure to f by nonnegative least squares.
-
-    Candidate atoms are n_atoms log-spaced points in lam_range plus the
-    endpoints {0, inf}.  Weights minimize the l2 norm of the relative
-    residuals of sum_j w_j h(t, lam_j) against f(t) over a log grid of t,
-    are renormalized to sum 1, and atoms with negligible weight are
-    dropped.  Raises FitToleranceError if the achieved sup relative error
-    on the check grid exceeds tol.
-    """
-    if n_atoms < 2:
-        raise QmsGapError("need at least two candidate atoms")
-    lams = [0.0] + list(np.geomspace(lam_range[0], lam_range[1], n_atoms)) + [math.inf]
-    t_grid = np.geomspace(fit_t_range[0], fit_t_range[1], n_fit)
-    target = f(t_grid)
-    design = np.column_stack([h_kernel(t_grid, lam) / target for lam in lams])
-    weights, _ = nnls(design, np.ones_like(t_grid))
-    total = weights.sum()
-    if total <= 0:
-        raise FitToleranceError("nonnegative fit collapsed to the zero measure")
-    weights = weights / total
-
-    kept = [(lam, w) for lam, w in zip(lams, weights) if w > 1e-12]
-    renorm = sum(w for _, w in kept)
-    measure = from_measure([(lam, w / renorm) for lam, w in kept])
-
-    t_check = np.geomspace(check_t_range[0], check_t_range[1], n_check)
-    rel_err = np.max(np.abs(measure(t_check) - f(t_check)) / f(t_check))
-    if rel_err > tol:
-        raise FitToleranceError(
-            f"sup relative error {rel_err:.3e} exceeds {tol:.1e} "
-            f"with {len(kept)} atoms"
-        )
-    return measure
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 
 FAITHFULNESS_THRESHOLD = 1e-8
 KERNEL_TOL = 1e-8
+MAX_DRAWS = 20  # random_faithful_model gives up after this many draws
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,7 @@ def dual_generator_matrix(gen: Superoperator) -> np.ndarray:
 
 
 def invariant_state(
-    model: GKSLModel,
-    faithfulness_threshold: float = FAITHFULNESS_THRESHOLD,
-    kernel_tol: float = KERNEL_TOL,
-    gen: Optional[Superoperator] = None,
+    model: GKSLModel, gen: Optional[Superoperator] = None
 ) -> DensityMatrix:
     """Solve L_*(rho) = 0 for the unique trace-one positive solution.
 
@@ -164,7 +162,7 @@ def invariant_state(
     dual = dual_generator_matrix(gen)
     _, svals, vh = np.linalg.svd(dual)
     top = max(float(svals[0]), 1e-300)
-    kernel_dim = int(np.sum(svals <= kernel_tol * top))
+    kernel_dim = int(np.sum(svals <= KERNEL_TOL * top))
     if kernel_dim == 0:
         raise PostconditionError("dual generator has trivial kernel")
     if kernel_dim > 1:
@@ -180,10 +178,10 @@ def invariant_state(
     candidate = candidate / float(np.trace(candidate).real)
 
     eig = herm_eig(candidate)
-    if eig.values.min() <= faithfulness_threshold:
+    if eig.values.min() <= FAITHFULNESS_THRESHOLD:
         raise NoFaithfulInvariantStateError(
             f"invariant state has eigenvalue {eig.values.min():.3e} "
-            f"at or below {faithfulness_threshold:.1e}"
+            f"at or below {FAITHFULNESS_THRESHOLD:.1e}"
         )
     state = DensityMatrix(rho=eig.reconstruct(), eigen=eig, faithful=True)
     residual = check_invariance(model, state, gen=gen)
@@ -226,10 +224,7 @@ def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
 
 
 def fixed_point_structure(
-    model: GKSLModel,
-    rho: DensityMatrix,
-    kernel_tol: float = KERNEL_TOL,
-    gen: Optional[Superoperator] = None,
+    model: GKSLModel, rho: DensityMatrix, gen: Optional[Superoperator] = None
 ) -> FixedPointStructure:
     """Kernel of the generator plus the GNS-orthogonal projection onto it.
 
@@ -244,7 +239,7 @@ def fixed_point_structure(
 
     _, svals, vh = np.linalg.svd(gen.matrix)
     top = max(float(svals[0]), 1e-300)
-    k = int(np.sum(svals <= kernel_tol * top))
+    k = int(np.sum(svals <= KERNEL_TOL * top))
     if k == 0:
         raise PostconditionError("generator kernel is empty; 1 should be fixed")
     basis_vecs = vh[d * d - k :].conj().T  # columns span ker L
@@ -274,32 +269,6 @@ def fixed_point_structure(
 
     basis = tuple(unvec(basis_vecs[:, i]) for i in range(k))
     return FixedPointStructure(basis=basis, projector=projector, degenerate=k > 1)
-
-
-def kadison_schwarz_probe(
-    model: GKSLModel,
-    t: float,
-    trials: int,
-    rng: np.random.Generator,
-    rho: Optional[DensityMatrix] = None,
-) -> float:
-    """Min over random x of tr(rho Phi_t(x^H x)) - tr(rho Phi_t(x)^H Phi_t(x)).
-
-    Nonnegative (within round-off) for any unital completely positive map.
-    """
-    if rho is None:
-        rho = invariant_state(model)
-    phi_t = semigroup(model, t)
-    d = model.dim
-    worst = np.inf
-    for _ in range(trials):
-        x = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-        x /= max(frobenius(x), 1e-300)
-        lhs = np.trace(rho.rho @ phi_t.apply(dag(x) @ x)).real
-        out = phi_t.apply(x)
-        rhs = np.trace(rho.rho @ dag(out) @ out).real
-        worst = min(worst, float(lhs - rhs))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +340,6 @@ def random_model(rng: np.random.Generator, dim: int) -> GKSLModel:
 def random_faithful_model(
     rng: np.random.Generator,
     dim: int,
-    max_tries: int = 20,
     min_eig: float = 1e-4,
 ) -> tuple[GKSLModel, DensityMatrix, int]:
     """Draw random models until the invariant state is unique and faithful
@@ -381,7 +349,7 @@ def random_faithful_model(
     f-weight matrix, inside comfortable double-precision range.
     """
     rejected = 0
-    for _ in range(max_tries):
+    for _ in range(MAX_DRAWS):
         model = random_model(rng, dim)
         try:
             rho = invariant_state(model)
@@ -392,5 +360,5 @@ def random_faithful_model(
             return model, rho, rejected
         rejected += 1
     raise QmsGapError(
-        f"no well-conditioned invariant state in {max_tries} draws at d={dim}"
+        f"no well-conditioned invariant state in {MAX_DRAWS} draws at d={dim}"
     )

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmsgap
 from qmsgap.cli import main
 from qmsgap.config import model_to_dict
 from qmsgap.qms import GKSLModel, density_matrix, depolarizing_qubit, thermal_qubit
@@ -223,3 +228,10 @@ def test_log_level_env_var(capsys, depolarizing_config, monkeypatch):
         monkeypatch.setenv("QMSGAP_LOG", name)
         assert run(capsys, "gap", depolarizing_config)[0] == 0
         assert logging.getLogger("qmsgap").level == level
+
+
+def test_cli_import_skips_scipy_optimize():
+    # only the Moreau oracle of the campaign needs scipy.optimize
+    env = dict(os.environ, PYTHONPATH=str(Path(qmsgap.__file__).parents[1]))
+    code = "import sys, qmsgap.cli; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from qmsgap import harness
 from qmsgap.config import model_from_dict, model_to_dict
-from qmsgap.errors import ConfigError, PropertyFailureError, RateMismatchError
+from qmsgap.errors import (
+    ConfigError,
+    PropertyFailureError,
+    QmsGapError,
+    RateMismatchError,
+)
 from qmsgap.gap import spectral_gap_f
 from qmsgap.harness import (
     PROPERTY_ORDER,
@@ -102,6 +108,58 @@ def test_failed_property_raises_with_counterexamples():
     assert model.dim == doc["model"]["dim"]
     if rho is not None:
         assert check_invariance(model, rho) <= 1e-8
+
+
+def test_every_failed_case_has_one_replayable_counterexample():
+    tight = {
+        "gap_comparison": 1e-18,
+        "transpose_symmetry": 1e-18,
+        "detailed_balance_collapse": 1e-18,
+    }
+    report = run_campaign(small_config(tolerances=tight))
+    model_free = {
+        "moreau_identity", "om1_bounds", "loewner_order",
+        "metric_closed_forms", "strict_gap",
+    }
+    for result in report.results:
+        failed = [c for c in result.cases if not c.passed]
+        if result.name in tight:
+            assert failed, result.name
+        assert len(result.counterexamples) == len(failed)
+        for case in failed:
+            docs = [d for d in result.counterexamples if d["case"] == case.case_id]
+            assert len(docs) == 1
+            doc = docs[0]
+            assert doc["property"] == result.name
+            assert doc["defect"] == case.defect
+            assert doc["seed"] == report.config.seed
+            if result.name not in model_free:
+                model, rho = model_from_dict(doc["model"])
+                assert model.dim == case.dim
+                assert check_invariance(model, rho) <= 1e-8
+
+
+def test_non_degenerate_block_draw_fails_with_counterexample(monkeypatch):
+    model = thermal_qubit(0.25, 1.0)
+    rho = invariant_state(model)
+    monkeypatch.setattr(harness, "degenerate_block_model", lambda rng: (model, rho))
+    result = run_campaign(small_config(properties=("degenerate_gap",))).result(
+        "degenerate_gap"
+    )
+    assert not result.passed
+    assert len(result.counterexamples) == result.n_cases == 2
+    assert all("model" in doc for doc in result.counterexamples)
+
+
+def test_decay_equivalence_raises_when_draw_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(harness, "_DECAY_GAP_FLOOR", 1e9)
+    cfg = small_config(
+        properties=("decay_equivalence",), counts={"decay_equivalence": 1}
+    )
+    with pytest.raises(QmsGapError) as err:
+        run_campaign(cfg)
+    assert not isinstance(err.value, ConfigError)  # not the zero-case check
+    assert "decay_equivalence: 20 draws produced 0 of 1 cases" in str(err.value)
 
 
 def test_config_validation():

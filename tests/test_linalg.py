@@ -7,15 +7,13 @@ from qmsgap.errors import (
     DimensionMismatchError,
     FunctionDomainError,
     NotHermitianError,
-    NotLinearError,
     NotPSDError,
 )
 from qmsgap.linalg import (
+    Superoperator,
     choi_matrix,
     herm_eig,
     matrix_function,
-    multiplication_superop,
-    superop_from_map,
     unvec,
     vec,
 )
@@ -129,25 +127,11 @@ def test_vec_kron_identity(random_complex):
         )
 
 
-def test_superop_identity_map():
-    s = superop_from_map(3, lambda x: x)
+def test_superop_identity_map(random_complex):
+    s = Superoperator.identity(3)
     np.testing.assert_allclose(s.matrix, np.eye(9), atol=1e-14)
-
-
-def test_superop_matches_kron(random_complex):
-    a, b = random_complex(3, 3), random_complex(3, 3)
-    s = superop_from_map(3, lambda x: a @ x @ b)
-    np.testing.assert_allclose(s.matrix, np.kron(b.T, a), atol=1e-10)
-    np.testing.assert_allclose(
-        s.matrix, multiplication_superop(a, b).matrix, atol=1e-12
-    )
-
-
-def test_superop_rejects_conjugate_linear():
-    with pytest.raises(NotLinearError):
-        superop_from_map(2, lambda x: x.conj().T)
-    with pytest.raises(NotLinearError):
-        superop_from_map(2, np.conj)
+    x = random_complex(3, 3)
+    np.testing.assert_allclose(s(x), x, atol=1e-14)
 
 
 def test_superop_apply_matches_action(random_complex):
@@ -156,14 +140,14 @@ def test_superop_apply_matches_action(random_complex):
     def action(x):
         return a @ x @ b + 0.5j * x
 
-    s = superop_from_map(4, action)
+    s = Superoperator(dim=4, matrix=np.kron(b.T, a) + 0.5j * np.eye(16))
     for _ in range(50):
         x = random_complex(4, 4)
         assert np.linalg.norm(s.apply(x) - action(x)) <= 1e-11 * np.linalg.norm(x)
 
 
 def test_choi_of_identity_map():
-    s = superop_from_map(2, lambda x: x)
+    s = Superoperator(dim=2, matrix=np.eye(4, dtype=complex))
     choi = choi_matrix(s)
     vals = np.linalg.eigvalsh(choi)
     # rank-one maximally entangled projector with eigenvalue d

@@ -17,8 +17,6 @@ from qmsgap.metric import (
     f_metric,
     f_norm,
     loewner_order_probe,
-    modular_flow,
-    modular_superop,
     moreau_form,
 )
 from qmsgap.monotone import anti_gns, bkm, builtin_functions, gns, kms, power, transpose
@@ -27,64 +25,6 @@ from qmsgap.qms import Superoperator, density_matrix, random_density
 
 def diag_state(*populations):
     return density_matrix(np.diag(np.asarray(populations, dtype=complex)))
-
-
-# ---------------------------------------------------------------------------
-# Modular operator and flow
-# ---------------------------------------------------------------------------
-
-
-def test_modular_superop_of_trace_state_is_identity():
-    delta = modular_superop(diag_state(0.5, 0.5))
-    np.testing.assert_allclose(delta.matrix, np.eye(4), atol=1e-12)
-
-
-def test_modular_superop_eigenvalue_table():
-    # Delta(E_ij) = (p_i / p_j) E_ij gives eigenvalues {1, 1, 2, 1/2}
-    delta = modular_superop(diag_state(2.0 / 3.0, 1.0 / 3.0))
-    vals = np.sort(np.linalg.eigvals(delta.matrix).real)
-    np.testing.assert_allclose(vals, [0.5, 1.0, 1.0, 2.0], atol=1e-12)
-
-
-def test_modular_superop_formula(rng, random_complex):
-    rho = random_density(rng, 3)
-    delta = modular_superop(rho)
-    vals = np.linalg.eigvalsh((delta.matrix + dag(delta.matrix)) / 2.0)
-    assert vals.min() > 0  # positive and invertible
-    u, p = rho.eigen.vectors, rho.eigen.values
-    root = (u * np.sqrt(p)) @ dag(u)
-    inv_root = (u / np.sqrt(p)) @ dag(u)
-    inv = (u / p) @ dag(u)
-    np.testing.assert_allclose(delta.apply(root), root, atol=1e-10)
-    for _ in range(5):
-        x = random_complex(3, 3)
-        np.testing.assert_allclose(
-            delta.apply(x @ root), rho.rho @ x @ inv_root, atol=1e-9
-        )
-        np.testing.assert_allclose(delta.apply(x), rho.rho @ x @ inv, atol=1e-9)
-
-
-def test_modular_superop_needs_faithful_state():
-    with pytest.raises(NotFaithfulError):
-        modular_superop(diag_state(1.0, 0.0))
-
-
-def test_modular_flow_basics(rng, random_complex):
-    rho = random_density(rng, 3)
-    x = random_complex(3, 3)
-    np.testing.assert_allclose(modular_flow(rho, x, 0.0), x, atol=1e-12)
-    np.testing.assert_allclose(
-        modular_flow(diag_state(*[1 / 3.0] * 3), x, 1.7), x, atol=1e-12
-    )
-    # group property
-    one_then_two = modular_flow(rho, modular_flow(rho, x, 0.4), 0.8)
-    np.testing.assert_allclose(one_then_two, modular_flow(rho, x, 1.2), atol=1e-10)
-
-
-def test_modular_flow_fixes_commuting_observables():
-    rho = diag_state(0.7, 0.3)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    np.testing.assert_allclose(modular_flow(rho, z, 2.3), z, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

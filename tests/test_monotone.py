@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qmsgap.errors import (
     BoundViolationError,
-    FitToleranceError,
     NegativeArgumentError,
     QmsGapError,
 )
@@ -17,7 +16,6 @@ from qmsgap.monotone import (
     builtin_functions,
     check_om1_bounds,
     closed_form,
-    fit_loewner_measure,
     from_measure,
     gns,
     h_kernel,
@@ -123,26 +121,6 @@ def test_transpose_formula(t):
 def test_om1_upper_bound(t):
     for f in builtin_functions():
         assert f(t) <= t + 1.0 + 1e-9
-
-
-def test_fit_recovers_endpoint_atoms():
-    flat = fit_loewner_measure(gns(), 10)
-    assert flat.atoms == ((0.0, 1.0),)
-    slope = fit_loewner_measure(anti_gns(), 10)
-    assert slope.atoms == ((math.inf, 1.0),)
-
-
-def test_fit_kms_accuracy():
-    measure = fit_loewner_measure(kms(), 40)
-    t = np.geomspace(1e-3, 1e3, 600)
-    rel = np.max(np.abs(measure(t) - np.sqrt(t)) / np.sqrt(t))
-    assert rel <= 1e-3
-    assert abs(sum(w for _, w in measure.atoms) - 1.0) <= 1e-12
-
-
-def test_fit_fails_with_too_few_atoms():
-    with pytest.raises(FitToleranceError):
-        fit_loewner_measure(kms(), 2)
 
 
 def test_om1_bounds_kms_margin():

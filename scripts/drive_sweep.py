@@ -17,17 +17,10 @@ import sys
 
 import numpy as np
 
-from qmsgap.gap import spectral_gap_f
+from qmsgap.gap import gap_sweep
 from qmsgap.metric import f_metric
 from qmsgap.monotone import bkm, gns, kms
-from qmsgap.qms import (
-    SIGMA_X,
-    GKSLModel,
-    fixed_point_structure,
-    generator,
-    invariant_state,
-    thermal_qubit,
-)
+from qmsgap.qms import SIGMA_X, GKSLModel, invariant_state, thermal_qubit
 
 
 def main():
@@ -43,14 +36,8 @@ def main():
     for omega in np.linspace(0.0, args.omega_max, args.steps):
         model = GKSLModel(hamiltonian=omega * SIGMA_X, jumps=jumps)
         rho = invariant_state(model)
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
-        lam = {
-            f.label: spectral_gap_f(
-                model, rho, f_metric(rho, f), fps=fps, gen=gen
-            ).lambda_f
-            for f in (gns(), kms(), bkm())
-        }
+        metrics = [f_metric(rho, f) for f in (gns(), kms(), bkm())]
+        lam = {r.f_label: r.lambda_f for r in gap_sweep(model, rho, metrics)}
         ratio = (lam["kms"] - lam["gns"]) / lam["gns"]
         print(
             f"{omega:.17g},{lam['gns']:.17g},{lam['kms']:.17g},"

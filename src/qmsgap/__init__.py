@@ -18,7 +18,9 @@ from .gap import (
     decaying_subspace,
     empirical_decay_rate,
     f_operator_norm,
+    f_operator_norms,
     gap_curve,
+    gap_sweep,
     spectral_gap_f,
 )
 from .harness import (

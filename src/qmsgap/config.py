@@ -45,9 +45,14 @@ def pairs_to_matrix(pairs, dim: int, where: str) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in pair
+            )
         ):
             raise ConfigError(f"{where}: entry {k} is not a [re, im] pair")
+        if not all(math.isfinite(v) for v in pair):
+            raise ConfigError(f"{where}: entry {k} {pair!r} is not finite")
         out[k] = pair[0] + 1j * pair[1]
     return out.reshape((dim, dim))  # row-major
 

@@ -42,9 +42,9 @@ from .errors import (
 from .gap import (
     decaying_subspace,
     empirical_decay_rate,
-    f_operator_norm,
+    f_operator_norms,
     gap_curve,
-    spectral_gap_f,
+    gap_sweep,
 )
 from .linalg import Superoperator, choi_matrix, dag, frobenius
 from .metric import (
@@ -442,10 +442,14 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _lambda(entry: PoolEntry, f: MonotoneFunction) -> float:
-    return spectral_gap_f(
-        entry.model, entry.rho, f_metric(entry.rho, f), fps=entry.fps, gen=entry.gen
-    ).lambda_f
+def _lambdas(entry: PoolEntry, metrics) -> list[float]:
+    """Gaps of one entry for each metric, from one sweep over its frame."""
+    reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps, gen=entry.gen)
+    return [r.lambda_f for r in reports]
+
+
+def _metrics(entry: PoolEntry, functions) -> list:
+    return [f_metric(entry.rho, f) for f in functions]
 
 
 def _contraction_defect(entry: PoolEntry, metrics, t_grid, tol: float) -> float:
@@ -453,8 +457,8 @@ def _contraction_defect(entry: PoolEntry, metrics, t_grid, tol: float) -> float:
     defect = -math.inf
     for t in t_grid:
         phi = semigroup(entry.model, float(t), gen=entry.gen)
-        for metric in metrics:
-            defect = max(defect, (f_operator_norm(metric, phi) - 1.0) / tol)
+        norm = float(f_operator_norms(metrics, phi).max())
+        defect = max(defect, (norm - 1.0) / tol)
     return defect
 
 
@@ -485,11 +489,11 @@ def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
     functions = cfg.functions()
     for entry in pool:
-        lam_gns = _lambda(entry, gns())
+        lam_gns, *lambdas = _lambdas(entry, _metrics(entry, (gns(),) + functions))
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
-        for f in functions:
-            defect = max(defect, (lam_gns - _lambda(entry, f)) / scale)
+        for lam in lambdas:
+            defect = max(defect, (lam_gns - lam) / scale)
         yield Case(
             entry.case_id, entry.dim, defect, entry.model, entry.rho,
             {"lambda_gns": lam_gns},
@@ -500,8 +504,7 @@ def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
     functions = cfg.functions()
     for entry in pool:
-        metrics = [f_metric(entry.rho, f) for f in functions]
-        defect = _contraction_defect(entry, metrics, cfg.t_grid, tol)
+        defect = _contraction_defect(entry, _metrics(entry, functions), cfg.t_grid, tol)
         yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
 
@@ -525,11 +528,10 @@ def _decay_equivalence(cfg, rng, pool):
         attempts += 1
         entry, n_rej = _draw_entry(cfg, rng, 0)
         rejected += n_rej
-        metrics = [f_metric(entry.rho, f) for f in functions]
-        reports = [
-            spectral_gap_f(entry.model, entry.rho, m, fps=entry.fps, gen=entry.gen)
-            for m in metrics
-        ]
+        metrics = _metrics(entry, functions)
+        reports = gap_sweep(
+            entry.model, entry.rho, metrics, fps=entry.fps, gen=entry.gen
+        )
         if (
             min(r.lambda_f for r in reports) < _DECAY_GAP_FLOOR
             and cfg.model_override is None
@@ -560,11 +562,12 @@ def _decay_equivalence(cfg, rng, pool):
 def _transpose_symmetry(cfg, rng, pool):
     tol = cfg.tolerance("transpose_symmetry")
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
+    transposes = tuple(transpose(f) for f in functions)
     for entry, n_rej in _draw_pool(cfg, rng, cfg.count("transpose_symmetry")):
+        lambdas = _lambdas(entry, _metrics(entry, functions + transposes))
+        n = len(functions)
         defect = -math.inf
-        for f in functions:
-            lam = _lambda(entry, f)
-            lam_t = _lambda(entry, transpose(f))
+        for lam, lam_t in zip(lambdas[:n], lambdas[n:]):
             defect = max(defect, abs(lam - lam_t) / (tol * max(1.0, lam)))
         yield Case(
             entry.case_id, entry.dim, defect, entry.model, entry.rho, rejected=n_rej
@@ -720,7 +723,7 @@ def _detailed_balance_collapse(cfg, rng, pool):
     for i in range(cfg.count("detailed_balance_collapse")):
         model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
         entry = _prepared(i, model, rho)
-        lambdas = [_lambda(entry, f) for f in functions]
+        lambdas = _lambdas(entry, _metrics(entry, functions))
         spread = max(lambdas) - min(lambdas)
         # the sweep ends with gns, so its last gap is lambda_gns
         yield Case(
@@ -749,13 +752,12 @@ def _degenerate_gap(cfg, rng, pool):
             yield Case(case_id, model.dim, math.inf, model, rho)
             continue
 
-        metrics = [f_metric(rho, f) for f in functions]
-        lam_gns = _lambda(entry, gns())
+        metrics = _metrics(entry, functions)
+        lam_gns, *lambdas = _lambdas(entry, _metrics(entry, (gns(),)) + metrics)
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
-        for metric in metrics:
-            report = spectral_gap_f(model, rho, metric, fps=entry.fps, gen=entry.gen)
-            defect = max(defect, (lam_gns - report.lambda_f) / scale)
+        for metric, lam in zip(metrics, lambdas):
+            defect = max(defect, (lam_gns - lam) / scale)
             basis = decaying_subspace(metric, entry.fps)
             leak = float(
                 np.linalg.norm(entry.fps.projector.matrix @ basis, axis=0).max()
@@ -989,14 +991,10 @@ def strict_gap_search(
         dim = dims[k % len(dims)]
         model, rho, n_rej = random_faithful_model(rng, dim)
         rejected += n_rej
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
-        lam_gns = spectral_gap_f(
-            model, rho, f_metric(rho, gns()), fps=fps, gen=gen
-        ).lambda_f
-        lam_kms = spectral_gap_f(
-            model, rho, f_metric(rho, kms()), fps=fps, gen=gen
-        ).lambda_f
+        lam_gns, lam_kms = (
+            r.lambda_f
+            for r in gap_sweep(model, rho, [f_metric(rho, gns()), f_metric(rho, kms())])
+        )
         if lam_gns <= 0 or math.isinf(lam_gns):
             continue
         margin = lam_kms - lam_gns

@@ -106,9 +106,22 @@ def f_norm(metric: FMetric, x) -> float:
     return float(np.sqrt(np.sum(metric.weights * np.abs(xt) ** 2)))
 
 
-def _eigenbasis_rotation(metric: FMetric) -> np.ndarray:
+def eigenbasis_rotation(metric: FMetric) -> np.ndarray:
     """Unitary W with W^H vec(x) = vec(U^H x U)."""
     return np.kron(metric.basis.conj(), metric.basis)
+
+
+def warn_if_ill_conditioned(metric: FMetric) -> None:
+    """IllConditionedWarning when the weight spread exceeds COND_GUARD; f-adjoints
+    and gaps computed from such weights carry amplified round-off.  The
+    warning names the caller of the routine that checks."""
+    if metric.condition_number > COND_GUARD:
+        warnings.warn(
+            f"f-Gram condition number {metric.condition_number:.3e} exceeds "
+            f"{COND_GUARD:.1e}; results may lose accuracy",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
 
 
 def f_gram(metric: FMetric) -> Superoperator:
@@ -117,15 +130,20 @@ def f_gram(metric: FMetric) -> Superoperator:
     Diagonal with entries w_ij in matrix-unit coordinates of the
     eigenbasis; conjugated back with W = conj(U) (x) U in general.
     """
-    w = _eigenbasis_rotation(metric)
+    w = eigenbasis_rotation(metric)
     g = (w * vec(metric.weights).real) @ dag(w)
     g = (g + dag(g)) / 2.0
     return Superoperator(dim=metric.dim, matrix=g)
 
 
 def f_gram_sqrt(metric: FMetric) -> tuple[np.ndarray, np.ndarray]:
-    """(G_f^{1/2}, G_f^{-1/2}) built from the exact diagonal weights."""
-    w = _eigenbasis_rotation(metric)
+    """(G_f^{1/2}, G_f^{-1/2}) built from the exact diagonal weights.
+
+    No library routine calls it (gap.f_operator_norms scales by the weights
+    in the eigen frame); it is the materialized reference that tests check
+    f-operator norms against, and perfbench traces it by name.
+    """
+    w = eigenbasis_rotation(metric)
     root = np.sqrt(vec(metric.weights).real)
     return (w * root) @ dag(w), (w / root) @ dag(w)
 
@@ -136,14 +154,8 @@ def f_adjoint(metric: FMetric, s: Superoperator) -> Superoperator:
     Warns (IllConditionedWarning) when the weight spread exceeds 1e12 and
     proceeds; the result then carries amplified round-off.
     """
-    if metric.condition_number > COND_GUARD:
-        warnings.warn(
-            f"f-Gram condition number {metric.condition_number:.3e} exceeds "
-            f"{COND_GUARD:.1e}; adjoint may lose accuracy",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    w = _eigenbasis_rotation(metric)
+    warn_if_ill_conditioned(metric)
+    w = eigenbasis_rotation(metric)
     weights = vec(metric.weights).real
     inner = dag(w) @ s.matrix.conj().T @ w
     adj = (w / weights) @ (inner * weights) @ dag(w)

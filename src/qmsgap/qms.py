@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatchError,
@@ -37,6 +36,7 @@ from .linalg import (
     HermitianEigen,
     Superoperator,
     dag,
+    expm,
     frobenius,
     herm_eig,
     unvec,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,6 +104,23 @@ def test_gap_exit_3_for_malformed_matrix(capsys, tmp_path):
     code, _, err = run(capsys, "gap", str(path))
     assert code == 3
     assert "hamiltonian" in err
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [("hamiltonian", [math.nan, 0.0]), ("jumps[0]", [math.inf, 0.0]),
+     ("rho", [math.nan, 0.0]), ("hamiltonian", [True, 0.0])],
+)
+def test_gap_exit_3_for_non_finite_or_boolean_entry(capsys, tmp_path, field, entry):
+    model = thermal_qubit(0.25, 1.0)
+    doc = model_to_dict(model, density_matrix(np.diag([0.2, 0.8]).astype(complex)))
+    matrix = doc["jumps"][0] if field == "jumps[0]" else doc[field]
+    matrix[0] = entry
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+    code, _, err = run(capsys, "gap", str(path), "--f", "kms")
+    assert code == 3
+    assert f"{field}: entry 0" in err
 
 
 def test_gap_exit_3_for_unknown_metric(capsys, depolarizing_config):
@@ -234,4 +252,12 @@ def test_cli_import_skips_scipy_optimize():
     # only the Moreau oracle of the campaign needs scipy.optimize
     env = dict(os.environ, PYTHONPATH=str(Path(qmsgap.__file__).parents[1]))
     code = "import sys, qmsgap.cli; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_package_import_skips_scipy_linalg():
+    # the semigroup's expm is numpy-only, so a gap or curve process loads
+    # one BLAS (numpy's) and never starts scipy's thread pool beside it
+    env = dict(os.environ, PYTHONPATH=str(Path(qmsgap.__file__).parents[1]))
+    code = "import sys, qmsgap.cli; assert 'scipy.linalg' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

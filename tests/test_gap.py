@@ -1,17 +1,29 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from qmsgap import gap
+from qmsgap.errors import (
+    IllConditionedWarning,
+    NegativeGapWarning,
+    QmsGapError,
+    RankDeficiencyError,
+)
 from qmsgap.gap import (
     decaying_subspace,
     empirical_decay_rate,
     f_operator_norm,
+    f_operator_norms,
     gap_curve,
+    gap_sweep,
     spectral_gap_f,
 )
-from qmsgap.linalg import unvec
-from qmsgap.metric import f_inner, f_metric
+from qmsgap.harness import degenerate_block_model
+from qmsgap.linalg import Superoperator, dag, unvec, vec
+from qmsgap.metric import f_gram, f_gram_sqrt, f_inner, f_metric
 from qmsgap.monotone import anti_gns, bkm, gns, kms, power, transpose
 from qmsgap.qms import (
     SIGMA_Z,
@@ -20,6 +32,7 @@ from qmsgap.qms import (
     depolarizing_qubit,
     fixed_point_structure,
     generator,
+    gns_gram_matrix,
     invariant_state,
     random_faithful_model,
     semigroup,
@@ -279,3 +292,146 @@ def test_degenerate_mode_uses_kernel_of_expectation(rng):
         if lam_gns is None:
             lam_gns = report.lambda_f
         assert report.lambda_f >= lam_gns - 1e-7 * max(1.0, lam_gns)
+
+
+# ---------------------------------------------------------------------------
+# The eigen-frame engine against the kron-based route in original coordinates
+# ---------------------------------------------------------------------------
+
+SUITE = [power(round(0.1 * k, 10)) for k in range(11)]
+SUITE += [kms(), bkm(), gns(), anti_gns()]
+
+
+def _reference_spectrum(rho, metric, fps, gen):
+    """Independent oracle: ker E from the SVD of B_N^H G_gns in column-stacking
+    coordinates, f-orthonormalized through the materialized f-Gram, then the
+    spectrum of minus the symmetrized compressed generator."""
+    n_fixed = fps.dim
+    if n_fixed == rho.dim**2:
+        return np.empty(0)
+    fixed = np.column_stack([vec(m) for m in fps.basis])
+    _, _, vh = np.linalg.svd(dag(fixed) @ gns_gram_matrix(rho))
+    raw = dag(vh[n_fixed:])
+    gram = f_gram(metric).matrix
+    vals, vecs = np.linalg.eigh(dag(raw) @ gram @ raw)
+    basis = raw @ vecs / np.sqrt(vals)
+    compressed = dag(basis) @ gram @ gen.matrix @ basis
+    return np.linalg.eigvalsh(-(compressed + dag(compressed)) / 2.0)
+
+
+def _assert_sweep_matches_reference(model, rho):
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    metrics = [f_metric(rho, f) for f in SUITE]
+    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    assert [r.f_label for r in reports] == [f.label for f in SUITE]
+    for metric, report in zip(metrics, reports):
+        expected = _reference_spectrum(rho, metric, fps, gen)
+        assert report.kernel_dim == fps.dim
+        if expected.size == 0:
+            assert math.isinf(report.lambda_f) and report.spectrum.size == 0
+            continue
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(
+            report.spectrum, expected, rtol=1e-10, atol=1e-10 * scale
+        )
+        assert report.lambda_f == pytest.approx(expected[0], rel=1e-10)
+        assert max(report.residuals.values()) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_gap_sweep_matches_reference_on_random_models(dim):
+    model, rho, _ = random_faithful_model(np.random.default_rng(100 + dim), dim)
+    _assert_sweep_matches_reference(model, rho)
+
+
+def test_gap_sweep_matches_reference_on_degenerate_blocks(rng):
+    for _ in range(2):
+        model, rho = degenerate_block_model(rng)
+        assert fixed_point_structure(model, rho).dim == 2
+        _assert_sweep_matches_reference(model, rho)
+
+
+def test_gap_sweep_of_frozen_model_is_all_inf():
+    model = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
+    rho = density_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    reports = gap_sweep(model, rho, [f_metric(rho, f) for f in SUITE])
+    assert all(r.empty and r.kernel_dim == 9 for r in reports)
+    _assert_sweep_matches_reference(model, rho)
+
+
+def test_f_operator_norms_match_gram_square_roots(rng):
+    model, rho, _ = random_faithful_model(rng, 3)
+    metrics = [f_metric(rho, f) for f in SUITE]
+    z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    for s in (semigroup(model, 0.7), Superoperator(dim=3, matrix=z)):
+        norms = f_operator_norms(metrics, s)
+        assert norms.shape == (len(metrics),)
+        for metric, norm in zip(metrics, norms):
+            root, inv_root = f_gram_sqrt(metric)
+            expected = np.linalg.norm(root @ s.matrix @ inv_root, 2)
+            assert norm == pytest.approx(expected, rel=1e-10)
+
+
+def test_one_call_takes_metrics_of_one_state(rng):
+    model, rho, _ = random_faithful_model(rng, 2)
+    _, other, _ = random_faithful_model(rng, 2)
+    metrics = [f_metric(rho, kms()), f_metric(other, kms())]
+    with pytest.raises(QmsGapError):
+        gap_sweep(model, rho, metrics)
+    with pytest.raises(QmsGapError):
+        f_operator_norms(metrics, semigroup(model, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Guards kept by the engine
+# ---------------------------------------------------------------------------
+
+
+def test_gap_sweep_raises_on_rank_drop(monkeypatch, thermal):
+    model, rho = thermal
+    monkeypatch.setattr(gap, "SUBSPACE_DROP_TOL", 1.0)
+    with pytest.raises(RankDeficiencyError):
+        gap_sweep(model, rho, [f_metric(rho, kms())])
+
+
+def test_gap_sweep_warns_on_negative_gap(thermal):
+    model, rho = thermal
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    flipped = Superoperator(dim=2, matrix=-gen.matrix)
+    with pytest.warns(NegativeGapWarning):
+        (report,) = gap_sweep(model, rho, [f_metric(rho, gns())], fps=fps, gen=flipped)
+    assert report.lambda_f == pytest.approx(-(G_UP + G_DOWN), rel=1e-12)
+
+
+def test_gap_sweep_warns_on_ill_conditioned_weights():
+    rho = density_matrix(
+        np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
+    )
+    model = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
+    with pytest.warns(IllConditionedWarning):
+        (report,) = gap_sweep(model, rho, [f_metric(rho, gns())])
+    assert report.empty
+
+
+def test_well_conditioned_sweep_warns_nothing(thermal):
+    model, rho = thermal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap_sweep(model, rho, [f_metric(rho, f) for f in SUITE])
+
+
+def test_gap_curve_memory_does_not_grow_with_the_grid():
+    # d = 8 batches one function at a time; stacking all 101 would peak
+    # near 60 MB
+    model, rho, _ = random_faithful_model(np.random.default_rng(8), 8)
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    tracemalloc.start()
+    try:
+        gap_curve(model, rho, [k / 100 for k in range(101)], fps=fps, gen=gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

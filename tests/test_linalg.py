@@ -12,6 +12,7 @@ from qmsgap.errors import (
 from qmsgap.linalg import (
     Superoperator,
     choi_matrix,
+    expm,
     herm_eig,
     matrix_function,
     unvec,
@@ -152,3 +153,24 @@ def test_choi_of_identity_map():
     vals = np.linalg.eigvalsh(choi)
     # rank-one maximally entangled projector with eigenvalue d
     np.testing.assert_allclose(vals, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16, 64])
+def test_expm_matches_scipy(random_complex, n):
+    from scipy.linalg import expm as scipy_expm
+
+    a = random_complex(n, n)
+    for scale in (0.0, 1e-4, 0.3, 3.0, 30.0):
+        want = scipy_expm(scale * a)
+        got = expm(scale * a)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_expm_of_stack_equals_each_matrix(random_complex):
+    # each matrix keeps its own squarings, so batching changes no bit
+    a = random_complex(9, 9)
+    times = np.array([0.0, 1e-4, 0.05, 1.0, 10.0])
+    stacked = expm(times[:, None, None] * a)
+    for t, phi in zip(times, stacked):
+        np.testing.assert_array_equal(phi, expm(t * a))
+    np.testing.assert_allclose(stacked[0], np.eye(9), atol=1e-15)

@@ -109,19 +109,6 @@ def model_from_dict(doc) -> tuple[GKSLModel, Optional[DensityMatrix]]:
 _SIMPLE_KINDS = {"gns": gns, "anti-gns": anti_gns, "kms": kms, "bkm": bkm}
 
 
-def function_to_descriptor(f: MonotoneFunction) -> dict:
-    if f.kind in _SIMPLE_KINDS:
-        return {"kind": f.kind}
-    if f.kind == "power":
-        return {"kind": "power", "alpha": f.alpha}
-    if f.kind == "measure":
-        atoms = [
-            ["inf" if math.isinf(lam) else lam, w] for lam, w in f.atoms
-        ]
-        return {"kind": "measure", "atoms": atoms}
-    raise ConfigError(f"function kind {f.kind!r} is not serializable")
-
-
 def function_from_descriptor(doc) -> MonotoneFunction:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"metric descriptor must have a 'kind': {doc!r}")

@@ -25,6 +25,7 @@ measured in units of the property tolerance, so defect <= 1 passes.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -95,7 +96,7 @@ PROPERTY_ORDER = (
 DEFAULT_TOLERANCES = {
     "gap_comparison": 1e-7,
     "contractivity": 1e-8,
-    "decay_equivalence": 1e-4,
+    "decay_equivalence": 1e-6,
     "transpose_symmetry": 1e-7,
     "alpha_curve": 1e-7,
     "moreau_identity": 1e-8,
@@ -153,15 +154,16 @@ class CampaignConfig:
     properties: tuple[str, ...] = PROPERTY_ORDER
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
-        if self.n_models < 1:
+        _integer(self.seed, "seed")
+        if _integer(self.n_models, "n_models") < 1:
             raise ConfigError("n_models must be at least 1")
-        if not self.dims or any(d < 2 or d > 8 for d in self.dims):
+        if not self.dims or any(
+            _integer(d, "dims entry") < 2 or d > 8 for d in self.dims
+        ):
             raise ConfigError("dims must be a nonempty subset of {2, ..., 8}")
         if not self.f_suite:
             raise ConfigError("f_suite must not be empty")
-        if not self.t_grid or any(t < 0 for t in self.t_grid):
+        if not self.t_grid or any(_finite(t, "t_grid entry") < 0 for t in self.t_grid):
             raise ConfigError("t_grid must be nonempty with t >= 0")
         for name in self.properties:
             if name not in PROPERTY_ORDER:
@@ -171,8 +173,13 @@ class CampaignConfig:
         for name, count in self.counts.items():
             if name not in PROPERTY_ORDER:
                 raise ConfigError(f"count for unknown property {name!r}")
-            if count < 1:
+            if _integer(count, f"count for {name!r}") < 1:
                 raise ConfigError(f"count for {name!r} must be >= 1 (vacuous run)")
+        for name, tol in self.tolerances.items():
+            if name not in PROPERTY_ORDER:
+                raise ConfigError(f"tolerance for unknown property {name!r}")
+            if _finite(tol, f"tolerance for {name!r}") <= 0:
+                raise ConfigError(f"tolerance for {name!r} must be > 0, got {tol!r}")
         for descriptor in self.f_suite:
             cfgmod.function_from_descriptor(descriptor)
 
@@ -211,27 +218,48 @@ class CampaignConfig:
             seed = doc.get("seed")
         if seed is None:
             raise ConfigError("no seed in config and none supplied")
-        kwargs = {"seed": int(seed)}
+        kwargs = {"seed": seed}
         if "n_models" in doc:
-            kwargs["n_models"] = int(doc["n_models"])
-        if "dims" in doc:
-            kwargs["dims"] = tuple(int(d) for d in doc["dims"])
-        if "f_suite" in doc:
-            kwargs["f_suite"] = tuple(dict(d) for d in doc["f_suite"])
-        if "t_grid" in doc:
-            kwargs["t_grid"] = tuple(float(t) for t in doc["t_grid"])
-        if "tolerances" in doc:
-            kwargs["tolerances"] = {k: float(v) for k, v in doc["tolerances"].items()}
-        if "counts" in doc:
-            kwargs["counts"] = {k: int(v) for k, v in doc["counts"].items()}
+            kwargs["n_models"] = doc["n_models"]
+        for key in ("dims", "f_suite", "t_grid", "properties"):
+            if key in doc:
+                kwargs[key] = tuple(_json_typed(doc, key, list))
+        for key in ("tolerances", "counts"):
+            if key in doc:
+                kwargs[key] = dict(_json_typed(doc, key, dict))
         if doc.get("model_override") is not None:
-            kwargs["model_override"] = dict(doc["model_override"])
-        if "properties" in doc:
-            kwargs["properties"] = tuple(doc["properties"])
+            kwargs["model_override"] = dict(_json_typed(doc, "model_override", dict))
         try:
             return cls(**kwargs)
         except TypeError as exc:
             raise ConfigError(f"bad campaign config: {exc}") from exc
+
+
+def _integer(value, what: str):
+    """value if it is an integer (booleans are not), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    """value as a float if it is a finite real number, else ConfigError."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_typed(doc: dict, key: str, kind: type):
+    """doc[key] if it is a JSON list/object as `kind` says, else ConfigError."""
+    value = doc[key]
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return value
 
 
 def acceptance_config(seed: int = 42) -> CampaignConfig:
@@ -541,8 +569,7 @@ def _decay_equivalence(cfg, rng, pool):
         defect = -math.inf
         for metric, report in zip(metrics, reports):
             measured = empirical_decay_rate(
-                entry.model, entry.rho, metric, rng,
-                fps=entry.fps, gen=entry.gen,
+                entry.model, entry.rho, metric, fps=entry.fps, gen=entry.gen
             )
             rel = abs(measured - report.lambda_f) / max(report.lambda_f, 1e-12)
             defect = max(defect, rel / tol)

@@ -208,6 +208,36 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("tolerances", {"contractivity": math.nan}, "tolerance for 'contractivity'"),
+        ("tolerances", {"contractivity": 0}, "must be > 0"),
+        ("tolerances", {"contractivity": -1e-8}, "must be > 0"),
+        ("tolerances", {"no_such_property": 1e-8}, "unknown property"),
+        ("tolerances", [1], "tolerances must be an object"),
+        ("n_models", "abc", "n_models must be an integer"),
+        ("dims", 3, "dims must be a list"),
+        ("dims", [2.5], "dims entry must be an integer"),
+        ("counts", {"alpha_curve": 1.5}, "count for 'alpha_curve'"),
+        ("f_suite", [1], "metric descriptor"),
+        ("t_grid", [math.nan], "t_grid entry must be a finite number"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", 1.7, "seed must be an integer"),
+    ],
+)
+def test_verify_exit_3_for_malformed_campaign_config(
+    capsys, tmp_path, campaign_config, key, value, message
+):
+    path, doc = campaign_config
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # writes NaN literals
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 3
+    assert err.startswith("qmsgap: input error:") and message in err
+
+
 def test_verify_failure_path_emits_counterexamples(
     capsys, tmp_path, campaign_config, monkeypatch
 ):

@@ -164,32 +164,53 @@ def test_decay_certificate_on_random_models(rng):
                     assert n1 <= np.exp(-(report.lambda_f - 1e-6) * t) * n0
 
 
+def _assert_decay_matches_gap(model, rho, functions, rel=1e-8):
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    metrics = [f_metric(rho, f) for f in functions]
+    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    for metric, report in zip(metrics, reports):
+        assert report.lambda_f > 1e-3  # a relative check needs a real gap
+        measured = empirical_decay_rate(model, rho, metric, fps=fps, gen=gen)
+        assert measured == pytest.approx(report.lambda_f, rel=rel)
+
+
 def test_empirical_decay_matches_eigenvalue_gap(rng):
     checked = 0
     while checked < 3:
         model, rho, _ = random_faithful_model(rng, 3)
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
         metrics = [f_metric(rho, f) for f in (gns(), kms(), bkm())]
-        reports = [
-            spectral_gap_f(model, rho, m, fps=fps, gen=gen) for m in metrics
-        ]
-        if min(r.lambda_f for r in reports) < 1e-3:
+        if min(r.lambda_f for r in gap_sweep(model, rho, metrics)) < 1e-3:
             continue  # relative comparison needs gaps away from zero
         checked += 1
-        for metric, report in zip(metrics, reports):
-            measured = empirical_decay_rate(
-                model, rho, metric, rng, fps=fps, gen=gen
-            )
-            assert measured == pytest.approx(report.lambda_f, rel=1e-4)
+        _assert_decay_matches_gap(model, rho, (gns(), kms(), bkm()))
 
 
-def test_empirical_decay_of_trivial_model_is_infinite(rng):
+def test_empirical_decay_on_degenerate_fixed_points(rng):
+    # dim N = 2: the rate is measured on ker E, not on the mean-zero space
+    model, rho = degenerate_block_model(rng)
+    fps = fixed_point_structure(model, rho)
+    assert fps.dim == 2
+    _assert_decay_matches_gap(model, rho, (gns(), kms(), bkm(), power(0.3)))
+
+
+def test_empirical_decay_at_dimension_8(rng):
+    model, rho, _ = random_faithful_model(rng, 8)
+    _assert_decay_matches_gap(model, rho, (gns(), kms(), power(0.3)))
+
+
+def test_empirical_decay_is_deterministic(thermal):
+    model, rho = thermal
+    metric = f_metric(rho, bkm())
+    first = empirical_decay_rate(model, rho, metric)
+    assert empirical_decay_rate(model, rho, metric) == first
+    assert first == pytest.approx((G_UP + G_DOWN) / 2.0, rel=1e-8)
+
+
+def test_empirical_decay_of_trivial_model_is_infinite():
     model = GKSLModel(hamiltonian=np.zeros((2, 2), dtype=complex))
     rho = density_matrix(np.eye(2) / 2.0)
-    assert math.isinf(
-        empirical_decay_rate(model, rho, f_metric(rho, gns()), rng)
-    )
+    assert math.isinf(empirical_decay_rate(model, rho, f_metric(rho, gns())))
 
 
 def test_contractivity_at_zero_time(thermal):

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from qmsgap.gap import gap_sweep
-from qmsgap.metric import f_metric
+from qmsgap.metric import f_metrics
 from qmsgap.monotone import bkm, gns, kms
 from qmsgap.qms import SIGMA_X, GKSLModel, invariant_state, thermal_qubit
 
@@ -36,7 +36,7 @@ def main():
     for omega in np.linspace(0.0, args.omega_max, args.steps):
         model = GKSLModel(hamiltonian=omega * SIGMA_X, jumps=jumps)
         rho = invariant_state(model)
-        metrics = [f_metric(rho, f) for f in (gns(), kms(), bkm())]
+        metrics = f_metrics(rho, (gns(), kms(), bkm()))
         lam = {r.f_label: r.lambda_f for r in gap_sweep(model, rho, metrics)}
         ratio = (lam["kms"] - lam["gns"]) / lam["gns"]
         print(

@@ -49,6 +49,7 @@ from .metric import (
     f_gram,
     f_inner,
     f_metric,
+    f_metrics,
     f_norm,
     loewner_order_probe,
     moreau_form,

@@ -33,7 +33,7 @@ from .errors import (
 from .gap import gap_curve, spectral_gap_f
 from .harness import CampaignConfig, run_campaign
 from .metric import f_metric
-from .qms import check_invariance, fixed_point_structure, generator, invariant_state
+from .qms import check_invariance, fixed_point_structure, invariant_state
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -99,24 +99,23 @@ def _configure_logging():
 
 def _load_model(path):
     model, rho = cfgmod.model_from_dict(cfgmod.load_json(path))
-    gen = generator(model)
     if rho is None:
-        rho = invariant_state(model, gen=gen)
+        rho = invariant_state(model)
     else:
-        residual = check_invariance(model, rho, gen=gen)
+        residual = check_invariance(model, rho)
         if residual > 1e-9:
             log.warning("supplied rho has invariance residual %.3e", residual)
         if not rho.faithful:
             raise NotFaithfulError("supplied rho is not faithful")
-    return model, rho, gen
+    return model, rho
 
 
 def cmd_gap(args) -> int:
     f = cfgmod.parse_f_spec(args.f_spec)
-    model, rho, gen = _load_model(args.config)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    model, rho = _load_model(args.config)
+    fps = fixed_point_structure(model, rho)
     metric = f_metric(rho, f)
-    report = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
+    report = spectral_gap_f(model, rho, metric, fps=fps)
 
     alpha = "" if f.kind != "power" else fmt(f.alpha)
     min_spectrum = (
@@ -151,9 +150,9 @@ def _parse_grid(spec: str):
 
 def cmd_curve(args) -> int:
     alphas = _parse_grid(args.grid)
-    model, rho, gen = _load_model(args.config)
-    fps = fixed_point_structure(model, rho, gen=gen)
-    curve = gap_curve(model, rho, alphas, fps=fps, gen=gen)
+    model, rho = _load_model(args.config)
+    fps = fixed_point_structure(model, rho)
+    curve = gap_curve(model, rho, alphas, fps=fps)
 
     sys.stdout.write("alpha,lambda,symmetry_defect,monotonicity_defect\n")
     for alpha, lam in curve.points:

@@ -59,12 +59,17 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NegativeGapWarning, QmsGapError, RankDeficiencyError
+from .errors import (
+    DimensionMismatchError,
+    NegativeGapWarning,
+    QmsGapError,
+    RankDeficiencyError,
+)
 from .linalg import Superoperator, dag, expm, vec
 from .metric import (
     FMetric,
     eigenbasis_rotation,
-    f_metric,
+    f_metrics,
     warn_if_ill_conditioned,
 )
 from .monotone import power
@@ -115,11 +120,21 @@ def _weights(metrics: Sequence[FMetric]) -> np.ndarray:
     return np.stack([m.weights.ravel(order="F") for m in metrics])
 
 
-def _rotation(metrics: Sequence[FMetric]) -> np.ndarray:
-    """W for the eigenbasis that the metrics share (they must come from one
-    state)."""
+def _rotation(metrics: Sequence[FMetric], dim: int, what: str) -> np.ndarray:
+    """W for the eigenbasis that the metrics share.
+
+    They must come from one state (QmsGapError) on the d of the model or
+    map they measure (DimensionMismatchError); metrics built by one
+    f_metrics call share their arrays and pass without a comparison.
+    """
     first = metrics[0]
+    if first.dim != dim:
+        raise DimensionMismatchError(
+            f"metric of dimension {first.dim} for a {what} of dimension {dim}"
+        )
     for m in metrics[1:]:
+        if m.basis is first.basis and m.eigenvalues is first.eigenvalues:
+            continue
         if not (
             np.array_equal(m.basis, first.basis)
             and np.array_equal(m.eigenvalues, first.eigenvalues)
@@ -228,12 +243,17 @@ def gap_sweep(
     """Gap reports for every metric (all built from rho), in order.
 
     Builds the model's eigen frame once and batches the functions over it
-    (see the module docstring).  An empty decaying subspace (nothing
-    decays) reports lambda_f = +inf.  Warns IllConditionedWarning for
-    weights spread beyond COND_GUARD and NegativeGapWarning for a gap below
-    -1e-8, which signals a non-contraction bug upstream; raises
-    RankDeficiencyError when an f-Gram loses rank on ker E.
+    (see the module docstring).  No metrics give no reports.  An empty
+    decaying subspace (nothing decays) reports lambda_f = +inf.  Warns
+    IllConditionedWarning for weights spread beyond COND_GUARD and
+    NegativeGapWarning for a gap below -1e-8, which signals a
+    non-contraction bug upstream; raises RankDeficiencyError when an
+    f-Gram loses rank on ker E and DimensionMismatchError for metrics on
+    another d than the model.
     """
+    if not metrics:
+        return []
+    rotation = _rotation(metrics, model.dim, "model")
     if gen is None:
         gen = generator(model)
     if fps is None:
@@ -241,7 +261,6 @@ def gap_sweep(
     for metric in metrics:
         warn_if_ill_conditioned(metric)
 
-    rotation = _rotation(metrics)
     raw = _raw_kernel(rotation, metrics[0], fps)
     if raw.shape[1] == 0:
         return [
@@ -283,7 +302,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     to column-stacking coordinates.  Raises RankDeficiencyError if the
     numerical rank falls below d^2 - dim N.
     """
-    rotation = eigenbasis_rotation(metric)
+    rotation = _rotation([metric], fps.projector.dim, "fixed-point structure")
     raw = _raw_kernel(rotation, metric, fps)
     if raw.shape[1] == 0:
         return raw
@@ -295,9 +314,12 @@ def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray
 
     The largest singular value of G_f^{1/2} S G_f^{-1/2}, which in the
     eigen frame is diag(sqrt w_f) S~ diag(1/sqrt w_f) with S~ = W^H S W;
-    S is rotated once for all metrics (built from one state).
+    S is rotated once for all metrics (built from one state).  No metrics
+    give an empty array.
     """
-    rotation = _rotation(metrics)
+    if not metrics:
+        return np.empty(0)
+    rotation = _rotation(metrics, s.dim, "map")
     rotated = dag(rotation) @ s.matrix @ rotation
     norms = []
     for chunk in _chunks(metrics):
@@ -342,8 +364,11 @@ def gap_curve(
     fps: Optional[FixedPointStructure] = None,
     gen: Optional[Superoperator] = None,
 ) -> GapCurve:
+    """Power-family gaps on the alpha grid (QmsGapError if it is empty)."""
     alphas = [float(alpha) for alpha in alphas]
-    metrics = [f_metric(rho, power(alpha)) for alpha in alphas]
+    if not alphas:
+        raise QmsGapError("gap curve needs at least one alpha")
+    metrics = f_metrics(rho, [power(alpha) for alpha in alphas])
     reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
     points = [(alpha, r.lambda_f) for alpha, r in zip(alphas, reports)]
 
@@ -391,11 +416,11 @@ def empirical_decay_rate(
     basis of ker E; no eigensolve of the restricted generator is involved.
     math.inf when nothing decays.
     """
+    rotation = _rotation([metric], model.dim, "model")
     if gen is None:
         gen = generator(model)
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
-    rotation = eigenbasis_rotation(metric)
     raw = _raw_kernel(rotation, metric, fps)
     if raw.shape[1] == 0:
         return math.inf

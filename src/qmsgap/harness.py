@@ -47,13 +47,14 @@ from .gap import (
     gap_curve,
     gap_sweep,
 )
-from .linalg import Superoperator, choi_matrix, dag, frobenius
+from .linalg import choi_matrix, dag, frobenius
 from .metric import (
     QuadraticForm,
     f_adjoint,
     f_gram,
     f_inner,
     f_metric,
+    f_metrics,
     loewner_order_probe,
     moreau_form,
 )
@@ -397,7 +398,6 @@ class PoolEntry:
     index: int
     model: GKSLModel
     rho: DensityMatrix
-    gen: Superoperator
     fps: object
 
     @property
@@ -410,8 +410,7 @@ class PoolEntry:
 
 
 def _prepared(index: int, model: GKSLModel, rho: DensityMatrix) -> PoolEntry:
-    gen = generator(model)
-    return PoolEntry(index, model, rho, gen, fixed_point_structure(model, rho, gen=gen))
+    return PoolEntry(index, model, rho, fixed_point_structure(model, rho))
 
 
 def _draw_entry(
@@ -431,7 +430,7 @@ def _draw_entry(
         dim = cfg.dims[index % len(cfg.dims)]
         model, rho, rejected = random_faithful_model(rng, dim)
     entry = _prepared(index, model, rho)
-    choi = choi_matrix(semigroup(model, 1.0, gen=entry.gen))
+    choi = choi_matrix(semigroup(model, 1.0))
     choi_floor = float(np.linalg.eigvalsh((choi + dag(choi)) / 2.0)[0])
     if choi_floor < -1e-9:
         raise QmsGapError(
@@ -472,19 +471,15 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
 
 def _lambdas(entry: PoolEntry, metrics) -> list[float]:
     """Gaps of one entry for each metric, from one sweep over its frame."""
-    reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps, gen=entry.gen)
+    reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps)
     return [r.lambda_f for r in reports]
-
-
-def _metrics(entry: PoolEntry, functions) -> list:
-    return [f_metric(entry.rho, f) for f in functions]
 
 
 def _contraction_defect(entry: PoolEntry, metrics, t_grid, tol: float) -> float:
     """Worst (|Phi_t|_f - 1) / tol over the time grid and the metrics."""
     defect = -math.inf
     for t in t_grid:
-        phi = semigroup(entry.model, float(t), gen=entry.gen)
+        phi = semigroup(entry.model, float(t))
         norm = float(f_operator_norms(metrics, phi).max())
         defect = max(defect, (norm - 1.0) / tol)
     return defect
@@ -517,7 +512,8 @@ def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
     functions = cfg.functions()
     for entry in pool:
-        lam_gns, *lambdas = _lambdas(entry, _metrics(entry, (gns(),) + functions))
+        metrics = f_metrics(entry.rho, (gns(),) + functions)
+        lam_gns, *lambdas = _lambdas(entry, metrics)
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for lam in lambdas:
@@ -532,7 +528,8 @@ def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
     functions = cfg.functions()
     for entry in pool:
-        defect = _contraction_defect(entry, _metrics(entry, functions), cfg.t_grid, tol)
+        metrics = f_metrics(entry.rho, functions)
+        defect = _contraction_defect(entry, metrics, cfg.t_grid, tol)
         yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
 
@@ -542,7 +539,8 @@ def _decay_equivalence(cfg, rng, pool):
     A relative criterion needs gaps bounded away from zero, and random
     GKSL draws occasionally have numerical abscissa ~ 0 for some f (the
     no-reverse-inequality phenomenon), so draws whose smallest gap over
-    the decay set falls below _DECAY_GAP_FLOOR are redrawn and counted.
+    the decay set falls below _DECAY_GAP_FLOOR are redrawn and counted;
+    a redraw keeps the case's dim, and the cases cycle through cfg.dims.
     Running out of the 20-draws-per-case budget raises.
     """
     tol = cfg.tolerance("decay_equivalence")
@@ -554,12 +552,10 @@ def _decay_equivalence(cfg, rng, pool):
     rejected = 0
     while produced < n_wanted and attempts < 20 * n_wanted:
         attempts += 1
-        entry, n_rej = _draw_entry(cfg, rng, 0)
+        entry, n_rej = _draw_entry(cfg, rng, produced)
         rejected += n_rej
-        metrics = _metrics(entry, functions)
-        reports = gap_sweep(
-            entry.model, entry.rho, metrics, fps=entry.fps, gen=entry.gen
-        )
+        metrics = f_metrics(entry.rho, functions)
+        reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps)
         if (
             min(r.lambda_f for r in reports) < _DECAY_GAP_FLOOR
             and cfg.model_override is None
@@ -569,7 +565,7 @@ def _decay_equivalence(cfg, rng, pool):
         defect = -math.inf
         for metric, report in zip(metrics, reports):
             measured = empirical_decay_rate(
-                entry.model, entry.rho, metric, fps=entry.fps, gen=entry.gen
+                entry.model, entry.rho, metric, fps=entry.fps
             )
             rel = abs(measured - report.lambda_f) / max(report.lambda_f, 1e-12)
             defect = max(defect, rel / tol)
@@ -591,7 +587,7 @@ def _transpose_symmetry(cfg, rng, pool):
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
     transposes = tuple(transpose(f) for f in functions)
     for entry, n_rej in _draw_pool(cfg, rng, cfg.count("transpose_symmetry")):
-        lambdas = _lambdas(entry, _metrics(entry, functions + transposes))
+        lambdas = _lambdas(entry, f_metrics(entry.rho, functions + transposes))
         n = len(functions)
         defect = -math.inf
         for lam, lam_t in zip(lambdas[:n], lambdas[n:]):
@@ -604,9 +600,7 @@ def _transpose_symmetry(cfg, rng, pool):
 def _alpha_curve(cfg, rng, pool):
     tol = cfg.tolerance("alpha_curve")
     for entry, n_rej in _draw_pool(cfg, rng, cfg.count("alpha_curve")):
-        curve = gap_curve(
-            entry.model, entry.rho, _CURVE_ALPHAS, fps=entry.fps, gen=entry.gen
-        )
+        curve = gap_curve(entry.model, entry.rho, _CURVE_ALPHAS, fps=entry.fps)
         scale = curve.tolerance * (tol / 1e-7)  # curve tolerance uses 1e-7
         defect = max(curve.symmetry_defect, curve.monotonicity_defect) / scale
         yield Case(
@@ -677,13 +671,13 @@ def _om1_bounds(cfg, rng, pool):
     for i in range(cfg.count("om1_bounds")):
         d = int(rng.integers(2, 6))
         rho = random_density(rng, d)
-        g_sum = (
-            f_gram(f_metric(rho, gns())).matrix
-            + f_gram(f_metric(rho, anti_gns())).matrix
+        g_gns, g_anti, *grams = (
+            f_gram(m).matrix for m in f_metrics(rho, (gns(), anti_gns()) + functions)
         )
+        g_sum = g_gns + g_anti
         defect = -math.inf
-        for f in functions:
-            diff = g_sum - f_gram(f_metric(rho, f)).matrix
+        for gram in grams:
+            diff = g_sum - gram
             min_eig = float(np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[0])
             defect = max(defect, -min_eig / tol)
         yield Case(f"sandwich-{i:03d}", d, defect)
@@ -727,7 +721,8 @@ def _metric_closed_forms(cfg, rng, pool):
         p = rho.eigen.values
         root = (u * np.sqrt(p)) @ dag(u)
         kms_direct = complex(np.trace(dag(x) @ root @ y @ root))
-        kms_val = f_inner(f_metric(rho, kms()), x, y)
+        kms_metric, bkm_metric = f_metrics(rho, (kms(), bkm()))
+        kms_val = f_inner(kms_metric, x, y)
         kms_defect = abs(kms_val - kms_direct) / (
             tol_kms * max(1.0, abs(kms_direct))
         )
@@ -737,7 +732,7 @@ def _metric_closed_forms(cfg, rng, pool):
             rho_s = (u * p**s) @ dag(u)
             rho_1ms = (u * p ** (1.0 - s)) @ dag(u)
             bkm_direct += w * np.trace(dag(x) @ rho_s @ y @ rho_1ms)
-        bkm_val = f_inner(f_metric(rho, bkm()), x, y)
+        bkm_val = f_inner(bkm_metric, x, y)
         bkm_defect = abs(bkm_val - bkm_direct) / (
             tol_bkm * max(1.0, abs(bkm_direct))
         )
@@ -750,7 +745,7 @@ def _detailed_balance_collapse(cfg, rng, pool):
     for i in range(cfg.count("detailed_balance_collapse")):
         model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
         entry = _prepared(i, model, rho)
-        lambdas = _lambdas(entry, _metrics(entry, functions))
+        lambdas = _lambdas(entry, f_metrics(entry.rho, functions))
         spread = max(lambdas) - min(lambdas)
         # the sweep ends with gns, so its last gap is lambda_gns
         yield Case(
@@ -779,8 +774,9 @@ def _degenerate_gap(cfg, rng, pool):
             yield Case(case_id, model.dim, math.inf, model, rho)
             continue
 
-        metrics = _metrics(entry, functions)
-        lam_gns, *lambdas = _lambdas(entry, _metrics(entry, (gns(),)) + metrics)
+        swept = f_metrics(rho, (gns(),) + functions)
+        lam_gns, *lambdas = _lambdas(entry, swept)
+        metrics = swept[1:]
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for metric, lam in zip(metrics, lambdas):
@@ -1020,7 +1016,7 @@ def strict_gap_search(
         rejected += n_rej
         lam_gns, lam_kms = (
             r.lambda_f
-            for r in gap_sweep(model, rho, [f_metric(rho, gns()), f_metric(rho, kms())])
+            for r in gap_sweep(model, rho, f_metrics(rho, (gns(), kms())))
         )
         if lam_gns <= 0 or math.isinf(lam_gns):
             continue

@@ -16,6 +16,9 @@ which in the eigenbasis reduces to the weighted sum
 All f-computations here go through this weight matrix rather than through
 a d^2 x d^2 eigendecomposition of f(Delta): the diagonal structure is
 exact, weights cost O(d^2), and no spurious non-normality enters.
+`f_metrics` builds the metrics of many functions from one split of rho's
+eigendata: they share the same read-only `eigenvalues` and `basis` arrays,
+which is how the gap routines recognize metrics of one state cheaply.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
 f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
@@ -47,6 +50,7 @@ from .linalg import (
     Superoperator,
     dag,
     herm_eig,
+    kron,
     matrix_function,
     vec,
 )
@@ -78,16 +82,32 @@ class FMetric:
         return float(self.weights.max() / self.weights.min())
 
 
-def f_metric(rho: DensityMatrix, f: MonotoneFunction) -> FMetric:
+def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
+    """The metric of each function, in order, from one split of rho's
+    eigendata: every metric shares the same read-only eigenvalues and basis.
+
+    Raises NotFaithfulError for a state that is not faithful and
+    PostconditionError if some function gives a weight <= 0.
+    """
     if not rho.faithful:
         raise NotFaithfulError("f-metric needs a faithful state")
     p = rho.eigen.values[::-1].copy()
     u = rho.eigen.vectors[:, ::-1].copy()
     ratios = p[:, None] / p[None, :]
-    weights = p[None, :] * f(ratios)
-    if np.any(weights <= 0):
-        raise PostconditionError("f-weights must be strictly positive")
-    return FMetric(f=f, eigenvalues=p, basis=u, weights=weights)
+    for shared in (p, u, ratios):
+        shared.setflags(write=False)
+    metrics = []
+    for f in functions:
+        weights = p[None, :] * f(ratios)
+        if np.any(weights <= 0):
+            raise PostconditionError("f-weights must be strictly positive")
+        metrics.append(FMetric(f=f, eigenvalues=p, basis=u, weights=weights))
+    return metrics
+
+
+def f_metric(rho: DensityMatrix, f: MonotoneFunction) -> FMetric:
+    """The metric of one function: f_metrics(rho, [f])[0]."""
+    return f_metrics(rho, [f])[0]
 
 
 def to_eigenbasis(metric: FMetric, x) -> np.ndarray:
@@ -107,8 +127,8 @@ def f_norm(metric: FMetric, x) -> float:
 
 
 def eigenbasis_rotation(metric: FMetric) -> np.ndarray:
-    """Unitary W with W^H vec(x) = vec(U^H x U)."""
-    return np.kron(metric.basis.conj(), metric.basis)
+    """Unitary W = conj(U) (x) U, so that W^H vec(x) = vec(U^H x U)."""
+    return kron(metric.basis.conj(), metric.basis)
 
 
 def warn_if_ill_conditioned(metric: FMetric) -> None:

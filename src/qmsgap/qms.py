@@ -14,6 +14,13 @@ The fixed-point algebra N = {x : L(x) = 0} carries a state-preserving
 conditional expectation E, realized here as the GNS-orthogonal projection
 onto N; the defining identities E^2 = E, E(1) = 1, tr(rho E(x)) = tr(rho x)
 and *-preservation are asserted after construction.
+
+Models are immutable: a GKSLModel keeps read-only copies of H and the
+jumps (the caller's arrays stay as they were), so `generator` builds and
+checks the generator matrix once per model, keeps it on the model and
+returns that same read-only Superoperator on every later call.  Every
+routine that takes a model therefore shares one generator per model, with
+or without the optional `gen=` argument.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .linalg import (
     expm,
     frobenius,
     herm_eig,
+    kron,
     unvec,
     vec,
 )
@@ -56,21 +64,30 @@ MAX_DRAWS = 20  # random_faithful_model gives up after this many draws
 
 @dataclass(frozen=True)
 class GKSLModel:
-    """Hamiltonian plus jump operators; H must be Hermitian within 1e-10."""
+    """Hamiltonian plus jump operators; H must be Hermitian within 1e-10.
+
+    Holds read-only complex copies of its arrays, so the generator that
+    `generator` keeps on the model (in `_generator`) cannot go stale.
+    """
 
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = field(default_factory=tuple)
+    _generator: Optional[Superoperator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
+        h = np.array(self.hamiltonian, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionMismatchError("Hamiltonian must be square")
         if frobenius(h - dag(h)) > DEFAULT_TOL * max(1.0, frobenius(h)):
             raise NotHermitianError("Hamiltonian is not Hermitian within tolerance")
-        jumps = tuple(np.asarray(v, dtype=complex) for v in self.jumps)
+        jumps = tuple(np.array(v, dtype=complex) for v in self.jumps)
         for v in jumps:
             if v.shape != h.shape:
                 raise DimensionMismatchError("jump operator dimension mismatch")
+        for a in (h, *jumps):
+            a.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
 
@@ -112,7 +129,13 @@ def density_matrix(
 
 
 def generator(model: GKSLModel) -> Superoperator:
-    """Matrix of the Heisenberg generator; checks unitality and *-preservation."""
+    """Matrix of the Heisenberg generator; checks unitality and *-preservation.
+
+    Built and checked on the first call for a model; the model keeps the
+    result, with a read-only matrix, and later calls return that object.
+    """
+    if model._generator is not None:
+        return model._generator
     d = model.dim
     eye = np.eye(d, dtype=complex)
     h = model.hamiltonian
@@ -129,6 +152,8 @@ def generator(model: GKSLModel) -> Superoperator:
     probe = (np.arange(1, d * d + 1) + 0.5j * np.arange(d * d)).reshape((d, d))
     if frobenius(gen.apply(dag(probe)) - dag(gen.apply(probe))) > 1e-9 * scale:
         raise PostconditionError("generator is not *-preserving")
+    mat.setflags(write=False)
+    object.__setattr__(model, "_generator", gen)
     return gen
 
 
@@ -220,7 +245,7 @@ class FixedPointStructure:
 
 def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
     """Gram matrix of <x, y> = tr(x^H y rho): right multiplication by rho."""
-    return np.kron(rho.rho.T, np.eye(rho.dim, dtype=complex))
+    return kron(rho.rho.T, np.eye(rho.dim, dtype=complex))
 
 
 def fixed_point_structure(

@@ -52,8 +52,9 @@ def test_02_contractivity(report):
 
 def test_03_decay_equivalence(report):
     # decay rate of |Phi_t|_f on ker E, extrapolated to t = 0, matches the
-    # eigenvalue gap to 1e-6 relative
-    _check(report, 3, "decay_equivalence", "decay equivalence", n_cases=20)
+    # eigenvalue gap to 1e-6 relative, on models of every configured dim
+    result = _check(report, 3, "decay_equivalence", "decay equivalence", n_cases=20)
+    assert {c.dim for c in result.cases} == set(report.config.dims)
 
 
 def test_04_transpose_symmetry(report):

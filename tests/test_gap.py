@@ -7,6 +7,7 @@ import pytest
 
 from qmsgap import gap
 from qmsgap.errors import (
+    DimensionMismatchError,
     IllConditionedWarning,
     NegativeGapWarning,
     QmsGapError,
@@ -402,6 +403,31 @@ def test_one_call_takes_metrics_of_one_state(rng):
         gap_sweep(model, rho, metrics)
     with pytest.raises(QmsGapError):
         f_operator_norms(metrics, semigroup(model, 1.0))
+
+
+def test_empty_inputs_give_empty_results(thermal):
+    model, rho = thermal
+    assert gap_sweep(model, rho, []) == []
+    assert f_operator_norms([], semigroup(model, 1.0)).shape == (0,)
+    with pytest.raises(QmsGapError, match="at least one alpha"):
+        gap_curve(model, rho, [])
+
+
+def test_metric_of_another_dimension_is_named(rng, thermal):
+    model, rho = thermal
+    _, rho3, _ = random_faithful_model(rng, 3)
+    metric = f_metric(rho3, kms())
+    fps = fixed_point_structure(model, rho)
+    calls = (
+        lambda: gap_sweep(model, rho3, [metric]),
+        lambda: spectral_gap_f(model, rho, metric, fps=fps),
+        lambda: empirical_decay_rate(model, rho3, metric),
+        lambda: decaying_subspace(metric, fps),
+        lambda: f_operator_norms([metric], semigroup(model, 1.0)),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatchError, match="dimension 3 for a .* 2"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from qmsgap.linalg import (
     choi_matrix,
     expm,
     herm_eig,
+    kron,
     matrix_function,
     unvec,
     vec,
@@ -153,6 +154,24 @@ def test_choi_of_identity_map():
     vals = np.linalg.eigvalsh(choi)
     # rank-one maximally entangled projector with eigenvalue d
     np.testing.assert_allclose(vals, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_choi_matrix_equals_the_matrix_unit_loop(random_complex, d):
+    s = Superoperator(dim=d, matrix=random_complex(d * d, d * d))
+    loop = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            loop[i * d : (i + 1) * d, j * d : (j + 1) * d] = s.apply(unit)
+    assert choi_matrix(s).tobytes() == loop.tobytes()
+
+
+def test_kron_equals_numpy_kron(random_complex):
+    for n, m in ((2, 2), (3, 2), (2, 4), (8, 8)):
+        a, b = random_complex(n, n), random_complex(m, m)
+        assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 16, 64])

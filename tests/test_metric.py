@@ -11,10 +11,12 @@ from qmsgap.errors import (
 from qmsgap.linalg import dag, vec
 from qmsgap.metric import (
     QuadraticForm,
+    eigenbasis_rotation,
     f_adjoint,
     f_gram,
     f_inner,
     f_metric,
+    f_metrics,
     f_norm,
     loewner_order_probe,
     moreau_form,
@@ -134,6 +136,28 @@ def test_star_transpose_norm_identity(rng, random_complex):
 # ---------------------------------------------------------------------------
 # Gram superoperators and adjoints
 # ---------------------------------------------------------------------------
+
+
+def test_f_metrics_share_one_split_and_equal_f_metric(rng):
+    rho = random_density(rng, 4)
+    functions = builtin_functions()
+    metrics = f_metrics(rho, functions)
+    first = metrics[0]
+    assert not first.eigenvalues.flags.writeable and not first.basis.flags.writeable
+    for f, m in zip(functions, metrics):
+        assert m.f is f
+        assert m.eigenvalues is first.eigenvalues and m.basis is first.basis
+        single = f_metric(rho, f)
+        for name in ("eigenvalues", "basis", "weights"):
+            assert getattr(m, name).tobytes() == getattr(single, name).tobytes()
+    assert f_metrics(rho, []) == []
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_eigenbasis_rotation_equals_numpy_kron(rng, d):
+    metric = f_metric(random_density(rng, d), kms())
+    want = np.kron(metric.basis.conj(), metric.basis)
+    assert eigenbasis_rotation(metric).tobytes() == want.tobytes()
 
 
 def test_gram_of_trace_state_is_half_identity():

@@ -18,7 +18,9 @@ from qmsgap.qms import (
     depolarizing_qubit,
     fixed_point_structure,
     generator,
+    gns_gram_matrix,
     invariant_state,
+    random_density,
     random_faithful_model,
     random_model,
     semigroup,
@@ -271,3 +273,37 @@ def test_pauli_constants():
     np.testing.assert_array_equal(SIGMA_X @ SIGMA_X, np.eye(2))
     np.testing.assert_array_equal(SIGMA_Y @ SIGMA_Y, np.eye(2))
     np.testing.assert_allclose(SIGMA_X @ SIGMA_Y - SIGMA_Y @ SIGMA_X, 2j * SIGMA_Z)
+
+
+def test_generator_is_built_once_per_model(rng, monkeypatch):
+    # random_faithful_model built the generator to find the state; later
+    # calls return that object instead of rebuilding it from np.kron terms
+    model, _, _ = random_faithful_model(rng, 3)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("generator rebuilt")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    gen = generator(model)
+    assert generator(model) is gen
+
+
+def test_model_and_generator_arrays_are_read_only(random_complex):
+    h = random_complex(3, 3)
+    h = (h + dag(h)) / 2.0
+    v = random_complex(3, 3)
+    model = GKSLModel(hamiltonian=h, jumps=(v,))
+    for a in (model.hamiltonian, *model.jumps, generator(model).matrix):
+        assert not a.flags.writeable
+    # the caller's arrays stay writable, and the model does not share them
+    assert h.flags.writeable and v.flags.writeable
+    before = model.hamiltonian.copy()
+    h[0, 0] += 1.0
+    np.testing.assert_array_equal(model.hamiltonian, before)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_gns_gram_matrix_equals_numpy_kron(rng, d):
+    rho = random_density(rng, d)
+    want = np.kron(rho.rho.T, np.eye(d, dtype=complex))
+    assert gns_gram_matrix(rho).tobytes() == want.tobytes()

@@ -25,22 +25,34 @@ The eigen frame
 ---------------
 With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
-G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)).  Only w_f depends
-on f, and ker E does not depend on f at all.  So each model is rotated into
+G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
+the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
+f, and ker E does not depend on f at all.  So each model is rotated into
 its frame once per call:
 
 * L~ = W^H L W and P~ = W^H E W;
-* a raw basis R~ of ker E: the null space, from one SVD, of the
-  fixed-point constraints B~_N^H diag(p_j), the GNS Gram being diag(p_j)
-  in these coordinates.
+* an orthonormal basis V of diag(sqrt w_gns) ker E: the null space, from
+  one SVD, of the fixed-point constraints B~_N^H diag(sqrt p_j), the GNS
+  Gram being diag(w_gns) = diag(p_j) in these coordinates.
+
+E is the rho-preserving conditional expectation onto the fixed-point
+algebra, so it commutes with the modular group (Takesaki, J. Funct. Anal.
+9, 1972) and ker E is invariant under Delta, hence under every diagonal
+f(Delta)^{-1/2}.  So B~_f = diag(w_f)^{-1/2} V = diag(w_gns)^{-1/2}
+f(Delta)^{-1/2} V still spans ker E, and B~_f^H diag(w_f) B~_f = V^H V = I:
+one basis V serves every f, and no function needs an eigensolve of its
+own to orthonormalize.  The theorem is checked at run time: the residual
+kernel_membership = |P~ B~_f| / |B~_f| must stay below MEMBERSHIP_TOL, or
+PostconditionError is raised.
 
 A function then contributes only its weight vector.  `gap_sweep` stacks
-the restricted f-Grams R~^H diag(w_f) R~, whitens them with one batched
-eigh into f-orthonormal bases B~_f, and takes one batched eigvalsh of
--(C + C^H)/2 with C = B~_f^H diag(w_f) L~ B~_f.  `f_operator_norms`
-rotates a map S once and takes the 2-norms of
-diag(sqrt w_f) S~ diag(1/sqrt w_f).  `spectral_gap_f`, `gap_curve`,
-`decaying_subspace` and `f_operator_norm` are thin wrappers over the two.
+the rescaled bases B~_f and takes one batched eigvalsh of -(C + C^H)/2
+with C = B~_f^H diag(w_f) L~ B~_f.  `f_operator_norms` rotates a map S
+once and takes the 2-norms of diag(sqrt w_f) S~ diag(1/sqrt w_f).
+`spectral_gap_f`, `gap_curve`, `decaying_subspace` and `f_operator_norm`
+are thin wrappers over the two.  `empirical_decay_rate`, the oracle for
+the gap, whitens its basis of ker E with an eigh of its own f-Gram instead
+of rescaling V, so it checks the shortcut rather than repeating it.
 
 Chunk rule: the batched routines stack at most CHUNK_BYTES (64 KiB) of
 d^2 x d^2 complex data at a time, i.e. max(1, 4096 // d^4) functions per
@@ -62,6 +74,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NegativeGapWarning,
+    PostconditionError,
     QmsGapError,
     RankDeficiencyError,
 )
@@ -82,6 +95,7 @@ from .qms import (
 )
 
 SUBSPACE_DROP_TOL = 1e-10
+MEMBERSHIP_TOL = 1e-9  # the margin fixed_point_structure asserts E's identities at
 CHUNK_BYTES = 64 * 1024  # stacked d^2 x d^2 complex data per batch
 
 
@@ -92,9 +106,14 @@ class GapReport:
     spectrum lists the eigenvalues of the symmetrized negative generator
     restricted to the decaying subspace, ascending; lambda_f is its
     smallest element, or math.inf when nothing decays (serialized as the
-    string "inf", never as a float literal).  residuals carry the
-    orthonormalization, adjoint-consistency and subspace-invariance
-    defects of the computation.
+    string "inf", never as a float literal).  residuals (empty when nothing
+    decays) carry four defects of the computation, with B the f-basis of
+    ker E, G the f-Gram, L the generator and P the matrix of E:
+
+    * orthonormality: max |B^H G B - I|;
+    * adjoint_consistency: max |B^H L^H G B - C^H|, C = B^H G L B;
+    * subspace_invariance: |P L B| / max(1, |L B|);
+    * kernel_membership: |P B| / |B|, at most MEMBERSHIP_TOL.
     """
 
     f_label: str
@@ -143,46 +162,62 @@ def _rotation(metrics: Sequence[FMetric], dim: int, what: str) -> np.ndarray:
     return eigenbasis_rotation(first)
 
 
-def _raw_kernel(
+def _kernel(
     rotation: np.ndarray, metric: FMetric, fps: FixedPointStructure
 ) -> np.ndarray:
-    """Raw basis R~ of ker E in the frame (columns): the null space of the
-    fixed-point constraints B~_N^H diag(p_j)."""
+    """Orthonormal basis V (columns) of diag(sqrt w_gns) ker E in the frame:
+    the null space, from one SVD, of the fixed-point constraints
+    B~_N^H diag(sqrt p_j)."""
     d = metric.dim
     n_fixed = fps.dim
     if n_fixed == d * d:
         return np.zeros((d * d, 0), dtype=complex)
     fixed = dag(rotation) @ np.column_stack([vec(m) for m in fps.basis])
-    constraints = dag(fixed) * np.repeat(metric.eigenvalues, d)
+    constraints = dag(fixed) * np.sqrt(np.repeat(metric.eigenvalues, d))
     _, _, vh = np.linalg.svd(constraints)
     return dag(vh[n_fixed:])
 
 
-def _whiten(
-    raw: np.ndarray, metrics: Sequence[FMetric], weights: np.ndarray
+def _f_bases(
+    kernel: np.ndarray, metrics: Sequence[FMetric], weights: np.ndarray
 ) -> np.ndarray:
-    """f-orthonormal bases B~_f = R~ V_f diag(v_f)^{-1/2}, stacked, from one
-    batched eigh of the restricted f-Grams R~^H diag(w_f) R~.
+    """f-orthonormal bases B~_f = diag(w_f)^{-1/2} V of ker E, stacked.
 
-    Raises RankDeficiencyError if some f-Gram keeps fewer than dim ker E
-    eigenvalues above SUBSPACE_DROP_TOL times its largest.
+    Raises RankDeficiencyError when min(w_f) / max(w_f) falls below
+    SUBSPACE_DROP_TOL.  By Cauchy interlacing the eigenvalues of the f-Gram
+    on ker E lie in [min(w_f), max(w_f)], so it can fall below that
+    fraction of its largest eigenvalue only when this fires.
     """
-    gram = dag(raw) @ (weights[:, :, None] * raw)
-    vals, vecs = np.linalg.eigh((gram + dag(gram)) / 2.0)
-    floor = SUBSPACE_DROP_TOL * np.maximum(vals[:, -1:], 0.0)
-    rank = np.sum(vals > floor, axis=1)
-    expected = raw.shape[1]
-    for metric, r in zip(metrics, rank):
-        if r < expected:
+    spread = weights.min(axis=1) / weights.max(axis=1)
+    for metric, s in zip(metrics, spread):
+        if s < SUBSPACE_DROP_TOL:
             raise RankDeficiencyError(
-                f"f-Gram rank {int(r)} below expected {expected} "
-                f"for {metric.f.label}"
+                f"f-weight spread {s:.3e} below {SUBSPACE_DROP_TOL:.1e} "
+                f"for {metric.f.label}: the f-Gram on ker E may lose rank"
             )
-    return raw @ (vecs / np.sqrt(vals)[:, None, :])
+    return kernel / np.sqrt(weights)[:, :, None]
+
+
+def _kernel_membership(
+    projector: np.ndarray, basis: np.ndarray, metrics: Sequence[FMetric]
+) -> np.ndarray:
+    """|P B_f| / |B_f| for each stacked basis, P the matrix of E in the
+    coordinates of B_f.  Raises PostconditionError above MEMBERSHIP_TOL: the
+    rescaled basis has then left ker E, i.e. ker E is not Delta-invariant to
+    that margin."""
+    membership = np.linalg.norm(projector @ basis, axis=(1, 2)) / np.linalg.norm(
+        basis, axis=(1, 2)
+    )
+    for metric, m in zip(metrics, membership):
+        if m > MEMBERSHIP_TOL:
+            raise PostconditionError(
+                f"f-basis leaves ker E by {m:.3e} for {metric.f.label}"
+            )
+    return membership
 
 
 class _Frame(NamedTuple):
-    raw: np.ndarray        # R~
+    kernel: np.ndarray     # V
     gen: np.ndarray        # L~ = W^H L W
     projector: np.ndarray  # P~ = W^H E W
 
@@ -191,7 +226,8 @@ def _sweep_chunk(
     frame: _Frame, metrics: Sequence[FMetric], kernel_dim: int
 ) -> list[GapReport]:
     weights = _weights(metrics)
-    basis = _whiten(frame.raw, metrics, weights)
+    basis = _f_bases(frame.kernel, metrics, weights)
+    membership = _kernel_membership(frame.projector, basis, metrics)
     w = weights[:, :, None]
     gen_basis = frame.gen @ basis
     weighted = w * basis
@@ -227,6 +263,7 @@ def _sweep_chunk(
                     "orthonormality": float(ortho[k]),
                     "adjoint_consistency": float(adjoint[k]),
                     "subspace_invariance": float(leak[k]),
+                    "kernel_membership": float(membership[k]),
                 },
             )
         )
@@ -247,9 +284,10 @@ def gap_sweep(
     decaying subspace (nothing decays) reports lambda_f = +inf.  Warns
     IllConditionedWarning for weights spread beyond COND_GUARD and
     NegativeGapWarning for a gap below -1e-8, which signals a
-    non-contraction bug upstream; raises RankDeficiencyError when an
-    f-Gram loses rank on ker E and DimensionMismatchError for metrics on
-    another d than the model.
+    non-contraction bug upstream; raises RankDeficiencyError when some
+    f-weights spread beyond 1 / SUBSPACE_DROP_TOL, PostconditionError when
+    an f-basis leaves ker E by more than MEMBERSHIP_TOL and
+    DimensionMismatchError for metrics on another d than the model.
     """
     if not metrics:
         return []
@@ -261,8 +299,8 @@ def gap_sweep(
     for metric in metrics:
         warn_if_ill_conditioned(metric)
 
-    raw = _raw_kernel(rotation, metrics[0], fps)
-    if raw.shape[1] == 0:
+    kernel = _kernel(rotation, metrics[0], fps)
+    if kernel.shape[1] == 0:
         return [
             GapReport(
                 f_label=m.f.label,
@@ -274,7 +312,7 @@ def gap_sweep(
             for m in metrics
         ]
     frame = _Frame(
-        raw=raw,
+        kernel=kernel,
         gen=dag(rotation) @ gen.matrix @ rotation,
         projector=dag(rotation) @ fps.projector.matrix @ rotation,
     )
@@ -298,15 +336,18 @@ def spectral_gap_f(
 def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     """f-orthonormal basis (columns in C^{d^2}) of ker E.
 
-    The frame's raw basis of ker E, whitened for <., .>_f and rotated back
-    to column-stacking coordinates.  Raises RankDeficiencyError if the
-    numerical rank falls below d^2 - dim N.
+    diag(w_f)^{-1/2} V rotated back to column-stacking coordinates (see the
+    module docstring).  Raises RankDeficiencyError when the f-weights spread
+    beyond 1 / SUBSPACE_DROP_TOL and PostconditionError when the basis is not
+    annihilated by E to MEMBERSHIP_TOL.
     """
     rotation = _rotation([metric], fps.projector.dim, "fixed-point structure")
-    raw = _raw_kernel(rotation, metric, fps)
-    if raw.shape[1] == 0:
-        return raw
-    return rotation @ _whiten(raw, [metric], _weights([metric]))[0]
+    kernel = _kernel(rotation, metric, fps)
+    if kernel.shape[1] == 0:
+        return kernel
+    basis = rotation @ _f_bases(kernel, [metric], _weights([metric]))
+    _kernel_membership(fps.projector.matrix, basis, [metric])
+    return basis[0]
 
 
 def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray:
@@ -414,20 +455,32 @@ def empirical_decay_rate(
     extrapolates it there.  The norm is the 2-norm of
     diag(sqrt w_f) Phi~_t B~_f in the eigen frame, B~_f an f-orthonormal
     basis of ker E; no eigensolve of the restricted generator is involved.
-    math.inf when nothing decays.
+    B~_f comes from its own eigh of the f-Gram on the GNS-orthonormal basis
+    diag(w_gns)^{-1/2} V, not from rescaling V, so this oracle does not rest
+    on the Delta-invariance of ker E that gap_sweep uses.
+    Raises RankDeficiencyError when that f-Gram loses rank; math.inf when
+    nothing decays.
     """
     rotation = _rotation([metric], model.dim, "model")
     if gen is None:
         gen = generator(model)
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
-    raw = _raw_kernel(rotation, metric, fps)
-    if raw.shape[1] == 0:
+    kernel = _kernel(rotation, metric, fps)
+    if kernel.shape[1] == 0:
         return math.inf
-    weights = _weights([metric])
-    basis = _whiten(raw, [metric], weights)[0]
+    weights = _weights([metric])[0]
+    raw = kernel / np.sqrt(np.repeat(metric.eigenvalues, metric.dim))[:, None]
+    gram = dag(raw) @ (weights[:, None] * raw)
+    vals, vecs = np.linalg.eigh((gram + dag(gram)) / 2.0)
+    if vals[0] <= SUBSPACE_DROP_TOL * vals[-1]:
+        raise RankDeficiencyError(
+            f"f-Gram on ker E loses rank for {metric.f.label}: "
+            f"eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e}"
+        )
+    basis = raw @ (vecs / np.sqrt(vals))
     times = np.array([1e-4, 2e-4, 4e-4])
     phis = expm(times[:, None, None] * (dag(rotation) @ gen.matrix @ rotation))
-    scaled = np.sqrt(weights[0])[:, None] * (phis @ basis)
+    scaled = np.sqrt(weights)[:, None] * (phis @ basis)
     rates = -np.log(np.linalg.norm(scaled, 2, axis=(1, 2))) / times
     return float((8.0 * rates[0] - 6.0 * rates[1] + rates[2]) / 3.0)

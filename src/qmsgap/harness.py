@@ -123,6 +123,9 @@ DEFAULT_COUNTS = {
 }
 
 KMS_CLOSED_FORM_TOL = 1e-11
+# lambda_gns at or below this is an exact zero gap that round-off may have
+# made positive (single-jump d = 2 models); strict_gap_search skips it
+GNS_GAP_FLOOR = 1e-10
 _DECAY_GAP_FLOOR = 1e-3
 _TRANSPOSE_SET = ({"kind": "gns"}, {"kind": "power", "alpha": 0.3}, {"kind": "bkm"})
 _DECAY_SET = (
@@ -727,11 +730,11 @@ def _metric_closed_forms(cfg, rng, pool):
             tol_kms * max(1.0, abs(kms_direct))
         )
 
-        bkm_direct = 0.0 + 0.0j
-        for s, w in zip(s_nodes, s_weights):
-            rho_s = (u * p**s) @ dag(u)
-            rho_1ms = (u * p ** (1.0 - s)) @ dag(u)
-            bkm_direct += w * np.trace(dag(x) @ rho_s @ y @ rho_1ms)
+        # tr(x^H rho^s y rho^(1-s)) at every node at once, as sum(A * B^T)
+        rho_s = (u * p ** s_nodes[:, None, None]) @ dag(u)
+        rho_1ms = (u * p ** (1.0 - s_nodes)[:, None, None]) @ dag(u)
+        traces = np.einsum("kij,kji->k", dag(x) @ rho_s, y @ rho_1ms)
+        bkm_direct = complex(s_weights @ traces)
         bkm_val = f_inner(bkm_metric, x, y)
         bkm_defect = abs(bkm_val - bkm_direct) / (
             tol_bkm * max(1.0, abs(bkm_direct))
@@ -992,8 +995,10 @@ def strict_gap_search(
 
     Detailed-balanced models collapse the family, so generic random draws
     are the natural search space; a plain scan finds positive margins
-    quickly at d = 2.  Exhaustion is reported, not raised: the separation
-    target is an empirical goal, not a theorem.
+    quickly at d = 2.  Draws with lambda_gns <= GNS_GAP_FLOOR (or no decay
+    at all) are skipped, so a zero gap rounded to either sign never sets a
+    ratio.  Exhaustion is reported, not raised: the separation target is an
+    empirical goal, not a theorem.
     """
     if rng is None:
         rng = _rng_for(cfg, 51)
@@ -1018,7 +1023,7 @@ def strict_gap_search(
             r.lambda_f
             for r in gap_sweep(model, rho, f_metrics(rho, (gns(), kms())))
         )
-        if lam_gns <= 0 or math.isinf(lam_gns):
+        if lam_gns <= GNS_GAP_FLOOR or math.isinf(lam_gns):
             continue
         margin = lam_kms - lam_gns
         ratio = margin / lam_gns

@@ -105,6 +105,15 @@ def test_11_strict_gap_exists(report):
     assert result.cases[0].case_id == "search-500draws"
 
 
+def test_strict_gap_ratio_is_not_set_by_round_off(report):
+    # draws with an exact zero GNS gap (single-jump d = 2 models) are
+    # skipped even when round-off makes that gap positive, so the largest
+    # separation is a real one (5.1 at seed 42, not a rounded zero's 1e16)
+    result = report.result("strict_gap")
+    max_ratio = result.tolerance / result.cases[0].defect
+    assert result.tolerance < max_ratio < 1e3
+
+
 def test_12_degenerate_ground_state(report):
     # block models with dim N > 1: comparison and contractivity on ker E
     _check(report, 12, "degenerate_gap", "degenerate ground state", n_cases=10)

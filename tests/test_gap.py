@@ -10,6 +10,7 @@ from qmsgap.errors import (
     DimensionMismatchError,
     IllConditionedWarning,
     NegativeGapWarning,
+    PostconditionError,
     QmsGapError,
     RankDeficiencyError,
 )
@@ -27,8 +28,13 @@ from qmsgap.linalg import Superoperator, dag, unvec, vec
 from qmsgap.metric import f_gram, f_gram_sqrt, f_inner, f_metric
 from qmsgap.monotone import anti_gns, bkm, gns, kms, power, transpose
 from qmsgap.qms import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
     SIGMA_Z,
+    FixedPointStructure,
     GKSLModel,
+    check_invariance,
     density_matrix,
     depolarizing_qubit,
     fixed_point_structure,
@@ -372,6 +378,122 @@ def test_gap_sweep_matches_reference_on_degenerate_blocks(rng):
         model, rho = degenerate_block_model(rng)
         assert fixed_point_structure(model, rho).dim == 2
         _assert_sweep_matches_reference(model, rho)
+
+
+# ---------------------------------------------------------------------------
+# One basis V of ker E for every f: B_f = diag(w_f)^{-1/2} V
+# ---------------------------------------------------------------------------
+
+
+def _half_state_model():
+    # rho = 1/2: every modular ratio is 1, so every f-weight is 1/2
+    model = depolarizing_qubit(GAMMA)
+    return model, invariant_state(model)
+
+
+def _block_model():
+    return degenerate_block_model(np.random.default_rng(6))
+
+
+def _matrix_algebra_model():
+    # N = M_2 (x) 1 is non-commutative; every sigma (x) tau is invariant,
+    # tau the invariant state of the ergodic second factor
+    eye = np.eye(2, dtype=complex)
+    h = 0.4 * SIGMA_X + 0.1 * SIGMA_Z
+    jumps = (SIGMA_MINUS, 0.5 * SIGMA_PLUS, 0.3 * (SIGMA_X + 0.4 * SIGMA_Z))
+    tau = invariant_state(GKSLModel(hamiltonian=h, jumps=jumps)).rho
+    sigma = np.array([[0.7, 0.1 + 0.05j], [0.1 - 0.05j, 0.3]])
+    model = GKSLModel(
+        hamiltonian=np.kron(eye, h), jumps=tuple(np.kron(eye, j) for j in jumps)
+    )
+    return model, density_matrix(np.kron(sigma, tau))
+
+
+def _geometric_model():
+    # truncated damped mode at d = 8: its invariant state has the spectrum
+    # p_n ~ 0.2^n, a weight spread near 8e4
+    d = 8
+    a = np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex)
+    model = GKSLModel(hamiltonian=dag(a) @ a, jumps=(a, np.sqrt(0.2) * dag(a)))
+    p = 0.2 ** np.arange(d)
+    rho = density_matrix(np.diag(p / p.sum()))
+    assert check_invariance(model, rho) <= 1e-10
+    return model, rho
+
+
+SHARED_BASIS_STATES = {
+    "half": _half_state_model,
+    "blocks": _block_model,
+    "matrix_algebra": _matrix_algebra_model,
+    "geometric_d8": _geometric_model,
+}
+
+
+@pytest.mark.parametrize("state", sorted(SHARED_BASIS_STATES))
+def test_decaying_subspace_is_f_orthonormal_in_ker_e(state):
+    model, rho = SHARED_BASIS_STATES[state]()
+    fps = fixed_point_structure(model, rho)
+    n = rho.dim**2 - fps.dim
+    for f in SUITE:
+        metric = f_metric(rho, f)
+        basis = decaying_subspace(metric, fps)
+        assert basis.shape == (rho.dim**2, n)
+        gram = dag(basis) @ f_gram(metric).matrix @ basis
+        np.testing.assert_allclose(gram, np.eye(n), atol=1e-12)
+        assert np.linalg.norm(fps.projector.matrix @ basis) <= 1e-12
+
+
+@pytest.mark.parametrize("state", ["matrix_algebra", "geometric_d8"])
+def test_gap_sweep_matches_reference_on_shared_basis_states(state):
+    model, rho = SHARED_BASIS_STATES[state]()
+    if state == "matrix_algebra":
+        assert fixed_point_structure(model, rho).dim == 4
+    _assert_sweep_matches_reference(model, rho)
+
+
+def test_basis_leaving_ker_e_is_named():
+    # E onto span{1, sigma_x} preserves rho = diag(p) but not its modular
+    # group: its kernel is not Delta-invariant, so diag(w_f)^{-1/2} V leaves
+    # it for every f but gns, whose rescaling needs no invariance
+    model = thermal_qubit(G_UP, G_DOWN)
+    rho = invariant_state(model)
+    fixed = np.column_stack([vec(np.eye(2)), vec(SIGMA_X)])
+    gram = gns_gram_matrix(rho)
+    proj = fixed @ np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram)
+    fps = FixedPointStructure(
+        basis=(np.eye(2, dtype=complex), SIGMA_X),
+        projector=Superoperator(dim=2, matrix=proj),
+        degenerate=True,
+    )
+    (report,) = gap_sweep(model, rho, [f_metric(rho, gns())], fps=fps)
+    assert report.residuals["kernel_membership"] <= 1e-12
+    decaying_subspace(f_metric(rho, gns()), fps)
+    for call in (
+        lambda: gap_sweep(model, rho, [f_metric(rho, kms())], fps=fps),
+        lambda: decaying_subspace(f_metric(rho, kms()), fps),
+    ):
+        with pytest.raises(PostconditionError, match="leaves ker E"):
+            call()
+
+
+def test_engine_makes_no_eigh_and_the_oracle_its_own(monkeypatch):
+    model, rho, _ = random_faithful_model(np.random.default_rng(8), 8)
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    metrics = [f_metric(rho, f) for f in SUITE]
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    decaying_subspace(metrics[0], fps)
+    assert calls == []
+    empirical_decay_rate(model, rho, metrics[0], fps=fps, gen=gen)
+    assert len(calls) == 1
 
 
 def test_gap_sweep_of_frozen_model_is_all_inf():

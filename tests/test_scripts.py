@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/, run as their own processes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -47,3 +48,11 @@ def test_strict_gap_scan_prints_its_summary():
         assert any(line.startswith(prefix) for line in lines), prefix
     met = lines[4].rsplit(" ", 1)[1]
     assert done.returncode == (0 if met == "True" else 1)
+
+
+def test_strict_gap_scan_ratio_is_not_set_by_round_off():
+    done = run_script("strict_gap_scan.py", "--draws", "20", "--dims", "2")
+    prefix = "largest relative separation observed = "
+    (line,) = [l for l in done.stdout.splitlines() if l.startswith(prefix)]
+    ratio = float(line[len(prefix):])
+    assert math.isfinite(ratio) and ratio < 1e3

@@ -11,6 +11,8 @@ transpose symmetry of the gap, the power-curve shape, detailed-balance
 collapse and the degenerate fixed-point variant).
 """
 
+import importlib
+
 from .errors import QmsGapError
 from .gap import (
     GapCurve,
@@ -20,18 +22,11 @@ from .gap import (
     f_operator_norm,
     f_operator_norms,
     gap_curve,
+    gap_curves,
     gap_sweep,
+    gap_sweeps,
+    semigroup_norms,
     spectral_gap_f,
-)
-from .harness import (
-    CampaignConfig,
-    CampaignReport,
-    acceptance_config,
-    degenerate_block_model,
-    detailed_balance_model,
-    random_detailed_balance,
-    run_campaign,
-    strict_gap_search,
 )
 from .linalg import (
     HermitianEigen,
@@ -49,6 +44,7 @@ from .metric import (
     f_gram,
     f_inner,
     f_metric,
+    f_metric_table,
     f_metrics,
     f_norm,
     loewner_order_probe,
@@ -75,12 +71,36 @@ from .qms import (
     density_matrix,
     depolarizing_qubit,
     fixed_point_structure,
+    fixed_point_structures,
     generator,
     invariant_state,
     random_faithful_model,
     random_model,
     semigroup,
+    semigroups,
     thermal_qubit,
 )
 
 __version__ = "0.1.0"
+
+# The campaign runner is loaded on first use: the gap and curve commands
+# never need it, and a cold process compiles every module it imports.
+_HARNESS_NAMES = frozenset(
+    (
+        "CampaignConfig",
+        "CampaignReport",
+        "acceptance_config",
+        "degenerate_block_model",
+        "detailed_balance_model",
+        "random_detailed_balance",
+        "run_campaign",
+        "strict_gap_search",
+    )
+)
+
+
+def __getattr__(name):
+    if name == "harness" or name in _HARNESS_NAMES:
+        harness = importlib.import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,7 +31,6 @@ from .errors import (
     QmsGapError,
 )
 from .gap import gap_curve, spectral_gap_f
-from .harness import CampaignConfig, run_campaign
 from .metric import f_metric
 from .qms import check_invariance, fixed_point_structure, invariant_state
 
@@ -171,6 +170,10 @@ def cmd_curve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: gap and curve never need the campaign runner, and a
+    # cold process compiles every module it imports
+    from .harness import CampaignConfig, run_campaign
+
     doc = cfgmod.load_json(args.config)
     cfg = CampaignConfig.from_dict(doc, seed=args.seed)
     log.info("running campaign seed=%d n_models=%d", cfg.seed, cfg.n_models)

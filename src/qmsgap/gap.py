@@ -27,13 +27,14 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f, and ker E does not depend on f at all.  So each model is rotated into
-its frame once per call:
-
-* L~ = W^H L W and P~ = W^H E W;
-* an orthonormal basis V of diag(sqrt w_gns) ker E: the null space, from
-  one SVD, of the fixed-point constraints B~_N^H diag(sqrt p_j), the GNS
-  Gram being diag(w_gns) = diag(p_j) in these coordinates.
+f, and ker E does not depend on f at all.  So a model's frame is built once:
+L~ = W^H L W, P~ = W^H E W and an orthonormal basis V of
+diag(sqrt w_gns) ker E, the null space, from one SVD, of the fixed-point
+constraints B~_N^H diag(sqrt p_j) (the GNS Gram is diag(w_gns) = diag(p_j)
+in these coordinates).  A one-model call keeps it on the model's
+FixedPointStructure, keyed by rho's eigendata and by the generator L~ came
+from, so `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace`
+and `empirical_decay_rate` (with its exp(t L~)) build it only once.
 
 E is the rho-preserving conditional expectation onto the fixed-point
 algebra, so it commutes with the modular group (Takesaki, J. Funct. Anal.
@@ -49,17 +50,25 @@ A function then contributes only its weight vector.  `gap_sweep` stacks
 the rescaled bases B~_f and takes one batched eigvalsh of -(C + C^H)/2
 with C = B~_f^H diag(w_f) L~ B~_f.  `f_operator_norms` rotates a map S
 once and takes the 2-norms of diag(sqrt w_f) S~ diag(1/sqrt w_f).
-`spectral_gap_f`, `gap_curve`, `decaying_subspace` and `f_operator_norm`
-are thin wrappers over the two.  `empirical_decay_rate`, the oracle for
-the gap, whitens its basis of ker E with an eigh of its own f-Gram instead
-of rescaling V, so it checks the shortcut rather than repeating it.
+`spectral_gap_f`, `decaying_subspace` and `f_operator_norm` are thin
+wrappers over the two.  `empirical_decay_rate`, the oracle for the gap,
+whitens its basis of ker E with an eigh of its own f-Gram instead of
+rescaling V, so it checks the shortcut rather than repeating it.
 
-Chunk rule: the batched routines stack at most CHUNK_BYTES (64 KiB) of
-d^2 x d^2 complex data at a time, i.e. max(1, 4096 // d^4) functions per
-chunk: the 13-function suite is one chunk at d <= 4, and d = 8 goes one
-function at a time, so peak memory does not grow with the number of
-functions.  `empirical_decay_rate` exponentiates one stack of three
-matrices (192 KiB at d = 8).
+Batches of models
+-----------------
+`gap_sweeps`, `gap_curves` and `semigroup_norms` take many models.  Models
+of one d and one dim N share stacks: frames are built together, and each
+(model, function) pair, or (model, time, function) triple, is one slice of
+one chunked computation.  numpy's stacked matmul, eigvalsh, svd and solve
+treat each slice as the 2-d call would, so each model gets exactly the
+numbers it gets alone; the one-model routines are these on one model,
+whose frame broadcasts over its slices.  A batch keeps no frames, and its
+errors and warnings are those of a model-by-model run
+(errors.in_model_order).  Every stack holds at most linalg.CHUNK_BYTES
+(64 KiB) of d^2 x d^2 complex data: max(1, 4096 // d^4) slices or models
+(256 at d = 2, 16 at d = 4, one at d = 8), so peak memory grows with
+neither the number of models nor of functions.
 """
 
 from __future__ import annotations
@@ -67,7 +76,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,26 +87,24 @@ from .errors import (
     PostconditionError,
     QmsGapError,
     RankDeficiencyError,
+    in_model_order,
 )
-from .linalg import Superoperator, dag, expm, vec
-from .metric import (
-    FMetric,
-    eigenbasis_rotation,
-    f_metrics,
-    warn_if_ill_conditioned,
-)
+from .linalg import Superoperator, batches, chunks, dag, expm, kron, pick, vec
+from .metric import COND_GUARD, FMetric, f_metric_table, warn_if_ill_conditioned
 from .monotone import power
 from .qms import (
     DensityMatrix,
     FixedPointStructure,
     GKSLModel,
     fixed_point_structure,
+    fixed_point_structures,
     generator,
+    semigroups,
 )
 
 SUBSPACE_DROP_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9  # the margin fixed_point_structure asserts E's identities at
-CHUNK_BYTES = 64 * 1024  # stacked d^2 x d^2 complex data per batch
+_DECAY_TIMES = np.array([1e-4, 2e-4, 4e-4])  # empirical_decay_rate's t, 2t, 4t
 
 
 @dataclass(frozen=True)
@@ -127,55 +135,112 @@ class GapReport:
         return math.isinf(self.lambda_f)
 
 
-def _chunks(metrics: Sequence[FMetric]):
-    """Consecutive slices of at most max(1, 4096 // d^4) metrics."""
-    step = max(1, CHUNK_BYTES // (16 * metrics[0].dim ** 4))
-    for start in range(0, len(metrics), step):
-        yield metrics[start : start + step]
+class _Frame:
+    """One model's eigen frame (see the module docstring): its state part
+    (W, V, P~) is keyed by rho's eigendata, its generator part (L~ and the
+    decay stack) by the generator it was rotated from."""
+
+    __slots__ = ("basis", "eigenvalues", "rotation", "kernel", "projector",
+                 "source", "gen", "decay")
+
+    def __init__(self, metric: FMetric, rotation, kernel, projector):
+        self.basis, self.eigenvalues = metric.basis, metric.eigenvalues
+        self.rotation, self.kernel, self.projector = rotation, kernel, projector
+        self.source = self.gen = self.decay = None
+
+
+def _one_state(a, b) -> bool:
+    """Whether a and b (metrics or frames) carry the same eigendata of rho;
+    the metrics of one f_metrics call share their arrays and need no
+    comparison."""
+    return (a.basis is b.basis or np.array_equal(a.basis, b.basis)) and (
+        a.eigenvalues is b.eigenvalues or np.array_equal(a.eigenvalues, b.eigenvalues)
+    )
 
 
 def _weights(metrics: Sequence[FMetric]) -> np.ndarray:
     """Rows w_f = vec(p_j f(p_i / p_j)), the diagonal f-Grams of the frame."""
-    return np.stack([m.weights.ravel(order="F") for m in metrics])
+    return np.array([m.weights.ravel(order="F") for m in metrics])
 
 
-def _rotation(metrics: Sequence[FMetric], dim: int, what: str) -> np.ndarray:
-    """W for the eigenbasis that the metrics share.
-
-    They must come from one state (QmsGapError) on the d of the model or
-    map they measure (DimensionMismatchError); metrics built by one
-    f_metrics call share their arrays and pass without a comparison.
-    """
+def _same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
+    """The metrics must come from one state (QmsGapError) on the d of the
+    model or map they measure (DimensionMismatchError)."""
     first = metrics[0]
     if first.dim != dim:
         raise DimensionMismatchError(
             f"metric of dimension {first.dim} for a {what} of dimension {dim}"
         )
-    for m in metrics[1:]:
-        if m.basis is first.basis and m.eigenvalues is first.eigenvalues:
-            continue
-        if not (
-            np.array_equal(m.basis, first.basis)
-            and np.array_equal(m.eigenvalues, first.eigenvalues)
-        ):
-            raise QmsGapError("metrics of one call must come from one state")
-    return eigenbasis_rotation(first)
+    if not all(_one_state(m, first) for m in metrics[1:]):
+        raise QmsGapError("metrics of one call must come from one state")
 
 
-def _kernel(
-    rotation: np.ndarray, metric: FMetric, fps: FixedPointStructure
-) -> np.ndarray:
-    """Orthonormal basis V (columns) of diag(sqrt w_gns) ker E in the frame:
+def _rotated(rotation: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """W^H S W for each rotation W and map S of two stacks."""
+    return dag(rotation) @ maps @ rotation
+
+
+def _build_frames(
+    fpss: Sequence[FixedPointStructure], states: Sequence[FMetric]
+) -> list[_Frame]:
+    """State parts of the frames of models with one d and one dim N: V is
     the null space, from one SVD, of the fixed-point constraints
     B~_N^H diag(sqrt p_j)."""
-    d = metric.dim
-    n_fixed = fps.dim
+    d = states[0].dim
+    n_fixed = fpss[0].dim
+    u = np.array([m.basis for m in states])
+    rotation = kron(u.conj(), u)
     if n_fixed == d * d:
-        return np.zeros((d * d, 0), dtype=complex)
-    fixed = dag(rotation) @ np.column_stack([vec(m) for m in fps.basis])
-    constraints = dag(fixed) * np.sqrt(np.repeat(metric.eigenvalues, d))
-    _, _, vh = np.linalg.svd(constraints)
-    return dag(vh[n_fixed:])
+        kernels = np.zeros((len(states), d * d, 0), dtype=complex)
+    else:
+        fixed = dag(rotation) @ np.array(
+            [np.column_stack([vec(b) for b in fps.basis]) for fps in fpss]
+        )
+        p = np.array([m.eigenvalues for m in states])
+        constraints = dag(fixed) * np.sqrt(np.repeat(p, d, axis=1))[:, None, :]
+        kernels = dag(np.linalg.svd(constraints)[2][:, n_fixed:])
+    projectors = _rotated(rotation, np.array([fps.projector.matrix for fps in fpss]))
+    return [
+        _Frame(m, rotation[g], kernels[g], projectors[g]) for g, m in enumerate(states)
+    ]
+
+
+def _frames(
+    fpss: Sequence[FixedPointStructure],
+    states: Sequence[FMetric],
+    gens: Optional[Sequence[Superoperator]] = None,
+    keep: bool = True,
+) -> list[_Frame]:
+    """The frame of each model (states[i] is a metric of its state), from
+    its FixedPointStructure when that frame serves the state, else built in
+    stacks of one (d, dim N); with gens, its L~ too.
+
+    A frame built with keep is kept on the FixedPointStructure.  The
+    batched routines build without it: each frame of a batch serves once,
+    and keeping a whole pool's frames would hold their memory for as long
+    as the pool lives."""
+    frames = [
+        fps._frame if fps._frame is not None and _one_state(fps._frame, m) else None
+        for fps, m in zip(fpss, states)
+    ]
+    todo = ((m.dim, fps.dim) if frame is None else None
+            for m, fps, frame in zip(states, fpss, frames))
+    for rows in batches(todo):
+        for i, frame in zip(rows, _build_frames(pick(fpss, rows), pick(states, rows))):
+            frames[i] = frame
+            if keep:
+                object.__setattr__(fpss[i], "_frame", frame)
+    stale = () if gens is None else (
+        (m.dim,) if frame.source is not gen else None
+        for m, frame, gen in zip(states, frames, gens)
+    )
+    for rows in batches(stale):
+        rotation = np.array([frames[i].rotation for i in rows])
+        rotated = _rotated(rotation, np.array([gens[i].matrix for i in rows]))
+        for i, gen in zip(rows, rotated):
+            frame = frames[i]
+            frame.source, frame.gen, frame.decay = gens[i], gen, None
+    return frames
 
 
 def _f_bases(
@@ -216,20 +281,20 @@ def _kernel_membership(
     return membership
 
 
-class _Frame(NamedTuple):
-    kernel: np.ndarray     # V
-    gen: np.ndarray        # L~ = W^H L W
-    projector: np.ndarray  # P~ = W^H E W
-
-
 def _sweep_chunk(
-    frame: _Frame, metrics: Sequence[FMetric], kernel_dim: int
+    kernel: np.ndarray,
+    gen: np.ndarray,
+    projector: np.ndarray,
+    weights: np.ndarray,
+    metrics: Sequence[FMetric],
+    kernel_dim: int,
 ) -> list[GapReport]:
-    weights = _weights(metrics)
-    basis = _f_bases(frame.kernel, metrics, weights)
-    membership = _kernel_membership(frame.projector, basis, metrics)
+    """Reports of stacked slices: slice s is metrics[s] on the frame whose
+    V, L~ and P~ are kernel[s], gen[s] and projector[s]."""
+    basis = _f_bases(kernel, metrics, weights)
+    membership = _kernel_membership(projector, basis, metrics)
     w = weights[:, :, None]
-    gen_basis = frame.gen @ basis
+    gen_basis = gen @ basis
     weighted = w * basis
     compressed = dag(basis) @ (w * gen_basis)
     spectra = np.linalg.eigvalsh(-(compressed + dag(compressed)) / 2.0)
@@ -237,9 +302,9 @@ def _sweep_chunk(
     eye = np.eye(basis.shape[2])
     ortho = np.abs(dag(basis) @ weighted - eye).max(axis=(1, 2))
     adjoint = np.abs(
-        dag(basis) @ (dag(frame.gen) @ weighted) - dag(compressed)
+        dag(basis) @ (dag(gen) @ weighted) - dag(compressed)
     ).max(axis=(1, 2))
-    leak = np.linalg.norm(frame.projector @ gen_basis, axis=(1, 2)) / np.maximum(
+    leak = np.linalg.norm(projector @ gen_basis, axis=(1, 2)) / np.maximum(
         1.0, np.linalg.norm(gen_basis, axis=(1, 2))
     )
 
@@ -270,6 +335,98 @@ def _sweep_chunk(
     return reports
 
 
+def _empty_report(metric: FMetric, kernel_dim: int) -> GapReport:
+    return GapReport(
+        f_label=metric.f.label,
+        lambda_f=math.inf,
+        kernel_dim=kernel_dim,
+        spectrum=np.empty(0),
+        residuals={},
+    )
+
+
+def gap_sweeps(
+    models: Sequence[GKSLModel],
+    rhos: Sequence[DensityMatrix],
+    metric_lists: Sequence[Sequence[FMetric]],
+    fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
+    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+) -> list[list[GapReport]]:
+    """Gap reports of each model for each of its metrics (all built from its
+    state), in order; the batched form of gap_sweep.
+
+    A missing fps or gen is computed.  The models that share d and dim N
+    are stacked: their frames are built together and every (model, metric)
+    pair is one slice of the same chunked sweep (see the module docstring),
+    with the result each model gets alone.  Warnings and errors are those of
+    gap_sweep on one model after another (errors.in_model_order).
+    """
+    n = len(models)
+    return in_model_order(
+        _gap_sweeps, models, rhos, metric_lists, fpss or [None] * n, gens or [None] * n
+    )
+
+
+def _gap_sweeps(models, rhos, metric_lists, fpss, gens):
+    fpss, gens = list(fpss), list(gens)
+    for i, metrics in enumerate(metric_lists):
+        if metrics:
+            _same_state(metrics, models[i].dim, "model")
+            gens[i] = gens[i] or generator(models[i])
+    todo = [i for i, ms in enumerate(metric_lists) if ms and fpss[i] is None]
+    computed = fixed_point_structures(
+        pick(models, todo), pick(rhos, todo), pick(gens, todo)
+    )
+    for i, fps in zip(todo, computed):
+        fpss[i] = fps
+
+    reports: list[list[GapReport]] = [[] for _ in models]
+    keys = ((m.dim, fps.dim) if metrics else None
+            for m, fps, metrics in zip(models, fpss, metric_lists))
+    for rows in batches(keys):
+        lists = pick(metric_lists, rows)
+        weights = [_weights(metrics) for metrics in lists]
+        for metrics, w in zip(lists, weights):
+            if (w.max(axis=1) / w.min(axis=1) > COND_GUARD).any():
+                for metric in metrics:
+                    warn_if_ill_conditioned(metric)
+        frames = _frames(
+            pick(fpss, rows),
+            [metrics[0] for metrics in lists],
+            pick(gens, rows),
+            keep=len(models) == 1,
+        )
+        out = iter(_sweep_group(frames, lists, weights, fpss[rows[0]].dim))
+        for i, metrics in zip(rows, lists):
+            reports[i] = [next(out) for _ in metrics]
+    return reports
+
+
+def _sweep_group(frames, metric_lists, weights, n_fixed: int) -> list[GapReport]:
+    """Reports of models with one d and one dim N, in model order."""
+    metrics = [m for ms in metric_lists for m in ms]
+    d = metrics[0].dim
+    if n_fixed == d * d:
+        return [_empty_report(m, n_fixed) for m in metrics]
+    w = np.concatenate(weights)
+    single = len(frames) == 1
+    if not single:
+        sizes = [len(metrics) for metrics in metric_lists]
+        owner = np.repeat(np.arange(len(frames)), sizes)
+        kernels = np.array([frame.kernel.T for frame in frames])
+        gen = np.array([frame.gen for frame in frames])
+        projector = np.array([frame.projector for frame in frames])
+    reports = []
+    for c in chunks(len(metrics), d):
+        if single:  # the one frame broadcasts over the slices
+            frame_arrays = (frames[0].kernel, frames[0].gen, frames[0].projector)
+        else:  # each slice takes the frame of its model
+            o = owner[c]
+            frame_arrays = (kernels[o].swapaxes(1, 2), gen[o], projector[o])
+        reports += _sweep_chunk(*frame_arrays, w[c], metrics[c], n_fixed)
+    return reports
+
+
 def gap_sweep(
     model: GKSLModel,
     rho: DensityMatrix,
@@ -277,49 +434,20 @@ def gap_sweep(
     fps: Optional[FixedPointStructure] = None,
     gen: Optional[Superoperator] = None,
 ) -> list[GapReport]:
-    """Gap reports for every metric (all built from rho), in order.
+    """Gap reports for every metric (all built from rho), in order:
+    gap_sweeps for one model.
 
-    Builds the model's eigen frame once and batches the functions over it
-    (see the module docstring).  No metrics give no reports.  An empty
-    decaying subspace (nothing decays) reports lambda_f = +inf.  Warns
-    IllConditionedWarning for weights spread beyond COND_GUARD and
-    NegativeGapWarning for a gap below -1e-8, which signals a
+    Builds the model's eigen frame on first use, keeps it on fps and batches
+    the functions over it (see the module docstring).  No metrics give no
+    reports.  An empty decaying subspace (nothing decays) reports
+    lambda_f = +inf.  Warns IllConditionedWarning for weights spread beyond
+    COND_GUARD and NegativeGapWarning for a gap below -1e-8, which signals a
     non-contraction bug upstream; raises RankDeficiencyError when some
     f-weights spread beyond 1 / SUBSPACE_DROP_TOL, PostconditionError when
     an f-basis leaves ker E by more than MEMBERSHIP_TOL and
     DimensionMismatchError for metrics on another d than the model.
     """
-    if not metrics:
-        return []
-    rotation = _rotation(metrics, model.dim, "model")
-    if gen is None:
-        gen = generator(model)
-    if fps is None:
-        fps = fixed_point_structure(model, rho, gen=gen)
-    for metric in metrics:
-        warn_if_ill_conditioned(metric)
-
-    kernel = _kernel(rotation, metrics[0], fps)
-    if kernel.shape[1] == 0:
-        return [
-            GapReport(
-                f_label=m.f.label,
-                lambda_f=math.inf,
-                kernel_dim=fps.dim,
-                spectrum=np.empty(0),
-                residuals={},
-            )
-            for m in metrics
-        ]
-    frame = _Frame(
-        kernel=kernel,
-        gen=dag(rotation) @ gen.matrix @ rotation,
-        projector=dag(rotation) @ fps.projector.matrix @ rotation,
-    )
-    reports: list[GapReport] = []
-    for chunk in _chunks(metrics):
-        reports += _sweep_chunk(frame, chunk, fps.dim)
-    return reports
+    return gap_sweeps([model], [rho], [metrics], [fps], [gen])[0]
 
 
 def spectral_gap_f(
@@ -341,13 +469,40 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     beyond 1 / SUBSPACE_DROP_TOL and PostconditionError when the basis is not
     annihilated by E to MEMBERSHIP_TOL.
     """
-    rotation = _rotation([metric], fps.projector.dim, "fixed-point structure")
-    kernel = _kernel(rotation, metric, fps)
-    if kernel.shape[1] == 0:
-        return kernel
-    basis = rotation @ _f_bases(kernel, [metric], _weights([metric]))
+    _same_state([metric], fps.projector.dim, "fixed-point structure")
+    (frame,) = _frames([fps], [metric])
+    if frame.kernel.shape[1] == 0:
+        return frame.kernel
+    basis = frame.rotation @ _f_bases(frame.kernel, [metric], _weights([metric]))
     _kernel_membership(fps.projector.matrix, basis, [metric])
     return basis[0]
+
+
+def _operator_norms(
+    metric_lists: Sequence[Sequence[FMetric]], maps: np.ndarray
+) -> np.ndarray:
+    """Norms [g, t, f] of maps[g, t] for metric_lists[g][f], all of one d
+    and one length: the 2-norms of diag(sqrt w_f) S~ diag(1/sqrt w_f),
+    S~ = W^H S W, one slice per (g, t, f)."""
+    n_maps, n_times = maps.shape[:2]
+    n_metrics = len(metric_lists[0])
+    u = np.array([metrics[0].basis for metrics in metric_lists])
+    rotation = kron(u.conj(), u)
+    rotated = _rotated(rotation[:, None], maps).reshape(
+        (n_maps * n_times,) + maps.shape[2:]
+    )
+    root = np.sqrt(np.concatenate([_weights(metrics) for metrics in metric_lists]))
+    slices = np.arange(n_maps * n_times * n_metrics)
+    which_map = slices // n_metrics
+    which_root = slices // (n_times * n_metrics) * n_metrics + slices % n_metrics
+    norms = np.empty(slices.size)
+    for c in chunks(slices.size, metric_lists[0][0].dim):
+        r = root[which_root[c]]
+        # one map broadcasts over the slices; several are gathered per slice
+        maps_c = rotated[0] if len(rotated) == 1 else rotated[which_map[c]]
+        scaled = r[:, :, None] * maps_c / r[:, None, :]
+        norms[c] = np.linalg.norm(scaled, 2, axis=(1, 2))
+    return norms.reshape(n_maps, n_times, n_metrics)
 
 
 def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray:
@@ -360,19 +515,43 @@ def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray
     """
     if not metrics:
         return np.empty(0)
-    rotation = _rotation(metrics, s.dim, "map")
-    rotated = dag(rotation) @ s.matrix @ rotation
-    norms = []
-    for chunk in _chunks(metrics):
-        root = np.sqrt(_weights(chunk))
-        scaled = root[:, :, None] * rotated / root[:, None, :]
-        norms.append(np.linalg.norm(scaled, 2, axis=(1, 2)))
-    return np.concatenate(norms)
+    _same_state(metrics, s.dim, "map")
+    return _operator_norms([metrics], s.matrix[None, None])[0, 0]
 
 
 def f_operator_norm(metric: FMetric, s: Superoperator) -> float:
     """Operator norm of the represented map for |.|_f: f_operator_norms([metric], s)."""
     return float(f_operator_norms([metric], s)[0])
+
+
+def semigroup_norms(
+    models: Sequence[GKSLModel],
+    metric_lists: Sequence[Sequence[FMetric]],
+    times,
+) -> list[np.ndarray]:
+    """f_operator_norms of Phi_t for each model, time and metric of the
+    model's state: one (len(times), len(metrics)) array per model.
+
+    The models of one d and one metric count share stacked expms over all
+    times (qms.semigroups) and chunked norm stacks (linalg.batches), with
+    the result each model gets alone; errors are those of a model-by-model
+    run.
+    """
+    return in_model_order(partial(_semigroup_norms, times), models, metric_lists)
+
+
+def _semigroup_norms(times, models, metric_lists):
+    for model, metrics in zip(models, metric_lists):
+        if metrics:
+            _same_state(metrics, model.dim, "model")
+    out = [np.empty((len(times), len(metrics))) for metrics in metric_lists]
+    keys = ((m.dim, len(metrics)) if metrics else None
+            for m, metrics in zip(models, metric_lists))
+    for rows in batches(keys, len(times)):
+        phis = np.array(semigroups(pick(models, rows), times))
+        for i, norms in zip(rows, _operator_norms(pick(metric_lists, rows), phis)):
+            out[i] = norms
+    return out
 
 
 @dataclass(frozen=True)
@@ -398,19 +577,7 @@ class GapCurve:
         return self.monotonicity_defect <= self.tolerance
 
 
-def gap_curve(
-    model: GKSLModel,
-    rho: DensityMatrix,
-    alphas,
-    fps: Optional[FixedPointStructure] = None,
-    gen: Optional[Superoperator] = None,
-) -> GapCurve:
-    """Power-family gaps on the alpha grid (QmsGapError if it is empty)."""
-    alphas = [float(alpha) for alpha in alphas]
-    if not alphas:
-        raise QmsGapError("gap curve needs at least one alpha")
-    metrics = f_metrics(rho, [power(alpha) for alpha in alphas])
-    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+def _curve(alphas: list[float], reports: Sequence[GapReport]) -> GapCurve:
     points = [(alpha, r.lambda_f) for alpha, r in zip(alphas, reports)]
 
     lambdas = dict(points)
@@ -440,6 +607,46 @@ def gap_curve(
     )
 
 
+def gap_curves(
+    models: Sequence[GKSLModel],
+    rhos: Sequence[DensityMatrix],
+    alphas,
+    fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
+    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+) -> list[GapCurve]:
+    """Power-family gap curve of each model on one alpha grid (QmsGapError
+    if it is empty): one f_metric_table and one gap_sweeps for all models;
+    errors are those of a model-by-model run."""
+    alphas = [float(alpha) for alpha in alphas]
+    if not alphas:
+        raise QmsGapError("gap curve needs at least one alpha")
+    n = len(models)
+    return in_model_order(
+        partial(_gap_curves, alphas),
+        models,
+        rhos,
+        fpss or [None] * n,
+        gens or [None] * n,
+    )
+
+
+def _gap_curves(alphas, models, rhos, fpss, gens):
+    metric_lists = f_metric_table(rhos, [power(alpha) for alpha in alphas])
+    reports = gap_sweeps(models, rhos, metric_lists, fpss, gens)
+    return [_curve(alphas, row) for row in reports]
+
+
+def gap_curve(
+    model: GKSLModel,
+    rho: DensityMatrix,
+    alphas,
+    fps: Optional[FixedPointStructure] = None,
+    gen: Optional[Superoperator] = None,
+) -> GapCurve:
+    """Power-family gaps on the alpha grid: gap_curves for one model."""
+    return gap_curves([model], [rho], alphas, [fps], [gen])[0]
+
+
 def empirical_decay_rate(
     model: GKSLModel,
     rho: DensityMatrix,
@@ -457,16 +664,18 @@ def empirical_decay_rate(
     basis of ker E; no eigensolve of the restricted generator is involved.
     B~_f comes from its own eigh of the f-Gram on the GNS-orthonormal basis
     diag(w_gns)^{-1/2} V, not from rescaling V, so this oracle does not rest
-    on the Delta-invariance of ker E that gap_sweep uses.
+    on the Delta-invariance of ker E that gap_sweep uses.  Phi~_t at the
+    three times is exponentiated once per frame and serves every metric.
     Raises RankDeficiencyError when that f-Gram loses rank; math.inf when
     nothing decays.
     """
-    rotation = _rotation([metric], model.dim, "model")
+    _same_state([metric], model.dim, "model")
     if gen is None:
         gen = generator(model)
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
-    kernel = _kernel(rotation, metric, fps)
+    (frame,) = _frames([fps], [metric], [gen])
+    kernel = frame.kernel
     if kernel.shape[1] == 0:
         return math.inf
     weights = _weights([metric])[0]
@@ -479,8 +688,8 @@ def empirical_decay_rate(
             f"eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e}"
         )
     basis = raw @ (vecs / np.sqrt(vals))
-    times = np.array([1e-4, 2e-4, 4e-4])
-    phis = expm(times[:, None, None] * (dag(rotation) @ gen.matrix @ rotation))
-    scaled = np.sqrt(weights)[:, None] * (phis @ basis)
-    rates = -np.log(np.linalg.norm(scaled, 2, axis=(1, 2))) / times
+    if frame.decay is None:
+        frame.decay = expm(_DECAY_TIMES[:, None, None] * frame.gen)
+    scaled = np.sqrt(weights)[:, None] * (frame.decay @ basis)
+    rates = -np.log(np.linalg.norm(scaled, 2, axis=(1, 2))) / _DECAY_TIMES
     return float((8.0 * rates[0] - 6.0 * rates[1] + rates[2]) / 3.0)

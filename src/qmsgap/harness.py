@@ -18,6 +18,18 @@ versions.  Property streams are independent, so the report is the same
 regardless of evaluation order.  Rejected model draws (no unique faithful
 invariant state) are counted, never silently dropped.
 
+Batching: a property draws its models one after another, in the order of
+its stream (rejection sampling consumes the stream, so the draws cannot be
+stacked), and then does the work after the draws for all of them at once:
+fixed-point structures, the Choi check, metrics, gaps, curves and
+semigroup norms go through the batched routines of qms, metric and gap,
+which stack the models of one shape and give each the result it gets
+alone.  The cases come out with the same ids in the same order, and errors
+and warnings are those of a model-by-model run (errors.in_model_order): a
+draw that fails is raised after the models drawn before it are checked.
+decay_equivalence redraws on the gaps it sees and degenerate_gap has ten
+cases, so those two stay one model at a time.
+
 Defects in reports are normalized: a case's defect is its worst violation
 measured in units of the property tolerance, so defect <= 1 passes.
 """
@@ -28,6 +40,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -39,21 +52,24 @@ from .errors import (
     PropertyFailureError,
     QmsGapError,
     RateMismatchError,
+    in_model_order,
 )
 from .gap import (
     decaying_subspace,
     empirical_decay_rate,
-    f_operator_norms,
-    gap_curve,
+    gap_curves,
     gap_sweep,
+    gap_sweeps,
+    semigroup_norms,
 )
-from .linalg import choi_matrix, dag, frobenius
+from .linalg import batches, choi_matrix, dag, frobenius
 from .metric import (
     QuadraticForm,
     f_adjoint,
     f_gram,
     f_inner,
     f_metric,
+    f_metric_table,
     f_metrics,
     loewner_order_probe,
     moreau_form,
@@ -72,11 +88,12 @@ from .qms import (
     GKSLModel,
     density_matrix,
     fixed_point_structure,
+    fixed_point_structures,
     generator,
     invariant_state,
     random_density,
     random_faithful_model,
-    semigroup,
+    semigroups,
 )
 
 PROPERTY_ORDER = (
@@ -123,6 +140,11 @@ DEFAULT_COUNTS = {
 }
 
 KMS_CLOSED_FORM_TOL = 1e-11
+# models drawn, then checked as one batch, at a time.  16 already shares
+# each numpy call among enough models that larger batches ran no faster on
+# the acceptance campaign, while its peak memory grew with the batch (the
+# metrics and reports of a batch are held at once)
+_BATCH = 16
 # lambda_gns at or below this is an exact zero gap that round-off may have
 # made positive (single-jump d = 2 models); strict_gap_search skips it
 GNS_GAP_FLOOR = 1e-10
@@ -398,10 +420,13 @@ class CampaignReport:
 
 @dataclass(frozen=True)
 class PoolEntry:
+    """A drawn model; fps is None until the batch after the draws sets it."""
+
     index: int
     model: GKSLModel
     rho: DensityMatrix
     fps: object
+    rejected: int = 0  # draws discarded before this model
 
     @property
     def dim(self) -> int:
@@ -412,43 +437,91 @@ class PoolEntry:
         return f"model-{self.index:03d}"
 
 
-def _prepared(index: int, model: GKSLModel, rho: DensityMatrix) -> PoolEntry:
-    return PoolEntry(index, model, rho, fixed_point_structure(model, rho))
-
-
-def _draw_entry(
-    cfg: CampaignConfig, rng: np.random.Generator, index: int
-) -> tuple[PoolEntry, int]:
-    """One pool model and the draws rejected before it.
-
-    Models enter a pool only after passing the structural probes:
-    unitality and *-preservation (checked by generator construction) and a
-    complete-positivity check of Phi_1 via the Choi spectrum."""
-    rejected = 0
+def _draw(cfg: CampaignConfig, rng: np.random.Generator, index: int) -> PoolEntry:
+    """The index-th pool model (the override model if the config has one)
+    and the draws rejected before it."""
     if cfg.model_override is not None:
         model, rho = cfgmod.model_from_dict(cfg.model_override)
         if rho is None:
             rho = invariant_state(model)
-    else:
-        dim = cfg.dims[index % len(cfg.dims)]
-        model, rho, rejected = random_faithful_model(rng, dim)
-    entry = _prepared(index, model, rho)
-    choi = choi_matrix(semigroup(model, 1.0))
-    choi_floor = float(np.linalg.eigvalsh((choi + dag(choi)) / 2.0)[0])
-    if choi_floor < -1e-9:
-        raise QmsGapError(
-            f"generated map is not completely positive: Choi floor "
-            f"{choi_floor:.3e}"
-        )
-    return entry, rejected
+        return PoolEntry(index, model, rho, None)
+    model, rho, rejected = random_faithful_model(rng, cfg.dims[index % len(cfg.dims)])
+    return PoolEntry(index, model, rho, None, rejected)
 
 
-def _draw_pool(
-    cfg: CampaignConfig, rng: np.random.Generator, n: int
-) -> Iterator[tuple[PoolEntry, int]]:
-    # An override model never varies, so one entry is enough.
-    for i in range(1 if cfg.model_override is not None else n):
-        yield _draw_entry(cfg, rng, i)
+def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
+    """post's results for the draws draw(0), ..., draw(n - 1), taken in order.
+
+    The draws are taken and post-processed _BATCH at a time: post maps a
+    list of draws to one result each and runs as one batch, with the errors
+    and warnings of a model-by-model run.  A draw that raises ends the
+    drawing; its error is raised after post has checked the draws before
+    it, as a model-by-model run would have.
+    """
+    for start in range(0, n, _BATCH):
+        draws = []
+        error = None
+        for i in range(start, min(n, start + _BATCH)):
+            try:
+                draws.append(draw(i))
+            except Exception as exc:  # raised below, after the earlier draws
+                error = exc
+                break
+        yield from in_model_order(post, draws)
+        if error is not None:
+            raise error
+
+
+def _columns(entries: list[PoolEntry]) -> tuple[list, list, list]:
+    """The models, states and fixed-point structures of the entries."""
+    return (
+        [e.model for e in entries], [e.rho for e in entries], [e.fps for e in entries]
+    )
+
+
+def _pool_entries(draws: list[PoolEntry]) -> list[PoolEntry]:
+    """Entries for the draws, batched.
+
+    Models enter a pool only after passing the structural probes:
+    unitality and *-preservation (checked by generator construction) and a
+    complete-positivity check of Phi_1 via the Choi spectrum."""
+    models, rhos, _ = _columns(draws)
+    fpss = fixed_point_structures(models, rhos)
+    phis = semigroups(models, (1.0,))
+    floors = np.empty(len(draws))
+    for idx in batches((m.dim,) for m in models):
+        choi = choi_matrix(np.array([phis[i][0] for i in idx]))
+        floors[idx] = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)[:, 0]
+    for floor in floors:
+        if floor < -1e-9:
+            raise QmsGapError(
+                f"generated map is not completely positive: Choi floor "
+                f"{floor:.3e}"
+            )
+    return [
+        PoolEntry(x.index, x.model, x.rho, fps, x.rejected)
+        for x, fps in zip(draws, fpss)
+    ]
+
+
+def _pool(
+    cfg: CampaignConfig,
+    rng: np.random.Generator,
+    n: int,
+    then: Optional[Callable] = None,
+) -> Iterator:
+    """n pool entries (one for an override model, which never varies), in
+    order.
+
+    With then (entries -> one result each), pairs (entry, result), then's
+    work batched with the entries' own."""
+
+    def post(draws):
+        entries = _pool_entries(draws)
+        return entries if then is None else list(zip(entries, then(entries)))
+
+    n = 1 if cfg.model_override is not None else n
+    return _drawn_then_batched(partial(_draw, cfg, rng), n, post)
 
 
 class _SharedPool:
@@ -462,9 +535,10 @@ class _SharedPool:
 
     def __iter__(self):
         if self.entries is None:
-            drawn = list(_draw_pool(self.cfg, _rng_for(self.cfg, 0), self.cfg.n_models))
-            self.entries = [entry for entry, _ in drawn]
-            self.n_rejected = sum(n_rej for _, n_rej in drawn)
+            self.entries = list(
+                _pool(self.cfg, _rng_for(self.cfg, 0), self.cfg.n_models)
+            )
+            self.n_rejected = sum(entry.rejected for entry in self.entries)
         return iter(self.entries)
 
 
@@ -472,20 +546,46 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _lambdas(entry: PoolEntry, metrics) -> list[float]:
-    """Gaps of one entry for each metric, from one sweep over its frame."""
-    reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps)
-    return [r.lambda_f for r in reports]
+def _by_batch(rows: Callable, entries: list[PoolEntry]) -> list:
+    """rows(part) for the entries, _BATCH at a time, so that the metrics and
+    reports of a whole pool are never held at once.  Results in entry order;
+    errors and warnings are those of a model-by-model run."""
+    out = []
+    for start in range(0, len(entries), _BATCH):
+        out += in_model_order(rows, entries[start : start + _BATCH])
+    return out
 
 
-def _contraction_defect(entry: PoolEntry, metrics, t_grid, tol: float) -> float:
-    """Worst (|Phi_t|_f - 1) / tol over the time grid and the metrics."""
-    defect = -math.inf
-    for t in t_grid:
-        phi = semigroup(entry.model, float(t))
-        norm = float(f_operator_norms(metrics, phi).max())
-        defect = max(defect, (norm - 1.0) / tol)
-    return defect
+def _lambdas(entries: list[PoolEntry], functions) -> list[list[float]]:
+    """Gaps of each entry for each function, from batched metric tables and
+    sweeps over the entries' frames."""
+
+    def rows(entries):
+        models, rhos, fpss = _columns(entries)
+        reports = gap_sweeps(models, rhos, f_metric_table(rhos, functions), fpss)
+        return [[r.lambda_f for r in row] for row in reports]
+
+    return _by_batch(rows, entries)
+
+
+def _contraction_defects(
+    entries: list[PoolEntry], functions, t_grid, tol: float
+) -> list[float]:
+    """Worst (|Phi_t|_f - 1) / tol over the time grid and the functions, for
+    each entry, from batched metric tables and semigroup_norms."""
+
+    def rows(entries):
+        models, rhos, _ = _columns(entries)
+        norms = semigroup_norms(models, f_metric_table(rhos, functions), t_grid)
+        defects = []
+        for per_time in norms:
+            defect = -math.inf
+            for row in per_time:
+                defect = max(defect, (float(row.max()) - 1.0) / tol)
+            defects.append(defect)
+        return defects
+
+    return _by_batch(rows, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +613,9 @@ class Case(NamedTuple):
 
 def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
-    functions = cfg.functions()
-    for entry in pool:
-        metrics = f_metrics(entry.rho, (gns(),) + functions)
-        lam_gns, *lambdas = _lambdas(entry, metrics)
+    entries = list(pool)
+    rows = _lambdas(entries, (gns(),) + cfg.functions())
+    for entry, (lam_gns, *lambdas) in zip(entries, rows):
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for lam in lambdas:
@@ -529,10 +628,9 @@ def _gap_comparison(cfg, rng, pool):
 
 def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
-    functions = cfg.functions()
-    for entry in pool:
-        metrics = f_metrics(entry.rho, functions)
-        defect = _contraction_defect(entry, metrics, cfg.t_grid, tol)
+    entries = list(pool)
+    defects = _contraction_defects(entries, cfg.functions(), cfg.t_grid, tol)
+    for entry, defect in zip(entries, defects):
         yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
 
@@ -555,8 +653,8 @@ def _decay_equivalence(cfg, rng, pool):
     rejected = 0
     while produced < n_wanted and attempts < 20 * n_wanted:
         attempts += 1
-        entry, n_rej = _draw_entry(cfg, rng, produced)
-        rejected += n_rej
+        (entry,) = _pool_entries([_draw(cfg, rng, produced)])
+        rejected += entry.rejected
         metrics = f_metrics(entry.rho, functions)
         reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps)
         if (
@@ -589,26 +687,34 @@ def _transpose_symmetry(cfg, rng, pool):
     tol = cfg.tolerance("transpose_symmetry")
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
     transposes = tuple(transpose(f) for f in functions)
-    for entry, n_rej in _draw_pool(cfg, rng, cfg.count("transpose_symmetry")):
-        lambdas = _lambdas(entry, f_metrics(entry.rho, functions + transposes))
+    pairs = _pool(
+        cfg, rng, cfg.count("transpose_symmetry"),
+        then=lambda entries: _lambdas(entries, functions + transposes),
+    )
+    for entry, lambdas in pairs:
         n = len(functions)
         defect = -math.inf
         for lam, lam_t in zip(lambdas[:n], lambdas[n:]):
             defect = max(defect, abs(lam - lam_t) / (tol * max(1.0, lam)))
         yield Case(
-            entry.case_id, entry.dim, defect, entry.model, entry.rho, rejected=n_rej
+            entry.case_id, entry.dim, defect, entry.model, entry.rho,
+            rejected=entry.rejected,
         )
+
+
+def _curves(entries: list[PoolEntry]):
+    models, rhos, fpss = _columns(entries)
+    return gap_curves(models, rhos, _CURVE_ALPHAS, fpss)
 
 
 def _alpha_curve(cfg, rng, pool):
     tol = cfg.tolerance("alpha_curve")
-    for entry, n_rej in _draw_pool(cfg, rng, cfg.count("alpha_curve")):
-        curve = gap_curve(entry.model, entry.rho, _CURVE_ALPHAS, fps=entry.fps)
+    for entry, curve in _pool(cfg, rng, cfg.count("alpha_curve"), then=_curves):
         scale = curve.tolerance * (tol / 1e-7)  # curve tolerance uses 1e-7
         defect = max(curve.symmetry_defect, curve.monotonicity_defect) / scale
         yield Case(
             entry.case_id, entry.dim, defect, entry.model, entry.rho,
-            {"points": [[a, l] for a, l in curve.points]}, rejected=n_rej,
+            {"points": [[a, l] for a, l in curve.points]}, rejected=entry.rejected,
         )
 
 
@@ -745,14 +851,26 @@ def _metric_closed_forms(cfg, rng, pool):
 def _detailed_balance_collapse(cfg, rng, pool):
     tol = cfg.tolerance("detailed_balance_collapse")
     functions = cfg.functions() + (gns(),)
-    for i in range(cfg.count("detailed_balance_collapse")):
+
+    def draw(i):
         model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
-        entry = _prepared(i, model, rho)
-        lambdas = _lambdas(entry, f_metrics(entry.rho, functions))
+        return PoolEntry(i, model, rho, None)
+
+    def post(draws):
+        models, rhos, _ = _columns(draws)
+        fpss = fixed_point_structures(models, rhos)
+        entries = [
+            PoolEntry(x.index, x.model, x.rho, fps) for x, fps in zip(draws, fpss)
+        ]
+        return list(zip(entries, _lambdas(entries, functions)))
+
+    count = cfg.count("detailed_balance_collapse")
+    for entry, lambdas in _drawn_then_batched(draw, count, post):
         spread = max(lambdas) - min(lambdas)
         # the sweep ends with gns, so its last gap is lambda_gns
         yield Case(
-            f"balanced-{i:03d}", entry.dim, spread / (tol * lambdas[-1]), model, rho
+            f"balanced-{entry.index:03d}", entry.dim, spread / (tol * lambdas[-1]),
+            entry.model, entry.rho,
         )
 
 
@@ -771,14 +889,16 @@ def _degenerate_gap(cfg, rng, pool):
     functions = cfg.functions()
     for i in range(cfg.count("degenerate_gap")):
         model, rho = degenerate_block_model(rng)
-        entry = _prepared(i, model, rho)
+        entry = PoolEntry(i, model, rho, fixed_point_structure(model, rho))
         case_id = f"block-{i:03d}"
         if not entry.fps.degenerate:
             yield Case(case_id, model.dim, math.inf, model, rho)
             continue
 
         swept = f_metrics(rho, (gns(),) + functions)
-        lam_gns, *lambdas = _lambdas(entry, swept)
+        lam_gns, *lambdas = (
+            r.lambda_f for r in gap_sweep(model, rho, swept, fps=entry.fps)
+        )
         metrics = swept[1:]
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
@@ -789,9 +909,10 @@ def _degenerate_gap(cfg, rng, pool):
                 np.linalg.norm(entry.fps.projector.matrix @ basis, axis=0).max()
             )
             defect = max(defect, leak / 1e-9)
-        defect = max(
-            defect, _contraction_defect(entry, metrics, cfg.t_grid, contraction_tol)
+        (contraction,) = _contraction_defects(
+            [entry], functions, cfg.t_grid, contraction_tol
         )
+        defect = max(defect, contraction)
         yield Case(case_id, model.dim, defect, model, rho)
 
 
@@ -1012,17 +1133,22 @@ def strict_gap_search(
         best_ratio=-math.inf, best_margin=-math.inf,
         best_lambda_gns=math.nan, best_model=None,
     )
+    def post(draws):
+        models = [model for model, _, _ in draws]
+        rhos = [rho for _, rho, _ in draws]
+        reports = gap_sweeps(models, rhos, f_metric_table(rhos, (gns(), kms())))
+        return [(draw, [r.lambda_f for r in row]) for draw, row in zip(draws, reports)]
+
+    def draw(k):
+        return random_faithful_model(rng, dims[k % len(dims)])
+
     found = False
     rejected = 0
     max_ratio = -math.inf
-    for k in range(n_draws):
-        dim = dims[k % len(dims)]
-        model, rho, n_rej = random_faithful_model(rng, dim)
+    for (model, rho, n_rej), (lam_gns, lam_kms) in _drawn_then_batched(
+        draw, n_draws, post
+    ):
         rejected += n_rej
-        lam_gns, lam_kms = (
-            r.lambda_f
-            for r in gap_sweep(model, rho, f_metrics(rho, (gns(), kms())))
-        )
         if lam_gns <= GNS_GAP_FLOOR or math.isinf(lam_gns):
             continue
         margin = lam_kms - lam_gns

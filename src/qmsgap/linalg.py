@@ -21,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
+CHUNK_BYTES = 64 * 1024  # stacked d^2 x d^2 complex data per batch
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -43,7 +45,7 @@ def frobenius(a: np.ndarray) -> float:
 
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each matrix in a stack for ndim > 2."""
-    return np.swapaxes(a, -1, -2).conj()
+    return a.swapaxes(-1, -2).conj()
 
 
 def _as_complex_square(a, name: str = "matrix") -> np.ndarray:
@@ -148,8 +150,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     one solve: at d^2 <= 16 none of them is large enough for the BLAS to
     hand work to a second thread, a handoff that costs more than the
     product itself and whose latency depends on what else the machine runs.
+    Each matrix of a stack gets exactly the result it gets on its own.
+    Raises FunctionDomainError for non-finite input (or an infinite 1-norm).
     """
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norm1).all():
+        raise FunctionDomainError("expm needs a matrix with finite entries")
     squarings = np.ceil(np.log2(np.maximum(norm1 / _PADE13_THETA, 1.0)))
     a = a / (2.0**squarings)[..., None, None]
     ident = np.eye(a.shape[-1], dtype=complex)
@@ -215,23 +221,70 @@ class Superoperator:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices, as np.kron computes it.
+    """Kronecker product of two square matrices, as np.kron computes it, or
+    of each pair in two stacks of them (leading axes broadcast).
 
     One broadcast multiply and a reshape, the same products np.kron forms
     (so the same entries bit for bit) without its argument handling, which
     costs more than the product at d <= 8.
     """
-    n, m = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, n * m)
+    n, m = a.shape[-1], b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (n * m, n * m))
 
 
-def choi_matrix(s: Superoperator) -> np.ndarray:
+def choi_matrix(s) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij |i><j| (x) S(|i><j|).
 
-    Positive semidefinite iff the represented map is completely positive.
-    Column i + d*j of the matrix is vec(S(|i><j|)), so the Choi matrix
-    only permutes its entries: entry (i*d + a, j*d + b) is matrix entry
-    (a + d*b, i + d*j).
+    s is a Superoperator, or an array of superoperator matrices stacked
+    along leading axes (one Choi matrix each).  Positive semidefinite iff
+    the represented map is completely positive.  Column i + d*j of the
+    matrix is vec(S(|i><j|)), so the Choi matrix only permutes its entries:
+    entry (i*d + a, j*d + b) is matrix entry (a + d*b, i + d*j).
     """
-    d = s.dim
-    return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    m = s.matrix if isinstance(s, Superoperator) else np.asarray(s)
+    n = m.shape[-1]
+    d = math.isqrt(n)
+    lead = m.shape[:-2]
+    k = len(lead)
+    return (
+        m.reshape(lead + (d, d, d, d))
+        .transpose(*range(k), k + 3, k + 1, k + 2, k)
+        .reshape(lead + (n, n))
+    )
+
+
+def grouped(keys) -> dict:
+    """Positions of equal keys, keys in first-seen order: {key: [i, ...]}."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def chunks(n: int, d: int, per_item: int = 1):
+    """Consecutive slices of range(n) whose stacked d^2 x d^2 complex
+    matrices, per_item for each item, fill at most CHUNK_BYTES; at least
+    one item each."""
+    step = max(1, CHUNK_BYTES // (16 * d**4 * per_item))
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
+def batches(keys, per_item: int = 1):
+    """Positions of items with equal keys, each key a tuple whose first
+    entry is the items' d, or None for an item to leave out: one list per
+    group and chunk (see chunks).
+
+    The batched routines stack the models that share a shape this way, so
+    peak memory grows with neither the number of models nor of functions.
+    """
+    for key, idx in grouped(keys).items():
+        if key is not None:
+            for c in chunks(len(idx), key[0], per_item):
+                yield idx[c]
+
+
+def pick(items, idx) -> list:
+    """The items at the positions idx (one batch's rows of a column)."""
+    return [items[i] for i in idx]

@@ -19,6 +19,8 @@ exact, weights cost O(d^2), and no spurious non-normality enters.
 `f_metrics` builds the metrics of many functions from one split of rho's
 eigendata: they share the same read-only `eigenvalues` and `basis` arrays,
 which is how the gap routines recognize metrics of one state cheaply.
+`f_metric_table` does so for many states, evaluating each function once on
+the stacked modular ratios of all states of one d.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
 f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
@@ -35,20 +37,25 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     IllConditionedWarning,
     NotFaithfulError,
     NotPSDError,
     OrderViolationError,
     PostconditionError,
+    in_model_order,
 )
 from .linalg import (
     DEFAULT_TOL,
     Superoperator,
     dag,
+    grouped,
     herm_eig,
     kron,
     matrix_function,
@@ -84,25 +91,55 @@ class FMetric:
 
 def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
     """The metric of each function, in order, from one split of rho's
-    eigendata: every metric shares the same read-only eigenvalues and basis.
+    eigendata: f_metric_table for one state."""
+    return f_metric_table([rho], functions)[0]
 
-    Raises NotFaithfulError for a state that is not faithful and
-    PostconditionError if some function gives a weight <= 0.
+
+def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetric]]:
+    """For each state, the metric of each function, in order.
+
+    The metrics of one state share the same read-only eigenvalues and basis
+    (descending, from one split of its eigendata).  The states of one d are
+    stacked, and each function is evaluated once on the stack of their
+    modular ratios, with the entries it gives each state alone.  Raises
+    NotFaithfulError for a state that is not faithful, DimensionMismatchError
+    when f does not return one value per ratio and PostconditionError when
+    some weight is <= 0; errors are those of a state-by-state run
+    (errors.in_model_order).
     """
-    if not rho.faithful:
-        raise NotFaithfulError("f-metric needs a faithful state")
-    p = rho.eigen.values[::-1].copy()
-    u = rho.eigen.vectors[:, ::-1].copy()
-    ratios = p[:, None] / p[None, :]
-    for shared in (p, u, ratios):
-        shared.setflags(write=False)
-    metrics = []
-    for f in functions:
-        weights = p[None, :] * f(ratios)
-        if np.any(weights <= 0):
-            raise PostconditionError("f-weights must be strictly positive")
-        metrics.append(FMetric(f=f, eigenvalues=p, basis=u, weights=weights))
-    return metrics
+    return in_model_order(partial(_f_metric_table, tuple(functions)), rhos)
+
+
+def _f_metric_table(functions, rhos):
+    for rho in rhos:
+        if not rho.faithful:
+            raise NotFaithfulError("f-metric needs a faithful state")
+    table: list = [None] * len(rhos)
+    for idx in grouped(rho.dim for rho in rhos).values():
+        p = np.array([rhos[i].eigen.values[::-1] for i in idx])
+        u = np.array([rhos[i].eigen.vectors[:, ::-1] for i in idx])
+        ratios = p[:, :, None] / p[:, None, :]
+        for shared in (p, u, ratios):
+            shared.setflags(write=False)
+        weights = []
+        for f in functions:
+            values = f(ratios)
+            if np.shape(values) != ratios.shape:
+                raise DimensionMismatchError(
+                    f"{f.label} gives shape {np.shape(values)} on modular ratios "
+                    f"of shape {ratios.shape}: f must act entrywise"
+                )
+            w = p[:, None, :] * values
+            if (w <= 0).any():
+                raise PostconditionError("f-weights must be strictly positive")
+            weights.append(w)
+        for g, i in enumerate(idx):
+            pg, ug = p[g], u[g]
+            table[i] = [
+                FMetric(f=f, eigenvalues=pg, basis=ug, weights=w[g])
+                for f, w in zip(functions, weights)
+            ]
+    return table
 
 
 def f_metric(rho: DensityMatrix, f: MonotoneFunction) -> FMetric:

@@ -25,8 +25,10 @@ or without the optional `gen=` argument.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,16 +39,20 @@ from .errors import (
     NotHermitianError,
     PostconditionError,
     QmsGapError,
+    in_model_order,
 )
 from .linalg import (
     DEFAULT_TOL,
     HermitianEigen,
     Superoperator,
+    batches,
     dag,
     expm,
     frobenius,
+    grouped,
     herm_eig,
     kron,
+    pick,
     unvec,
     vec,
 )
@@ -157,15 +163,40 @@ def generator(model: GKSLModel) -> Superoperator:
     return gen
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise QmsGapError(
+            f"semigroup parameter t must be finite and nonnegative, got {t!r}"
+        )
+
+
 def semigroup(
     model: GKSLModel, t: float, gen: Optional[Superoperator] = None
 ) -> Superoperator:
-    """Phi_t = exp(t L) as a superoperator; t must be nonnegative."""
-    if t < 0:
-        raise QmsGapError("semigroup parameter t must be nonnegative")
+    """Phi_t = exp(t L) as a superoperator; t must be finite and nonnegative."""
+    _check_time(t)
     if gen is None:
         gen = generator(model)
     return Superoperator(dim=model.dim, matrix=expm(t * gen.matrix))
+
+
+def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
+    """The matrices of Phi_t = exp(t L) for each model at each time: one
+    (len(times), d^2, d^2) array per model.
+
+    The models of one d are exponentiated as stacks (linalg.batches), with
+    the same entries as semigroup(model, t) gives each of them.
+    """
+    times = np.array([float(t) for t in times])
+    for t in times:
+        _check_time(float(t))
+    out: list = [None] * len(models)
+    for idx in batches(((m.dim,) for m in models), len(times)):
+        gens = np.array([generator(models[i]).matrix for i in idx])
+        phis = expm(times[None, :, None, None] * gens[:, None])
+        for g, i in enumerate(idx):
+            out[i] = phis[g]
+    return out
 
 
 def dual_generator_matrix(gen: Superoperator) -> np.ndarray:
@@ -231,12 +262,16 @@ class FixedPointStructure:
 
     basis holds matrices spanning N; projector is the GNS-orthogonal
     projection onto N (state-preserving by construction); degenerate flags
-    dim N > 1.
+    dim N > 1.  The gap routines keep the model's eigen frame in `_frame`
+    (see gap.py), checked against the state and generator on every use.
     """
 
     basis: tuple[np.ndarray, ...]
     projector: Superoperator
     degenerate: bool
+    _frame: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -251,49 +286,103 @@ def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
 def fixed_point_structure(
     model: GKSLModel, rho: DensityMatrix, gen: Optional[Superoperator] = None
 ) -> FixedPointStructure:
-    """Kernel of the generator plus the GNS-orthogonal projection onto it.
+    """Kernel of the generator plus the GNS-orthogonal projection onto it:
+    fixed_point_structures for one model."""
+    return fixed_point_structures([model], [rho], [gen])[0]
 
-    Requires a faithful invariant state.  The projector's conditional
-    expectation identities are asserted post hoc at 1e-9.
+
+def fixed_point_structures(
+    models: Sequence[GKSLModel],
+    rhos: Sequence[DensityMatrix],
+    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+) -> list[FixedPointStructure]:
+    """The fixed-point structure of each model under its state, in order.
+
+    Requires faithful states (QmsGapError).  ker L is the span of the right
+    singular vectors of L whose singular values are at most KERNEL_TOL times
+    the largest (PostconditionError when there are none); the projector's
+    conditional-expectation identities are asserted post hoc at 1e-9
+    (PostconditionError).  The models of one d share stacked SVDs, and
+    those with one kernel dimension stacked solves (linalg.batches); errors
+    are those of a model-by-model run (errors.in_model_order).
     """
-    if not rho.faithful:
-        raise QmsGapError("fixed-point structure needs a faithful state")
-    if gen is None:
-        gen = generator(model)
-    d = model.dim
+    if gens is None:
+        gens = [None] * len(models)
+    return in_model_order(_fixed_point_structures, models, rhos, gens)
 
-    _, svals, vh = np.linalg.svd(gen.matrix)
-    top = max(float(svals[0]), 1e-300)
-    k = int(np.sum(svals <= KERNEL_TOL * top))
-    if k == 0:
-        raise PostconditionError("generator kernel is empty; 1 should be fixed")
-    basis_vecs = vh[d * d - k :].conj().T  # columns span ker L
 
-    gram = gns_gram_matrix(rho)
-    overlap = dag(basis_vecs) @ gram @ basis_vecs
-    proj = basis_vecs @ np.linalg.solve(overlap, dag(basis_vecs) @ gram)
-    projector = Superoperator(dim=d, matrix=proj)
-
-    eye = np.eye(d, dtype=complex)
-    checks = {
-        "idempotent": float(np.abs(proj @ proj - proj).max()),
-        "unital": frobenius(projector.apply(eye) - eye),
-        "state-preserving": float(
-            np.linalg.norm(dag(proj) @ vec(rho.rho) - vec(rho.rho))
-        ),
-    }
-    probe = (np.arange(1, d * d + 1) - 0.25j * np.arange(d * d)).reshape((d, d))
-    checks["star-preserving"] = frobenius(
-        projector.apply(dag(probe)) - dag(projector.apply(probe))
-    ) / max(1.0, frobenius(probe))
-    worst = max(checks.values())
-    if worst > 1e-9:
-        raise PostconditionError(
-            f"conditional-expectation identities fail: {checks!r}"
+def _fixed_point_structures(models, rhos, gens):
+    for rho in rhos:
+        if not rho.faithful:
+            raise QmsGapError("fixed-point structure needs a faithful state")
+    out: list = [None] * len(models)
+    for by_dim in batches((m.dim,) for m in models):
+        d = models[by_dim[0]].dim
+        n = d * d
+        mats = np.array(
+            [(gens[i] or generator(models[i])).matrix for i in by_dim]
         )
+        _, svals, vh = np.linalg.svd(mats)
+        top = np.maximum(svals[:, :1], 1e-300)
+        dims = (svals <= KERNEL_TOL * top).sum(axis=1)
+        if not dims.all():
+            raise PostconditionError("generator kernel is empty; 1 should be fixed")
+        for k, rows in grouped(dims.tolist()).items():
+            idx = pick(by_dim, rows)
+            vecs = vh[rows, n - k :].conj().swapaxes(1, 2)  # columns span ker L
+            state = np.array([rhos[i].rho for i in idx])
+            gram = kron(state.swapaxes(1, 2), np.eye(d, dtype=complex))
+            overlap = dag(vecs) @ gram @ vecs
+            proj = vecs @ np.linalg.solve(overlap, dag(vecs) @ gram)
+            for g, i in enumerate(idx):
+                out[i] = FixedPointStructure(
+                    basis=tuple(unvec(vecs[g, :, j]) for j in range(k)),
+                    projector=Superoperator(dim=d, matrix=proj[g]),
+                    degenerate=k > 1,
+                )
+            _check_expectations(proj, state.reshape(len(idx), n, order="F"), d)
+    return out
 
-    basis = tuple(unvec(basis_vecs[:, i]) for i in range(k))
-    return FixedPointStructure(basis=basis, projector=projector, degenerate=k > 1)
+
+@functools.lru_cache(maxsize=None)
+def _probes(d: int) -> tuple[np.ndarray, float]:
+    """Columns vec(1), vec(x), vec(x^H) for a fixed probe x, read-only, and
+    max(1, |x|)."""
+    n = d * d
+    probe = np.arange(1, n + 1) - 0.25j * np.arange(n)  # vec(x)
+    probe_h = probe.reshape((d, d), order="F").conj().reshape(n)
+    columns = np.stack([np.eye(d, dtype=complex).reshape(n), probe, probe_h], axis=1)
+    columns.setflags(write=False)
+    return columns, max(1.0, float(np.linalg.norm(probe)))
+
+
+def _check_expectations(proj: np.ndarray, states: np.ndarray, d: int) -> None:
+    """Assert E^2 = E, E(1) = 1, tr(rho E(x)) = tr(rho x) and *-preservation
+    at 1e-9 for a stack of projectors; states holds vec(rho) per row."""
+    columns, scale = _probes(d)
+    images = proj @ columns  # E(1), E(x), E(x^H)
+    image = images[:, :, 1].reshape(-1, d, d, order="F")
+    star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
+    residuals = np.stack(
+        [
+            images[:, :, 0] - columns[:, 0],
+            (dag(proj) @ states[:, :, None])[:, :, 0] - states,
+            star.reshape(-1, d * d) / scale,
+        ],
+        axis=1,
+    )
+    norms = np.linalg.norm(residuals, axis=2)
+    idempotent = np.abs(proj @ proj - proj).max(axis=(1, 2))
+    failing = np.maximum(idempotent, norms.max(axis=1)) > 1e-9
+    if failing.any():
+        g = int(failing.argmax())
+        row = {
+            "idempotent": float(idempotent[g]),
+            "unital": float(norms[g, 0]),
+            "state-preserving": float(norms[g, 1]),
+            "star-preserving": float(norms[g, 2]),
+        }
+        raise PostconditionError(f"conditional-expectation identities fail: {row!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmsgap import gap
+from qmsgap import gap, linalg
 from qmsgap.errors import (
     DimensionMismatchError,
     IllConditionedWarning,
@@ -20,12 +20,22 @@ from qmsgap.gap import (
     f_operator_norm,
     f_operator_norms,
     gap_curve,
+    gap_curves,
     gap_sweep,
+    gap_sweeps,
+    semigroup_norms,
     spectral_gap_f,
 )
 from qmsgap.harness import degenerate_block_model
 from qmsgap.linalg import Superoperator, dag, unvec, vec
-from qmsgap.metric import f_gram, f_gram_sqrt, f_inner, f_metric
+from qmsgap.metric import (
+    f_gram,
+    f_gram_sqrt,
+    f_inner,
+    f_metric,
+    f_metric_table,
+    f_metrics,
+)
 from qmsgap.monotone import anti_gns, bkm, gns, kms, power, transpose
 from qmsgap.qms import (
     SIGMA_MINUS,
@@ -38,6 +48,7 @@ from qmsgap.qms import (
     density_matrix,
     depolarizing_qubit,
     fixed_point_structure,
+    fixed_point_structures,
     generator,
     gns_gram_matrix,
     invariant_state,
@@ -604,3 +615,232 @@ def test_gap_curve_memory_does_not_grow_with_the_grid():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+# ---------------------------------------------------------------------------
+# Batches of models: each model gets exactly what it gets alone
+# ---------------------------------------------------------------------------
+
+TIMES = (0.1, 1.0, 10.0)
+ALPHAS = [round(0.05 * k, 10) for k in range(21)]
+
+
+def _mixed_stack():
+    # d = 2, 3, 4 draws, a degenerate block model (d = 4 with dim N = 2, so
+    # the d = 4 models split into two stacks) and the depolarizing qubit
+    rng = np.random.default_rng(77)
+    cases = [random_faithful_model(rng, d)[:2] for d in (2, 3, 4, 3, 2, 4)]
+    cases.insert(3, degenerate_block_model(rng))
+    model = depolarizing_qubit(GAMMA)
+    cases.append((model, invariant_state(model)))
+    return cases
+
+
+def _assert_same_reports(got, want):
+    assert [r.f_label for r in got] == [r.f_label for r in want]
+    for a, b in zip(got, want):
+        assert a.lambda_f == b.lambda_f and a.kernel_dim == b.kernel_dim
+        assert np.array_equal(a.spectrum, b.spectrum)
+        assert a.residuals == b.residuals
+
+
+def test_mixed_stack_gives_what_one_model_calls_give():
+    cases = _mixed_stack()
+    models = [model for model, _ in cases]
+    rhos = [rho for _, rho in cases]
+    assert sorted({fps.dim for fps in fixed_point_structures(models, rhos)}) == [1, 2]
+    table = f_metric_table(rhos, SUITE)
+    fpss = fixed_point_structures(models, rhos)
+    sweeps = gap_sweeps(models, rhos, table, fpss)
+    norms = semigroup_norms(models, table, TIMES)
+    curves = gap_curves(models, rhos, ALPHAS, fpss)
+    for (model, rho), fps_b, metrics_b, reports, norm, curve in zip(
+        cases, fpss, table, sweeps, norms, curves
+    ):
+        fps = fixed_point_structure(model, rho)  # a frame of its own
+        np.testing.assert_array_equal(fps_b.projector.matrix, fps.projector.matrix)
+        metrics = f_metrics(rho, SUITE)
+        for a, b in zip(metrics_b, metrics):
+            np.testing.assert_array_equal(a.weights, b.weights)
+        _assert_same_reports(reports, gap_sweep(model, rho, metrics, fps=fps))
+        alone = [f_operator_norms(metrics, semigroup(model, t)) for t in TIMES]
+        np.testing.assert_array_equal(norm, np.array(alone))
+        assert curve == gap_curve(model, rho, ALPHAS, fps=fps)
+
+
+def test_one_matrix_per_chunk_changes_nothing(monkeypatch):
+    cases = _mixed_stack()
+    models = [model for model, _ in cases]
+    rhos = [rho for _, rho in cases]
+    table = f_metric_table(rhos, SUITE)
+    sweeps = gap_sweeps(models, rhos, table)
+    norms = semigroup_norms(models, table, TIMES)
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 1)
+    for got, want in zip(gap_sweeps(models, rhos, table), sweeps):
+        _assert_same_reports(got, want)
+    for got, want in zip(semigroup_norms(models, table, TIMES), norms):
+        np.testing.assert_array_equal(got, want)
+
+
+def _bad_expectation_case():
+    # the model and E of test_basis_leaving_ker_e_is_named: the kms basis
+    # leaves ker E, which the sweep finds after the frame is built
+    model = thermal_qubit(G_UP, G_DOWN)
+    rho = invariant_state(model)
+    fixed = np.column_stack([vec(np.eye(2)), vec(SIGMA_X)])
+    gram = gns_gram_matrix(rho)
+    proj = fixed @ np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram)
+    fps = FixedPointStructure(
+        basis=(np.eye(2, dtype=complex), SIGMA_X),
+        projector=Superoperator(dim=2, matrix=proj),
+        degenerate=True,
+    )
+    return model, rho, [f_metric(rho, kms())], fps
+
+
+def test_batch_raises_the_error_of_its_first_failing_model():
+    rng = np.random.default_rng(5)
+    good = random_faithful_model(rng, 2)[:2]
+    bad = _bad_expectation_case()
+    # the third model fails an earlier stage (metrics of two states), so a
+    # stage-by-stage batch would meet its error first
+    model3, rho3, _ = random_faithful_model(rng, 3)
+    _, other, _ = random_faithful_model(rng, 3)
+    mixed = [f_metric(rho3, kms()), f_metric(other, kms())]
+    with pytest.raises(PostconditionError) as alone:
+        gap_sweep(bad[0], bad[1], bad[2], fps=bad[3])
+    with pytest.raises(PostconditionError) as batched:
+        gap_sweeps(
+            [good[0], bad[0], model3],
+            [good[1], bad[1], rho3],
+            [f_metrics(good[1], SUITE), bad[2], mixed],
+            [None, bad[3], None],
+        )
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(QmsGapError, match="one state"):
+        gap_sweeps([good[0], model3], [good[1], rho3], [f_metrics(good[1], SUITE), mixed])
+
+
+def test_batch_warns_as_a_model_by_model_run(thermal):
+    # the second model warns in the sweep (a flipped generator), the third
+    # before it (ill-conditioned weights): a stage-by-stage batch would
+    # warn for the third first
+    rng = np.random.default_rng(6)
+    model, rho = thermal
+    flipped = Superoperator(dim=2, matrix=-generator(model).matrix)
+    ill = density_matrix(
+        np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
+    )
+    frozen = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
+    cases = [random_faithful_model(rng, 3)[:2], (model, rho), (frozen, ill)]
+    gens = [None, flipped, None]
+    models = [m for m, _ in cases]
+    rhos = [r for _, r in cases]
+    functions = (gns(), kms())
+
+    def run(call):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = call()
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    batched, got = run(
+        lambda: gap_sweeps(models, rhos, f_metric_table(rhos, functions), gens=gens)
+    )
+    alone, want = run(
+        lambda: [
+            gap_sweep(m, r, f_metrics(r, functions), gen=g)
+            for (m, r), g in zip(cases, gens)
+        ]
+    )
+    assert got == want
+    assert [category for category, _ in want] == [NegativeGapWarning] * 2 + [
+        IllConditionedWarning
+    ] * 2
+    for a, b in zip(batched, alone):
+        _assert_same_reports(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The frame kept on the FixedPointStructure
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _fresh(fps):
+    return FixedPointStructure(fps.basis, fps.projector, fps.degenerate)
+
+
+def test_frame_is_built_once_per_model_and_state(monkeypatch):
+    model, rho, _ = random_faithful_model(np.random.default_rng(9), 4)
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    first = spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps, gen=gen)
+    assert len(svds) == 1  # the kernel SVD of the frame
+    for f in SUITE:  # metrics of other f_metrics calls on the same state
+        spectral_gap_f(model, rho, f_metric(rho, f), fps=fps, gen=gen)
+    gap_curve(model, rho, ALPHAS, fps=fps, gen=gen)
+    decaying_subspace(f_metric(rho, bkm()), fps)
+    assert len(svds) == 1
+    again = spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
+    _assert_same_reports([again], [first])
+
+
+
+def test_a_metric_of_another_state_never_takes_the_kept_frame(monkeypatch):
+    # diagonal dephasing: N is the diagonal algebra and E takes the diagonal
+    # part for every diagonal state, so one fps serves both states below,
+    # whose eigenbases order the levels differently
+    model = GKSLModel(
+        hamiltonian=np.diag([0.9, -0.4, 0.1]).astype(complex),
+        jumps=(np.diag([1.0, 0.3, -0.5]).astype(complex),),
+    )
+    rho = density_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    other = density_matrix(np.diag([0.2, 0.5, 0.3]).astype(complex))
+    fps = fixed_point_structure(model, rho)
+    assert fps.dim == 3
+    spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    theirs = f_metric(other, kms())
+    got = spectral_gap_f(model, other, theirs, fps=fps)
+    assert len(svds) == 1
+    want = spectral_gap_f(model, other, theirs, fps=_fresh(fps))
+    _assert_same_reports([got], [want])
+
+
+def test_frame_follows_the_generator(thermal):
+    model, rho = thermal
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    metric = f_metric(rho, gns())
+    flipped = Superoperator(dim=2, matrix=-gen.matrix)
+    with pytest.warns(NegativeGapWarning):
+        negative = spectral_gap_f(model, rho, metric, fps=fps, gen=flipped)
+    positive = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
+    assert negative.lambda_f < 0 < positive.lambda_f
+    _assert_same_reports(
+        [positive], [spectral_gap_f(model, rho, metric, fps=_fresh(fps), gen=gen)]
+    )
+
+
+def test_decay_rates_share_one_semigroup_stack(monkeypatch):
+    model, rho, _ = random_faithful_model(np.random.default_rng(11), 3)
+    fps = fixed_point_structure(model, rho)
+    metrics = f_metrics(rho, (gns(), kms(), bkm(), power(0.3)))
+    want = [empirical_decay_rate(model, rho, m, fps=_fresh(fps)) for m in metrics]
+    expms = _count_calls(monkeypatch, gap, "expm")
+    got = [empirical_decay_rate(model, rho, m, fps=fps) for m in metrics]
+    assert got == want
+    assert len(expms) == 1

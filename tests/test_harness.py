@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmsgap import harness
-from qmsgap.config import model_from_dict, model_to_dict
+from qmsgap import harness, linalg
+from qmsgap.config import load_json, model_from_dict, model_to_dict
 from qmsgap.errors import (
     ConfigError,
+    PostconditionError,
     PropertyFailureError,
     QmsGapError,
     RateMismatchError,
@@ -300,3 +302,72 @@ def test_render_text_mentions_every_property(small_report):
     for name in PROPERTY_ORDER:
         assert name in text
     assert "all properties passed" in text
+
+
+# ---------------------------------------------------------------------------
+# Draws in stream order, post-draw work batched
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_campaign_csv_does_not_depend_on_the_chunk_size(monkeypatch):
+    cfg = CampaignConfig.from_dict(load_json(ROOT / "configs" / "campaign_small.json"))
+    want = run_campaign(cfg).to_csv()
+    monkeypatch.setattr(linalg, "CHUNK_BYTES", 1)  # one matrix per batch
+    assert run_campaign(cfg).to_csv() == want
+
+
+def _fail_in_order(monkeypatch, sweep_fails=None, choi_fails=None, draw_fails=None):
+    """Make the sweep, the Choi check or the draw of the given pool model
+    fail, so that a stage-by-stage batch would meet them in another order
+    than a model-by-model run."""
+    drawn = {}
+    real_draw = harness._draw
+
+    def draw(cfg, rng, index):
+        if index == draw_fails:
+            raise QmsGapError(f"draw {index} fails")
+        drawn[index] = real_draw(cfg, rng, index)
+        return drawn[index]
+
+    real_semigroups = harness.semigroups
+
+    def semigroups(models, times):
+        bad = drawn.get(choi_fails)
+        phis = real_semigroups(models, times)
+        return [-phi if bad and m is bad.model else phi for m, phi in zip(models, phis)]
+
+    real_sweeps = harness.gap_sweeps
+
+    def gap_sweeps(models, *args, **kwargs):
+        bad = drawn.get(sweep_fails)
+        if bad and any(m is bad.model for m in models):
+            raise PostconditionError(f"sweep of model {sweep_fails} fails")
+        return real_sweeps(models, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_draw", draw)
+    monkeypatch.setattr(harness, "semigroups", semigroups)
+    monkeypatch.setattr(harness, "gap_sweeps", gap_sweeps)
+
+
+def test_pool_raises_the_error_a_model_by_model_run_meets_first(monkeypatch):
+    cfg = small_config(properties=("transpose_symmetry",))
+    _fail_in_order(monkeypatch, sweep_fails=1, choi_fails=2)
+    with pytest.raises(PostconditionError, match="sweep of model 1 fails"):
+        run_campaign(cfg)
+    monkeypatch.undo()
+    _fail_in_order(monkeypatch, choi_fails=2)
+    with pytest.raises(QmsGapError, match="not completely positive"):
+        run_campaign(cfg)
+
+
+def test_failing_draw_is_raised_after_the_models_before_it(monkeypatch):
+    cfg = small_config(properties=("transpose_symmetry",))
+    _fail_in_order(monkeypatch, sweep_fails=1, draw_fails=2)
+    with pytest.raises(PostconditionError, match="sweep of model 1 fails"):
+        run_campaign(cfg)
+    monkeypatch.undo()
+    _fail_in_order(monkeypatch, draw_fails=2)
+    with pytest.raises(QmsGapError, match="draw 2 fails"):
+        run_campaign(cfg)

@@ -193,3 +193,28 @@ def test_expm_of_stack_equals_each_matrix(random_complex):
     for t, phi in zip(times, stacked):
         np.testing.assert_array_equal(phi, expm(t * a))
     np.testing.assert_allclose(stacked[0], np.eye(9), atol=1e-15)
+
+
+def test_expm_names_non_finite_input(random_complex):
+    a = random_complex(4, 4)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        b = a.copy()
+        b[1, 2] = bad
+        with pytest.raises(FunctionDomainError, match="finite entries"):
+            expm(b)
+        with pytest.raises(FunctionDomainError):
+            expm(np.stack([a, b]))
+
+
+def test_kron_and_choi_of_stacks_equal_each_pair(random_complex):
+    a, b = random_complex(5, 3, 3), random_complex(5, 2, 2)
+    stacked = kron(a, b)
+    for k in range(5):
+        assert stacked[k].tobytes() == np.kron(a[k], b[k]).tobytes()
+    maps = random_complex(2, 3, 9, 9)
+    chois = choi_matrix(maps)
+    assert chois.shape == (2, 3, 9, 9)
+    for i in range(2):
+        for j in range(3):
+            s = Superoperator(dim=3, matrix=maps[i, j])
+            assert chois[i, j].tobytes() == choi_matrix(s).tobytes()

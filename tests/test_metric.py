@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from qmsgap.errors import (
+    DimensionMismatchError,
     IllConditionedWarning,
     NotFaithfulError,
     OrderViolationError,
@@ -16,12 +17,23 @@ from qmsgap.metric import (
     f_gram,
     f_inner,
     f_metric,
+    f_metric_table,
     f_metrics,
     f_norm,
     loewner_order_probe,
     moreau_form,
 )
-from qmsgap.monotone import anti_gns, bkm, builtin_functions, gns, kms, power, transpose
+from qmsgap.monotone import (
+    anti_gns,
+    bkm,
+    builtin_functions,
+    closed_form,
+    from_measure,
+    gns,
+    kms,
+    power,
+    transpose,
+)
 from qmsgap.qms import Superoperator, density_matrix, random_density
 
 
@@ -360,3 +372,26 @@ def test_moreau_postcondition_catches_tampering(random_psd):
             tampered, "matrix", tampered.matrix + 0.1 * np.eye(3)
         )  # break the cached eigendecomposition
         moreau_form(tampered, 0.5, np.array([1.0, -1.0j, 0.5]))
+
+
+def test_metric_table_equals_one_state_at_a_time(rng):
+    rhos = [random_density(rng, d) for d in (2, 3, 2, 4, 3)]
+    functions = builtin_functions() + (from_measure([(0.5, 0.4), (3.0, 0.6)]),)
+    table = f_metric_table(rhos, functions)
+    for rho, row in zip(rhos, table):
+        assert [m.f for m in row] == list(functions)
+        assert all(m.basis is row[0].basis for m in row)
+        for got, want in zip(row, f_metrics(rho, functions)):
+            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+            np.testing.assert_array_equal(got.basis, want.basis)
+            np.testing.assert_array_equal(got.weights, want.weights)
+    assert f_metric_table([], functions) == []
+
+
+def test_f_that_is_not_entrywise_is_named():
+    rho = diag_state(0.7, 0.3)
+    flat = closed_form(lambda t: 1.0, name="flat")
+    with pytest.raises(DimensionMismatchError, match=r"flat gives shape \(\)"):
+        f_metrics(rho, [kms(), flat])
+    with pytest.raises(DimensionMismatchError, match="flat"):
+        f_metric_table([rho, diag_state(0.4, 0.6)], [flat])

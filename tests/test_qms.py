@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from qmsgap.errors import (
+    FunctionDomainError,
     NoFaithfulInvariantStateError,
     NonUniqueInvariantStateError,
     NotHermitianError,
+    PostconditionError,
     QmsGapError,
 )
 from qmsgap.linalg import choi_matrix, dag, frobenius, vec
 from qmsgap.qms import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -17,6 +21,7 @@ from qmsgap.qms import (
     density_matrix,
     depolarizing_qubit,
     fixed_point_structure,
+    fixed_point_structures,
     generator,
     gns_gram_matrix,
     invariant_state,
@@ -24,6 +29,7 @@ from qmsgap.qms import (
     random_faithful_model,
     random_model,
     semigroup,
+    semigroups,
     thermal_qubit,
 )
 
@@ -307,3 +313,63 @@ def test_gns_gram_matrix_equals_numpy_kron(rng, d):
     rho = random_density(rng, d)
     want = np.kron(rho.rho.T, np.eye(d, dtype=complex))
     assert gns_gram_matrix(rho).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_semigroup_rejects_a_time_that_is_not_finite_and_nonnegative(t):
+    model = depolarizing_qubit(GAMMA)
+    with pytest.raises(QmsGapError, match=f"t must be finite and nonnegative, got {t!r}"):
+        semigroup(model, t)
+    with pytest.raises(QmsGapError, match="finite and nonnegative"):
+        semigroups([model], (1.0, t))
+
+
+def test_semigroup_of_a_generator_with_non_finite_entries_is_named():
+    gen = generator(depolarizing_qubit(GAMMA))
+    broken = type(gen)(dim=2, matrix=np.where(np.eye(4) > 0, np.nan, gen.matrix))
+    with pytest.raises(FunctionDomainError, match="finite entries"):
+        semigroup(depolarizing_qubit(GAMMA), 1.0, gen=broken)
+
+
+def test_stacked_semigroups_and_fixed_points_equal_one_model_calls(rng):
+    models = [random_faithful_model(rng, d)[0] for d in (2, 3, 2, 4)]
+    models.append(GKSLModel(hamiltonian=np.diag([0.3, -0.2]).astype(complex)))
+    rhos = [invariant_state(m) for m in models[:4]]
+    rhos.append(density_matrix(np.diag([0.6, 0.4]).astype(complex)))
+    times = (0.0, 0.1, 1.0, 10.0)
+    for model, phis in zip(models, semigroups(models, times)):
+        for t, phi in zip(times, phis):
+            np.testing.assert_array_equal(phi, semigroup(model, t).matrix)
+    for model, rho, fps in zip(models, rhos, fixed_point_structures(models, rhos)):
+        alone = fixed_point_structure(model, rho)
+        assert fps.dim == alone.dim and fps.degenerate == alone.degenerate
+        np.testing.assert_array_equal(fps.projector.matrix, alone.projector.matrix)
+        for a, b in zip(fps.basis, alone.basis):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_stacked_fixed_points_raise_for_the_first_failing_model(rng):
+    model, rho, _ = random_faithful_model(rng, 2)
+    unfaithful = density_matrix(np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(QmsGapError, match="faithful state"):
+        fixed_point_structures([model, model], [rho, unfaithful])
+    assert fixed_point_structures([], []) == []
+
+
+def test_projection_that_is_not_an_expectation_is_named(rng):
+    # N = M_2 (x) 1 and a correlated state that is not invariant: the
+    # GNS-orthogonal projection onto N is then not *-preserving
+    eye = np.eye(2, dtype=complex)
+    h = 0.4 * SIGMA_X + 0.1 * SIGMA_Z
+    jumps = (SIGMA_MINUS, 0.5 * SIGMA_PLUS, 0.3 * (SIGMA_X + 0.4 * SIGMA_Z))
+    model = GKSLModel(
+        hamiltonian=np.kron(eye, h), jumps=tuple(np.kron(eye, j) for j in jumps)
+    )
+    rho = random_density(np.random.default_rng(1), 4)
+    with pytest.raises(PostconditionError, match="star-preserving") as alone:
+        fixed_point_structure(model, rho)
+    good = depolarizing_qubit(GAMMA)
+    half = invariant_state(good)
+    with pytest.raises(PostconditionError) as batched:
+        fixed_point_structures([good, model, good], [half, rho, half])
+    assert str(batched.value) == str(alone.value)

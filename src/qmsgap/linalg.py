@@ -76,6 +76,22 @@ class HermitianEigen:
         gv = _eval_on_spectrum(g, self.values)
         return (self.vectors * gv) @ dag(self.vectors)
 
+    def apply_psd(self, g, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """U g(values) U^H for a positive semidefinite matrix.
+
+        Eigenvalues inside the PSD tolerance band are clipped to zero before
+        g is applied, so functions like sqrt never see round-off negatives;
+        one below the band is a NotPSDError.
+        """
+        values = self.values
+        floor = -tol * max(1.0, float(np.abs(values).max(initial=0.0)))
+        if values.min(initial=0.0) < floor:
+            raise NotPSDError(
+                f"matrix has eigenvalue {values.min():.3e} below PSD floor {floor:.3e}"
+            )
+        clipped = np.clip(values, 0.0, None)
+        return HermitianEigen(values=clipped, vectors=self.vectors).apply(g)
+
 
 def herm_eig(a, tol: float = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix with reconstruction check.
@@ -116,19 +132,9 @@ def _eval_on_spectrum(g, values: np.ndarray) -> np.ndarray:
 
 
 def matrix_function(a, g, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``U g(L) U^H`` for a positive semidefinite ``a = U L U^H``.
-
-    Eigenvalues inside the PSD tolerance band are clipped to zero before g
-    is applied, so functions like sqrt never see round-off negatives.
-    """
-    eig = herm_eig(a, tol=tol)
-    floor = -tol * max(1.0, float(np.abs(eig.values).max(initial=0.0)))
-    if eig.values.min(initial=0.0) < floor:
-        raise NotPSDError(
-            f"matrix has eigenvalue {eig.values.min():.3e} below PSD floor {floor:.3e}"
-        )
-    clipped = np.clip(eig.values, 0.0, None)
-    return HermitianEigen(values=clipped, vectors=eig.vectors).apply(g)
+    """``U g(L) U^H`` for a positive semidefinite ``a = U L U^H``, with
+    round-off negatives clipped as in `HermitianEigen.apply_psd`."""
+    return herm_eig(a, tol=tol).apply_psd(g, tol)
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the

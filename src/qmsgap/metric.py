@@ -58,7 +58,6 @@ from .linalg import (
     grouped,
     herm_eig,
     kron,
-    matrix_function,
     vec,
 )
 from .monotone import MonotoneFunction, builtin_functions
@@ -308,9 +307,8 @@ def loewner_order_probe(
 
     resolvent_margins = []
     for lam in lam_grid:
-        ra = eig_a.apply(lambda t: np.clip(t, 0, None) / (1.0 + lam * np.clip(t, 0, None)))
-        rb = eig_b.apply(lambda t: np.clip(t, 0, None) / (1.0 + lam * np.clip(t, 0, None)))
-        margin = _min_eig(rb - ra)
+        resolvent = lambda t: t / (1.0 + lam * t)
+        margin = _min_eig(eig_b.apply_psd(resolvent) - eig_a.apply_psd(resolvent))
         if margin < -floor * scale:
             raise OrderViolationError(
                 f"resolvent order fails at lam = {lam!r}: margin {margin:.3e}"
@@ -321,8 +319,8 @@ def loewner_order_probe(
         functions = builtin_functions()
     function_margins = []
     for f in functions:
-        fa = matrix_function(a, f)
-        fb = matrix_function(b, f)
+        fa = eig_a.apply_psd(f)
+        fb = eig_b.apply_psd(f)
         fscale = max(1.0, float(np.linalg.norm(fb, 2)))
         margin = _min_eig(fb - fa)
         if margin < -floor * fscale:

@@ -153,10 +153,11 @@ def generator(model: GKSLModel) -> Superoperator:
     gen = Superoperator(dim=d, matrix=mat)
 
     scale = max(1.0, float(np.abs(mat).max()))
-    if frobenius(gen.apply(eye)) > DEFAULT_TOL * scale:
+    images = mat @ _probes(d)[0]  # L(1), L(x), L(x^H)
+    if np.linalg.norm(images[:, 0]) > DEFAULT_TOL * scale:
         raise PostconditionError("generator fails unitality L(1) = 0")
-    probe = (np.arange(1, d * d + 1) + 0.5j * np.arange(d * d)).reshape((d, d))
-    if frobenius(gen.apply(dag(probe)) - dag(gen.apply(probe))) > 1e-9 * scale:
+    image = images[:, 1].reshape((d, d), order="F")
+    if frobenius(images[:, 2].reshape((d, d), order="F") - dag(image)) > 1e-9 * scale:
         raise PostconditionError("generator is not *-preserving")
     mat.setflags(write=False)
     object.__setattr__(model, "_generator", gen)

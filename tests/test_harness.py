@@ -304,6 +304,15 @@ def test_render_text_mentions_every_property(small_report):
     assert "all properties passed" in text
 
 
+def test_exact_moreau_oracle_passes_far_inside_the_tightened_tolerance():
+    for seed in (0, 1, 2, 3, 42, 1234):
+        cfg = small_config(seed=seed, counts={}, properties=("moreau_identity",))
+        assert cfg.tolerance("moreau_identity") == 1e-12
+        (result,) = run_campaign(cfg).results
+        assert result.n_cases == 50
+        assert result.worst_defect <= 1e-2
+
+
 # ---------------------------------------------------------------------------
 # Draws in stream order, post-draw work batched
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from qmsgap import harness
 from qmsgap.errors import (
     DimensionMismatchError,
     IllConditionedWarning,
@@ -9,7 +10,7 @@ from qmsgap.errors import (
     OrderViolationError,
     PostconditionError,
 )
-from qmsgap.linalg import dag, vec
+from qmsgap.linalg import dag, matrix_function, vec
 from qmsgap.metric import (
     QuadraticForm,
     eigenbasis_rotation,
@@ -308,6 +309,23 @@ def test_moreau_matches_direct_minimization(rng, random_complex):
         assert abs(closed - _descend(a, lam, xi)) <= 1e-8 * max(1.0, closed)
 
 
+def test_exact_moreau_oracle_matches_the_descent(rng, random_complex):
+    # the campaign's oracle solves (A + 1/lam) eta = xi / lam; the L-BFGS
+    # descent above is the reference it replaced
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        z = random_complex(d, d)
+        a = z @ dag(z) / d
+        xi = random_complex(d)
+        xi /= np.linalg.norm(xi)
+        lam = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+        value, eta = harness._minimize_moreau(a, lam, xi)
+        want = _descend(a, lam, xi)
+        assert abs(value - want) <= 1e-10 * abs(want)
+        gradient = 2.0 * (a @ eta) - 2.0 * (xi - eta) / lam
+        assert np.linalg.norm(gradient) <= 1e-12
+
+
 def test_moreau_increases_to_the_form(rng, random_complex):
     z = random_complex(4, 4)
     a = z @ dag(z) / 4.0
@@ -350,6 +368,26 @@ def test_order_probe_random_pairs(rng, random_complex):
         a = z1 @ dag(z1) / 4.0
         b = a + z2 @ dag(z2) / 4.0
         loewner_order_probe(a, b)
+
+
+def test_order_probe_decomposes_each_operand_once(monkeypatch, random_psd):
+    a = random_psd(4)
+    b = a + random_psd(4)
+    want = []
+    for f in builtin_functions():
+        diff = matrix_function(b, f) - matrix_function(a, f)
+        want.append(float(np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[0]))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = loewner_order_probe(a, b)
+    assert len(calls) == 2
+    assert [m for _, m in report.function_margins] == want
 
 
 def test_order_probe_rejects_wrong_order():

@@ -294,6 +294,15 @@ def test_generator_is_built_once_per_model(rng, monkeypatch):
     assert generator(model) is gen
 
 
+def test_generator_rejects_a_map_that_is_not_star_preserving():
+    # an anti-Hermitian Hamiltonian, let past the model's own check, gives
+    # L(x^H) = -L(x)^H while L(1) = 0 still holds
+    model = depolarizing_qubit(GAMMA)
+    object.__setattr__(model, "hamiltonian", 1j * SIGMA_Z)
+    with pytest.raises(PostconditionError, match=r"not \*-preserving"):
+        generator(model)
+
+
 def test_model_and_generator_arrays_are_read_only(random_complex):
     h = random_complex(3, 3)
     h = (h + dag(h)) / 2.0

@@ -547,33 +547,26 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _by_batch(rows: Callable, entries: list[PoolEntry]) -> list:
-    """rows(part) for the entries, _BATCH at a time, so that the metrics and
-    reports of a whole pool are never held at once.  Results in entry order;
-    errors and warnings are those of a model-by-model run."""
-    out = []
-    for start in range(0, len(entries), _BATCH):
-        out += in_model_order(rows, entries[start : start + _BATCH])
-    return out
+def _gaps(functions, entries: list[PoolEntry]) -> list[list[float]]:
+    """Gaps of each entry for each function, from one metric table and one
+    batched sweep (a missing fps is computed)."""
+    models, rhos, fpss = _columns(entries)
+    reports = gap_sweeps(models, rhos, f_metric_table(rhos, functions), fpss)
+    return [[r.lambda_f for r in row] for row in reports]
 
 
 def _lambdas(entries: list[PoolEntry], functions) -> list[list[float]]:
-    """Gaps of each entry for each function, from batched metric tables and
-    sweeps over the entries' frames."""
-
-    def rows(entries):
-        models, rhos, fpss = _columns(entries)
-        reports = gap_sweeps(models, rhos, f_metric_table(rhos, functions), fpss)
-        return [[r.lambda_f for r in row] for row in reports]
-
-    return _by_batch(rows, entries)
+    """_gaps of the entries, _BATCH entries at a time."""
+    rows = partial(_gaps, functions)
+    return list(_drawn_then_batched(entries.__getitem__, len(entries), rows))
 
 
 def _contraction_defects(
     entries: list[PoolEntry], functions, t_grid, tol: float
 ) -> list[float]:
     """Worst (|Phi_t|_f - 1) / tol over the time grid and the functions, for
-    each entry, from batched metric tables and semigroup_norms."""
+    each entry, from batched metric tables and semigroup_norms, _BATCH
+    entries at a time."""
 
     def rows(entries):
         models, rhos, _ = _columns(entries)
@@ -586,7 +579,7 @@ def _contraction_defects(
             defects.append(defect)
         return defects
 
-    return _by_batch(rows, entries)
+    return list(_drawn_then_batched(entries.__getitem__, len(entries), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +683,7 @@ def _transpose_symmetry(cfg, rng, pool):
     transposes = tuple(transpose(f) for f in functions)
     pairs = _pool(
         cfg, rng, cfg.count("transpose_symmetry"),
-        then=lambda entries: _lambdas(entries, functions + transposes),
+        then=partial(_gaps, functions + transposes),
     )
     for entry, lambdas in pairs:
         n = len(functions)
@@ -849,12 +842,7 @@ def _detailed_balance_collapse(cfg, rng, pool):
         return PoolEntry(i, model, rho, None)
 
     def post(draws):
-        models, rhos, _ = _columns(draws)
-        fpss = fixed_point_structures(models, rhos)
-        entries = [
-            PoolEntry(x.index, x.model, x.rho, fps) for x, fps in zip(draws, fpss)
-        ]
-        return list(zip(entries, _lambdas(entries, functions)))
+        return list(zip(draws, _gaps(functions, draws)))
 
     count = cfg.count("detailed_balance_collapse")
     for entry, lambdas in _drawn_then_batched(draw, count, post):
@@ -1126,21 +1114,17 @@ def strict_gap_search(
         best_lambda_gns=math.nan, best_model=None,
     )
     def post(draws):
-        models = [model for model, _, _ in draws]
-        rhos = [rho for _, rho, _ in draws]
-        reports = gap_sweeps(models, rhos, f_metric_table(rhos, (gns(), kms())))
-        return [(draw, [r.lambda_f for r in row]) for draw, row in zip(draws, reports)]
+        return list(zip(draws, _gaps((gns(), kms()), draws)))
 
     def draw(k):
-        return random_faithful_model(rng, dims[k % len(dims)])
+        model, rho, n_rej = random_faithful_model(rng, dims[k % len(dims)])
+        return PoolEntry(k, model, rho, None, n_rej)
 
     found = False
     rejected = 0
     max_ratio = -math.inf
-    for (model, rho, n_rej), (lam_gns, lam_kms) in _drawn_then_batched(
-        draw, n_draws, post
-    ):
-        rejected += n_rej
+    for entry, (lam_gns, lam_kms) in _drawn_then_batched(draw, n_draws, post):
+        rejected += entry.rejected
         if lam_gns <= GNS_GAP_FLOOR or math.isinf(lam_gns):
             continue
         margin = lam_kms - lam_gns
@@ -1155,6 +1139,6 @@ def strict_gap_search(
                 best_ratio=ratio,
                 best_margin=margin,
                 best_lambda_gns=lam_gns,
-                best_model=cfgmod.model_to_dict(model, rho),
+                best_model=cfgmod.model_to_dict(entry.model, entry.rho),
             )
     return replace(best, found=found, n_rejected=rejected, max_ratio=max_ratio)

@@ -321,7 +321,8 @@ def loewner_order_probe(
     for f in functions:
         fa = eig_a.apply_psd(f)
         fb = eig_b.apply_psd(f)
-        fscale = max(1.0, float(np.linalg.norm(fb, 2)))
+        # fb = U f(clipped spectrum of B) U^H is Hermitian: its 2-norm is max |f|
+        fscale = max(1.0, float(np.abs(f(np.clip(eig_b.values, 0.0, None))).max()))
         margin = _min_eig(fb - fa)
         if margin < -floor * fscale:
             raise OrderViolationError(

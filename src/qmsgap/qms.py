@@ -20,7 +20,9 @@ jumps (the caller's arrays stay as they were), so `generator` builds and
 checks the generator matrix once per model, keeps it on the model and
 returns that same read-only Superoperator on every later call.  Every
 routine that takes a model therefore shares one generator per model, with
-or without the optional `gen=` argument.
+or without the optional `gen=` argument.  The invariant state spans
+ker L_* and the fixed-point algebra is ker L, so both come from one SVD and
+one KERNEL_TOL decision per model, also kept on the model (`_kernels`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .linalg import (
     dag,
     expm,
     frobenius,
-    grouped,
     herm_eig,
     kron,
     pick,
@@ -72,13 +73,17 @@ MAX_DRAWS = 20  # random_faithful_model gives up after this many draws
 class GKSLModel:
     """Hamiltonian plus jump operators; H must be Hermitian within 1e-10.
 
-    Holds read-only complex copies of its arrays, so the generator that
-    `generator` keeps on the model (in `_generator`) cannot go stale.
+    Holds read-only complex copies of its arrays, so the generator and the
+    kernel split kept on the model (`_generator`, `_kernels`) cannot go
+    stale.
     """
 
     hamiltonian: np.ndarray
     jumps: tuple[np.ndarray, ...] = field(default_factory=tuple)
     _generator: Optional[Superoperator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _kernels: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -200,9 +205,35 @@ def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
     return out
 
 
-def dual_generator_matrix(gen: Superoperator) -> np.ndarray:
-    """Matrix of the trace dual L_* under the Hilbert-Schmidt pairing."""
-    return gen.matrix.conj().T
+def _kernels(model: GKSLModel, gen: Optional[Superoperator] = None) -> tuple:
+    """Columns spanning ker L_* and ker L, from one SVD of L_* = L^H.
+
+    L_* = U S V^H gives L = V S U^H, so for the singular values at most
+    KERNEL_TOL times the largest, the right singular vectors span ker L_*
+    and the left ones ker L (PostconditionError when there are none).  The
+    model keeps them, read-only, for its own generator but not another gen.
+    """
+    own = gen is None or gen is model._generator
+    if own and model._kernels is not None:
+        return model._kernels
+    u, svals, vh = np.linalg.svd((gen or generator(model)).matrix.conj().T)
+    top = max(float(svals[0]), 1e-300)
+    k = int(np.sum(svals <= KERNEL_TOL * top))
+    if k == 0:
+        raise PostconditionError("generator kernel is empty; 1 should be fixed")
+    split = (vh[-k:].conj().T, u[:, -k:].copy())
+    for columns in split:
+        columns.setflags(write=False)
+    if own:
+        object.__setattr__(model, "_kernels", split)
+    return split
+
+
+def _check_state_dim(model: GKSLModel, dim: int) -> None:
+    if dim != model.dim:
+        raise DimensionMismatchError(
+            f"state of dimension {dim} for a model of dimension {model.dim}"
+        )
 
 
 def invariant_state(
@@ -210,23 +241,18 @@ def invariant_state(
 ) -> DensityMatrix:
     """Solve L_*(rho) = 0 for the unique trace-one positive solution.
 
-    Raises NonUniqueInvariantStateError if the kernel of L_* has dimension
-    greater than one (callers may still proceed with a supplied state), and
+    ker L_* is the model's kernel split (`_kernels`).  Raises
+    NonUniqueInvariantStateError if it has dimension greater than one
+    (callers may still proceed with a supplied state), and
     NoFaithfulInvariantStateError if the solution is not faithful.
     """
-    if gen is None:
-        gen = generator(model)
-    dual = dual_generator_matrix(gen)
-    _, svals, vh = np.linalg.svd(dual)
-    top = max(float(svals[0]), 1e-300)
-    kernel_dim = int(np.sum(svals <= KERNEL_TOL * top))
-    if kernel_dim == 0:
-        raise PostconditionError("dual generator has trivial kernel")
+    dual_kernel, _ = _kernels(model, gen)
+    kernel_dim = dual_kernel.shape[1]
     if kernel_dim > 1:
         raise NonUniqueInvariantStateError(
             f"kernel of the dual generator has dimension {kernel_dim}"
         )
-    candidate = unvec(vh[-1].conj())
+    candidate = unvec(dual_kernel[:, -1])
     trace = complex(np.trace(candidate))
     if abs(trace) < 1e-12:
         raise PostconditionError("invariant-state candidate is traceless")
@@ -250,11 +276,10 @@ def invariant_state(
 def check_invariance(
     model: GKSLModel, rho, gen: Optional[Superoperator] = None
 ) -> float:
-    """Frobenius norm of L_*(rho); invariance is accepted below 1e-9."""
-    if gen is None:
-        gen = generator(model)
+    """Frobenius norm of L_*(rho) for a d x d rho; invariant below 1e-9."""
     mat = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return float(np.linalg.norm(dual_generator_matrix(gen) @ vec(mat)))
+    _check_state_dim(model, len(mat))
+    return float(np.linalg.norm((gen or generator(model)).matrix.conj().T @ vec(mat)))
 
 
 @dataclass(frozen=True)
@@ -299,12 +324,11 @@ def fixed_point_structures(
 ) -> list[FixedPointStructure]:
     """The fixed-point structure of each model under its state, in order.
 
-    Requires faithful states (QmsGapError).  ker L is the span of the right
-    singular vectors of L whose singular values are at most KERNEL_TOL times
-    the largest (PostconditionError when there are none); the projector's
-    conditional-expectation identities are asserted post hoc at 1e-9
-    (PostconditionError).  The models of one d share stacked SVDs, and
-    those with one kernel dimension stacked solves (linalg.batches); errors
+    Requires faithful states of the model's d (QmsGapError,
+    DimensionMismatchError).  ker L is the model's kernel split
+    (`_kernels`); the projector's conditional-expectation identities are
+    asserted post hoc at 1e-9 (PostconditionError).  The models of one d
+    and one kernel dimension share stacked solves (linalg.batches); errors
     are those of a model-by-model run (errors.in_model_order).
     """
     if gens is None:
@@ -313,35 +337,26 @@ def fixed_point_structures(
 
 
 def _fixed_point_structures(models, rhos, gens):
-    for rho in rhos:
+    for model, rho in zip(models, rhos):
+        _check_state_dim(model, rho.dim)
         if not rho.faithful:
             raise QmsGapError("fixed-point structure needs a faithful state")
+    kernels = [_kernels(m, g)[1] for m, g in zip(models, gens)]
     out: list = [None] * len(models)
-    for by_dim in batches((m.dim,) for m in models):
-        d = models[by_dim[0]].dim
-        n = d * d
-        mats = np.array(
-            [(gens[i] or generator(models[i])).matrix for i in by_dim]
-        )
-        _, svals, vh = np.linalg.svd(mats)
-        top = np.maximum(svals[:, :1], 1e-300)
-        dims = (svals <= KERNEL_TOL * top).sum(axis=1)
-        if not dims.all():
-            raise PostconditionError("generator kernel is empty; 1 should be fixed")
-        for k, rows in grouped(dims.tolist()).items():
-            idx = pick(by_dim, rows)
-            vecs = vh[rows, n - k :].conj().swapaxes(1, 2)  # columns span ker L
-            state = np.array([rhos[i].rho for i in idx])
-            gram = kron(state.swapaxes(1, 2), np.eye(d, dtype=complex))
-            overlap = dag(vecs) @ gram @ vecs
-            proj = vecs @ np.linalg.solve(overlap, dag(vecs) @ gram)
-            for g, i in enumerate(idx):
-                out[i] = FixedPointStructure(
-                    basis=tuple(unvec(vecs[g, :, j]) for j in range(k)),
-                    projector=Superoperator(dim=d, matrix=proj[g]),
-                    degenerate=k > 1,
-                )
-            _check_expectations(proj, state.reshape(len(idx), n, order="F"), d)
+    for idx in batches((m.dim, ker.shape[1]) for m, ker in zip(models, kernels)):
+        d, k = models[idx[0]].dim, kernels[idx[0]].shape[1]
+        vecs = np.array(pick(kernels, idx))  # columns span ker L
+        state = np.array([rhos[i].rho for i in idx])
+        gram = kron(state.swapaxes(1, 2), np.eye(d, dtype=complex))
+        overlap = dag(vecs) @ gram @ vecs
+        proj = vecs @ np.linalg.solve(overlap, dag(vecs) @ gram)
+        for g, i in enumerate(idx):
+            out[i] = FixedPointStructure(
+                basis=tuple(unvec(vecs[g, :, j]) for j in range(k)),
+                projector=Superoperator(dim=d, matrix=proj[g]),
+                degenerate=k > 1,
+            )
+        _check_expectations(proj, state.reshape(len(idx), d * d, order="F"), d)
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmsgap.errors import (
+    DimensionMismatchError,
     FunctionDomainError,
     NoFaithfulInvariantStateError,
     NonUniqueInvariantStateError,
@@ -9,7 +10,7 @@ from qmsgap.errors import (
     PostconditionError,
     QmsGapError,
 )
-from qmsgap.linalg import choi_matrix, dag, frobenius, vec
+from qmsgap.linalg import Superoperator, choi_matrix, dag, frobenius, vec
 from qmsgap.qms import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -382,3 +383,42 @@ def test_projection_that_is_not_an_expectation_is_named(rng):
     with pytest.raises(PostconditionError) as batched:
         fixed_point_structures([good, model, good], [half, rho, half])
     assert str(batched.value) == str(alone.value)
+
+
+def test_state_and_fixed_points_share_one_kernel_split(rng, monkeypatch):
+    # ker L_* and ker L come from one SVD of L_*, kept on the model; the
+    # split of another generator (here -L, same kernels) is not kept
+    svds = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    model = random_model(rng, 3)
+    flipped = Superoperator(dim=3, matrix=-generator(model).matrix)
+    foreign = invariant_state(model, gen=flipped)
+    assert len(svds) == 1
+    rho = invariant_state(model)
+    fps = fixed_point_structure(model, rho)
+    assert len(svds) == 2
+    np.testing.assert_allclose(foreign.rho, rho.rho, atol=1e-12)
+    assert fps.dim == 1
+    fixed_point_structure(model, rho, gen=flipped)
+    assert len(svds) == 3
+
+
+def test_a_state_of_another_dimension_is_named(monkeypatch):
+    rho = density_matrix(np.eye(3) / 3.0)
+    message = "state of dimension 3 for a model of dimension 2"
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("generator built before the dimension check")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    for state in (rho, rho.rho):
+        with pytest.raises(DimensionMismatchError, match=message):
+            check_invariance(depolarizing_qubit(GAMMA), state)
+    with pytest.raises(DimensionMismatchError, match=message):
+        fixed_point_structure(depolarizing_qubit(GAMMA), rho)

@@ -27,33 +27,38 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f, and ker E does not depend on f at all.  So a model's frame is built once:
-L~ = W^H L W, P~ = W^H E W and an orthonormal basis V of
-diag(sqrt w_gns) ker E, the null space, from one SVD, of the fixed-point
-constraints B~_N^H diag(sqrt p_j) (the GNS Gram is diag(w_gns) = diag(p_j)
-in these coordinates).  A one-model call keeps it on the model's
+f.  So a model's frame is built once: L~ = W^H L W, P~ = W^H E W and, from
+one SVD of the fixed-point constraints B~_N^H diag(sqrt p_j), a unitary
+[V Y] with Y spanning diag(sqrt w_gns) N and V its null space
+diag(sqrt w_gns) ker E.  A one-model call keeps it on the model's
 FixedPointStructure, keyed by rho's eigendata and by the generator L~ came
 from, so `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace`
 and `empirical_decay_rate` (with its exp(t L~)) build it only once.
 
 E is the rho-preserving conditional expectation onto the fixed-point
 algebra, so it commutes with the modular group (Takesaki, J. Funct. Anal.
-9, 1972) and ker E is invariant under Delta, hence under every diagonal
-f(Delta)^{-1/2}.  So B~_f = diag(w_f)^{-1/2} V = diag(w_gns)^{-1/2}
-f(Delta)^{-1/2} V still spans ker E, and B~_f^H diag(w_f) B~_f = V^H V = I:
-one basis V serves every f, and no function needs an eigensolve of its
-own to orthonormalize.  The theorem is checked at run time: the residual
-kernel_membership = |P~ B~_f| / |B~_f| must stay below MEMBERSHIP_TOL, or
-PostconditionError is raised.
+9, 1972) and N and ker E are invariant under every diagonal f(Delta)^{1/2}.
+In f-coordinates diag(sqrt w_f) x = diag(sqrt w_gns) f(Delta)^{1/2} x,
+where the generator is M_f = diag(sqrt w_f) L~ diag(1/sqrt w_f), N and
+ker E are thus span Y and span V for every f.  L N = 0 and E L = 0 give
+M_f Y = 0 = Y^H M_f, so H_f = -(M_f + M_f^H) / 2 vanishes on span Y and on
+span V is minus the symmetrized generator in the f-orthonormal basis
+B~_f = diag(w_f)^{-1/2} V of ker E.  The gap spectrum is the d^2 - dim N
+lowest eigenvalues of H_f + c_f Y Y^H, c_f = 1 + 2 |M_f|_F lying above all
+of H_f's: a coupling of span Y and span V left by round-off moves them by
+at most its square over the shift.  The theorem is checked at run time,
+independently of the SVD: kernel_membership = |P~ B~_f| / |B~_f| must stay
+below MEMBERSHIP_TOL, or PostconditionError is raised.
 
-A function then contributes only its weight vector.  `gap_sweep` stacks
-the rescaled bases B~_f and takes one batched eigvalsh of -(C + C^H)/2
-with C = B~_f^H diag(w_f) L~ B~_f.  `f_operator_norms` rotates a map S
-once and takes the 2-norms of diag(sqrt w_f) S~ diag(1/sqrt w_f).
+A function then contributes only its weight vector.  `gap_sweep` takes one
+stacked eigvalsh of the deflated H_f per chunk of slices.
+`f_operator_norms` rotates a map S once (a read-only S keeps S~ = W^H S W,
+keyed by rho's eigendata) and takes the 2-norms of
+A_f = diag(sqrt w_f) S~ diag(1/sqrt w_f) as sqrt(lambda_max(A_f^H A_f)).
 `spectral_gap_f`, `decaying_subspace` and `f_operator_norm` are thin
 wrappers over the two.  `empirical_decay_rate`, the oracle for the gap,
 whitens its basis of ker E with an eigh of its own f-Gram instead of
-rescaling V, so it checks the shortcut rather than repeating it.
+rescaling V and takes its 2-norms by SVD, so it repeats neither shortcut.
 
 Batches of models
 -----------------
@@ -115,12 +120,13 @@ class GapReport:
     restricted to the decaying subspace, ascending; lambda_f is its
     smallest element, or math.inf when nothing decays (serialized as the
     string "inf", never as a float literal).  residuals (empty when nothing
-    decays) carry four defects of the computation, with B the f-basis of
-    ker E, G the f-Gram, L the generator and P the matrix of E:
+    decays) carry four defects of the computation, |.| the Frobenius norm
+    and M_f, [V Y] and B the f-coordinate generator, the frame's unitary
+    and the f-basis of ker E (see the module docstring), P the matrix of E:
 
-    * orthonormality: max |B^H G B - I|;
-    * adjoint_consistency: max |B^H L^H G B - C^H|, C = B^H G L B;
-    * subspace_invariance: |P L B| / max(1, |L B|);
+    * orthonormality: max |[V Y]^H [V Y] - I|, one value per frame;
+    * adjoint_consistency: |M_f^H Y| / max(1, |M_f|);
+    * subspace_invariance: |Y^H M_f V| / max(1, |M_f|), what deflation drops;
     * kernel_membership: |P B| / |B|, at most MEMBERSHIP_TOL.
     """
 
@@ -137,15 +143,20 @@ class GapReport:
 
 class _Frame:
     """One model's eigen frame (see the module docstring): its state part
-    (W, V, P~) is keyed by rho's eigendata, its generator part (L~ and the
-    decay stack) by the generator it was rotated from."""
+    (W, V, Y, P~ and the orthonormality residual of [V Y]) is keyed by
+    rho's eigendata, its generator part (L~ and the decay stack) by the
+    generator it was rotated from."""
 
-    __slots__ = ("basis", "eigenvalues", "rotation", "kernel", "projector",
-                 "source", "gen", "decay")
+    __slots__ = ("basis", "eigenvalues", "rotation", "kernel", "fixed",
+                 "orthonormality", "projector", "source", "gen", "decay")
 
-    def __init__(self, metric: FMetric, rotation, kernel, projector):
+    def __init__(self, metric: FMetric, rotation, unitary, n_fixed, projector, ortho):
         self.basis, self.eigenvalues = metric.basis, metric.eigenvalues
-        self.rotation, self.kernel, self.projector = rotation, kernel, projector
+        self.rotation, self.projector = rotation, projector
+        # C order, as the stack of a batch has it, for bit-identical products
+        self.kernel = np.ascontiguousarray(unitary[:, n_fixed:])
+        self.fixed = np.ascontiguousarray(unitary[:, :n_fixed])
+        self.orthonormality = float(ortho)
         self.source = self.gen = self.decay = None
 
 
@@ -183,25 +194,23 @@ def _rotated(rotation: np.ndarray, maps: np.ndarray) -> np.ndarray:
 def _build_frames(
     fpss: Sequence[FixedPointStructure], states: Sequence[FMetric]
 ) -> list[_Frame]:
-    """State parts of the frames of models with one d and one dim N: V is
-    the null space, from one SVD, of the fixed-point constraints
-    B~_N^H diag(sqrt p_j)."""
+    """State parts of the frames of models with one d and one dim N: [V Y]
+    is the conjugate transpose of the right singular vectors, from one SVD,
+    of the fixed-point constraints B~_N^H diag(sqrt p_j)."""
     d = states[0].dim
-    n_fixed = fpss[0].dim
     u = np.array([m.basis for m in states])
     rotation = kron(u.conj(), u)
-    if n_fixed == d * d:
-        kernels = np.zeros((len(states), d * d, 0), dtype=complex)
-    else:
-        fixed = dag(rotation) @ np.array(
-            [np.column_stack([vec(b) for b in fps.basis]) for fps in fpss]
-        )
-        p = np.array([m.eigenvalues for m in states])
-        constraints = dag(fixed) * np.sqrt(np.repeat(p, d, axis=1))[:, None, :]
-        kernels = dag(np.linalg.svd(constraints)[2][:, n_fixed:])
+    fixed = dag(rotation) @ np.array(
+        [np.column_stack([vec(b) for b in fps.basis]) for fps in fpss]
+    )
+    p = np.array([m.eigenvalues for m in states])
+    constraints = dag(fixed) * np.sqrt(np.repeat(p, d, axis=1))[:, None, :]
+    unitary = dag(np.linalg.svd(constraints)[2])
+    ortho = np.abs(dag(unitary) @ unitary - np.eye(d * d)).max(axis=(1, 2))
     projectors = _rotated(rotation, np.array([fps.projector.matrix for fps in fpss]))
     return [
-        _Frame(m, rotation[g], kernels[g], projectors[g]) for g, m in enumerate(states)
+        _Frame(m, rotation[g], unitary[g], fpss[0].dim, projectors[g], ortho[g])
+        for g, m in enumerate(states)
     ]
 
 
@@ -244,14 +253,21 @@ def _frames(
 
 
 def _f_bases(
-    kernel: np.ndarray, metrics: Sequence[FMetric], weights: np.ndarray
-) -> np.ndarray:
-    """f-orthonormal bases B~_f = diag(w_f)^{-1/2} V of ker E, stacked.
+    kernel: np.ndarray,
+    projector: np.ndarray,
+    metrics: Sequence[FMetric],
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """f-orthonormal bases B~_f = diag(w_f)^{-1/2} V of ker E, stacked, and
+    their memberships |P~ B~_f| / |B~_f|.
 
     Raises RankDeficiencyError when min(w_f) / max(w_f) falls below
     SUBSPACE_DROP_TOL.  By Cauchy interlacing the eigenvalues of the f-Gram
     on ker E lie in [min(w_f), max(w_f)], so it can fall below that
-    fraction of its largest eigenvalue only when this fires.
+    fraction of its largest eigenvalue only when this fires.  Raises
+    PostconditionError for a membership above MEMBERSHIP_TOL: the rescaled
+    basis has then left ker E, i.e. ker E is not Delta-invariant to that
+    margin.
     """
     spread = weights.min(axis=1) / weights.max(axis=1)
     for metric, s in zip(metrics, spread):
@@ -260,16 +276,7 @@ def _f_bases(
                 f"f-weight spread {s:.3e} below {SUBSPACE_DROP_TOL:.1e} "
                 f"for {metric.f.label}: the f-Gram on ker E may lose rank"
             )
-    return kernel / np.sqrt(weights)[:, :, None]
-
-
-def _kernel_membership(
-    projector: np.ndarray, basis: np.ndarray, metrics: Sequence[FMetric]
-) -> np.ndarray:
-    """|P B_f| / |B_f| for each stacked basis, P the matrix of E in the
-    coordinates of B_f.  Raises PostconditionError above MEMBERSHIP_TOL: the
-    rescaled basis has then left ker E, i.e. ker E is not Delta-invariant to
-    that margin."""
+    basis = kernel / np.sqrt(weights)[:, :, None]
     membership = np.linalg.norm(projector @ basis, axis=(1, 2)) / np.linalg.norm(
         basis, axis=(1, 2)
     )
@@ -278,35 +285,28 @@ def _kernel_membership(
             raise PostconditionError(
                 f"f-basis leaves ker E by {m:.3e} for {metric.f.label}"
             )
-    return membership
+    return basis, membership
 
 
-def _sweep_chunk(
-    kernel: np.ndarray,
-    gen: np.ndarray,
-    projector: np.ndarray,
-    weights: np.ndarray,
-    metrics: Sequence[FMetric],
-    kernel_dim: int,
-) -> list[GapReport]:
+def _sweep_chunk(kernel, fixed, gen, projector, ortho, weights, metrics,
+                 kernel_dim: int) -> list[GapReport]:
     """Reports of stacked slices: slice s is metrics[s] on the frame whose
-    V, L~ and P~ are kernel[s], gen[s] and projector[s]."""
-    basis = _f_bases(kernel, metrics, weights)
-    membership = _kernel_membership(projector, basis, metrics)
-    w = weights[:, :, None]
-    gen_basis = gen @ basis
-    weighted = w * basis
-    compressed = dag(basis) @ (w * gen_basis)
-    spectra = np.linalg.eigvalsh(-(compressed + dag(compressed)) / 2.0)
-
-    eye = np.eye(basis.shape[2])
-    ortho = np.abs(dag(basis) @ weighted - eye).max(axis=(1, 2))
-    adjoint = np.abs(
-        dag(basis) @ (dag(gen) @ weighted) - dag(compressed)
-    ).max(axis=(1, 2))
-    leak = np.linalg.norm(projector @ gen_basis, axis=(1, 2)) / np.maximum(
-        1.0, np.linalg.norm(gen_basis, axis=(1, 2))
-    )
+    V, Y, L~, P~ and orthonormality residual are kernel[s], fixed[s],
+    gen[s], projector[s] and ortho[s] (one frame's arrays broadcast).  The
+    spectrum is the d^2 - dim N lowest eigenvalues of the deflated
+    H_f + c_f Y Y^H, c_f = 1 + 2 |M_f|_F (see the module docstring)."""
+    _, membership = _f_bases(kernel, projector, metrics, weights)
+    root = np.sqrt(weights)
+    scaled = root[:, :, None] * gen / root[:, None, :]  # M_f
+    size = np.linalg.norm(scaled, axis=(1, 2))
+    deflated = (1.0 + 2.0 * size)[:, None, None] * (fixed @ dag(fixed)) - (
+        scaled + dag(scaled)
+    ) / 2.0
+    spectra = np.linalg.eigvalsh(deflated)[:, : gen.shape[-1] - kernel_dim]
+    scale = np.maximum(1.0, size)
+    adjoint = np.linalg.norm(dag(scaled) @ fixed, axis=(1, 2)) / scale
+    leak = np.linalg.norm(dag(fixed) @ scaled @ kernel, axis=(1, 2)) / scale
+    ortho = np.broadcast_to(ortho, len(metrics))
 
     reports = []
     for k, metric in enumerate(metrics):
@@ -318,31 +318,16 @@ def _sweep_chunk(
                 NegativeGapWarning,
                 stacklevel=3,
             )
+        residuals = {
+            "orthonormality": float(ortho[k]),
+            "adjoint_consistency": float(adjoint[k]),
+            "subspace_invariance": float(leak[k]),
+            "kernel_membership": float(membership[k]),
+        }
         reports.append(
-            GapReport(
-                f_label=metric.f.label,
-                lambda_f=lam,
-                kernel_dim=kernel_dim,
-                spectrum=spectra[k],
-                residuals={
-                    "orthonormality": float(ortho[k]),
-                    "adjoint_consistency": float(adjoint[k]),
-                    "subspace_invariance": float(leak[k]),
-                    "kernel_membership": float(membership[k]),
-                },
-            )
+            GapReport(metric.f.label, lam, kernel_dim, spectra[k], residuals)
         )
     return reports
-
-
-def _empty_report(metric: FMetric, kernel_dim: int) -> GapReport:
-    return GapReport(
-        f_label=metric.f.label,
-        lambda_f=math.inf,
-        kernel_dim=kernel_dim,
-        spectrum=np.empty(0),
-        residuals={},
-    )
 
 
 def gap_sweeps(
@@ -407,23 +392,19 @@ def _sweep_group(frames, metric_lists, weights, n_fixed: int) -> list[GapReport]
     metrics = [m for ms in metric_lists for m in ms]
     d = metrics[0].dim
     if n_fixed == d * d:
-        return [_empty_report(m, n_fixed) for m in metrics]
+        return [GapReport(m.f.label, math.inf, n_fixed, np.empty(0), {})
+                for m in metrics]
     w = np.concatenate(weights)
-    single = len(frames) == 1
-    if not single:
-        sizes = [len(metrics) for metrics in metric_lists]
-        owner = np.repeat(np.arange(len(frames)), sizes)
-        kernels = np.array([frame.kernel.T for frame in frames])
-        gen = np.array([frame.gen for frame in frames])
-        projector = np.array([frame.projector for frame in frames])
+    names = ("kernel", "fixed", "gen", "projector", "orthonormality")
+    arrays = [getattr(frames[0], name) for name in names]  # broadcast alone
+    if len(frames) > 1:  # each slice takes the frame of its model
+        owner = np.repeat(np.arange(len(frames)), [len(ms) for ms in metric_lists])
+        stacks = [np.array([getattr(f, name) for f in frames]) for name in names]
     reports = []
     for c in chunks(len(metrics), d):
-        if single:  # the one frame broadcasts over the slices
-            frame_arrays = (frames[0].kernel, frames[0].gen, frames[0].projector)
-        else:  # each slice takes the frame of its model
-            o = owner[c]
-            frame_arrays = (kernels[o].swapaxes(1, 2), gen[o], projector[o])
-        reports += _sweep_chunk(*frame_arrays, w[c], metrics[c], n_fixed)
+        if len(frames) > 1:
+            arrays = [stack[owner[c]] for stack in stacks]
+        reports += _sweep_chunk(*arrays, w[c], metrics[c], n_fixed)
     return reports
 
 
@@ -473,24 +454,28 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     (frame,) = _frames([fps], [metric])
     if frame.kernel.shape[1] == 0:
         return frame.kernel
-    basis = frame.rotation @ _f_bases(frame.kernel, [metric], _weights([metric]))
-    _kernel_membership(fps.projector.matrix, basis, [metric])
-    return basis[0]
+    basis, _ = _f_bases(frame.kernel, frame.projector, [metric], _weights([metric]))
+    return frame.rotation @ basis[0]
+
+
+def _rotations(
+    metric_lists: Sequence[Sequence[FMetric]], maps: np.ndarray
+) -> np.ndarray:
+    """S~ = W^H S W for each map maps[g, t], W the frame of metric_lists[g]."""
+    u = np.array([metrics[0].basis for metrics in metric_lists])
+    return _rotated(kron(u.conj(), u)[:, None], maps)
 
 
 def _operator_norms(
-    metric_lists: Sequence[Sequence[FMetric]], maps: np.ndarray
+    metric_lists: Sequence[Sequence[FMetric]], rotated: np.ndarray
 ) -> np.ndarray:
-    """Norms [g, t, f] of maps[g, t] for metric_lists[g][f], all of one d
-    and one length: the 2-norms of diag(sqrt w_f) S~ diag(1/sqrt w_f),
-    S~ = W^H S W, one slice per (g, t, f)."""
-    n_maps, n_times = maps.shape[:2]
+    """Norms [g, t, f] of the maps rotated[g, t] = S~ for metric_lists[g][f],
+    all of one d and one length: the 2-norms of
+    A = diag(sqrt w_f) S~ diag(1/sqrt w_f), as sqrt(lambda_max(A^H A)), one
+    slice per (g, t, f)."""
+    n_maps, n_times = rotated.shape[:2]
     n_metrics = len(metric_lists[0])
-    u = np.array([metrics[0].basis for metrics in metric_lists])
-    rotation = kron(u.conj(), u)
-    rotated = _rotated(rotation[:, None], maps).reshape(
-        (n_maps * n_times,) + maps.shape[2:]
-    )
+    rotated = rotated.reshape((n_maps * n_times,) + rotated.shape[2:])
     root = np.sqrt(np.concatenate([_weights(metrics) for metrics in metric_lists]))
     slices = np.arange(n_maps * n_times * n_metrics)
     which_map = slices // n_metrics
@@ -501,7 +486,7 @@ def _operator_norms(
         # one map broadcasts over the slices; several are gathered per slice
         maps_c = rotated[0] if len(rotated) == 1 else rotated[which_map[c]]
         scaled = r[:, :, None] * maps_c / r[:, None, :]
-        norms[c] = np.linalg.norm(scaled, 2, axis=(1, 2))
+        norms[c] = np.sqrt(np.linalg.eigvalsh(dag(scaled) @ scaled)[:, -1])
     return norms.reshape(n_maps, n_times, n_metrics)
 
 
@@ -510,13 +495,19 @@ def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray
 
     The largest singular value of G_f^{1/2} S G_f^{-1/2}, which in the
     eigen frame is diag(sqrt w_f) S~ diag(1/sqrt w_f) with S~ = W^H S W;
-    S is rotated once for all metrics (built from one state).  No metrics
-    give an empty array.
+    S is rotated once for all metrics (built from one state), and a
+    read-only S keeps S~ for later calls with metrics of that state.  No
+    metrics give an empty array.
     """
     if not metrics:
         return np.empty(0)
     _same_state(metrics, s.dim, "map")
-    return _operator_norms([metrics], s.matrix[None, None])[0, 0]
+    kept = s._rotated
+    if kept is None or not _one_state(kept[0], metrics[0]):
+        kept = (metrics[0], _rotations([metrics], s.matrix[None, None]))
+        if not s.matrix.flags.writeable:
+            object.__setattr__(s, "_rotated", kept)
+    return _operator_norms([metrics], kept[1])[0, 0]
 
 
 def f_operator_norm(metric: FMetric, s: Superoperator) -> float:
@@ -548,8 +539,9 @@ def _semigroup_norms(times, models, metric_lists):
     keys = ((m.dim, len(metrics)) if metrics else None
             for m, metrics in zip(models, metric_lists))
     for rows in batches(keys, len(times)):
+        lists = pick(metric_lists, rows)
         phis = np.array(semigroups(pick(models, rows), times))
-        for i, norms in zip(rows, _operator_norms(pick(metric_lists, rows), phis)):
+        for i, norms in zip(rows, _operator_norms(lists, _rotations(lists, phis))):
             out[i] = norms
     return out
 

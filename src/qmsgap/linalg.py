@@ -22,8 +22,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -202,11 +202,16 @@ def unvec(v) -> np.ndarray:
 class Superoperator:
     """Matrix form of a linear map on M_d(C) in column-stacking coordinates.
 
-    ``matrix @ vec(x) == vec(S(x))`` for the represented map S.
+    ``matrix @ vec(x) == vec(S(x))`` for the represented map S.  The
+    f-operator norms keep the map's rotation into a state's eigen frame in
+    `_rotated` (see gap.py) when the matrix is read-only.
     """
 
     dim: int
     matrix: np.ndarray
+    _rotated: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         d2 = self.dim * self.dim

@@ -179,11 +179,14 @@ def _check_time(t: float) -> None:
 def semigroup(
     model: GKSLModel, t: float, gen: Optional[Superoperator] = None
 ) -> Superoperator:
-    """Phi_t = exp(t L) as a superoperator; t must be finite and nonnegative."""
+    """Phi_t = exp(t L) as a superoperator with a read-only matrix; t must
+    be finite and nonnegative."""
     _check_time(t)
     if gen is None:
         gen = generator(model)
-    return Superoperator(dim=model.dim, matrix=expm(t * gen.matrix))
+    phi = expm(t * gen.matrix)
+    phi.setflags(write=False)
+    return Superoperator(dim=model.dim, matrix=phi)
 
 
 def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
@@ -302,11 +305,6 @@ class FixedPointStructure:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-
-def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
-    """Gram matrix of <x, y> = tr(x^H y rho): right multiplication by rho."""
-    return kron(rho.rho.T, np.eye(rho.dim, dtype=complex))
 
 
 def fixed_point_structure(

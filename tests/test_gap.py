@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,12 +52,14 @@ from qmsgap.qms import (
     fixed_point_structure,
     fixed_point_structures,
     generator,
-    gns_gram_matrix,
     invariant_state,
+    random_density,
     random_faithful_model,
     semigroup,
     thermal_qubit,
 )
+
+from references import gns_gram_matrix
 
 GAMMA = 0.35
 G_UP, G_DOWN = 0.3, 0.9
@@ -517,16 +520,47 @@ def test_gap_sweep_of_frozen_model_is_all_inf():
 
 
 def test_f_operator_norms_match_gram_square_roots(rng):
+    for d in range(2, 9):
+        model, rho, _ = random_faithful_model(rng, d)
+        metrics = [f_metric(rho, f) for f in SUITE]
+        n = d * d
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for s in (semigroup(model, 0.7), Superoperator(dim=d, matrix=z)):
+            norms = f_operator_norms(metrics, s)
+            assert norms.shape == (len(metrics),)
+            for metric, norm in zip(metrics, norms):
+                root, inv_root = f_gram_sqrt(metric)
+                expected = np.linalg.norm(root @ s.matrix @ inv_root, 2)
+                assert norm == pytest.approx(expected, rel=1e-13)
+
+
+def test_a_kept_rotation_serves_only_metrics_of_its_state(rng):
     model, rho, _ = random_faithful_model(rng, 3)
-    metrics = [f_metric(rho, f) for f in SUITE]
+    other = random_density(rng, 3)
+    phi = semigroup(model, 0.7)
+    assert not phi.matrix.flags.writeable
+    ours = f_operator_norms(f_metrics(rho, SUITE), phi)
+    kept = phi._rotated
+    assert kept is not None
+    # metrics of another f_metrics call on the same state take the kept S~
+    np.testing.assert_array_equal(f_operator_norms(f_metrics(rho, SUITE), phi), ours)
+    assert phi._rotated is kept
+    theirs = f_operator_norms(f_metrics(other, SUITE), phi)
+    fresh = Superoperator(dim=3, matrix=phi.matrix.copy())
+    want = f_operator_norms(f_metrics(other, SUITE), fresh)
+    np.testing.assert_array_equal(theirs, want)
+    assert np.abs(theirs - ours).max() > 1e-6
+
+
+def test_a_writable_matrix_is_never_kept(rng):
+    _, rho, _ = random_faithful_model(rng, 3)
+    metrics = f_metrics(rho, SUITE)
     z = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    for s in (semigroup(model, 0.7), Superoperator(dim=3, matrix=z)):
-        norms = f_operator_norms(metrics, s)
-        assert norms.shape == (len(metrics),)
-        for metric, norm in zip(metrics, norms):
-            root, inv_root = f_gram_sqrt(metric)
-            expected = np.linalg.norm(root @ s.matrix @ inv_root, 2)
-            assert norm == pytest.approx(expected, rel=1e-10)
+    s = Superoperator(dim=3, matrix=z)
+    before = f_operator_norms(metrics, s)
+    assert s._rotated is None
+    z *= 2.0
+    np.testing.assert_allclose(f_operator_norms(metrics, s), 2.0 * before, rtol=1e-13)
 
 
 def test_one_call_takes_metrics_of_one_state(rng):
@@ -903,3 +937,69 @@ def test_invariant_state_is_unique_exactly_when_the_fixed_points_are_scalars():
         dims.append(fixed_point_structure(model, rho).dim)
         assert unique == (dims[-1] == 1)
     assert min(dims) == 1 < max(dims)
+
+
+# ---------------------------------------------------------------------------
+# The deflation against a compression onto ker E
+# ---------------------------------------------------------------------------
+
+
+def _random_case(d):
+    return random_faithful_model(np.random.default_rng(300 + d), d)[:2]
+
+
+DEFLATION_CASES = [
+    pytest.param(partial(_random_case, d), 1, id=f"random_d{d}") for d in (2, 3, 4, 8)
+] + [
+    pytest.param(_block_model, 2, id="degenerate_blocks"),
+    pytest.param(partial(_coupled_blocks, 1e-2), 1, id="coupled_blocks_1e-2"),
+    pytest.param(partial(_coupled_blocks, 1e-3), 1, id="coupled_blocks_1e-3"),
+]
+
+
+def _compressed_spectrum(metric, fps, gen):
+    """Minus the symmetrized C = B^H G_f L B, B = decaying_subspace: the
+    generator compressed to ker E, with no deflation."""
+    basis = decaying_subspace(metric, fps)
+    compressed = dag(basis) @ f_gram(metric).matrix @ gen.matrix @ basis
+    return np.linalg.eigvalsh(-(compressed + dag(compressed)) / 2.0)
+
+
+@pytest.mark.parametrize("case, n_fixed", DEFLATION_CASES)
+def test_deflated_spectrum_matches_a_compression_onto_ker_e(case, n_fixed):
+    model, rho = case()
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    assert fps.dim == n_fixed
+    metrics = [f_metric(rho, f) for f in SUITE]
+    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    for metric, report in zip(metrics, reports):
+        expected = _compressed_spectrum(metric, fps, gen)
+        assert report.spectrum.shape == expected.shape == (rho.dim**2 - n_fixed,)
+        assert np.abs(report.spectrum - expected).max() <= 1e-12 * max(
+            1.0, report.lambda_f
+        )
+
+
+def test_subspace_invariance_bounds_what_the_deflation_neglects(thermal):
+    # L + delta vec(1) vec(sigma_x)^H still annihilates N = C 1 but maps
+    # sigma_x in ker E partly onto N: with the coupling K = |Y^H M_f V| the
+    # deflated gap moves from the compressed one by at most (K / 2)^2 over
+    # the shift's margin, which is at least 1
+    model, rho = thermal
+    fps = fixed_point_structure(model, rho)
+    coupling_map = np.outer(vec(np.eye(2)), vec(SIGMA_X).conj())
+    coupled = generator(model).matrix + 0.1 * coupling_map
+    gen = Superoperator(dim=2, matrix=coupled)
+    for f in (gns(), kms(), power(0.2)):
+        metric = f_metric(rho, f)
+        (report,) = gap_sweep(model, rho, [metric], fps=fps, gen=gen)
+        root, inv_root = f_gram_sqrt(metric)
+        size = np.linalg.norm(root @ coupled @ inv_root)
+        coupling = report.residuals["subspace_invariance"] * max(1.0, size)
+        assert coupling > 1e-2
+        assert report.residuals["adjoint_consistency"] >= report.residuals[
+            "subspace_invariance"
+        ]
+        moved = abs(report.lambda_f - _compressed_spectrum(metric, fps, gen)[0])
+        assert 0.0 < moved <= (coupling / 2.0) ** 2

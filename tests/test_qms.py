@@ -24,7 +24,6 @@ from qmsgap.qms import (
     fixed_point_structure,
     fixed_point_structures,
     generator,
-    gns_gram_matrix,
     invariant_state,
     random_density,
     random_faithful_model,
@@ -33,6 +32,8 @@ from qmsgap.qms import (
     semigroups,
     thermal_qubit,
 )
+
+from references import gns_gram_matrix
 
 GAMMA = 0.35
 

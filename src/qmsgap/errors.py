@@ -1,7 +1,4 @@
-"""Exception and warning types shared across the toolkit, and the order in
-which a batch over several models reports them."""
-
-import warnings
+"""Exception and warning types shared across the toolkit."""
 
 
 class QmsGapError(Exception):
@@ -64,15 +61,6 @@ class PostconditionError(QmsGapError):
     """A numerically guaranteed identity failed its tolerance check."""
 
 
-class PropertyFailureError(QmsGapError):
-    """A campaign property failed; carries the serialized counterexamples."""
-
-    def __init__(self, message, counterexamples=None, seed=None):
-        super().__init__(message)
-        self.counterexamples = counterexamples or []
-        self.seed = seed
-
-
 class ConfigError(QmsGapError):
     """Configuration file or command-line input is malformed."""
 
@@ -83,28 +71,3 @@ class IllConditionedWarning(UserWarning):
 
 class NegativeGapWarning(UserWarning):
     """Computed gap is negative beyond tolerance (non-contraction upstream)."""
-
-
-def in_model_order(batch, *columns):
-    """batch(*columns), with the errors and warnings of a model-by-model run.
-
-    Each column holds one entry per model (row) and batch returns one result
-    per row.  A batch stacks the models and runs each stage for all of them
-    before the next, so the first error or warning it meets need not be the
-    one a model-by-model run meets first.  So when the batch raises or warns,
-    its rows are run again one at a time, in order: the warnings then come as
-    that run gives them, and the first failing model raises its own error,
-    with the same type and message.  A batch that neither raises nor warns
-    is returned as it is.
-    """
-    n = len(columns[0])
-    if n <= 1:
-        return batch(*columns)
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            results = batch(*columns)
-        except Exception:  # any error: the replay below raises it again
-            results = None
-    if results is not None and not caught:
-        return results
-    return [batch(*(column[i : i + 1] for column in columns))[0] for i in range(n)]

@@ -68,9 +68,11 @@ of one d and one dim N share stacks: frames are built together, and each
 one chunked computation.  numpy's stacked matmul, eigvalsh, svd and solve
 treat each slice as the 2-d call would, so each model gets exactly the
 numbers it gets alone; the one-model routines are these on one model,
-whose frame broadcasts over its slices.  A batch keeps no frames, and its
-errors and warnings are those of a model-by-model run
-(errors.in_model_order).  Every stack holds at most linalg.CHUNK_BYTES
+whose frame broadcasts over its slices.  A batch keeps no frames.  It
+runs each stage for all its models before the next, so its first error is
+that of the first failing stage; the campaign restores model order by
+running a batch that raises or warns again one model at a time
+(harness._drawn_then_batched).  Every stack holds at most linalg.CHUNK_BYTES
 (64 KiB) of d^2 x d^2 complex data: max(1, 4096 // d^4) slices or models
 (256 at d = 2, 16 at d = 4, one at d = 8), so peak memory grows with
 neither the number of models nor of functions.
@@ -81,7 +83,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -92,7 +93,6 @@ from .errors import (
     PostconditionError,
     QmsGapError,
     RankDeficiencyError,
-    in_model_order,
 )
 from .linalg import Superoperator, batches, chunks, dag, expm, kron, pick, vec
 from .metric import COND_GUARD, FMetric, f_metric_table, warn_if_ill_conditioned
@@ -221,8 +221,11 @@ def _frames(
     keep: bool = True,
 ) -> list[_Frame]:
     """The frame of each model (states[i] is a metric of its state), from
-    its FixedPointStructure when that frame serves the state, else built in
-    stacks of one (d, dim N); with gens, its L~ too.
+    its FixedPointStructure when that frame serves the state, else built;
+    with gens, its L~ too.  The models share one d and one dim N and fit one
+    chunk (linalg.chunks), as one batch of gap_sweeps or one model does, so
+    the missing frames are built as one stack and the stale generators
+    rotated as another.
 
     A frame built with keep is kept on the FixedPointStructure.  The
     batched routines build without it: each frame of a batch serves once,
@@ -232,21 +235,19 @@ def _frames(
         fps._frame if fps._frame is not None and _one_state(fps._frame, m) else None
         for fps, m in zip(fpss, states)
     ]
-    todo = ((m.dim, fps.dim) if frame is None else None
-            for m, fps, frame in zip(states, fpss, frames))
-    for rows in batches(todo):
-        for i, frame in zip(rows, _build_frames(pick(fpss, rows), pick(states, rows))):
+    todo = [i for i, frame in enumerate(frames) if frame is None]
+    if todo:
+        for i, frame in zip(todo, _build_frames(pick(fpss, todo), pick(states, todo))):
             frames[i] = frame
             if keep:
                 object.__setattr__(fpss[i], "_frame", frame)
-    stale = () if gens is None else (
-        (m.dim,) if frame.source is not gen else None
-        for m, frame, gen in zip(states, frames, gens)
-    )
-    for rows in batches(stale):
-        rotation = np.array([frames[i].rotation for i in rows])
-        rotated = _rotated(rotation, np.array([gens[i].matrix for i in rows]))
-        for i, gen in zip(rows, rotated):
+    stale = [] if gens is None else [
+        i for i, (frame, gen) in enumerate(zip(frames, gens)) if frame.source is not gen
+    ]
+    if stale:
+        rotation = np.array([frames[i].rotation for i in stale])
+        rotated = _rotated(rotation, np.array([gens[i].matrix for i in stale]))
+        for i, gen in zip(stale, rotated):
             frame = frames[i]
             frame.source, frame.gen, frame.decay = gens[i], gen, None
     return frames
@@ -343,17 +344,12 @@ def gap_sweeps(
     A missing fps or gen is computed.  The models that share d and dim N
     are stacked: their frames are built together and every (model, metric)
     pair is one slice of the same chunked sweep (see the module docstring),
-    with the result each model gets alone.  Warnings and errors are those of
-    gap_sweep on one model after another (errors.in_model_order).
+    with the result each model gets alone.  Each stage runs for all models
+    before the next, so the error raised is that of the first failing stage
+    (see the module docstring).
     """
     n = len(models)
-    return in_model_order(
-        _gap_sweeps, models, rhos, metric_lists, fpss or [None] * n, gens or [None] * n
-    )
-
-
-def _gap_sweeps(models, rhos, metric_lists, fpss, gens):
-    fpss, gens = list(fpss), list(gens)
+    fpss, gens = list(fpss or [None] * n), list(gens or [None] * n)
     for i, metrics in enumerate(metric_lists):
         if metrics:
             _same_state(metrics, models[i].dim, "model")
@@ -525,13 +521,8 @@ def semigroup_norms(
 
     The models of one d and one metric count share stacked expms over all
     times (qms.semigroups) and chunked norm stacks (linalg.batches), with
-    the result each model gets alone; errors are those of a model-by-model
-    run.
+    the result each model gets alone.
     """
-    return in_model_order(partial(_semigroup_norms, times), models, metric_lists)
-
-
-def _semigroup_norms(times, models, metric_lists):
     for model, metrics in zip(models, metric_lists):
         if metrics:
             _same_state(metrics, model.dim, "model")
@@ -607,22 +598,10 @@ def gap_curves(
     gens: Optional[Sequence[Optional[Superoperator]]] = None,
 ) -> list[GapCurve]:
     """Power-family gap curve of each model on one alpha grid (QmsGapError
-    if it is empty): one f_metric_table and one gap_sweeps for all models;
-    errors are those of a model-by-model run."""
+    if it is empty): one f_metric_table and one gap_sweeps for all models."""
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
         raise QmsGapError("gap curve needs at least one alpha")
-    n = len(models)
-    return in_model_order(
-        partial(_gap_curves, alphas),
-        models,
-        rhos,
-        fpss or [None] * n,
-        gens or [None] * n,
-    )
-
-
-def _gap_curves(alphas, models, rhos, fpss, gens):
     metric_lists = f_metric_table(rhos, [power(alpha) for alpha in alphas])
     reports = gap_sweeps(models, rhos, metric_lists, fpss, gens)
     return [_curve(alphas, row) for row in reports]

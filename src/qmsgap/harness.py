@@ -25,9 +25,12 @@ stacked), and then does the work after the draws for all of them at once:
 fixed-point structures, the Choi check, metrics, gaps, curves and
 semigroup norms go through the batched routines of qms, metric and gap,
 which stack the models of one shape and give each the result it gets
-alone.  The cases come out with the same ids in the same order, and errors
-and warnings are those of a model-by-model run (errors.in_model_order): a
-draw that fails is raised after the models drawn before it are checked.
+alone.  The cases come out with the same ids in the same order.  Those
+routines run each stage for all models before the next, so a batch that
+raises or warns is run again one draw at a time (_drawn_then_batched, the
+one place that restores model order): errors and warnings are then those
+of a model-by-model run, and a draw that fails is raised after the models
+drawn before it are checked.
 decay_equivalence redraws on the gaps it sees and degenerate_gap has ten
 cases, so those two stay one model at a time.
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -50,10 +54,8 @@ from . import config as cfgmod
 from .errors import (
     ConfigError,
     OrderViolationError,
-    PropertyFailureError,
     QmsGapError,
     RateMismatchError,
-    in_model_order,
 )
 from .gap import (
     decaying_subspace,
@@ -150,6 +152,7 @@ _BATCH = 16
 # made positive (single-jump d = 2 models); strict_gap_search skips it
 GNS_GAP_FLOOR = 1e-10
 _DECAY_GAP_FLOOR = 1e-3
+BALANCE_TOL = 1e-10  # detailed_balance_model's relative tolerance on each flow
 _TRANSPOSE_SET = ({"kind": "gns"}, {"kind": "power", "alpha": 0.3}, {"kind": "bkm"})
 _DECAY_SET = (
     {"kind": "gns"},
@@ -349,26 +352,6 @@ class CampaignReport:
             out.extend(r.counterexamples)
         return out
 
-    def canonical_dict(self) -> dict:
-        """Deterministic content of the report; excludes wall-clock timing."""
-        return {
-            "config": self.config.to_dict(),
-            "n_rejected_draws": self.n_rejected_draws,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "n_cases": r.n_cases,
-                    "worst_defect": f"{r.worst_defect:.17g}",
-                    "cases": [
-                        [c.case_id, c.dim, f"{c.defect:.17g}", c.passed]
-                        for c in r.cases
-                    ],
-                }
-                for r in self.results
-            ],
-        }
-
     def to_csv(self) -> str:
         lines = ["property,case,dim,defect,passed"]
         for r in self.results:
@@ -403,15 +386,6 @@ class CampaignReport:
             f"{self.n_rejected_draws} rejected draws: {verdict}{total}"
         )
         return "\n".join(lines) + "\n"
-
-    def raise_on_failure(self):
-        if not self.all_passed:
-            failed = [r.name for r in self.results if not r.passed]
-            raise PropertyFailureError(
-                f"properties failed: {', '.join(failed)}",
-                counterexamples=self.counterexamples(),
-                seed=self.config.seed,
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +428,13 @@ def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
     """post's results for the draws draw(0), ..., draw(n - 1), taken in order.
 
     The draws are taken and post-processed _BATCH at a time: post maps a
-    list of draws to one result each and runs as one batch, with the errors
-    and warnings of a model-by-model run.  A draw that raises ends the
-    drawing; its error is raised after post has checked the draws before
-    it, as a model-by-model run would have.
+    list of draws to one result each and runs once per batch.  When it
+    raises or warns on a batch of several draws, it runs again on one draw
+    at a time, in order: the warnings then come as a model-by-model run
+    gives them, and the first failing draw raises its own error, with the
+    same type and message.  A draw that raises ends the drawing; its error
+    is raised after post has checked the draws before it, as a
+    model-by-model run would have.
     """
     for start in range(0, n, _BATCH):
         draws = []
@@ -468,7 +445,18 @@ def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
             except Exception as exc:  # raised below, after the earlier draws
                 error = exc
                 break
-        yield from in_model_order(post, draws)
+        results = None
+        if len(draws) > 1:
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    results = post(draws)
+                except Exception:  # any error: the replay below raises it again
+                    pass
+            if caught:
+                results = None
+        if results is None:  # a batch of one, or one that raised or warned
+            results = [post([x])[0] for x in draws]
+        yield from results
         if error is not None:
             raise error
 
@@ -966,16 +954,15 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 def detailed_balance_model(
     rho: DensityMatrix,
     rates: dict[tuple[int, int], float],
-    balance_tol: float = 1e-10,
 ) -> GKSLModel:
     """Jump model satisfying classical detailed balance for a diagonal state.
 
     rates[(i, j)] attaches the jump sqrt(rate) |i><j|, which moves
     occupation from level j to level i.  Balance requires
-    rates[(i, j)] * p_j == rates[(j, i)] * p_i for every pair
-    (RateMismatchError otherwise).  The Hamiltonian is zero: any H with
-    distinct level spacings adds a skew-adjoint phase rotation on the
-    coherences and would break GNS-self-adjointness.  The constructed
+    rates[(i, j)] * p_j == rates[(j, i)] * p_i for every pair, relative to
+    BALANCE_TOL (RateMismatchError otherwise).  The Hamiltonian is zero:
+    any H with distinct level spacings adds a skew-adjoint phase rotation
+    on the coherences and would break GNS-self-adjointness.  The constructed
     generator is asserted GNS-self-adjoint within 1e-9, which forces every
     f-gap to coincide.
     """
@@ -993,7 +980,7 @@ def detailed_balance_model(
         reverse = rates.get((j, i), 0.0)
         flow = rate * p[j]
         backflow = reverse * p[i]
-        if abs(flow - backflow) > balance_tol * max(1.0, flow, backflow):
+        if abs(flow - backflow) > BALANCE_TOL * max(1.0, flow, backflow):
             raise RateMismatchError(
                 f"balance fails for pair {(i, j)!r}: "
                 f"{rate!r} * p[{j}] = {flow!r} vs {reverse!r} * p[{i}] = {backflow!r}"
@@ -1089,10 +1076,9 @@ def strict_gap_search(
     cfg: CampaignConfig,
     rng: Optional[np.random.Generator] = None,
     dims: tuple[int, ...] = (2, 3),
-    n_draws: Optional[int] = None,
-    min_ratio: Optional[float] = None,
 ) -> StrictGapResult:
-    """Scan random models for a strict KMS > GNS gap separation.
+    """Scan cfg.count("strict_gap") random models for a strict KMS > GNS gap
+    separation by more than cfg.tolerance("strict_gap") * lambda_gns.
 
     Detailed-balanced models collapse the family, so generic random draws
     are the natural search space; a plain scan finds positive margins
@@ -1103,10 +1089,8 @@ def strict_gap_search(
     """
     if rng is None:
         rng = _rng_for(cfg, 51)
-    if n_draws is None:
-        n_draws = cfg.count("strict_gap")
-    if min_ratio is None:
-        min_ratio = cfg.tolerance("strict_gap")
+    n_draws = cfg.count("strict_gap")
+    min_ratio = cfg.tolerance("strict_gap")
 
     best = StrictGapResult(
         found=False, n_draws=n_draws, n_rejected=0,

@@ -15,8 +15,8 @@ Conventions
   everywhere prevents transpose bugs in modular operators and adjoints.
 * Hermitian inputs are symmetrized to (a + a^H)/2 after the Hermiticity
   tolerance check, so eigensolves see exactly Hermitian data.
-* The default absolute/relative tolerance is 1e-10, configurable per call;
-  double precision at d <= 8 supports it comfortably.
+* The absolute/relative tolerance is DEFAULT_TOL = 1e-10; double
+  precision at d <= 8 supports it comfortably.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class HermitianEigen:
         gv = _eval_on_spectrum(g, self.values)
         return (self.vectors * gv) @ dag(self.vectors)
 
-    def apply_psd(self, g, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def apply_psd(self, g) -> np.ndarray:
         """U g(values) U^H for a positive semidefinite matrix.
 
         Eigenvalues inside the PSD tolerance band are clipped to zero before
@@ -84,7 +84,7 @@ class HermitianEigen:
         one below the band is a NotPSDError.
         """
         values = self.values
-        floor = -tol * max(1.0, float(np.abs(values).max(initial=0.0)))
+        floor = -DEFAULT_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
         if values.min(initial=0.0) < floor:
             raise NotPSDError(
                 f"matrix has eigenvalue {values.min():.3e} below PSD floor {floor:.3e}"
@@ -93,18 +93,18 @@ class HermitianEigen:
         return HermitianEigen(values=clipped, vectors=self.vectors).apply(g)
 
 
-def herm_eig(a, tol: float = DEFAULT_TOL) -> HermitianEigen:
+def herm_eig(a) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix with reconstruction check.
 
-    Raises NotHermitianError if ``||a - a^H||_F > tol * max(1, ||a||_F)``;
+    Raises NotHermitianError if ``||a - a^H||_F > DEFAULT_TOL * max(1, ||a||_F)``;
     otherwise the input is symmetrized and handed to the solver.
     """
     a = _as_complex_square(a)
     scale = max(1.0, frobenius(a))
     defect = frobenius(a - dag(a))
-    if defect > tol * scale:
+    if defect > DEFAULT_TOL * scale:
         raise NotHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"Hermiticity defect {defect:.3e} exceeds {DEFAULT_TOL:.1e} * {scale:.3e}"
         )
     a = (a + dag(a)) / 2.0
     try:
@@ -112,7 +112,7 @@ def herm_eig(a, tol: float = DEFAULT_TOL) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigh did not converge: {exc}") from exc
     eig = HermitianEigen(values=values, vectors=vectors)
-    if frobenius(eig.reconstruct() - a) > tol * scale:
+    if frobenius(eig.reconstruct() - a) > DEFAULT_TOL * scale:
         raise ConvergenceFailureError("eigendecomposition fails reconstruction")
     return eig
 
@@ -131,10 +131,10 @@ def _eval_on_spectrum(g, values: np.ndarray) -> np.ndarray:
     return gv
 
 
-def matrix_function(a, g, tol: float = DEFAULT_TOL) -> np.ndarray:
+def matrix_function(a, g) -> np.ndarray:
     """``U g(L) U^H`` for a positive semidefinite ``a = U L U^H``, with
     round-off negatives clipped as in `HermitianEigen.apply_psd`."""
-    return herm_eig(a, tol=tol).apply_psd(g, tol)
+    return herm_eig(a).apply_psd(g)
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the

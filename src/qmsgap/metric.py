@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +48,6 @@ from .errors import (
     NotPSDError,
     OrderViolationError,
     PostconditionError,
-    in_model_order,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -64,6 +62,7 @@ from .monotone import MonotoneFunction, builtin_functions
 from .qms import DensityMatrix
 
 COND_GUARD = 1e12
+_RESOLVENT_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)  # loewner_order_probe's lam
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,9 @@ def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetri
     modular ratios, with the entries it gives each state alone.  Raises
     NotFaithfulError for a state that is not faithful, DimensionMismatchError
     when f does not return one value per ratio and PostconditionError when
-    some weight is <= 0; errors are those of a state-by-state run
-    (errors.in_model_order).
+    some weight is <= 0.
     """
-    return in_model_order(partial(_f_metric_table, tuple(functions)), rhos)
-
-
-def _f_metric_table(functions, rhos):
+    functions = tuple(functions)
     for rho in rhos:
         if not rho.faithful:
             raise NotFaithfulError("f-metric needs a faithful state")
@@ -277,15 +272,10 @@ def _min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((a + dag(a)) / 2.0)[0])
 
 
-def loewner_order_probe(
-    a,
-    b,
-    lam_grid=(1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3),
-    functions: tuple[MonotoneFunction, ...] | None = None,
-    floor: float = 1e-9,
-) -> OrderProbeReport:
+def loewner_order_probe(a, b, floor: float = 1e-9) -> OrderProbeReport:
     """Check A <= B, then resolvent order A(1+lam A)^{-1} <= B(1+lam B)^{-1}
-    on the grid and f(A) <= f(B) for each function (built-ins by default).
+    for lam = 1e-3, 1e-2, ..., 1e3 and f(A) <= f(B) for each function of
+    monotone.builtin_functions.
 
     Raises OrderViolationError naming the failing lam or f.  Margins are
     smallest eigenvalues of the differences, floored at -floor * scale.
@@ -306,7 +296,7 @@ def loewner_order_probe(
         )
 
     resolvent_margins = []
-    for lam in lam_grid:
+    for lam in _RESOLVENT_GRID:
         resolvent = lambda t: t / (1.0 + lam * t)
         margin = _min_eig(eig_b.apply_psd(resolvent) - eig_a.apply_psd(resolvent))
         if margin < -floor * scale:
@@ -315,10 +305,8 @@ def loewner_order_probe(
             )
         resolvent_margins.append((float(lam), margin))
 
-    if functions is None:
-        functions = builtin_functions()
     function_margins = []
-    for f in functions:
+    for f in builtin_functions():
         fa = eig_a.apply_psd(f)
         fb = eig_b.apply_psd(f)
         # fb = U f(clipped spectrum of B) U^H is Hermitian: its 2-norm is max |f|

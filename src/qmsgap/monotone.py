@@ -34,6 +34,10 @@ from .errors import (
 )
 
 NORMALIZATION_TOL = 1e-12
+# check_om1_bounds: the slack of f(t) <= t + 1 and of each forward
+# difference of f (relative to max(1, |f|))
+_UPPER_SLACK = 1e-9
+_MONOTONE_SLACK = 1e-12
 
 # Switch to the Taylor branch of (t-1)/log t when |t - 1| is this small;
 # the direct quotient degenerates to 0/0 there.
@@ -252,32 +256,26 @@ class OmBoundsReport:
     upper_margin: float
     upper_argmin: float
     monotonicity_margin: float
-    n_points: int
 
 
-def check_om1_bounds(
-    f: MonotoneFunction,
-    t_range: tuple[float, float] = (1e-6, 1e6),
-    n_points: int = 241,
-    upper_slack: float = 1e-9,
-    monotone_slack: float = 1e-12,
-) -> OmBoundsReport:
-    """Probe f(t) <= t + 1 and monotonicity of f on a log grid.
+def check_om1_bounds(f: MonotoneFunction) -> OmBoundsReport:
+    """Probe f(t) <= t + 1 and monotonicity of f on 241 log-spaced points
+    of [1e-6, 1e6].
 
     Raises BoundViolationError naming the first failing t; returns the
     worst observed margins otherwise.
     """
-    t_grid = np.geomspace(t_range[0], t_range[1], n_points)
+    t_grid = np.geomspace(1e-6, 1e6, 241)
     values = f(t_grid)
     upper = t_grid + 1.0 - values
     idx = int(np.argmin(upper))
-    if upper[idx] < -upper_slack:
+    if upper[idx] < -_UPPER_SLACK:
         raise BoundViolationError(
             f"f(t) = {float(values[idx]):.6g} exceeds t + 1 "
             f"at t = {float(t_grid[idx]):.6g}"
         )
     diffs = np.diff(values)
-    slack = monotone_slack * np.maximum(1.0, np.abs(values[:-1]))
+    slack = _MONOTONE_SLACK * np.maximum(1.0, np.abs(values[:-1]))
     bad = np.nonzero(diffs < -slack)[0]
     if bad.size:
         k = int(bad[0])
@@ -289,5 +287,4 @@ def check_om1_bounds(
         upper_margin=float(upper[idx]),
         upper_argmin=float(t_grid[idx]),
         monotonicity_margin=float(diffs.min(initial=0.0)),
-        n_points=n_points,
     )

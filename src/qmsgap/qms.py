@@ -41,7 +41,6 @@ from .errors import (
     NotHermitianError,
     PostconditionError,
     QmsGapError,
-    in_model_order,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -67,6 +66,8 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 FAITHFULNESS_THRESHOLD = 1e-8
 KERNEL_TOL = 1e-8
 MAX_DRAWS = 20  # random_faithful_model gives up after this many draws
+DRAW_EIG_FLOOR = 1e-4  # random_faithful_model's floor on min eig of rho
+DENSITY_EIG_FLOOR = 1e-3  # random_density's floor on its spectrum
 
 
 @dataclass(frozen=True)
@@ -326,15 +327,10 @@ def fixed_point_structures(
     DimensionMismatchError).  ker L is the model's kernel split
     (`_kernels`); the projector's conditional-expectation identities are
     asserted post hoc at 1e-9 (PostconditionError).  The models of one d
-    and one kernel dimension share stacked solves (linalg.batches); errors
-    are those of a model-by-model run (errors.in_model_order).
+    and one kernel dimension share stacked solves (linalg.batches).
     """
     if gens is None:
         gens = [None] * len(models)
-    return in_model_order(_fixed_point_structures, models, rhos, gens)
-
-
-def _fixed_point_structures(models, rhos, gens):
     for model, rho in zip(models, rhos):
         _check_state_dim(model, rho.dim)
         if not rho.faithful:
@@ -437,12 +433,11 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_density(
-    rng: np.random.Generator, dim: int, min_eig: float = 1e-3
-) -> DensityMatrix:
-    """Random faithful state: floored Dirichlet spectrum, Haar-ish basis."""
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Random faithful state: Dirichlet spectrum floored by DENSITY_EIG_FLOOR,
+    Haar-ish basis."""
     raw = rng.dirichlet(np.ones(dim))
-    p = (raw + 2.0 * min_eig) / (1.0 + 2.0 * min_eig * dim)
+    p = (raw + 2.0 * DENSITY_EIG_FLOOR) / (1.0 + 2.0 * DENSITY_EIG_FLOOR * dim)
     u = random_unitary(rng, dim)
     return density_matrix((u * p) @ dag(u))
 
@@ -466,12 +461,11 @@ def random_model(rng: np.random.Generator, dim: int) -> GKSLModel:
 
 
 def random_faithful_model(
-    rng: np.random.Generator,
-    dim: int,
-    min_eig: float = 1e-4,
+    rng: np.random.Generator, dim: int
 ) -> tuple[GKSLModel, DensityMatrix, int]:
     """Draw random models until the invariant state is unique and faithful
-    with min eigenvalue above min_eig; returns the rejected-draw count.
+    with min eigenvalue above DRAW_EIG_FLOOR; returns the rejected-draw
+    count.
 
     The eigenvalue floor keeps the modular spectrum, and with it every
     f-weight matrix, inside comfortable double-precision range.
@@ -484,7 +478,7 @@ def random_faithful_model(
         except (NonUniqueInvariantStateError, NoFaithfulInvariantStateError):
             rejected += 1
             continue
-        if rho.eigen.values.min() > min_eig:
+        if rho.eigen.values.min() > DRAW_EIG_FLOOR:
             return model, rho, rejected
         rejected += 1
     raise QmsGapError(

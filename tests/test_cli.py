@@ -307,3 +307,27 @@ def test_cli_runs_with_scipy_blocked(capsys, argv):
     exit_code, out, _ = run(capsys, *argv)
     assert exit_code == 0
     assert _TIMINGS.sub("", blocked.stdout) == _TIMINGS.sub("", out)
+
+
+def test_gap_command_leaves_the_campaign_runner_unimported():
+    # a fresh process, so that no earlier import in this session hides a
+    # module-level import of qmsgap.harness; cold `gap` and `curve` start
+    # times depend on it
+    env = dict(os.environ, PYTHONPATH=str(Path(qmsgap.__file__).parents[1]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import qmsgap, qmsgap.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = qmsgap.cli.main(['gap', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "assert 'qmsgap.harness' not in sys.modules, 'harness imported'\n"
+        "found = {name: getattr(qmsgap, name) for name in qmsgap._HARNESS_NAMES}\n"
+        "harness = sys.modules['qmsgap.harness']\n"
+        "for name, value in found.items():\n"
+        "    assert value is getattr(harness, name), name\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIGS / "thermal_qubit.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

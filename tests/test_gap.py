@@ -733,33 +733,33 @@ def _bad_expectation_case():
     return model, rho, [f_metric(rho, kms())], fps
 
 
-def test_batch_raises_the_error_of_its_first_failing_model():
+def test_batch_raises_the_error_of_a_failing_model():
+    # a batched call runs each stage for all models before the next, so it
+    # raises the error of the first failing stage; the campaign restores
+    # model order (tests/test_harness.py)
     rng = np.random.default_rng(5)
     good = random_faithful_model(rng, 2)[:2]
     bad = _bad_expectation_case()
-    # the third model fails an earlier stage (metrics of two states), so a
-    # stage-by-stage batch would meet its error first
-    model3, rho3, _ = random_faithful_model(rng, 3)
-    _, other, _ = random_faithful_model(rng, 3)
-    mixed = [f_metric(rho3, kms()), f_metric(other, kms())]
     with pytest.raises(PostconditionError) as alone:
         gap_sweep(bad[0], bad[1], bad[2], fps=bad[3])
     with pytest.raises(PostconditionError) as batched:
         gap_sweeps(
-            [good[0], bad[0], model3],
-            [good[1], bad[1], rho3],
-            [f_metrics(good[1], SUITE), bad[2], mixed],
+            [good[0], bad[0], good[0]],
+            [good[1], bad[1], good[1]],
+            [f_metrics(good[1], SUITE), bad[2], f_metrics(good[1], SUITE)],
             [None, bad[3], None],
         )
     assert str(batched.value) == str(alone.value)
+    model3, rho3, _ = random_faithful_model(rng, 3)
+    _, other, _ = random_faithful_model(rng, 3)
+    mixed = [f_metric(rho3, kms()), f_metric(other, kms())]
     with pytest.raises(QmsGapError, match="one state"):
         gap_sweeps([good[0], model3], [good[1], rho3], [f_metrics(good[1], SUITE), mixed])
 
 
-def test_batch_warns_as_a_model_by_model_run(thermal):
+def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
     # the second model warns in the sweep (a flipped generator), the third
-    # before it (ill-conditioned weights): a stage-by-stage batch would
-    # warn for the third first
+    # before it (ill-conditioned weights)
     rng = np.random.default_rng(6)
     model, rho = thermal
     flipped = Superoperator(dim=2, matrix=-generator(model).matrix)
@@ -777,7 +777,7 @@ def test_batch_warns_as_a_model_by_model_run(thermal):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = call()
-        return out, [(w.category, str(w.message)) for w in caught]
+        return out, sorted((w.category.__name__, str(w.message)) for w in caught)
 
     batched, got = run(
         lambda: gap_sweeps(models, rhos, f_metric_table(rhos, functions), gens=gens)
@@ -789,8 +789,8 @@ def test_batch_warns_as_a_model_by_model_run(thermal):
         ]
     )
     assert got == want
-    assert [category for category, _ in want] == [NegativeGapWarning] * 2 + [
-        IllConditionedWarning
+    assert [category for category, _ in want] == ["IllConditionedWarning"] * 2 + [
+        "NegativeGapWarning"
     ] * 2
     for a, b in zip(batched, alone):
         _assert_same_reports(a, b)

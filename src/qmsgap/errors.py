@@ -1,4 +1,17 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and `warn`."""
+
+import os
+import sys
+import warnings
+
+
+def warn(message: str, category: type) -> None:
+    """warnings.warn at the first frame outside this package: the caller's
+    line, however deep the routine that warns (3.12's skip_file_prefixes)."""
+    package, frame, level = os.path.dirname(__file__) + os.sep, sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class QmsGapError(Exception):

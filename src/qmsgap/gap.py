@@ -27,13 +27,14 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f.  So a model's frame is built once: L~ = W^H L W, P~ = W^H E W and, from
-one SVD of the fixed-point constraints B~_N^H diag(sqrt p_j), a unitary
-[V Y] with Y spanning diag(sqrt w_gns) N and V its null space
-diag(sqrt w_gns) ker E.  A one-model call keeps it on the model's
-FixedPointStructure, keyed by rho's eigendata and by the generator L~ came
-from, so `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace`
-and `empirical_decay_rate` (with its exp(t L~)) build it only once.
+f.  So a model's frame is built once: L~ = W^H L W and, from one SVD of
+the fixed-point constraints C = Q^H diag(sqrt w_gns), Q = W^H B_N for the
+columns B_N = vec(basis of N), a unitary [V Y] with Y spanning
+diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A
+one-model call keeps it on the model's FixedPointStructure, keyed by the
+eigendata arrays rho keeps (metric.py) and by the generator L~ came from,
+so `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace` and
+`empirical_decay_rate` (with its exp(t L~)) build it only once.
 
 E is the rho-preserving conditional expectation onto the fixed-point
 algebra, so it commutes with the modular group (Takesaki, J. Funct. Anal.
@@ -48,17 +49,23 @@ lowest eigenvalues of H_f + c_f Y Y^H, c_f = 1 + 2 |M_f|_F lying above all
 of H_f's: a coupling of span Y and span V left by round-off moves them by
 at most its square over the shift.  The theorem is checked at run time,
 independently of the SVD: kernel_membership = |P~ B~_f| / |B~_f| must stay
-below MEMBERSHIP_TOL, or PostconditionError is raised.
+below MEMBERSHIP_TOL, or PostconditionError is raised.  The frame keeps no
+d^2 x d^2 P~: E = B_N R has rank dim N, and fixed_point_structure's solve
+R = (B_N^H G B_N)^{-1} B_N^H G with the GNS Gram G, which is diagonal in
+the frame, reads R~ = R W = (C C^H)^{-1} C diag(sqrt w_gns); P~ = Q R~.
 
-A function then contributes only its weight vector.  `gap_sweep` takes one
-stacked eigvalsh of the deflated H_f per chunk of slices.
-`f_operator_norms` rotates a map S once (a read-only S keeps S~ = W^H S W,
-keyed by rho's eigendata) and takes the 2-norms of
-A_f = diag(sqrt w_f) S~ diag(1/sqrt w_f) as sqrt(lambda_max(A_f^H A_f)).
-`spectral_gap_f`, `decaying_subspace` and `f_operator_norm` are thin
-wrappers over the two.  `empirical_decay_rate`, the oracle for the gap,
-whitens its basis of ker E with an eigh of its own f-Gram instead of
-rescaling V and takes its 2-norms by SVD, so it repeats neither shortcut.
+A function then contributes only its weight vector: a slice (one model,
+one f) is one eigvalsh of the deflated H_f plus a fixed handful of
+O(dim N d^4) numpy calls, Q (R~ diag(w_f)^{-1/2} V) among them, with Y Y^H
+and |V_i|^2 (|B~_f|^2 = sum_i |V_i|^2 / w_f,i) kept on the frame; one
+stacked eigvalsh serves a chunk of slices.  `f_operator_norms` rotates a
+map S once (a read-only S keeps S~ = W^H S W, keyed by rho's eigendata)
+and takes the 2-norms of A_f = diag(sqrt w_f) S~ diag(1/sqrt w_f) as
+sqrt(lambda_max(A_f^H A_f)); `spectral_gap_f`, `decaying_subspace` and
+`f_operator_norm` are thin wrappers over the two.  `empirical_decay_rate`,
+the oracle for the gap, whitens its basis of ker E with an eigh of its own
+f-Gram instead of rescaling V and takes its 2-norms by SVD, so it repeats
+neither shortcut.
 
 Batches of models
 -----------------
@@ -81,7 +88,6 @@ neither the number of models nor of functions.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,8 +99,11 @@ from .errors import (
     PostconditionError,
     QmsGapError,
     RankDeficiencyError,
+    warn,
 )
-from .linalg import Superoperator, batches, chunks, dag, expm, kron, pick, vec
+from .linalg import (
+    Superoperator, batches, chunks, dag, expm, frobenius_norms, kron, pick
+)
 from .metric import COND_GUARD, FMetric, f_metric_table, warn_if_ill_conditioned
 from .monotone import power
 from .qms import (
@@ -110,6 +119,8 @@ from .qms import (
 SUBSPACE_DROP_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-9  # the margin fixed_point_structure asserts E's identities at
 _DECAY_TIMES = np.array([1e-4, 2e-4, 4e-4])  # empirical_decay_rate's t, 2t, 4t
+_RESIDUALS = ("orthonormality", "adjoint_consistency", "subspace_invariance",
+              "kernel_membership")
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,14 @@ class GapReport:
     string "inf", never as a float literal).  residuals (empty when nothing
     decays) carry four defects of the computation, |.| the Frobenius norm
     and M_f, [V Y] and B the f-coordinate generator, the frame's unitary
-    and the f-basis of ker E (see the module docstring), P the matrix of E:
+    and the f-basis of ker E (see the module docstring), Z = Y^H M_f and
+    P = Q R the matrix of E from its rank-dim N factors:
 
     * orthonormality: max |[V Y]^H [V Y] - I|, one value per frame;
-    * adjoint_consistency: |M_f^H Y| / max(1, |M_f|);
-    * subspace_invariance: |Y^H M_f V| / max(1, |M_f|), what deflation drops;
-    * kernel_membership: |P B| / |B|, at most MEMBERSHIP_TOL.
+    * adjoint_consistency: |Z| / max(1, |M_f|), zero as Y^H M_f = 0;
+    * subspace_invariance: |Z V| / max(1, |M_f|), what deflation drops, at
+      most the adjoint defect as V has orthonormal columns: |Z V| <= |Z|;
+    * kernel_membership: |Q (R B)| / |B|, at most MEMBERSHIP_TOL.
     """
 
     f_label: str
@@ -143,35 +156,28 @@ class GapReport:
 
 class _Frame:
     """One model's eigen frame (see the module docstring): its state part
-    (W, V, Y, P~ and the orthonormality residual of [V Y]) is keyed by
-    rho's eigendata, its generator part (L~ and the decay stack) by the
-    generator it was rotated from."""
+    (W, the orthonormality of [V Y] and the slice parts V, |V_i|^2, Y^H,
+    Y Y^H, Q and R~) is keyed by rho's eigendata, its generator part (L~
+    and the decay stack) by the generator it was rotated from."""
 
-    __slots__ = ("basis", "eigenvalues", "rotation", "kernel", "fixed",
-                 "orthonormality", "projector", "source", "gen", "decay")
+    __slots__ = ("basis", "eigenvalues", "rotation", "orthonormality", "parts",
+                 "source", "gen", "decay")
 
-    def __init__(self, metric: FMetric, rotation, unitary, n_fixed, projector, ortho):
+    def __init__(self, metric: FMetric, rotation, ortho, parts):
         self.basis, self.eigenvalues = metric.basis, metric.eigenvalues
-        self.rotation, self.projector = rotation, projector
-        # C order, as the stack of a batch has it, for bit-identical products
-        self.kernel = np.ascontiguousarray(unitary[:, n_fixed:])
-        self.fixed = np.ascontiguousarray(unitary[:, :n_fixed])
-        self.orthonormality = float(ortho)
+        self.rotation, self.orthonormality, self.parts = rotation, float(ortho), parts
         self.source = self.gen = self.decay = None
 
 
 def _one_state(a, b) -> bool:
-    """Whether a and b (metrics or frames) carry the same eigendata of rho;
-    the metrics of one f_metrics call share their arrays and need no
-    comparison."""
-    return (a.basis is b.basis or np.array_equal(a.basis, b.basis)) and (
-        a.eigenvalues is b.eigenvalues or np.array_equal(a.eigenvalues, b.eigenvalues)
-    )
+    """Whether a and b (metrics or frames) carry the eigendata of one state:
+    every metric of a state shares the arrays it keeps (see metric.py)."""
+    return a.basis is b.basis and a.eigenvalues is b.eigenvalues
 
 
 def _weights(metrics: Sequence[FMetric]) -> np.ndarray:
     """Rows w_f = vec(p_j f(p_i / p_j)), the diagonal f-Grams of the frame."""
-    return np.array([m.weights.ravel(order="F") for m in metrics])
+    return np.array([m.weights.T for m in metrics]).reshape(len(metrics), -1)
 
 
 def _same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
@@ -186,32 +192,34 @@ def _same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
         raise QmsGapError("metrics of one call must come from one state")
 
 
-def _rotated(rotation: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """W^H S W for each rotation W and map S of two stacks."""
-    return dag(rotation) @ maps @ rotation
-
-
 def _build_frames(
     fpss: Sequence[FixedPointStructure], states: Sequence[FMetric]
 ) -> list[_Frame]:
     """State parts of the frames of models with one d and one dim N: [V Y]
     is the conjugate transpose of the right singular vectors, from one SVD,
-    of the fixed-point constraints B~_N^H diag(sqrt p_j)."""
-    d = states[0].dim
+    of the fixed-point constraints C = Q^H diag(sqrt w_gns), and
+    R~ = (C C^H)^{-1} C diag(sqrt w_gns) (see the module docstring)."""
+    d, n_fixed = states[0].dim, fpss[0].dim
     u = np.array([m.basis for m in states])
     rotation = kron(u.conj(), u)
-    fixed = dag(rotation) @ np.array(
-        [np.column_stack([vec(b) for b in fps.basis]) for fps in fpss]
-    )
-    p = np.array([m.eigenvalues for m in states])
-    constraints = dag(fixed) * np.sqrt(np.repeat(p, d, axis=1))[:, None, :]
+    basis_n = np.array([fps.basis for fps in fpss]).transpose(0, 3, 2, 1)  # vec
+    span = dag(rotation) @ basis_n.reshape(len(fpss), d * d, n_fixed)
+    root_gns = np.sqrt(np.repeat(np.array([m.eigenvalues for m in states]), d, axis=1))
+    constraints = dag(span) * root_gns[:, None, :]
     unitary = dag(np.linalg.svd(constraints)[2])
-    ortho = np.abs(dag(unitary) @ unitary - np.eye(d * d)).max(axis=(1, 2))
-    projectors = _rotated(rotation, np.array([fps.projector.matrix for fps in fpss]))
-    return [
-        _Frame(m, rotation[g], unitary[g], fpss[0].dim, projectors[g], ortho[g])
-        for g, m in enumerate(states)
-    ]
+    ortho = np.maximum.reduce(
+        np.abs(dag(unitary) @ unitary - np.eye(d * d)), axis=(1, 2)
+    )
+    rhs = constraints * root_gns[:, None, :]  # C diag(sqrt w_gns)
+    coords = np.linalg.solve(constraints @ dag(constraints), rhs)
+    # C order, as the stack of a batch has it, for bit-identical products
+    kernel = np.ascontiguousarray(unitary[:, :, n_fixed:])
+    fixed = np.ascontiguousarray(unitary[:, :, :n_fixed])
+    fixed_h = dag(fixed)
+    rows = np.add.reduce((kernel.conj() * kernel).real, axis=-1)
+    parts = (kernel, rows, np.ascontiguousarray(fixed_h), fixed @ fixed_h, span, coords)
+    return [_Frame(m, rotation[g], ortho[g], tuple(part[g] for part in parts))
+            for g, m in enumerate(states)]
 
 
 def _frames(
@@ -246,88 +254,70 @@ def _frames(
     ]
     if stale:
         rotation = np.array([frames[i].rotation for i in stale])
-        rotated = _rotated(rotation, np.array([gens[i].matrix for i in stale]))
+        rotated = dag(rotation) @ np.array([gens[i].matrix for i in stale]) @ rotation
         for i, gen in zip(stale, rotated):
             frame = frames[i]
             frame.source, frame.gen, frame.decay = gens[i], gen, None
     return frames
 
 
-def _f_bases(
-    kernel: np.ndarray,
-    projector: np.ndarray,
-    metrics: Sequence[FMetric],
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """f-orthonormal bases B~_f = diag(w_f)^{-1/2} V of ker E, stacked, and
-    their memberships |P~ B~_f| / |B~_f|.
+def _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, metrics):
+    """Memberships |P~ B~_f| / |B~_f| of the f-bases B~_f = diag(w_f)^{-1/2} V
+    of ker E of stacked slices (root = sqrt(w_f), ratios = max / min of w_f).
 
-    Raises RankDeficiencyError when min(w_f) / max(w_f) falls below
-    SUBSPACE_DROP_TOL.  By Cauchy interlacing the eigenvalues of the f-Gram
-    on ker E lie in [min(w_f), max(w_f)], so it can fall below that
-    fraction of its largest eigenvalue only when this fires.  Raises
-    PostconditionError for a membership above MEMBERSHIP_TOL: the rescaled
-    basis has then left ker E, i.e. ker E is not Delta-invariant to that
-    margin.
-    """
-    spread = weights.min(axis=1) / weights.max(axis=1)
-    for metric, s in zip(metrics, spread):
-        if s < SUBSPACE_DROP_TOL:
+    RankDeficiencyError when min(w_f) / max(w_f) < SUBSPACE_DROP_TOL: by
+    Cauchy interlacing the f-Gram on ker E has its eigenvalues in
+    [min(w_f), max(w_f)].  PostconditionError for a membership above
+    MEMBERSHIP_TOL: ker E is then not Delta-invariant to that margin."""
+    for metric, ratio in zip(metrics, ratios):
+        if ratio > 1.0 / SUBSPACE_DROP_TOL:
             raise RankDeficiencyError(
-                f"f-weight spread {s:.3e} below {SUBSPACE_DROP_TOL:.1e} "
+                f"f-weight spread {1.0 / ratio:.3e} below {SUBSPACE_DROP_TOL:.1e} "
                 f"for {metric.f.label}: the f-Gram on ker E may lose rank"
             )
-    basis = kernel / np.sqrt(weights)[:, :, None]
-    membership = np.linalg.norm(projector @ basis, axis=(1, 2)) / np.linalg.norm(
-        basis, axis=(1, 2)
-    )
+    reduced = (coords / root[:, None, :]) @ kernel  # R~ diag(w_f)^{-1/2} V
+    basis_norm = np.sqrt(np.add.reduce(rows / weights, axis=-1))  # |B~_f|
+    membership = (frobenius_norms(span @ reduced) / basis_norm).tolist()
     for metric, m in zip(metrics, membership):
         if m > MEMBERSHIP_TOL:
             raise PostconditionError(
                 f"f-basis leaves ker E by {m:.3e} for {metric.f.label}"
             )
-    return basis, membership
+    return membership
 
 
-def _sweep_chunk(kernel, fixed, gen, projector, ortho, weights, metrics,
-                 kernel_dim: int) -> list[GapReport]:
-    """Reports of stacked slices: slice s is metrics[s] on the frame whose
-    V, Y, L~, P~ and orthonormality residual are kernel[s], fixed[s],
-    gen[s], projector[s] and ortho[s] (one frame's arrays broadcast).  The
-    spectrum is the d^2 - dim N lowest eigenvalues of the deflated
-    H_f + c_f Y Y^H, c_f = 1 + 2 |M_f|_F (see the module docstring)."""
-    _, membership = _f_bases(kernel, projector, metrics, weights)
+def _sweep_chunk(kernel, rows, fixed_h, deflator, span, coords, gen, weights, ratios,
+                 ortho, metrics, kernel_dim: int) -> list[GapReport]:
+    """Reports of stacked slices: slice s is metrics[s] (weights[s], their
+    ratio max / min) on the frame of slice parts kernel[s], ..., gen[s] (one
+    frame's arrays broadcast) and orthonormality ortho[s].  The spectrum is
+    the d^2 - dim N lowest eigenvalues of the deflated H_f + c_f Y Y^H."""
     root = np.sqrt(weights)
+    membership = _f_basis_defects(
+        kernel, rows, span, coords, weights, root, ratios, metrics
+    )
     scaled = root[:, :, None] * gen / root[:, None, :]  # M_f
-    size = np.linalg.norm(scaled, axis=(1, 2))
-    deflated = (1.0 + 2.0 * size)[:, None, None] * (fixed @ dag(fixed)) - (
+    size = frobenius_norms(scaled)
+    deflated = (1.0 + 2.0 * size)[:, None, None] * deflator - (
         scaled + dag(scaled)
     ) / 2.0
     spectra = np.linalg.eigvalsh(deflated)[:, : gen.shape[-1] - kernel_dim]
     scale = np.maximum(1.0, size)
-    adjoint = np.linalg.norm(dag(scaled) @ fixed, axis=(1, 2)) / scale
-    leak = np.linalg.norm(dag(fixed) @ scaled @ kernel, axis=(1, 2)) / scale
-    ortho = np.broadcast_to(ortho, len(metrics))
-
+    drift = fixed_h @ scaled  # Z = Y^H M_f
+    adjoint = (frobenius_norms(drift) / scale).tolist()
+    leak = (frobenius_norms(drift @ kernel) / scale).tolist()
     reports = []
-    for k, metric in enumerate(metrics):
-        lam = float(spectra[k, 0])
+    for metric, spectrum, lam, *residuals in zip(
+        metrics, spectra, spectra[:, 0].tolist(), ortho, adjoint, leak, membership
+    ):
         if lam < -1e-8:
-            warnings.warn(
+            warn(
                 f"negative gap {lam:.3e} for {metric.f.label}: restricted "
                 f"generator is not dissipative",
                 NegativeGapWarning,
-                stacklevel=3,
             )
-        residuals = {
-            "orthonormality": float(ortho[k]),
-            "adjoint_consistency": float(adjoint[k]),
-            "subspace_invariance": float(leak[k]),
-            "kernel_membership": float(membership[k]),
-        }
-        reports.append(
-            GapReport(metric.f.label, lam, kernel_dim, spectra[k], residuals)
-        )
+        residuals = dict(zip(_RESIDUALS, residuals))
+        reports.append(GapReport(metric.f.label, lam, kernel_dim, spectrum, residuals))
     return reports
 
 
@@ -350,57 +340,62 @@ def gap_sweeps(
     """
     n = len(models)
     fpss, gens = list(fpss or [None] * n), list(gens or [None] * n)
+    todo = []
     for i, metrics in enumerate(metric_lists):
         if metrics:
             _same_state(metrics, models[i].dim, "model")
-            gens[i] = gens[i] or generator(models[i])
-    todo = [i for i, ms in enumerate(metric_lists) if ms and fpss[i] is None]
-    computed = fixed_point_structures(
-        pick(models, todo), pick(rhos, todo), pick(gens, todo)
-    )
-    for i, fps in zip(todo, computed):
-        fpss[i] = fps
+            if gens[i] is None:
+                gens[i] = generator(models[i])
+            if fpss[i] is None:
+                todo.append(i)
+    if todo:
+        computed = fixed_point_structures(
+            pick(models, todo), pick(rhos, todo), pick(gens, todo)
+        )
+        for i, fps in zip(todo, computed):
+            fpss[i] = fps
 
     reports: list[list[GapReport]] = [[] for _ in models]
-    keys = ((m.dim, fps.dim) if metrics else None
-            for m, fps, metrics in zip(models, fpss, metric_lists))
+    keys = [(m.dim, fps.dim) if metrics else None
+            for m, fps, metrics in zip(models, fpss, metric_lists)]
     for rows in batches(keys):
         lists = pick(metric_lists, rows)
-        weights = [_weights(metrics) for metrics in lists]
-        for metrics, w in zip(lists, weights):
-            if (w.max(axis=1) / w.min(axis=1) > COND_GUARD).any():
-                for metric in metrics:
-                    warn_if_ill_conditioned(metric)
         frames = _frames(
-            pick(fpss, rows),
-            [metrics[0] for metrics in lists],
-            pick(gens, rows),
-            keep=len(models) == 1,
+            pick(fpss, rows), [ms[0] for ms in lists], pick(gens, rows), keep=n == 1
         )
-        out = iter(_sweep_group(frames, lists, weights, fpss[rows[0]].dim))
+        out = iter(_sweep_group(frames, lists, fpss[rows[0]].dim))
         for i, metrics in zip(rows, lists):
             reports[i] = [next(out) for _ in metrics]
     return reports
 
 
-def _sweep_group(frames, metric_lists, weights, n_fixed: int) -> list[GapReport]:
-    """Reports of models with one d and one dim N, in model order."""
+def _sweep_group(frames, metric_lists, n_fixed: int) -> list[GapReport]:
+    """Reports of models with one d and one dim N, metric_lists[g] on
+    frames[g], in model order.  Warns IllConditionedWarning for weights
+    spread beyond COND_GUARD, also when nothing decays."""
     metrics = [m for ms in metric_lists for m in ms]
+    weights = _weights(metrics)
+    ordered = np.sort(weights, axis=1)  # one sort gives min(w_f) and max(w_f)
+    ratios = (ordered[:, -1] / ordered[:, 0]).tolist()
+    for metric, ratio in zip(metrics, ratios):
+        if ratio > COND_GUARD:
+            warn_if_ill_conditioned(metric)
     d = metrics[0].dim
     if n_fixed == d * d:
         return [GapReport(m.f.label, math.inf, n_fixed, np.empty(0), {})
                 for m in metrics]
-    w = np.concatenate(weights)
-    names = ("kernel", "fixed", "gen", "projector", "orthonormality")
-    arrays = [getattr(frames[0], name) for name in names]  # broadcast alone
+    ortho = [f.orthonormality for f, ms in zip(frames, metric_lists) for _ in ms]
+    arrays = (*frames[0].parts, frames[0].gen)  # broadcast alone
     if len(frames) > 1:  # each slice takes the frame of its model
         owner = np.repeat(np.arange(len(frames)), [len(ms) for ms in metric_lists])
-        stacks = [np.array([getattr(f, name) for f in frames]) for name in names]
+        stacks = [np.array(part) for part in zip(*((*f.parts, f.gen) for f in frames))]
     reports = []
     for c in chunks(len(metrics), d):
         if len(frames) > 1:
             arrays = [stack[owner[c]] for stack in stacks]
-        reports += _sweep_chunk(*arrays, w[c], metrics[c], n_fixed)
+        reports += _sweep_chunk(
+            *arrays, weights[c], ratios[c], ortho[c], metrics[c], n_fixed
+        )
     return reports
 
 
@@ -448,10 +443,14 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     """
     _same_state([metric], fps.projector.dim, "fixed-point structure")
     (frame,) = _frames([fps], [metric])
-    if frame.kernel.shape[1] == 0:
-        return frame.kernel
-    basis, _ = _f_bases(frame.kernel, frame.projector, [metric], _weights([metric]))
-    return frame.rotation @ basis[0]
+    kernel, rows, _, _, span, coords = frame.parts
+    if kernel.shape[1] == 0:
+        return kernel
+    weights = _weights([metric])
+    root = np.sqrt(weights)
+    ratios = (weights.max(axis=1) / weights.min(axis=1)).tolist()
+    _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, [metric])
+    return frame.rotation @ (kernel / root[0][:, None])
 
 
 def _rotations(
@@ -459,7 +458,8 @@ def _rotations(
 ) -> np.ndarray:
     """S~ = W^H S W for each map maps[g, t], W the frame of metric_lists[g]."""
     u = np.array([metrics[0].basis for metrics in metric_lists])
-    return _rotated(kron(u.conj(), u)[:, None], maps)
+    rotation = kron(u.conj(), u)[:, None]
+    return dag(rotation) @ maps @ rotation
 
 
 def _operator_norms(
@@ -646,7 +646,7 @@ def empirical_decay_rate(
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
     (frame,) = _frames([fps], [metric], [gen])
-    kernel = frame.kernel
+    kernel, *_ = frame.parts
     if kernel.shape[1] == 0:
         return math.inf
     weights = _weights([metric])[0]

@@ -43,6 +43,12 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def frobenius_norms(a: np.ndarray) -> np.ndarray:
+    """|a_s|_F of each matrix of a stack: numpy.linalg.norm(a, axis=(-2, -1))
+    by numpy's own expression (bit for bit) without its argument handling."""
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of each matrix in a stack for ndim > 2."""
     return a.swapaxes(-1, -2).conj()

@@ -16,10 +16,10 @@ which in the eigenbasis reduces to the weighted sum
 All f-computations here go through this weight matrix rather than through
 a d^2 x d^2 eigendecomposition of f(Delta): the diagonal structure is
 exact, weights cost O(d^2), and no spurious non-normality enters.
-`f_metrics` builds the metrics of many functions from one split of rho's
-eigendata: they share the same read-only `eigenvalues` and `basis` arrays,
-which is how the gap routines recognize metrics of one state cheaply.
-`f_metric_table` does so for many states, evaluating each function once on
+A DensityMatrix keeps its descending eigen split, as a GKSLModel keeps its
+generator, so every metric of a state, from any call, shares its read-only
+`eigenvalues` and `basis`: that identity is how the gap routines recognize
+metrics of one state.  `f_metric_table` evaluates each function once on
 the stacked modular ratios of all states of one d.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
@@ -35,7 +35,6 @@ f(A) <= f(B) for operator monotone f.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,6 +47,7 @@ from .errors import (
     NotPSDError,
     OrderViolationError,
     PostconditionError,
+    warn,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -96,8 +96,8 @@ def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
 def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetric]]:
     """For each state, the metric of each function, in order.
 
-    The metrics of one state share the same read-only eigenvalues and basis
-    (descending, from one split of its eigendata).  The states of one d are
+    The metrics of a state share its kept eigenvalues and basis arrays
+    (descending; see the module docstring).  The states of one d are
     stacked, and each function is evaluated once on the stack of their
     modular ratios, with the entries it gives each state alone.  Raises
     NotFaithfulError for a state that is not faithful, DimensionMismatchError
@@ -110,11 +110,9 @@ def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetri
             raise NotFaithfulError("f-metric needs a faithful state")
     table: list = [None] * len(rhos)
     for idx in grouped(rho.dim for rho in rhos).values():
-        p = np.array([rhos[i].eigen.values[::-1] for i in idx])
-        u = np.array([rhos[i].eigen.vectors[:, ::-1] for i in idx])
-        ratios = p[:, :, None] / p[:, None, :]
-        for shared in (p, u, ratios):
-            shared.setflags(write=False)
+        splits = [rhos[i]._split for i in idx]
+        p = np.array([split[0] for split in splits])
+        ratios = np.array([split[2] for split in splits])
         weights = []
         for f in functions:
             values = f(ratios)
@@ -127,8 +125,7 @@ def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetri
             if (w <= 0).any():
                 raise PostconditionError("f-weights must be strictly positive")
             weights.append(w)
-        for g, i in enumerate(idx):
-            pg, ug = p[g], u[g]
+        for g, (i, (pg, ug, _)) in enumerate(zip(idx, splits)):
             table[i] = [
                 FMetric(f=f, eigenvalues=pg, basis=ug, weights=w[g])
                 for f, w in zip(functions, weights)
@@ -165,13 +162,12 @@ def eigenbasis_rotation(metric: FMetric) -> np.ndarray:
 def warn_if_ill_conditioned(metric: FMetric) -> None:
     """IllConditionedWarning when the weight spread exceeds COND_GUARD; f-adjoints
     and gaps computed from such weights carry amplified round-off.  The
-    warning names the caller of the routine that checks."""
+    warning names the line that called into the package (errors.warn)."""
     if metric.condition_number > COND_GUARD:
-        warnings.warn(
+        warn(
             f"f-Gram condition number {metric.condition_number:.3e} exceeds "
             f"{COND_GUARD:.1e}; results may lose accuracy",
             IllConditionedWarning,
-            stacklevel=3,
         )
 
 

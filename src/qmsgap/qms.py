@@ -116,6 +116,16 @@ class DensityMatrix:
     eigen: HermitianEigen
     faithful: bool
 
+    @functools.cached_property
+    def _split(self) -> tuple:
+        """Descending eigenvalues p, their basis and the modular ratios
+        p_i / p_j, read-only: made once, shared by the state's f-metrics."""
+        p = self.eigen.values[::-1].copy()
+        split = (p, self.eigen.vectors[:, ::-1].copy(), p[:, None] / p[None, :])
+        for part in split:
+            part.setflags(write=False)
+        return split
+
     @property
     def dim(self) -> int:
         return self.rho.shape[0]

@@ -620,6 +620,46 @@ def test_gap_sweep_warns_on_negative_gap(thermal):
     assert report.lambda_f == pytest.approx(-(G_UP + G_DOWN), rel=1e-12)
 
 
+def _flipped_thermal():
+    model = thermal_qubit(G_UP, G_DOWN)
+    rho = invariant_state(model)
+    return model, rho, Superoperator(dim=2, matrix=-generator(model).matrix)
+
+
+# each public entry point reaches the warning at another depth in gap.py
+NEGATIVE_GAP_CALLS = {
+    "gap_sweeps": lambda m, r, g: gap_sweeps([m], [r], [[f_metric(r, gns())]], gens=[g]),
+    "gap_sweep": lambda m, r, g: gap_sweep(m, r, [f_metric(r, gns())], gen=g),
+    "spectral_gap_f": lambda m, r, g: spectral_gap_f(m, r, f_metric(r, gns()), gen=g),
+    "gap_curve": lambda m, r, g: gap_curve(m, r, [0.5], gen=g),
+    "gap_curves": lambda m, r, g: gap_curves([m], [r], [0.5], gens=[g]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_GAP_CALLS))
+def test_negative_gap_warning_names_the_callers_line(entry):
+    model, rho, flipped = _flipped_thermal()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        NEGATIVE_GAP_CALLS[entry](model, rho, flipped)
+    (warned,) = caught
+    assert issubclass(warned.category, NegativeGapWarning)
+    assert warned.filename == __file__
+
+
+def test_ill_conditioned_warning_names_the_callers_line():
+    rho = density_matrix(
+        np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
+    )
+    model = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gap_sweep(model, rho, [f_metric(rho, gns())])
+    (warned,) = caught
+    assert issubclass(warned.category, IllConditionedWarning)
+    assert warned.filename == __file__
+
+
 def test_gap_sweep_warns_on_ill_conditioned_weights():
     rho = density_matrix(
         np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
@@ -979,6 +1019,38 @@ def test_deflated_spectrum_matches_a_compression_onto_ker_e(case, n_fixed):
         assert np.abs(report.spectrum - expected).max() <= 1e-12 * max(
             1.0, report.lambda_f
         )
+
+
+def _deflation_reports(case, n_fixed):
+    model, rho = case()
+    gen = generator(model)
+    fps = fixed_point_structure(model, rho, gen=gen)
+    assert fps.dim == n_fixed
+    metrics = [f_metric(rho, f) for f in SUITE]
+    return fps, metrics, gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+
+
+@pytest.mark.parametrize("case, n_fixed", DEFLATION_CASES)
+def test_kernel_membership_from_factors_matches_the_materialized_projector(
+    case, n_fixed
+):
+    # the frame checks E B_f through E's rank-dim N factors; the d^2 x d^2
+    # projector of the fixed-point structure must give the same defect
+    fps, metrics, reports = _deflation_reports(case, n_fixed)
+    for metric, report in zip(metrics, reports):
+        basis = decaying_subspace(metric, fps)
+        expected = np.linalg.norm(fps.projector.matrix @ basis) / np.linalg.norm(basis)
+        assert abs(report.residuals["kernel_membership"] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("case, n_fixed", DEFLATION_CASES)
+def test_invariance_defect_never_exceeds_the_adjoint_defect(case, n_fixed):
+    # both are norms of one product Z = Y^H M_f, the second of Z V with V
+    # orthonormal: |Z V| <= |Z|
+    _, _, reports = _deflation_reports(case, n_fixed)
+    for report in reports:
+        residuals = report.residuals
+        assert residuals["subspace_invariance"] <= residuals["adjoint_consistency"]
 
 
 def test_subspace_invariance_bounds_what_the_deflation_neglects(thermal):

@@ -434,6 +434,20 @@ def test_metric_table_equals_one_state_at_a_time(rng):
     assert f_metric_table([], functions) == []
 
 
+def test_metrics_of_one_state_share_its_kept_split(rng):
+    # the state keeps its descending eigen split, so metrics of separate
+    # calls carry the same read-only arrays (which is how the gap routines
+    # recognize one state)
+    rho = random_density(rng, 3)
+    first, second = f_metric(rho, kms()), f_metric(rho, kms())
+    assert first.eigenvalues is second.eigenvalues
+    assert first.basis is second.basis
+    (other,) = f_metric_table([rho], [bkm()])[0]
+    assert other.eigenvalues is first.eigenvalues and other.basis is first.basis
+    assert not first.eigenvalues.flags.writeable and not first.basis.flags.writeable
+    assert f_metric(random_density(rng, 3), kms()).basis is not first.basis
+
+
 def test_f_that_is_not_entrywise_is_named():
     rho = diag_state(0.7, 0.3)
     flat = closed_form(lambda t: 1.0, name="flat")

@@ -27,9 +27,10 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f.  So a model's frame is built once: L~ = W^H L W and, from one SVD of
-the fixed-point constraints C = Q^H diag(sqrt w_gns), Q = W^H B_N for the
-columns B_N = vec(basis of N), a unitary [V Y] with Y spanning
+f.  So a model's frame is built once: L~ = W^H L W; Q = W^H B_N and
+R~ = R W from the factors E = B_N R that fixed_point_structure solved
+for (the frame solves nothing); and, from one SVD of the fixed-point
+constraints C = Q^H diag(sqrt w_gns), a unitary [V Y] with Y spanning
 diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A
 one-model call keeps it on the model's FixedPointStructure, keyed by the
 eigendata arrays rho keeps (metric.py) and by the generator L~ came from,
@@ -50,9 +51,7 @@ of H_f's: a coupling of span Y and span V left by round-off moves them by
 at most its square over the shift.  The theorem is checked at run time,
 independently of the SVD: kernel_membership = |P~ B~_f| / |B~_f| must stay
 below MEMBERSHIP_TOL, or PostconditionError is raised.  The frame keeps no
-d^2 x d^2 P~: E = B_N R has rank dim N, and fixed_point_structure's solve
-R = (B_N^H G B_N)^{-1} B_N^H G with the GNS Gram G, which is diagonal in
-the frame, reads R~ = R W = (C C^H)^{-1} C diag(sqrt w_gns); P~ = Q R~.
+d^2 x d^2 P~ = W^H E W: it applies P~ = Q R~ as its rank-dim N factors.
 
 A function then contributes only its weight vector: a slice (one model,
 one f) is one eigvalsh of the deflated H_f plus a fixed handful of
@@ -102,7 +101,8 @@ from .errors import (
     warn,
 )
 from .linalg import (
-    Superoperator, batches, chunks, dag, expm, frobenius_norms, kron, pick
+    Superoperator, batches, chunks, dag, expm, frobenius_norms, kron, pick,
+    same_lengths,
 )
 from .metric import COND_GUARD, FMetric, f_metric_table, warn_if_ill_conditioned
 from .monotone import power
@@ -195,23 +195,21 @@ def _same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
 def _build_frames(
     fpss: Sequence[FixedPointStructure], states: Sequence[FMetric]
 ) -> list[_Frame]:
-    """State parts of the frames of models with one d and one dim N: [V Y]
-    is the conjugate transpose of the right singular vectors, from one SVD,
-    of the fixed-point constraints C = Q^H diag(sqrt w_gns), and
-    R~ = (C C^H)^{-1} C diag(sqrt w_gns) (see the module docstring)."""
+    """State parts of the frames of models with one d and one dim N: Q and
+    R~ from E's factors, and [V Y], the conjugate transpose of the right
+    singular vectors, from one SVD, of the fixed-point constraints
+    C = Q^H diag(sqrt w_gns) (see the module docstring)."""
     d, n_fixed = states[0].dim, fpss[0].dim
     u = np.array([m.basis for m in states])
     rotation = kron(u.conj(), u)
-    basis_n = np.array([fps.basis for fps in fpss]).transpose(0, 3, 2, 1)  # vec
-    span = dag(rotation) @ basis_n.reshape(len(fpss), d * d, n_fixed)
+    span = dag(rotation) @ np.array([fps.columns for fps in fpss])
     root_gns = np.sqrt(np.repeat(np.array([m.eigenvalues for m in states]), d, axis=1))
     constraints = dag(span) * root_gns[:, None, :]
     unitary = dag(np.linalg.svd(constraints)[2])
     ortho = np.maximum.reduce(
         np.abs(dag(unitary) @ unitary - np.eye(d * d)), axis=(1, 2)
     )
-    rhs = constraints * root_gns[:, None, :]  # C diag(sqrt w_gns)
-    coords = np.linalg.solve(constraints @ dag(constraints), rhs)
+    coords = np.array([fps.coefficients for fps in fpss]) @ rotation
     # C order, as the stack of a batch has it, for bit-identical products
     kernel = np.ascontiguousarray(unitary[:, :, n_fixed:])
     fixed = np.ascontiguousarray(unitary[:, :, :n_fixed])
@@ -336,8 +334,10 @@ def gap_sweeps(
     pair is one slice of the same chunked sweep (see the module docstring),
     with the result each model gets alone.  Each stage runs for all models
     before the next, so the error raised is that of the first failing stage
-    (see the module docstring).
-    """
+    (see the module docstring); lists of unequal lengths raise
+    DimensionMismatchError."""
+    same_lengths(models=models, rhos=rhos, metric_lists=metric_lists, fpss=fpss,
+                 gens=gens)
     n = len(models)
     fpss, gens = list(fpss or [None] * n), list(gens or [None] * n)
     todo = []
@@ -441,7 +441,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     beyond 1 / SUBSPACE_DROP_TOL and PostconditionError when the basis is not
     annihilated by E to MEMBERSHIP_TOL.
     """
-    _same_state([metric], fps.projector.dim, "fixed-point structure")
+    _same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
     (frame,) = _frames([fps], [metric])
     kernel, rows, _, _, span, coords = frame.parts
     if kernel.shape[1] == 0:
@@ -521,8 +521,9 @@ def semigroup_norms(
 
     The models of one d and one metric count share stacked expms over all
     times (qms.semigroups) and chunked norm stacks (linalg.batches), with
-    the result each model gets alone.
-    """
+    the result each model gets alone; lists of unequal lengths raise
+    DimensionMismatchError."""
+    same_lengths(models=models, metric_lists=metric_lists)
     for model, metrics in zip(models, metric_lists):
         if metrics:
             _same_state(metrics, model.dim, "model")
@@ -598,7 +599,9 @@ def gap_curves(
     gens: Optional[Sequence[Optional[Superoperator]]] = None,
 ) -> list[GapCurve]:
     """Power-family gap curve of each model on one alpha grid (QmsGapError
-    if it is empty): one f_metric_table and one gap_sweeps for all models."""
+    if it is empty, DimensionMismatchError for lists of unequal lengths):
+    one f_metric_table and one gap_sweeps for all models."""
+    same_lengths(models=models, rhos=rhos, fpss=fpss, gens=gens)
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
         raise QmsGapError("gap curve needs at least one alpha")

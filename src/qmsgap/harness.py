@@ -222,20 +222,6 @@ class CampaignConfig:
     def functions(self) -> tuple[MonotoneFunction, ...]:
         return tuple(cfgmod.function_from_descriptor(d) for d in self.f_suite)
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": cfgmod.SCHEMA_VERSION,
-            "seed": self.seed,
-            "n_models": self.n_models,
-            "dims": list(self.dims),
-            "f_suite": [dict(d) for d in self.f_suite],
-            "t_grid": list(self.t_grid),
-            "tolerances": dict(self.tolerances),
-            "counts": dict(self.counts),
-            "model_override": self.model_override,
-            "properties": list(self.properties),
-        }
-
     @classmethod
     def from_dict(cls, doc: dict, seed: Optional[int] = None) -> "CampaignConfig":
         if not isinstance(doc, dict):
@@ -868,14 +854,13 @@ def _degenerate_gap(cfg, rng, pool):
             r.lambda_f for r in gap_sweep(model, rho, swept, fps=entry.fps)
         )
         metrics = swept[1:]
+        projector = entry.fps.projector.matrix
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for metric, lam in zip(metrics, lambdas):
             defect = max(defect, (lam_gns - lam) / scale)
             basis = decaying_subspace(metric, entry.fps)
-            leak = float(
-                np.linalg.norm(entry.fps.projector.matrix @ basis, axis=0).max()
-            )
+            leak = float(np.linalg.norm(projector @ basis, axis=0).max())
             defect = max(defect, leak / 1e-9)
         (contraction,) = _contraction_defects(
             [entry], functions, cfg.t_grid, contraction_tol

@@ -58,7 +58,7 @@ def _as_complex_square(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return a
 
@@ -305,3 +305,12 @@ def batches(keys, per_item: int = 1):
 def pick(items, idx) -> list:
     """The items at the positions idx (one batch's rows of a column)."""
     return [items[i] for i in idx]
+
+
+def same_lengths(**lists) -> None:
+    """The per-model lists of one batched call (None for an omitted one)
+    must have one length: DimensionMismatchError naming them otherwise."""
+    given = {name: len(items) for name, items in lists.items() if items is not None}
+    if len(set(given.values())) > 1:
+        named = ", ".join(f"{name} {n}" for name, n in given.items())
+        raise DimensionMismatchError(f"per-model lists differ in length: {named}")

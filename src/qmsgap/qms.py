@@ -12,8 +12,9 @@ transpose of the generator matrix.
 
 The fixed-point algebra N = {x : L(x) = 0} carries a state-preserving
 conditional expectation E, realized here as the GNS-orthogonal projection
-onto N; the defining identities E^2 = E, E(1) = 1, tr(rho E(x)) = tr(rho x)
-and *-preservation are asserted after construction.
+onto N and kept as its two rank-dim N factors (FixedPointStructure); the
+defining identities E^2 = E, E(1) = 1, tr(rho E(x)) = tr(rho x) and
+*-preservation are asserted on those factors after construction.
 
 Models are immutable: a GKSLModel keeps read-only copies of H and the
 jumps (the caller's arrays stay as they were), so `generator` builds and
@@ -46,13 +47,14 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianEigen,
     Superoperator,
+    _as_complex_square,
     batches,
     dag,
     expm,
     frobenius,
     herm_eig,
-    kron,
     pick,
+    same_lengths,
     unvec,
     vec,
 )
@@ -89,15 +91,12 @@ class GKSLModel:
     )
 
     def __post_init__(self):
-        h = np.array(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionMismatchError("Hamiltonian must be square")
+        h = _as_complex_square(self.hamiltonian, "Hamiltonian").copy()
         if frobenius(h - dag(h)) > DEFAULT_TOL * max(1.0, frobenius(h)):
             raise NotHermitianError("Hamiltonian is not Hermitian within tolerance")
-        jumps = tuple(np.array(v, dtype=complex) for v in self.jumps)
-        for v in jumps:
-            if v.shape != h.shape:
-                raise DimensionMismatchError("jump operator dimension mismatch")
+        jumps = tuple(_as_complex_square(v, "jump").copy() for v in self.jumps)
+        if any(v.shape != h.shape for v in jumps):
+            raise DimensionMismatchError("jump operator dimension mismatch")
         for a in (h, *jumps):
             a.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -298,24 +297,37 @@ def check_invariance(
 
 @dataclass(frozen=True)
 class FixedPointStructure:
-    """Fixed-point algebra N = ker L with its conditional expectation E.
+    """Fixed-point algebra N = ker L with its conditional expectation E = B R,
+    the GNS-orthogonal projection onto N, as its rank-dim N factors: columns
+    B = [vec(b_j)], the b_j spanning N, and coefficients
+    R = (B^H G B)^{-1} (G B)^H, G the GNS Gram.  basis, dim, degenerate
+    (dim N > 1) and projector (B R, formed on each read) derive from them.
+    The gap routines keep the model's eigen frame in `_frame` (see gap.py),
+    checked against the state and generator on every use."""
 
-    basis holds matrices spanning N; projector is the GNS-orthogonal
-    projection onto N (state-preserving by construction); degenerate flags
-    dim N > 1.  The gap routines keep the model's eigen frame in `_frame`
-    (see gap.py), checked against the state and generator on every use.
-    """
-
-    basis: tuple[np.ndarray, ...]
-    projector: Superoperator
-    degenerate: bool
+    columns: np.ndarray
+    coefficients: np.ndarray
     _frame: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     @property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple(unvec(column) for column in self.columns.T)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.columns.shape[1]
+
+    @property
+    def degenerate(self) -> bool:
+        return self.dim > 1
+
+    @property
+    def projector(self) -> Superoperator:
+        return Superoperator(
+            dim=math.isqrt(len(self.columns)), matrix=self.columns @ self.coefficients
+        )
 
 
 def fixed_point_structure(
@@ -333,14 +345,13 @@ def fixed_point_structures(
 ) -> list[FixedPointStructure]:
     """The fixed-point structure of each model under its state, in order.
 
-    Requires faithful states of the model's d (QmsGapError,
-    DimensionMismatchError).  ker L is the model's kernel split
-    (`_kernels`); the projector's conditional-expectation identities are
-    asserted post hoc at 1e-9 (PostconditionError).  The models of one d
-    and one kernel dimension share stacked solves (linalg.batches).
-    """
-    if gens is None:
-        gens = [None] * len(models)
+    Requires lists of one length and faithful states of the model's d
+    (DimensionMismatchError, QmsGapError).  B is the model's split of ker L
+    (`_kernels`), R solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram,
+    E's identities are asserted on the factors (PostconditionError), and
+    models of one d and dim N share stacked solves (linalg.batches)."""
+    same_lengths(models=models, rhos=rhos, gens=gens)
+    gens = gens or [None] * len(models)
     for model, rho in zip(models, rhos):
         _check_state_dim(model, rho.dim)
         if not rho.faithful:
@@ -351,16 +362,14 @@ def fixed_point_structures(
         d, k = models[idx[0]].dim, kernels[idx[0]].shape[1]
         vecs = np.array(pick(kernels, idx))  # columns span ker L
         state = np.array([rhos[i].rho for i in idx])
-        gram = kron(state.swapaxes(1, 2), np.eye(d, dtype=complex))
-        overlap = dag(vecs) @ gram @ vecs
-        proj = vecs @ np.linalg.solve(overlap, dag(vecs) @ gram)
+        # rows vec(b_j rho)^T: the b_j^T are the C-order d x d blocks of vecs
+        blocks = vecs.reshape(len(idx), d, d, k).transpose(0, 3, 1, 2)
+        weighted = (state.swapaxes(1, 2)[:, None] @ blocks).reshape(len(idx), k, d * d)
+        coeffs = np.linalg.solve(weighted.conj() @ vecs, weighted.conj())
+        coeffs.setflags(write=False)
         for g, i in enumerate(idx):
-            out[i] = FixedPointStructure(
-                basis=tuple(unvec(vecs[g, :, j]) for j in range(k)),
-                projector=Superoperator(dim=d, matrix=proj[g]),
-                degenerate=k > 1,
-            )
-        _check_expectations(proj, state.reshape(len(idx), d * d, order="F"), d)
+            out[i] = FixedPointStructure(columns=kernels[i], coefficients=coeffs[g])
+        _check_expectations(vecs, coeffs, state.reshape(len(idx), d * d, order="F"))
     return out
 
 
@@ -376,32 +385,25 @@ def _probes(d: int) -> tuple[np.ndarray, float]:
     return columns, max(1.0, float(np.linalg.norm(probe)))
 
 
-def _check_expectations(proj: np.ndarray, states: np.ndarray, d: int) -> None:
-    """Assert E^2 = E, E(1) = 1, tr(rho E(x)) = tr(rho x) and *-preservation
-    at 1e-9 for a stack of projectors; states holds vec(rho) per row."""
-    columns, scale = _probes(d)
-    images = proj @ columns  # E(1), E(x), E(x^H)
+def _check_expectations(columns, coeffs, states) -> None:
+    """Assert R B = I (so E^2 = E), E(1) = 1, tr(rho E(x)) = tr(rho x) and
+    *-preservation at 1e-9 for stacked factors E = B R, with no d^2 x d^2
+    product; states holds vec(rho) per row."""
+    d = math.isqrt(columns.shape[1])
+    probes, scale = _probes(d)
+    images = columns @ (coeffs @ probes)  # E(1), E(x), E(x^H)
     image = images[:, :, 1].reshape(-1, d, d, order="F")
     star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
-    residuals = np.stack(
-        [
-            images[:, :, 0] - columns[:, 0],
-            (dag(proj) @ states[:, :, None])[:, :, 0] - states,
-            star.reshape(-1, d * d) / scale,
-        ],
-        axis=1,
-    )
+    preserved = dag(coeffs) @ (dag(columns) @ states[:, :, None])  # E^H vec(rho)
+    residuals = np.stack([images[:, :, 0] - probes[:, 0], preserved[:, :, 0] - states,
+                          star.reshape(-1, d * d) / scale], axis=1)
     norms = np.linalg.norm(residuals, axis=2)
-    idempotent = np.abs(proj @ proj - proj).max(axis=(1, 2))
+    idempotent = np.abs(coeffs @ columns - np.eye(columns.shape[2])).max(axis=(1, 2))
     failing = np.maximum(idempotent, norms.max(axis=1)) > 1e-9
     if failing.any():
         g = int(failing.argmax())
-        row = {
-            "idempotent": float(idempotent[g]),
-            "unital": float(norms[g, 0]),
-            "state-preserving": float(norms[g, 1]),
-            "star-preserving": float(norms[g, 2]),
-        }
+        names = ("idempotent", "unital", "state-preserving", "star-preserving")
+        row = dict(zip(names, map(float, (idempotent[g], *norms[g]))))
         raise PostconditionError(f"conditional-expectation identities fail: {row!r}")
 
 

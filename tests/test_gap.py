@@ -474,11 +474,9 @@ def test_basis_leaving_ker_e_is_named():
     rho = invariant_state(model)
     fixed = np.column_stack([vec(np.eye(2)), vec(SIGMA_X)])
     gram = gns_gram_matrix(rho)
-    proj = fixed @ np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram)
     fps = FixedPointStructure(
-        basis=(np.eye(2, dtype=complex), SIGMA_X),
-        projector=Superoperator(dim=2, matrix=proj),
-        degenerate=True,
+        columns=fixed,
+        coefficients=np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram),
     )
     (report,) = gap_sweep(model, rho, [f_metric(rho, gns())], fps=fps)
     assert report.residuals["kernel_membership"] <= 1e-12
@@ -757,6 +755,45 @@ def test_one_matrix_per_chunk_changes_nothing(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+def _length_cases():
+    # fresh models, so a generator built before the check would show
+    models = [depolarizing_qubit(GAMMA), depolarizing_qubit(2 * GAMMA)]
+    rho = density_matrix(np.eye(2) / 2.0)
+    metrics = f_metrics(rho, (gns(), kms()))
+    return {
+        "sweeps-metric_lists": (lambda: gap_sweeps(models, [rho, rho], [metrics]),
+                                "models 2, rhos 2, metric_lists 1"),
+        "sweeps-fpss": (lambda: gap_sweeps(models, [rho, rho], [metrics] * 2, [None]),
+                        "models 2, rhos 2, metric_lists 2, fpss 1"),
+        "sweeps-gens": (lambda: gap_sweeps(models, [rho] * 2, [metrics] * 2, None, []),
+                        "models 2, rhos 2, metric_lists 2, gens 0"),
+        "norms": (lambda: semigroup_norms(models, [metrics], (1.0,)),
+                  "models 2, metric_lists 1"),
+        "structures-rhos": (lambda: fixed_point_structures(models[:1], [rho, rho]),
+                            "models 1, rhos 2"),
+        "structures-models": (lambda: fixed_point_structures(models, [rho]),
+                              "models 2, rhos 1"),
+        "structures-gens": (lambda: fixed_point_structures(models, [rho] * 2, [None]),
+                            "models 2, rhos 2, gens 1"),
+        "curves-rhos": (lambda: gap_curves(models, [rho], [0.5]), "models 2, rhos 1"),
+        "curves-fpss": (lambda: gap_curves(models, [rho] * 2, [0.5], [None] * 3),
+                        "models 2, rhos 2, fpss 3"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_length_cases()))
+def test_batched_lists_of_different_lengths_are_named(case, monkeypatch):
+    call, lengths = _length_cases()[case]
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("work done before the length check")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(DimensionMismatchError) as raised:
+        call()
+    assert str(raised.value) == f"per-model lists differ in length: {lengths}"
+
+
 def _bad_expectation_case():
     # the model and E of test_basis_leaving_ker_e_is_named: the kms basis
     # leaves ker E, which the sweep finds after the frame is built
@@ -764,11 +801,9 @@ def _bad_expectation_case():
     rho = invariant_state(model)
     fixed = np.column_stack([vec(np.eye(2)), vec(SIGMA_X)])
     gram = gns_gram_matrix(rho)
-    proj = fixed @ np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram)
     fps = FixedPointStructure(
-        basis=(np.eye(2, dtype=complex), SIGMA_X),
-        projector=Superoperator(dim=2, matrix=proj),
-        degenerate=True,
+        columns=fixed,
+        coefficients=np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram),
     )
     return model, rho, [f_metric(rho, kms())], fps
 
@@ -854,7 +889,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _fresh(fps):
-    return FixedPointStructure(fps.basis, fps.projector, fps.degenerate)
+    return FixedPointStructure(fps.columns, fps.coefficients)
 
 
 def test_frame_is_built_once_per_model_and_state(monkeypatch):
@@ -871,6 +906,15 @@ def test_frame_is_built_once_per_model_and_state(monkeypatch):
     assert len(svds) == 1
     again = spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
     _assert_same_reports([again], [first])
+
+
+def test_frame_reads_the_expectation_instead_of_solving_for_it(monkeypatch):
+    # E is solved once, in fixed_point_structure; the frame reads R~ = R W
+    model, rho, _ = random_faithful_model(np.random.default_rng(9), 3)
+    fps = fixed_point_structure(model, rho)
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
+    spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
+    assert solves == []
 
 
 

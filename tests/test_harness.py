@@ -37,6 +37,8 @@ from qmsgap.qms import (
     thermal_qubit,
 )
 
+from references import campaign_config_to_dict
+
 
 def small_config(seed=7, **overrides):
     base = dict(
@@ -75,7 +77,7 @@ def test_campaign_is_deterministic(small_report):
     again = run_campaign(small_config())
     assert small_report.to_csv() == again.to_csv()
     assert small_report.n_rejected_draws == again.n_rejected_draws
-    assert small_report.config.to_dict() == again.config.to_dict()
+    assert small_report.config == again.config
 
 
 def test_campaign_csv_shape(small_report):
@@ -186,7 +188,7 @@ def test_config_validation():
 
 def test_config_roundtrip():
     cfg = small_config(seed=11)
-    again = CampaignConfig.from_dict(cfg.to_dict())
+    again = CampaignConfig.from_dict(campaign_config_to_dict(cfg))
     assert again == cfg
     assert acceptance_config().n_models == 200
 

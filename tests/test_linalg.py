@@ -57,6 +57,11 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_herm_eig_takes_a_matrix_without_a_contiguous_last_axis():
+    a = np.array([[2.0, 1j], [-1j, 3.0]]).T
+    np.testing.assert_allclose(herm_eig(a).reconstruct(), a, atol=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6))
 def test_herm_eig_reconstructs(seed, d):

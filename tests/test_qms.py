@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from qmsgap.errors import (
     PostconditionError,
     QmsGapError,
 )
-from qmsgap.linalg import Superoperator, choi_matrix, dag, frobenius, vec
+from qmsgap import qms
+from qmsgap.linalg import Superoperator, choi_matrix, dag, frobenius, unvec, vec
 from qmsgap.qms import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -277,6 +280,19 @@ def test_model_requires_hermitian_hamiltonian():
         GKSLModel(hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("where", ["Hamiltonian", "jump"])
+def test_model_with_non_finite_entries_is_named(where, bad):
+    broken = np.zeros((2, 2), dtype=complex)
+    broken[1, 0] = bad
+    if where == "Hamiltonian":
+        parts = {"hamiltonian": broken + broken.T.conj()}
+    else:
+        parts = {"hamiltonian": SIGMA_Z, "jumps": (SIGMA_MINUS, broken)}
+    with pytest.raises(DimensionMismatchError, match=f"{where} contains non-finite"):
+        GKSLModel(**parts)
+
+
 def test_pauli_constants():
     np.testing.assert_array_equal(SIGMA_X @ SIGMA_X, np.eye(2))
     np.testing.assert_array_equal(SIGMA_Y @ SIGMA_Y, np.eye(2))
@@ -384,6 +400,39 @@ def test_projection_that_is_not_an_expectation_is_named(rng):
     with pytest.raises(PostconditionError) as batched:
         fixed_point_structures([good, model, good], [half, rho, half])
     assert str(batched.value) == str(alone.value)
+
+
+def _gns_factors(rho, *basis):
+    # E = B R for orthonormal columns B and R = (B^H G B)^{-1} (G B)^H
+    columns = np.linalg.qr(np.column_stack([vec(b) for b in basis]))[0]
+    weighted = np.column_stack([vec(unvec(c) @ rho) for c in columns.T])
+    return columns, np.linalg.solve(dag(columns) @ weighted, dag(weighted))
+
+
+def _expectation_factors(case):
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    eye = np.eye(2, dtype=complex)
+    if case == "idempotent":  # coefficients doubled
+        columns, coeffs = _gns_factors(rho, eye)
+        coeffs = 2.0 * coeffs
+    elif case == "unital":  # N = span{sigma_z} lacks the identity
+        columns, coeffs = _gns_factors(rho, SIGMA_Z)
+    elif case == "state-preserving":  # Euclidean, not GNS, projection
+        columns = np.column_stack([vec(eye), vec(SIGMA_X)]) / np.sqrt(2.0)
+        coeffs = dag(columns)
+    else:  # GNS projection onto span{1, sigma_x}: not Delta-invariant
+        columns, coeffs = _gns_factors(rho, eye, SIGMA_X)
+    return columns[None], coeffs[None], vec(rho)[None]
+
+
+@pytest.mark.parametrize(
+    "identity", ["idempotent", "unital", "state-preserving", "star-preserving"]
+)
+def test_each_expectation_identity_is_checked_on_the_factors(identity):
+    with pytest.raises(PostconditionError) as raised:
+        qms._check_expectations(*_expectation_factors(identity))
+    row = ast.literal_eval(str(raised.value).split(": ", 1)[1])
+    assert row[identity] > 1e-9
 
 
 def test_state_and_fixed_points_share_one_kernel_split(rng, monkeypatch):

@@ -30,9 +30,9 @@ routines run each stage for all models before the next, so a batch that
 raises or warns is run again one draw at a time (_drawn_then_batched, the
 one place that restores model order): errors and warnings are then those
 of a model-by-model run, and a draw that fails is raised after the models
-drawn before it are checked.
-decay_equivalence redraws on the gaps it sees and degenerate_gap has ten
-cases, so those two stay one model at a time.
+drawn before it are checked.  Every model family is a draw function passed
+to _pool; decay_equivalence redraws on the gaps it sees, so it alone
+admits its models one at a time.
 
 Defects in reports are normalized: a case's defect is its worst violation
 measured in units of the property tolerance, so defect <= 1 passes.
@@ -44,7 +44,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -58,7 +58,6 @@ from .errors import (
     RateMismatchError,
 )
 from .gap import (
-    decaying_subspace,
     empirical_decay_rate,
     gap_curves,
     gap_sweep,
@@ -90,7 +89,6 @@ from .qms import (
     DensityMatrix,
     GKSLModel,
     density_matrix,
-    fixed_point_structure,
     fixed_point_structures,
     generator,
     invariant_state,
@@ -326,12 +324,6 @@ class CampaignReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def result(self, name: str) -> PropertyResult:
-        for r in self.results:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def counterexamples(self) -> list[dict]:
         out = []
         for r in self.results:
@@ -398,16 +390,26 @@ class PoolEntry:
         return f"model-{self.index:03d}"
 
 
+def _random_draw(rng: np.random.Generator, dims, index: int) -> PoolEntry:
+    """A random faithful model of d = dims[index % len(dims)] and the draws
+    rejected before it."""
+    model, rho, rejected = random_faithful_model(rng, dims[index % len(dims)])
+    return PoolEntry(index, model, rho, None, rejected)
+
+
 def _draw(cfg: CampaignConfig, rng: np.random.Generator, index: int) -> PoolEntry:
-    """The index-th pool model (the override model if the config has one)
-    and the draws rejected before it."""
+    """The index-th pool model: the override model if the config has one."""
     if cfg.model_override is not None:
         model, rho = cfgmod.model_from_dict(cfg.model_override)
         if rho is None:
             rho = invariant_state(model)
         return PoolEntry(index, model, rho, None)
-    model, rho, rejected = random_faithful_model(rng, cfg.dims[index % len(cfg.dims)])
-    return PoolEntry(index, model, rho, None, rejected)
+    return _random_draw(rng, cfg.dims, index)
+
+
+def _pool_size(cfg: CampaignConfig, n: int) -> int:
+    """n, or 1 for an override model, which never varies."""
+    return 1 if cfg.model_override is not None else n
 
 
 def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
@@ -455,11 +457,12 @@ def _columns(entries: list[PoolEntry]) -> tuple[list, list, list]:
 
 
 def _pool_entries(draws: list[PoolEntry]) -> list[PoolEntry]:
-    """Entries for the draws, batched.
+    """The draws with their fixed-point structures, batched.
 
-    Models enter a pool only after passing the structural probes:
-    unitality and *-preservation (checked by generator construction) and a
-    complete-positivity check of Phi_1 via the Choi spectrum."""
+    Every model a property checks enters here, so it has passed the
+    structural probes: unitality and *-preservation (generator
+    construction), E's identities (fixed_point_structures) and complete
+    positivity of Phi_1 (the Choi spectrum)."""
     models, rhos, _ = _columns(draws)
     fpss = fixed_point_structures(models, rhos)
     phis = semigroups(models, (1.0,))
@@ -479,14 +482,9 @@ def _pool_entries(draws: list[PoolEntry]) -> list[PoolEntry]:
     ]
 
 
-def _pool(
-    cfg: CampaignConfig,
-    rng: np.random.Generator,
-    n: int,
-    then: Optional[Callable] = None,
-) -> Iterator:
-    """n pool entries (one for an override model, which never varies), in
-    order.
+def _pool(draw: Callable, n: int, then: Optional[Callable] = None) -> Iterator:
+    """The entries of draw(0), ..., draw(n - 1), admitted by _pool_entries,
+    in order.
 
     With then (entries -> one result each), pairs (entry, result), then's
     work batched with the entries' own."""
@@ -495,8 +493,12 @@ def _pool(
         entries = _pool_entries(draws)
         return entries if then is None else list(zip(entries, then(entries)))
 
-    n = 1 if cfg.model_override is not None else n
-    return _drawn_then_batched(partial(_draw, cfg, rng), n, post)
+    return _drawn_then_batched(draw, n, post)
+
+
+def _each(entries: list[PoolEntry], then: Callable) -> list:
+    """then's results for pool entries, _BATCH entries at a time."""
+    return list(_drawn_then_batched(entries.__getitem__, len(entries), then))
 
 
 class _SharedPool:
@@ -510,9 +512,8 @@ class _SharedPool:
 
     def __iter__(self):
         if self.entries is None:
-            self.entries = list(
-                _pool(self.cfg, _rng_for(self.cfg, 0), self.cfg.n_models)
-            )
+            draw = partial(_draw, self.cfg, _rng_for(self.cfg, 0))
+            self.entries = list(_pool(draw, _pool_size(self.cfg, self.cfg.n_models)))
             self.n_rejected = sum(entry.rejected for entry in self.entries)
         return iter(self.entries)
 
@@ -521,39 +522,32 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _gaps(functions, entries: list[PoolEntry]) -> list[list[float]]:
-    """Gaps of each entry for each function, from one metric table and one
-    batched sweep (a missing fps is computed)."""
+def _reports(functions, entries: list[PoolEntry]) -> list[list]:
+    """Gap reports of each entry for each function, from one metric table
+    and one batched sweep."""
     models, rhos, fpss = _columns(entries)
-    reports = gap_sweeps(models, rhos, f_metric_table(rhos, functions), fpss)
-    return [[r.lambda_f for r in row] for row in reports]
+    return gap_sweeps(models, rhos, f_metric_table(rhos, functions), fpss)
 
 
-def _lambdas(entries: list[PoolEntry], functions) -> list[list[float]]:
-    """_gaps of the entries, _BATCH entries at a time."""
-    rows = partial(_gaps, functions)
-    return list(_drawn_then_batched(entries.__getitem__, len(entries), rows))
+def _gaps(functions, entries: list[PoolEntry]) -> list[list[float]]:
+    """The gaps of _reports."""
+    return [[r.lambda_f for r in row] for row in _reports(functions, entries)]
 
 
 def _contraction_defects(
-    entries: list[PoolEntry], functions, t_grid, tol: float
+    functions, t_grid, tol: float, entries: list[PoolEntry]
 ) -> list[float]:
     """Worst (|Phi_t|_f - 1) / tol over the time grid and the functions, for
-    each entry, from batched metric tables and semigroup_norms, _BATCH
-    entries at a time."""
-
-    def rows(entries):
-        models, rhos, _ = _columns(entries)
-        norms = semigroup_norms(models, f_metric_table(rhos, functions), t_grid)
-        defects = []
-        for per_time in norms:
-            defect = -math.inf
-            for row in per_time:
-                defect = max(defect, (float(row.max()) - 1.0) / tol)
-            defects.append(defect)
-        return defects
-
-    return list(_drawn_then_batched(entries.__getitem__, len(entries), rows))
+    each entry, from one metric table and one semigroup_norms call."""
+    models, rhos, _ = _columns(entries)
+    norms = semigroup_norms(models, f_metric_table(rhos, functions), t_grid)
+    defects = []
+    for per_time in norms:
+        defect = -math.inf
+        for row in per_time:
+            defect = max(defect, (float(row.max()) - 1.0) / tol)
+        defects.append(defect)
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +576,7 @@ class Case(NamedTuple):
 def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
     entries = list(pool)
-    rows = _lambdas(entries, (gns(),) + cfg.functions())
+    rows = _each(entries, partial(_gaps, (gns(),) + cfg.functions()))
     for entry, (lam_gns, *lambdas) in zip(entries, rows):
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
@@ -597,7 +591,9 @@ def _gap_comparison(cfg, rng, pool):
 def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
     entries = list(pool)
-    defects = _contraction_defects(entries, cfg.functions(), cfg.t_grid, tol)
+    defects = _each(
+        entries, partial(_contraction_defects, cfg.functions(), cfg.t_grid, tol)
+    )
     for entry, defect in zip(entries, defects):
         yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
@@ -656,7 +652,7 @@ def _transpose_symmetry(cfg, rng, pool):
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
     transposes = tuple(transpose(f) for f in functions)
     pairs = _pool(
-        cfg, rng, cfg.count("transpose_symmetry"),
+        partial(_draw, cfg, rng), _pool_size(cfg, cfg.count("transpose_symmetry")),
         then=partial(_gaps, functions + transposes),
     )
     for entry, lambdas in pairs:
@@ -677,7 +673,8 @@ def _curves(entries: list[PoolEntry]):
 
 def _alpha_curve(cfg, rng, pool):
     tol = cfg.tolerance("alpha_curve")
-    for entry, curve in _pool(cfg, rng, cfg.count("alpha_curve"), then=_curves):
+    draw = partial(_draw, cfg, rng)
+    for entry, curve in _pool(draw, _pool_size(cfg, cfg.count("alpha_curve")), _curves):
         scale = curve.tolerance * (tol / 1e-7)  # curve tolerance uses 1e-7
         defect = max(curve.symmetry_defect, curve.monotonicity_defect) / scale
         yield Case(
@@ -815,11 +812,8 @@ def _detailed_balance_collapse(cfg, rng, pool):
         model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
         return PoolEntry(i, model, rho, None)
 
-    def post(draws):
-        return list(zip(draws, _gaps(functions, draws)))
-
     count = cfg.count("detailed_balance_collapse")
-    for entry, lambdas in _drawn_then_batched(draw, count, post):
+    for entry, lambdas in _pool(draw, count, partial(_gaps, functions)):
         spread = max(lambdas) - min(lambdas)
         # the sweep ends with gns, so its last gap is lambda_gns
         yield Case(
@@ -838,35 +832,32 @@ def _strict_gap(cfg, rng, pool):
 
 
 def _degenerate_gap(cfg, rng, pool):
+    """The comparison on ker E of degenerate_block_model draws: each case's
+    defect is the worst of lambda_gns - lambda_f, each sweep report's
+    kernel_membership / 1e-9 and the contraction defect."""
     tol = cfg.tolerance("degenerate_gap")
-    contraction_tol = cfg.tolerance("contractivity")
     functions = cfg.functions()
-    for i in range(cfg.count("degenerate_gap")):
-        model, rho = degenerate_block_model(rng)
-        entry = PoolEntry(i, model, rho, fixed_point_structure(model, rho))
-        case_id = f"block-{i:03d}"
-        if not entry.fps.degenerate:
-            yield Case(case_id, model.dim, math.inf, model, rho)
-            continue
+    contraction = partial(
+        _contraction_defects, functions, cfg.t_grid, cfg.tolerance("contractivity")
+    )
 
-        swept = f_metrics(rho, (gns(),) + functions)
-        lam_gns, *lambdas = (
-            r.lambda_f for r in gap_sweep(model, rho, swept, fps=entry.fps)
-        )
-        metrics = swept[1:]
-        projector = entry.fps.projector.matrix
+    def draw(i):
+        return PoolEntry(i, *degenerate_block_model(rng), None)
+
+    def then(entries):
+        return list(zip(_reports((gns(),) + functions, entries), contraction(entries)))
+
+    for entry, (reports, defect) in _pool(draw, cfg.count("degenerate_gap"), then):
+        case_id = f"block-{entry.index:03d}"
+        if not entry.fps.degenerate:
+            yield Case(case_id, entry.dim, math.inf, entry.model, entry.rho)
+            continue
+        lam_gns = reports[0].lambda_f
         scale = tol * max(1.0, lam_gns)
-        defect = -math.inf
-        for metric, lam in zip(metrics, lambdas):
-            defect = max(defect, (lam_gns - lam) / scale)
-            basis = decaying_subspace(metric, entry.fps)
-            leak = float(np.linalg.norm(projector @ basis, axis=0).max())
-            defect = max(defect, leak / 1e-9)
-        (contraction,) = _contraction_defects(
-            [entry], functions, cfg.t_grid, contraction_tol
-        )
-        defect = max(defect, contraction)
-        yield Case(case_id, model.dim, defect, model, rho)
+        for report in reports:
+            membership = report.residuals["kernel_membership"] / 1e-9
+            defect = max(defect, (lam_gns - report.lambda_f) / scale, membership)
+        yield Case(case_id, entry.dim, defect, entry.model, entry.rho)
 
 
 _PROPERTY_CASES: dict[str, Callable[..., Iterator[Case]]] = {
@@ -1042,19 +1033,22 @@ class StrictGapResult:
     """Best KMS/GNS gap separation found by a plain random scan.
 
     best_* describe the draw maximizing the absolute margin
-    lambda_kms - lambda_gns; found records whether any draw exceeded the
-    relative target margin > min_ratio * lambda_gns, and max_ratio is the
-    largest relative separation seen.
+    lambda_kms - lambda_gns, max_ratio is the largest relative separation
+    seen, and found records whether it exceeds the target min_ratio.
     """
 
-    found: bool
     n_draws: int
     n_rejected: int
     best_ratio: float          # (lambda_kms - lambda_gns) / lambda_gns
     best_margin: float         # lambda_kms - lambda_gns
     best_lambda_gns: float
     best_model: Optional[dict]
-    max_ratio: float = -math.inf
+    max_ratio: float
+    min_ratio: float
+
+    @property
+    def found(self) -> bool:
+        return self.max_ratio > self.min_ratio
 
 
 def strict_gap_search(
@@ -1075,39 +1069,21 @@ def strict_gap_search(
     if rng is None:
         rng = _rng_for(cfg, 51)
     n_draws = cfg.count("strict_gap")
-    min_ratio = cfg.tolerance("strict_gap")
-
-    best = StrictGapResult(
-        found=False, n_draws=n_draws, n_rejected=0,
-        best_ratio=-math.inf, best_margin=-math.inf,
-        best_lambda_gns=math.nan, best_model=None,
-    )
-    def post(draws):
-        return list(zip(draws, _gaps((gns(), kms()), draws)))
-
-    def draw(k):
-        model, rho, n_rej = random_faithful_model(rng, dims[k % len(dims)])
-        return PoolEntry(k, model, rho, None, n_rej)
-
-    found = False
     rejected = 0
-    max_ratio = -math.inf
-    for entry, (lam_gns, lam_kms) in _drawn_then_batched(draw, n_draws, post):
+    max_ratio = best_ratio = best_margin = -math.inf
+    best_lambda_gns, best_model = math.nan, None
+    draw, gaps = partial(_random_draw, rng, dims), partial(_gaps, (gns(), kms()))
+    for entry, (lam_gns, lam_kms) in _pool(draw, n_draws, gaps):
         rejected += entry.rejected
         if lam_gns <= GNS_GAP_FLOOR or math.isinf(lam_gns):
             continue
         margin = lam_kms - lam_gns
         ratio = margin / lam_gns
         max_ratio = max(max_ratio, ratio)
-        found = found or ratio > min_ratio
-        if margin > best.best_margin:
-            best = StrictGapResult(
-                found=False,
-                n_draws=n_draws,
-                n_rejected=rejected,
-                best_ratio=ratio,
-                best_margin=margin,
-                best_lambda_gns=lam_gns,
-                best_model=cfgmod.model_to_dict(entry.model, entry.rho),
-            )
-    return replace(best, found=found, n_rejected=rejected, max_ratio=max_ratio)
+        if margin > best_margin:
+            best_ratio, best_margin, best_lambda_gns = ratio, margin, lam_gns
+            best_model = cfgmod.model_to_dict(entry.model, entry.rho)
+    return StrictGapResult(
+        n_draws, rejected, best_ratio, best_margin, best_lambda_gns, best_model,
+        max_ratio, cfg.tolerance("strict_gap"),
+    )

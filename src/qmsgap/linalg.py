@@ -59,7 +59,7 @@ def _as_complex_square(a, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise DimensionMismatchError(f"{name} contains non-finite entries")
+        raise FunctionDomainError(f"{name} contains non-finite entries")
     return a
 
 
@@ -283,7 +283,7 @@ def chunks(n: int, d: int, per_item: int = 1):
     """Consecutive slices of range(n) whose stacked d^2 x d^2 complex
     matrices, per_item for each item, fill at most CHUNK_BYTES; at least
     one item each."""
-    step = max(1, CHUNK_BYTES // (16 * d**4 * per_item))
+    step = max(1, CHUNK_BYTES // (16 * d**4 * max(1, per_item)))
     for start in range(0, n, step):
         yield slice(start, start + step)
 

@@ -122,7 +122,7 @@ def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetri
                     f"of shape {ratios.shape}: f must act entrywise"
                 )
             w = p[:, None, :] * values
-            if (w <= 0).any():
+            if not (w > 0).all():  # NaN weights fail too
                 raise PostconditionError("f-weights must be strictly positive")
             weights.append(w)
         for g, (i, (pg, ug, _)) in enumerate(zip(idx, splits)):

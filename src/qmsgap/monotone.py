@@ -57,7 +57,7 @@ def h_kernel(t, lam):
     """
     t_arr = np.asarray(t, dtype=float)
     _check_nonnegative(t_arr)
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise NegativeArgumentError("kernel parameter lam must be in [0, inf]")
     if lam == 0:
         out = np.ones_like(t_arr)
@@ -69,18 +69,14 @@ def h_kernel(t, lam):
 
 
 def _bkm_values(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    zero = t == 0.0
+    """(t - 1) / log t, by its three-term Taylor expansion in s = t - 1 where
+    |log t| < _BKM_TAYLOR_CUTOFF; t = 0 needs no branch, as -1 / -inf = 0."""
     s = t - 1.0
-    near_one = (~zero) & (np.abs(np.log(np.where(zero, 1.0, t))) < _BKM_TAYLOR_CUTOFF)
-    generic = ~(zero | near_one)
-    out[zero] = 0.0
-    # three-term expansion of (t-1)/log t around t = 1 in s = t - 1
-    sn = s[near_one]
-    out[near_one] = 1.0 + sn / 2.0 - sn * sn / 12.0
-    with np.errstate(divide="ignore"):
-        out[generic] = s[generic] / np.log(t[generic])
-    return out
+    with np.errstate(all="ignore"):
+        log = np.log(t)
+        return np.where(
+            np.abs(log) < _BKM_TAYLOR_CUTOFF, 1.0 + s / 2.0 - s * s / 12.0, s / log
+        )
 
 
 @dataclass(frozen=True)
@@ -108,20 +104,21 @@ class MonotoneFunction:
         elif self.kind == "measure":
             if not self.atoms:
                 raise QmsGapError("measure kind needs at least one atom")
+            # each check is written so that a NaN fails it
             weights = np.array([w for _, w in self.atoms], dtype=float)
-            if np.any(weights <= 0):
-                raise QmsGapError("measure weights must be positive")
+            if not (weights > 0).all() or not np.isfinite(weights).all():
+                raise QmsGapError("measure weights must be positive and finite")
             if abs(weights.sum() - 1.0) > NORMALIZATION_TOL:
                 raise QmsGapError(
                     f"measure weights sum to {weights.sum()!r}, expected 1"
                 )
-            if any(lam < 0 for lam, _ in self.atoms):
+            if not all(lam >= 0 for lam, _ in self.atoms):
                 raise NegativeArgumentError("measure atoms must lie in [0, inf]")
         elif self.kind == "closed-form":
             if self.fn is None:
                 raise QmsGapError("closed-form kind needs an evaluator")
             at_one = float(np.asarray(self.fn(np.asarray([1.0]))).reshape(())[()])
-            if abs(at_one - 1.0) > NORMALIZATION_TOL:
+            if not abs(at_one - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
                 raise QmsGapError(f"f(1) = {at_one!r} violates the normalization")
         elif self.kind not in ("gns", "anti-gns", "kms", "bkm"):
             raise QmsGapError(f"unknown monotone function kind {self.kind!r}")

@@ -300,8 +300,8 @@ class FixedPointStructure:
     """Fixed-point algebra N = ker L with its conditional expectation E = B R,
     the GNS-orthogonal projection onto N, as its rank-dim N factors: columns
     B = [vec(b_j)], the b_j spanning N, and coefficients
-    R = (B^H G B)^{-1} (G B)^H, G the GNS Gram.  basis, dim, degenerate
-    (dim N > 1) and projector (B R, formed on each read) derive from them.
+    R = (B^H G B)^{-1} (G B)^H, G the GNS Gram.  basis, dim and degenerate
+    (dim N > 1) derive from them; E itself, d^2 x d^2, is never formed.
     The gap routines keep the model's eigen frame in `_frame` (see gap.py),
     checked against the state and generator on every use."""
 
@@ -322,12 +322,6 @@ class FixedPointStructure:
     @property
     def degenerate(self) -> bool:
         return self.dim > 1
-
-    @property
-    def projector(self) -> Superoperator:
-        return Superoperator(
-            dim=math.isqrt(len(self.columns)), matrix=self.columns @ self.coefficients
-        )
 
 
 def fixed_point_structure(

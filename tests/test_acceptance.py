@@ -12,6 +12,8 @@ import pytest
 
 from qmsgap.harness import acceptance_config, run_campaign
 
+from references import property_result
+
 _ELAPSED = {}
 
 
@@ -25,7 +27,7 @@ def report():
 
 
 def _check(report, number, name, title, n_cases=None):
-    result = report.result(name)
+    result = property_result(report, name)
     verdict = "PASS" if result.passed else "FAIL"
     print(
         f"ACCEPTANCE {number:02d} {title}: {verdict} "
@@ -109,7 +111,7 @@ def test_strict_gap_ratio_is_not_set_by_round_off(report):
     # draws with an exact zero GNS gap (single-jump d = 2 models) are
     # skipped even when round-off makes that gap positive, so the largest
     # separation is a real one (5.1 at seed 42, not a rounded zero's 1e16)
-    result = report.result("strict_gap")
+    result = property_result(report, "strict_gap")
     max_ratio = result.tolerance / result.cases[0].defect
     assert result.tolerance < max_ratio < 1e3
 

@@ -89,6 +89,17 @@ def test_gap_measure_spec(capsys, tmp_path, depolarizing_config):
     )
 
 
+@pytest.mark.parametrize("atoms", ["[[1.0, NaN]]", "[[NaN, 1.0]]", "[[-Infinity, 1.0]]"])
+def test_gap_exit_3_for_non_finite_measure(capsys, tmp_path, depolarizing_config, atoms):
+    measure = tmp_path / "measure.json"
+    measure.write_text(atoms)  # json reads NaN and -Infinity literals
+    code, out, err = run(
+        capsys, "gap", depolarizing_config, "--f", f"measure:{measure}"
+    )
+    assert code == 3 and out == ""
+    assert "bad measure descriptor" in err
+
+
 def test_gap_exit_2_for_pure_invariant_state(capsys, tmp_path):
     path = tmp_path / "damping.json"
     path.write_text(json.dumps(model_to_dict(thermal_qubit(0.0, 1.0))))

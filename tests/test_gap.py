@@ -56,10 +56,11 @@ from qmsgap.qms import (
     random_density,
     random_faithful_model,
     semigroup,
+    semigroups,
     thermal_qubit,
 )
 
-from references import gns_gram_matrix
+from references import gns_gram_matrix, projector
 
 GAMMA = 0.35
 G_UP, G_DOWN = 0.3, 0.9
@@ -328,7 +329,7 @@ def test_degenerate_mode_uses_kernel_of_expectation(rng):
         basis = decaying_subspace(metric, fps)
         assert basis.shape == (16, 8)
         # every basis vector is annihilated by the conditional expectation
-        assert np.linalg.norm(fps.projector.matrix @ basis) <= 1e-9
+        assert np.linalg.norm(projector(fps).matrix @ basis) <= 1e-9
         report = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
         # off-block coherences decay at rate 2 g_z = 2 for the unit jump
         assert report.lambda_f == pytest.approx(2.0, rel=1e-12)
@@ -455,7 +456,7 @@ def test_decaying_subspace_is_f_orthonormal_in_ker_e(state):
         assert basis.shape == (rho.dim**2, n)
         gram = dag(basis) @ f_gram(metric).matrix @ basis
         np.testing.assert_allclose(gram, np.eye(n), atol=1e-12)
-        assert np.linalg.norm(fps.projector.matrix @ basis) <= 1e-12
+        assert np.linalg.norm(projector(fps).matrix @ basis) <= 1e-12
 
 
 @pytest.mark.parametrize("state", ["matrix_algebra", "geometric_d8"])
@@ -731,7 +732,7 @@ def test_mixed_stack_gives_what_one_model_calls_give():
         cases, fpss, table, sweeps, norms, curves
     ):
         fps = fixed_point_structure(model, rho)  # a frame of its own
-        np.testing.assert_array_equal(fps_b.projector.matrix, fps.projector.matrix)
+        np.testing.assert_array_equal(projector(fps_b).matrix, projector(fps).matrix)
         metrics = f_metrics(rho, SUITE)
         for a, b in zip(metrics_b, metrics):
             np.testing.assert_array_equal(a.weights, b.weights)
@@ -753,6 +754,20 @@ def test_one_matrix_per_chunk_changes_nothing(monkeypatch):
         _assert_same_reports(got, want)
     for got, want in zip(semigroup_norms(models, table, TIMES), norms):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("routine", ["semigroups", "semigroup_norms"])
+def test_an_empty_time_grid_gives_empty_arrays(routine):
+    cases = _mixed_stack()
+    models = [model for model, _ in cases]
+    table = f_metric_table([rho for _, rho in cases], SUITE)
+    if routine == "semigroups":
+        got = semigroups(models, ())
+        want = [(0, m.dim**2, m.dim**2) for m in models]
+    else:
+        got = semigroup_norms(models, table, ())
+        want = [(0, len(SUITE))] * len(models)
+    assert [a.shape for a in got] == want
 
 
 def _length_cases():
@@ -1083,7 +1098,7 @@ def test_kernel_membership_from_factors_matches_the_materialized_projector(
     fps, metrics, reports = _deflation_reports(case, n_fixed)
     for metric, report in zip(metrics, reports):
         basis = decaying_subspace(metric, fps)
-        expected = np.linalg.norm(fps.projector.matrix @ basis) / np.linalg.norm(basis)
+        expected = np.linalg.norm(projector(fps).matrix @ basis) / np.linalg.norm(basis)
         assert abs(report.residuals["kernel_membership"] - expected) <= 1e-12
 
 

@@ -37,7 +37,7 @@ from qmsgap.qms import (
     thermal_qubit,
 )
 
-from references import campaign_config_to_dict
+from references import campaign_config_to_dict, property_result
 
 
 def small_config(seed=7, **overrides):
@@ -92,13 +92,13 @@ def test_depolarizing_override_passes():
     report = run_campaign(cfg)
     assert report.all_passed
     # the override pins the pooled properties to a single model
-    assert report.result("gap_comparison").n_cases == 1
+    assert property_result(report, "gap_comparison").n_cases == 1
 
 
 def test_failed_property_reports_replayable_counterexamples():
     cfg = small_config(seed=3, tolerances={"gap_comparison": 1e-18})
     report = run_campaign(cfg)
-    failing = report.result("gap_comparison")
+    failing = property_result(report, "gap_comparison")
     if failing.passed:  # numerically exact draws; force via transpose too
         pytest.skip("all margins below 1e-18, astronomically unlikely")
     assert not report.all_passed
@@ -148,12 +148,39 @@ def test_non_degenerate_block_draw_fails_with_counterexample(monkeypatch):
     model = thermal_qubit(0.25, 1.0)
     rho = invariant_state(model)
     monkeypatch.setattr(harness, "degenerate_block_model", lambda rng: (model, rho))
-    result = run_campaign(small_config(properties=("degenerate_gap",))).result(
-        "degenerate_gap"
+    result = property_result(
+        run_campaign(small_config(properties=("degenerate_gap",))), "degenerate_gap"
     )
     assert not result.passed
     assert len(result.counterexamples) == result.n_cases == 2
     assert all("model" in doc for doc in result.counterexamples)
+
+
+def test_every_constructed_family_is_admitted_by_the_pool_probes(monkeypatch):
+    admitted = []
+    real = harness._pool_entries
+
+    def pool_entries(draws):
+        admitted.extend(draws)
+        return real(draws)
+
+    monkeypatch.setattr(harness, "_pool_entries", pool_entries)
+    names = ("detailed_balance_collapse", "strict_gap", "degenerate_gap")
+    cfg = small_config(properties=names)
+    report = run_campaign(cfg)
+    assert report.all_passed
+    assert len(admitted) == sum(cfg.count(name) for name in names)
+
+
+def test_degenerate_gap_reads_the_sweep_not_decaying_subspace(monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("decaying_subspace called")
+
+    for module in (gap, harness):
+        monkeypatch.setattr(module, "decaying_subspace", no_basis, raising=False)
+    report = run_campaign(small_config(properties=("degenerate_gap",)))
+    assert report.all_passed
+    assert property_result(report, "degenerate_gap").n_cases == 2
 
 
 def test_decay_equivalence_raises_when_draw_budget_runs_out(monkeypatch):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from qmsgap.errors import (
     BoundViolationError,
     NegativeArgumentError,
+    PostconditionError,
     QmsGapError,
 )
+from qmsgap.metric import f_metric
 from qmsgap.monotone import (
     anti_gns,
     bkm,
@@ -23,6 +25,9 @@ from qmsgap.monotone import (
     power,
     transpose,
 )
+from qmsgap.qms import density_matrix
+
+from references import bkm_masked
 
 positive_t = st.floats(min_value=1e-8, max_value=1e8)
 
@@ -42,8 +47,9 @@ def test_h_kernel_normalized_at_one(lam):
 def test_h_kernel_rejects_negative():
     with pytest.raises(NegativeArgumentError):
         h_kernel(-1.0, 2.0)
-    with pytest.raises(NegativeArgumentError):
-        h_kernel(1.0, -2.0)
+    for lam in (-2.0, math.nan):
+        with pytest.raises(NegativeArgumentError):
+            h_kernel(1.0, lam)
 
 
 def test_h_kernel_is_normalized_monotone():
@@ -68,6 +74,20 @@ def test_bkm_taylor_branch_is_smooth():
     for s in (1e-9, -1e-9, 5e-9):
         # (t-1)/log t = 1 + s/2 - s^2/12 + O(s^3)
         assert abs(f(1.0 + s) - (1.0 + s / 2.0)) < 1e-12
+
+
+def test_bkm_matches_the_masked_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    edges = [0.0, 5e-324, 1e-300, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 2e-16,
+             1.0 - 1e-16, 1e-8, 1e300]
+    t = np.concatenate([
+        edges,
+        np.exp(rng.uniform(-700.0, 690.0, 20_000)),
+        1.0 + rng.uniform(-1e-7, 1e-7, 20_000),
+    ])
+    assert np.array_equal(bkm()(t), bkm_masked(t))
+    stack = t[:450].reshape(50, 3, 3)  # the shape of stacked modular ratios
+    assert np.array_equal(bkm()(stack), bkm_masked(stack))
 
 
 def test_point_mass_at_zero_is_gns():
@@ -141,6 +161,29 @@ def test_om1_bounds_reject_square():
     square = closed_form(lambda t: t**2, name="square")
     with pytest.raises(BoundViolationError):
         check_om1_bounds(square)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[(1.0, math.nan)], [(math.nan, 1.0)], [(-math.inf, 1.0)], [(1.0, math.inf)],
+     [(0.0, 0.5), (1.0, -0.5), (2.0, 1.0)], [(0.0, 0.5), (math.nan, 0.5)]],
+)
+def test_from_measure_rejects_each_bad_atom(atoms):
+    with pytest.raises(QmsGapError):
+        from_measure(atoms)
+
+
+def test_infinite_atom_is_allowed():
+    assert from_measure([(math.inf, 1.0)])(3.0) == 3.0
+
+
+def test_closed_form_giving_nan_fails_its_checks():
+    with pytest.raises(QmsGapError, match="normalization"):
+        closed_form(lambda t: np.full_like(t, math.nan))
+    nan_off_one = closed_form(lambda t: np.where(t == 1.0, 1.0, math.nan))
+    rho = density_matrix(np.diag([0.3, 0.7]).astype(complex))
+    with pytest.raises(PostconditionError, match="strictly positive"):
+        f_metric(rho, nan_off_one)
 
 
 def test_measure_weights_must_sum_to_one():

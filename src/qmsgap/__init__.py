@@ -33,7 +33,6 @@ from .linalg import (
     Superoperator,
     choi_matrix,
     herm_eig,
-    matrix_function,
     unvec,
     vec,
 )
@@ -46,7 +45,6 @@ from .metric import (
     f_metric,
     f_metric_table,
     f_metrics,
-    f_norm,
     loewner_order_probe,
     moreau_form,
 )

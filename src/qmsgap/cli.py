@@ -25,6 +25,7 @@ from pathlib import Path
 from . import config as cfgmod
 from .errors import (
     ConfigError,
+    KernelDecisionError,
     NoFaithfulInvariantStateError,
     NonUniqueInvariantStateError,
     NotFaithfulError,
@@ -214,6 +215,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"qmsgap: input error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (
+        KernelDecisionError,
         NoFaithfulInvariantStateError,
         NonUniqueInvariantStateError,
         NotFaithfulError,

@@ -54,6 +54,11 @@ class NonUniqueInvariantStateError(QmsGapError):
     """The dual generator has a kernel of dimension greater than one."""
 
 
+class KernelDecisionError(QmsGapError):
+    """A generator singular value lies in the band where the kernel
+    dimension cannot be decided (between round-off and KERNEL_TOL)."""
+
+
 class NoFaithfulInvariantStateError(QmsGapError):
     """The unique invariant state exists but is not faithful."""
 

@@ -31,10 +31,11 @@ f.  So a model's frame is built once: L~ = W^H L W; Q = W^H B_N and
 R~ = R W from the factors E = B_N R that fixed_point_structure solved
 for (the frame solves nothing); and, from one SVD of the fixed-point
 constraints C = Q^H diag(sqrt w_gns), a unitary [V Y] with Y spanning
-diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A
-one-model call keeps it on the model's FixedPointStructure, keyed by the
-eigendata arrays rho keeps (metric.py) and by the generator L~ came from,
-so `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace` and
+diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A frame
+holds these for a stack of models, model axis first.  A frame of one
+model is kept on its FixedPointStructure, keyed by the eigendata arrays
+rho keeps (metric.py) and by the generator L~ came from, so
+`spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace` and
 `empirical_decay_rate` (with its exp(t L~)) build it only once.
 
 E is the rho-preserving conditional expectation onto the fixed-point
@@ -69,19 +70,21 @@ neither shortcut.
 Batches of models
 -----------------
 `gap_sweeps`, `gap_curves` and `semigroup_norms` take many models.  Models
-of one d and one dim N share stacks: frames are built together, and each
-(model, function) pair, or (model, time, function) triple, is one slice of
-one chunked computation.  numpy's stacked matmul, eigvalsh, svd and solve
-treat each slice as the 2-d call would, so each model gets exactly the
-numbers it gets alone; the one-model routines are these on one model,
-whose frame broadcasts over its slices.  A batch keeps no frames.  It
-runs each stage for all its models before the next, so its first error is
-that of the first failing stage; the campaign restores model order by
-running a batch that raises or warns again one model at a time
-(harness._drawn_then_batched).  Every stack holds at most linalg.CHUNK_BYTES
-(64 KiB) of d^2 x d^2 complex data: max(1, 4096 // d^4) slices or models
-(256 at d = 2, 16 at d = 4, one at d = 8), so peak memory grows with
-neither the number of models nor of functions.
+of one d and one dim N share stacks: their frame is one stack, built by
+one stacked SVD, and each (model, function) pair, or (model, time,
+function) triple, is one slice of one chunked computation that gathers
+its model's arrays from that stack.  numpy's stacked matmul, eigvalsh,
+svd and solve treat each slice as the 2-d call would, so each model gets
+exactly the numbers it gets alone; the one-model routines are these on
+one model, whose frame broadcasts over its slices.  A frame of several
+models is not kept.  A batch runs each stage for all its models before
+the next, so its first error is that of the first failing stage; the
+campaign restores model order by running a batch that raises or warns
+again one model at a time (harness._drawn_then_batched).  Every stack
+holds at most linalg.CHUNK_BYTES (64 KiB) of d^2 x d^2 complex data:
+max(1, 4096 // d^4) slices or models (256 at d = 2, 16 at d = 4, one at
+d = 8), so peak memory grows with neither the number of models nor of
+functions.
 """
 
 from __future__ import annotations
@@ -155,17 +158,19 @@ class GapReport:
 
 
 class _Frame:
-    """One model's eigen frame (see the module docstring): its state part
-    (W, the orthonormality of [V Y] and the slice parts V, |V_i|^2, Y^H,
-    Y Y^H, Q and R~) is keyed by rho's eigendata, its generator part (L~
-    and the decay stack) by the generator it was rotated from."""
+    """The eigen frame (see the module docstring) of models of one d and
+    dim N, stacked on a leading model axis: its state part (W, the
+    orthonormality of [V Y] and the slice parts V, |V_i|^2, Y^H, Y Y^H, Q
+    and R~) is keyed by the eigendata of model 0's state, its generator
+    part (L~ and model 0's decay stack) by model 0's generator.  Only a
+    one-model frame is kept, so only its keys are ever read."""
 
     __slots__ = ("basis", "eigenvalues", "rotation", "orthonormality", "parts",
                  "source", "gen", "decay")
 
     def __init__(self, metric: FMetric, rotation, ortho, parts):
         self.basis, self.eigenvalues = metric.basis, metric.eigenvalues
-        self.rotation, self.orthonormality, self.parts = rotation, float(ortho), parts
+        self.rotation, self.orthonormality, self.parts = rotation, ortho, parts
         self.source = self.gen = self.decay = None
 
 
@@ -192,12 +197,12 @@ def _same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
         raise QmsGapError("metrics of one call must come from one state")
 
 
-def _build_frames(
+def _build_frame(
     fpss: Sequence[FixedPointStructure], states: Sequence[FMetric]
-) -> list[_Frame]:
-    """State parts of the frames of models with one d and one dim N: Q and
-    R~ from E's factors, and [V Y], the conjugate transpose of the right
-    singular vectors, from one SVD, of the fixed-point constraints
+) -> _Frame:
+    """State part of the frame of models with one d and one dim N: Q and R~
+    from E's factors, and [V Y], the conjugate transpose of the right
+    singular vectors, from one stacked SVD, of the fixed-point constraints
     C = Q^H diag(sqrt w_gns) (see the module docstring)."""
     d, n_fixed = states[0].dim, fpss[0].dim
     u = np.array([m.basis for m in states])
@@ -210,53 +215,40 @@ def _build_frames(
         np.abs(dag(unitary) @ unitary - np.eye(d * d)), axis=(1, 2)
     )
     coords = np.array([fps.coefficients for fps in fpss]) @ rotation
-    # C order, as the stack of a batch has it, for bit-identical products
+    # C order, as a gathered stack has it, for bit-identical products
     kernel = np.ascontiguousarray(unitary[:, :, n_fixed:])
     fixed = np.ascontiguousarray(unitary[:, :, :n_fixed])
     fixed_h = dag(fixed)
     rows = np.add.reduce((kernel.conj() * kernel).real, axis=-1)
     parts = (kernel, rows, np.ascontiguousarray(fixed_h), fixed @ fixed_h, span, coords)
-    return [_Frame(m, rotation[g], ortho[g], tuple(part[g] for part in parts))
-            for g, m in enumerate(states)]
+    return _Frame(states[0], rotation, ortho, parts)
 
 
-def _frames(
+def _frame(
     fpss: Sequence[FixedPointStructure],
     states: Sequence[FMetric],
     gens: Optional[Sequence[Superoperator]] = None,
-    keep: bool = True,
-) -> list[_Frame]:
-    """The frame of each model (states[i] is a metric of its state), from
-    its FixedPointStructure when that frame serves the state, else built;
-    with gens, its L~ too.  The models share one d and one dim N and fit one
-    chunk (linalg.chunks), as one batch of gap_sweeps or one model does, so
-    the missing frames are built as one stack and the stale generators
-    rotated as another.
+) -> _Frame:
+    """The frame of models (states[i] a metric of model i's state) that
+    share one d and one dim N and fit one chunk (linalg.chunks); with gens,
+    their L~ too.
 
-    A frame built with keep is kept on the FixedPointStructure.  The
-    batched routines build without it: each frame of a batch serves once,
-    and keeping a whole pool's frames would hold their memory for as long
-    as the pool lives."""
-    frames = [
-        fps._frame if fps._frame is not None and _one_state(fps._frame, m) else None
-        for fps, m in zip(fpss, states)
-    ]
-    todo = [i for i, frame in enumerate(frames) if frame is None]
-    if todo:
-        for i, frame in zip(todo, _build_frames(pick(fpss, todo), pick(states, todo))):
-            frames[i] = frame
-            if keep:
-                object.__setattr__(fpss[i], "_frame", frame)
-    stale = [] if gens is None else [
-        i for i, (frame, gen) in enumerate(zip(frames, gens)) if frame.source is not gen
-    ]
-    if stale:
-        rotation = np.array([frames[i].rotation for i in stale])
-        rotated = dag(rotation) @ np.array([gens[i].matrix for i in stale]) @ rotation
-        for i, gen in zip(stale, rotated):
-            frame = frames[i]
-            frame.source, frame.gen, frame.decay = gens[i], gen, None
-    return frames
+    One model takes the frame kept on its FixedPointStructure when that
+    frame serves the state, and otherwise builds and keeps one; its L~ is
+    rotated again only for another generator.  Several models build their
+    frame as one stack, rotate their generators as another and keep
+    nothing: such a frame serves once, and keeping a whole pool's frames
+    would hold their memory for as long as the pool lives."""
+    frame = fpss[0]._frame if len(fpss) == 1 else None
+    if frame is None or not _one_state(frame, states[0]):
+        frame = _build_frame(fpss, states)
+        if len(fpss) == 1:
+            object.__setattr__(fpss[0], "_frame", frame)
+    if gens is not None and frame.source is not gens[0]:
+        rotation = frame.rotation
+        frame.gen = dag(rotation) @ np.array([gen.matrix for gen in gens]) @ rotation
+        frame.source, frame.decay = gens[0], None
+    return frame
 
 
 def _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, metrics):
@@ -360,19 +352,17 @@ def gap_sweeps(
             for m, fps, metrics in zip(models, fpss, metric_lists)]
     for rows in batches(keys):
         lists = pick(metric_lists, rows)
-        frames = _frames(
-            pick(fpss, rows), [ms[0] for ms in lists], pick(gens, rows), keep=n == 1
-        )
-        out = iter(_sweep_group(frames, lists, fpss[rows[0]].dim))
+        frame = _frame(pick(fpss, rows), [ms[0] for ms in lists], pick(gens, rows))
+        out = iter(_sweep_group(frame, lists, fpss[rows[0]].dim))
         for i, metrics in zip(rows, lists):
             reports[i] = [next(out) for _ in metrics]
     return reports
 
 
-def _sweep_group(frames, metric_lists, n_fixed: int) -> list[GapReport]:
-    """Reports of models with one d and one dim N, metric_lists[g] on
-    frames[g], in model order.  Warns IllConditionedWarning for weights
-    spread beyond COND_GUARD, also when nothing decays."""
+def _sweep_group(frame: _Frame, metric_lists, n_fixed: int) -> list[GapReport]:
+    """Reports of models with one d and one dim N, metric_lists[g] on model
+    g of the frame, in model order.  Warns IllConditionedWarning for
+    weights spread beyond COND_GUARD, also when nothing decays."""
     metrics = [m for ms in metric_lists for m in ms]
     weights = _weights(metrics)
     ordered = np.sort(weights, axis=1)  # one sort gives min(w_f) and max(w_f)
@@ -384,14 +374,13 @@ def _sweep_group(frames, metric_lists, n_fixed: int) -> list[GapReport]:
     if n_fixed == d * d:
         return [GapReport(m.f.label, math.inf, n_fixed, np.empty(0), {})
                 for m in metrics]
-    ortho = [f.orthonormality for f, ms in zip(frames, metric_lists) for _ in ms]
-    arrays = (*frames[0].parts, frames[0].gen)  # broadcast alone
-    if len(frames) > 1:  # each slice takes the frame of its model
-        owner = np.repeat(np.arange(len(frames)), [len(ms) for ms in metric_lists])
-        stacks = [np.array(part) for part in zip(*((*f.parts, f.gen) for f in frames))]
+    owner = np.repeat(np.arange(len(metric_lists)), [len(ms) for ms in metric_lists])
+    ortho = frame.orthonormality[owner].tolist()
+    stacks = (*frame.parts, frame.gen)
+    arrays = [stack[0] for stack in stacks]  # one model broadcasts alone
     reports = []
     for c in chunks(len(metrics), d):
-        if len(frames) > 1:
+        if len(metric_lists) > 1:  # each slice takes the frame of its model
             arrays = [stack[owner[c]] for stack in stacks]
         reports += _sweep_chunk(
             *arrays, weights[c], ratios[c], ortho[c], metrics[c], n_fixed
@@ -442,15 +431,15 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     annihilated by E to MEMBERSHIP_TOL.
     """
     _same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
-    (frame,) = _frames([fps], [metric])
-    kernel, rows, _, _, span, coords = frame.parts
+    frame = _frame([fps], [metric])
+    kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
     if kernel.shape[1] == 0:
         return kernel
     weights = _weights([metric])
     root = np.sqrt(weights)
     ratios = (weights.max(axis=1) / weights.min(axis=1)).tolist()
     _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, [metric])
-    return frame.rotation @ (kernel / root[0][:, None])
+    return frame.rotation[0] @ (kernel / root[0][:, None])
 
 
 def _rotations(
@@ -648,8 +637,8 @@ def empirical_decay_rate(
         gen = generator(model)
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
-    (frame,) = _frames([fps], [metric], [gen])
-    kernel, *_ = frame.parts
+    frame = _frame([fps], [metric], [gen])
+    kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:
         return math.inf
     weights = _weights([metric])[0]
@@ -663,7 +652,7 @@ def empirical_decay_rate(
         )
     basis = raw @ (vecs / np.sqrt(vals))
     if frame.decay is None:
-        frame.decay = expm(_DECAY_TIMES[:, None, None] * frame.gen)
+        frame.decay = expm(_DECAY_TIMES[:, None, None] * frame.gen[0])
     scaled = np.sqrt(weights)[:, None] * (frame.decay @ basis)
     rates = -np.log(np.linalg.norm(scaled, 2, axis=(1, 2))) / _DECAY_TIMES
     return float((8.0 * rates[0] - 6.0 * rates[1] + rates[2]) / 3.0)

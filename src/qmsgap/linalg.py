@@ -137,12 +137,6 @@ def _eval_on_spectrum(g, values: np.ndarray) -> np.ndarray:
     return gv
 
 
-def matrix_function(a, g) -> np.ndarray:
-    """``U g(L) U^H`` for a positive semidefinite ``a = U L U^H``, with
-    round-off negatives clipped as in `HermitianEigen.apply_psd`."""
-    return herm_eig(a).apply_psd(g)
-
-
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the
 # 1-norm up to which it is accurate to double precision (Higham, SIAM J.
 # Matrix Anal. Appl. 26 (2005) 1179).

@@ -149,11 +149,6 @@ def f_inner(metric: FMetric, x, y) -> complex:
     return complex(np.sum(metric.weights * xt.conj() * yt))
 
 
-def f_norm(metric: FMetric, x) -> float:
-    xt = to_eigenbasis(metric, x)
-    return float(np.sqrt(np.sum(metric.weights * np.abs(xt) ** 2)))
-
-
 def eigenbasis_rotation(metric: FMetric) -> np.ndarray:
     """Unitary W = conj(U) (x) U, so that W^H vec(x) = vec(U^H x U)."""
     return kron(metric.basis.conj(), metric.basis)

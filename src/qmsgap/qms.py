@@ -23,7 +23,7 @@ returns that same read-only Superoperator on every later call.  Every
 routine that takes a model therefore shares one generator per model, with
 or without the optional `gen=` argument.  The invariant state spans
 ker L_* and the fixed-point algebra is ker L, so both come from one SVD and
-one KERNEL_TOL decision per model, also kept on the model (`_kernels`).
+one kernel decision per model, also kept on the model (`_kernels`).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    KernelDecisionError,
     NoFaithfulInvariantStateError,
     NonUniqueInvariantStateError,
     NotHermitianError,
@@ -222,16 +223,28 @@ def _kernels(model: GKSLModel, gen: Optional[Superoperator] = None) -> tuple:
     """Columns spanning ker L_* and ker L, from one SVD of L_* = L^H.
 
     L_* = U S V^H gives L = V S U^H, so for the singular values at most
-    KERNEL_TOL times the largest, the right singular vectors span ker L_*
-    and the left ones ker L (PostconditionError when there are none).  The
-    model keeps them, read-only, for its own generator but not another gen.
+    tau0 = 100 d^2 eps_mach s_max, the right singular vectors span ker L_*
+    and the left ones ker L (PostconditionError when there are none).  A
+    singular value in (tau0, KERNEL_TOL s_max] is too close to call, as
+    round-off or as a slow mode, and raises KernelDecisionError; a model
+    whose slowest mode lies below tau0 is decoupled to working precision
+    and counts it as a fixed point.  The model keeps the columns,
+    read-only, for its own generator but not another gen.
     """
     own = gen is None or gen is model._generator
     if own and model._kernels is not None:
         return model._kernels
     u, svals, vh = np.linalg.svd((gen or generator(model)).matrix.conj().T)
     top = max(float(svals[0]), 1e-300)
-    k = int(np.sum(svals <= KERNEL_TOL * top))
+    zero, cut = 100 * model.dim**2 * np.finfo(float).eps * top, KERNEL_TOL * top
+    thin = svals[(svals > zero) & (svals <= cut)]
+    if thin.size:
+        raise KernelDecisionError(
+            f"generator singular value {thin[-1]:.3e} lies between the zero "
+            f"edge {zero:.3e} and the kernel cut {cut:.3e}: the kernel "
+            f"dimension is too close to call"
+        )
+    k = int(np.sum(svals <= zero))
     if k == 0:
         raise PostconditionError("generator kernel is empty; 1 should be fixed")
     split = (vh[-k:].conj().T, u[:, -k:].copy())
@@ -471,7 +484,7 @@ def random_faithful_model(
 ) -> tuple[GKSLModel, DensityMatrix, int]:
     """Draw random models until the invariant state is unique and faithful
     with min eigenvalue above DRAW_EIG_FLOOR; returns the rejected-draw
-    count.
+    count.  A draw whose kernel dimension is too close to call is rejected.
 
     The eigenvalue floor keeps the modular spectrum, and with it every
     f-weight matrix, inside comfortable double-precision range.
@@ -481,7 +494,8 @@ def random_faithful_model(
         model = random_model(rng, dim)
         try:
             rho = invariant_state(model)
-        except (NonUniqueInvariantStateError, NoFaithfulInvariantStateError):
+        except (KernelDecisionError, NonUniqueInvariantStateError,
+                NoFaithfulInvariantStateError):
             rejected += 1
             continue
         if rho.eigen.values.min() > DRAW_EIG_FLOOR:

@@ -281,6 +281,18 @@ def test_gap_exit_2_without_unique_state(capsys, tmp_path):
     assert code == 2 and "ill-posed" in err
 
 
+COUPLED_BLOCKS = Path(__file__).parent / "data" / "coupled_blocks_1e-4.json"
+
+
+@pytest.mark.parametrize("command", ["gap", "curve"])
+def test_exit_2_for_a_kernel_dimension_too_close_to_call(capsys, command):
+    # blocks coupled at eps = 1e-4, rho supplied: the slow mode's singular
+    # value lies between the round-off edge and KERNEL_TOL
+    code, out, err = run(capsys, command, str(COUPLED_BLOCKS))
+    assert code == 2 and out == ""
+    assert "ill-posed" in err and "too close to call" in err
+
+
 def test_log_level_env_var(capsys, depolarizing_config, monkeypatch):
     import logging
 

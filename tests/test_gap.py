@@ -10,6 +10,7 @@ from qmsgap import gap, linalg
 from qmsgap.errors import (
     DimensionMismatchError,
     IllConditionedWarning,
+    KernelDecisionError,
     NegativeGapWarning,
     NonUniqueInvariantStateError,
     PostconditionError,
@@ -923,6 +924,38 @@ def test_frame_is_built_once_per_model_and_state(monkeypatch):
     _assert_same_reports([again], [first])
 
 
+def test_a_one_model_call_keeps_exactly_one_frame():
+    model, rho, _ = random_faithful_model(np.random.default_rng(9), 3)
+    fps = fixed_point_structure(model, rho)
+    assert fps._frame is None
+    gap_sweeps([model], [rho], [f_metrics(rho, SUITE)], [fps])
+    kept = fps._frame
+    assert kept is not None and kept.rotation.shape[0] == 1  # one model
+    spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
+    assert fps._frame is kept
+
+
+def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch):
+    dims = (2, 2, 3, 2, 3)
+    draws = [random_faithful_model(np.random.default_rng(40 + i), d)[:2]
+             for i, d in enumerate(dims)]
+    models, rhos = map(list, zip(*draws))
+    gens = [generator(m) for m in models]
+    fpss = fixed_point_structures(models, rhos, gens)
+    metric_lists = [f_metrics(rho, SUITE) for rho in rhos]
+    stacks = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        stacks.append(a.shape[:-2])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    gap_sweeps(models, rhos, metric_lists, fpss, gens)
+    assert sorted(stacks) == [(2,), (3,)]  # one per (d, dim N) group
+    assert all(fps._frame is None for fps in fpss)
+
+
 def test_frame_reads_the_expectation_instead_of_solving_for_it(monkeypatch):
     # E is solved once, in fixed_point_structure; the frame reads R~ = R W
     model, rho, _ = random_faithful_model(np.random.default_rng(9), 3)
@@ -997,13 +1030,6 @@ def _coupled_blocks(eps):
     return model, density_matrix(np.kron(eye / 2.0, np.diag([0.2, 0.8])))
 
 
-_THIN_KERNEL_CUT = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the KERNEL_TOL cut counts the 2 eps^2 singular "
-    "value as kernel, and the supplied state gets the gap 0.625",
-)
-
-
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 def test_weakly_coupled_blocks_have_gap_two_eps_squared(eps):
     model, rho = _coupled_blocks(eps)
@@ -1011,20 +1037,17 @@ def test_weakly_coupled_blocks_have_gap_two_eps_squared(eps):
     assert lam == pytest.approx(2.0 * eps**2, rel=1e-6)
 
 
-@pytest.mark.parametrize(
-    "eps", [pytest.param(eps, marks=_THIN_KERNEL_CUT) for eps in (1e-4, 1e-5)]
-)
+@pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
 def test_nearly_decoupled_blocks_get_their_gap_or_a_named_error(eps):
+    # the slow mode's singular value 2 eps^2-ish lies between the round-off
+    # edge and KERNEL_TOL: too close to call, so the kernel cut refuses it
     model, rho = _coupled_blocks(eps)
-    try:
-        lam = spectral_gap_f(model, rho, f_metric(rho, gns())).lambda_f
-    except QmsGapError:  # a kernel decision too thin to make is refused
-        return
-    assert lam == pytest.approx(2.0 * eps**2, rel=1e-6)
+    with pytest.raises(KernelDecisionError, match="too close to call"):
+        spectral_gap_f(model, rho, f_metric(rho, gns()))
 
 
 def test_invariant_state_is_unique_exactly_when_the_fixed_points_are_scalars():
-    cases = [_coupled_blocks(eps) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+    cases = [_coupled_blocks(eps) for eps in (1e-2, 1e-3)]
     cases.append(degenerate_block_model(np.random.default_rng(6)))
     dims = []
     for model, rho in cases:
@@ -1036,6 +1059,12 @@ def test_invariant_state_is_unique_exactly_when_the_fixed_points_are_scalars():
         dims.append(fixed_point_structure(model, rho).dim)
         assert unique == (dims[-1] == 1)
     assert min(dims) == 1 < max(dims)
+    for eps in (1e-4, 1e-5):  # the cut cannot decide these
+        model, rho = _coupled_blocks(eps)
+        with pytest.raises(KernelDecisionError):
+            invariant_state(model)
+        with pytest.raises(KernelDecisionError):
+            fixed_point_structure(model, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from qmsgap.errors import (
     DimensionMismatchError,
     FunctionDomainError,
+    KernelDecisionError,
     NoFaithfulInvariantStateError,
     NonUniqueInvariantStateError,
     NotHermitianError,
@@ -264,6 +265,20 @@ def test_random_faithful_model_conditioning(rng):
         _, rho, _ = random_faithful_model(rng, d)
         assert rho.faithful
         assert rho.eigen.values.min() > 1e-4
+
+
+def test_random_faithful_model_rejects_a_kernel_too_close_to_call(monkeypatch):
+    real, calls = qms.invariant_state, []
+
+    def undecided_first(model):
+        calls.append(model)
+        if len(calls) == 1:
+            raise KernelDecisionError("too close to call")
+        return real(model)
+
+    monkeypatch.setattr(qms, "invariant_state", undecided_first)
+    model, _, rejected = random_faithful_model(np.random.default_rng(3), 2)
+    assert rejected >= 1 and model is calls[-1] and len(calls) == rejected + 1
 
 
 def test_density_matrix_validation():

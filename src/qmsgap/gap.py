@@ -32,8 +32,8 @@ R~ = R W from the factors E = B_N R that fixed_point_structure solved
 for (the frame solves nothing); and, from one SVD of the fixed-point
 constraints C = Q^H diag(sqrt w_gns), a unitary [V Y] with Y spanning
 diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A frame
-holds these for a stack of models, model axis first.  A frame of one
-model is kept on its FixedPointStructure, keyed by the eigendata arrays
+holds these for a stack of models, model axis first.  A one-model call
+keeps its frame on its FixedPointStructure, keyed by the eigendata arrays
 rho keeps (metric.py) and by the generator L~ came from, so
 `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace` and
 `empirical_decay_rate` (with its exp(t L~)) build it only once.
@@ -76,8 +76,8 @@ function) triple, is one slice of one chunked computation that gathers
 its model's arrays from that stack.  numpy's stacked matmul, eigvalsh,
 svd and solve treat each slice as the 2-d call would, so each model gets
 exactly the numbers it gets alone; the one-model routines are these on
-one model, whose frame broadcasts over its slices.  A frame of several
-models is not kept.  A batch runs each stage for all its models before
+one model, whose frame broadcasts over its slices.  A call on several
+models keeps no frame.  A batch runs each stage for all its models before
 the next, so its first error is that of the first failing stage; the
 campaign restores model order by running a batch that raises or warns
 again one model at a time (harness._drawn_then_batched).  Every stack
@@ -234,16 +234,14 @@ def _frame(
     their L~ too.
 
     One model takes the frame kept on its FixedPointStructure when that
-    frame serves the state, and otherwise builds and keeps one; its L~ is
-    rotated again only for another generator.  Several models build their
-    frame as one stack, rotate their generators as another and keep
-    nothing: such a frame serves once, and keeping a whole pool's frames
-    would hold their memory for as long as the pool lives."""
+    frame serves the state; its L~ is rotated again only for another
+    generator.  Otherwise the frame is built, for several models as one
+    stack.  A one-model call keeps it; a batched call keeps none, also for
+    a group of one model (every group at d = 8): such a frame serves once,
+    and a pool's frames would be held as long as the pool."""
     frame = fpss[0]._frame if len(fpss) == 1 else None
     if frame is None or not _one_state(frame, states[0]):
         frame = _build_frame(fpss, states)
-        if len(fpss) == 1:
-            object.__setattr__(fpss[0], "_frame", frame)
     if gens is not None and frame.source is not gens[0]:
         rotation = frame.rotation
         frame.gen = dag(rotation) @ np.array([gen.matrix for gen in gens]) @ rotation
@@ -353,6 +351,8 @@ def gap_sweeps(
     for rows in batches(keys):
         lists = pick(metric_lists, rows)
         frame = _frame(pick(fpss, rows), [ms[0] for ms in lists], pick(gens, rows))
+        if n == 1:
+            object.__setattr__(fpss[0], "_frame", frame)
         out = iter(_sweep_group(frame, lists, fpss[rows[0]].dim))
         for i, metrics in zip(rows, lists):
             reports[i] = [next(out) for _ in metrics]
@@ -432,6 +432,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     """
     _same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
     frame = _frame([fps], [metric])
+    object.__setattr__(fps, "_frame", frame)
     kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
     if kernel.shape[1] == 0:
         return kernel
@@ -638,6 +639,7 @@ def empirical_decay_rate(
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
     frame = _frame([fps], [metric], [gen])
+    object.__setattr__(fps, "_frame", frame)
     kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:
         return math.inf

@@ -22,17 +22,18 @@ invariant state) are counted, never silently dropped.
 Batching: a property draws its models one after another, in the order of
 its stream (rejection sampling consumes the stream, so the draws cannot be
 stacked), and then does the work after the draws for all of them at once:
-fixed-point structures, the Choi check, metrics, gaps, curves and
-semigroup norms go through the batched routines of qms, metric and gap,
-which stack the models of one shape and give each the result it gets
-alone.  The cases come out with the same ids in the same order.  Those
-routines run each stage for all models before the next, so a batch that
-raises or warns is run again one draw at a time (_drawn_then_batched, the
-one place that restores model order): errors and warnings are then those
-of a model-by-model run, and a draw that fails is raised after the models
-drawn before it are checked.  Every model family is a draw function passed
-to _pool; decay_equivalence redraws on the gaps it sees, so it alone
-admits its models one at a time.
+metrics, fixed-point structures, gaps, curves and semigroup norms go
+through the batched routines of metric, qms and gap, which stack the
+models of one shape and give each the result it gets alone.  The cases
+come out with the same ids in the same order.  Those routines run each
+stage for all models before the next, so a batch that raises or warns is
+run again one draw at a time (_drawn_then_batched, the one place that
+restores model order): errors and warnings are then those of a
+model-by-model run, and a draw that fails is raised after the models drawn
+before it are checked.  No admission stage is needed: qms.generator checks
+that each generator gives a unital completely positive semigroup, and the
+gap routines assert E's identities.  decay_equivalence redraws on the gaps
+it sees, so it alone checks its models one at a time.
 
 Defects in reports are normalized: a case's defect is its worst violation
 measured in units of the property tolerance, so defect <= 1 passes.
@@ -64,7 +65,7 @@ from .gap import (
     gap_sweeps,
     semigroup_norms,
 )
-from .linalg import batches, choi_matrix, dag, frobenius
+from .linalg import dag, frobenius
 from .metric import (
     QuadraticForm,
     f_adjoint,
@@ -89,12 +90,11 @@ from .qms import (
     DensityMatrix,
     GKSLModel,
     density_matrix,
-    fixed_point_structures,
+    fixed_point_structure,
     generator,
     invariant_state,
     random_density,
     random_faithful_model,
-    semigroups,
 )
 
 PROPERTY_ORDER = (
@@ -373,12 +373,11 @@ class CampaignReport:
 
 @dataclass(frozen=True)
 class PoolEntry:
-    """A drawn model; fps is None until the batch after the draws sets it."""
+    """A drawn model, its state and the draws rejected before it."""
 
     index: int
     model: GKSLModel
     rho: DensityMatrix
-    fps: object
     rejected: int = 0  # draws discarded before this model
 
     @property
@@ -394,7 +393,7 @@ def _random_draw(rng: np.random.Generator, dims, index: int) -> PoolEntry:
     """A random faithful model of d = dims[index % len(dims)] and the draws
     rejected before it."""
     model, rho, rejected = random_faithful_model(rng, dims[index % len(dims)])
-    return PoolEntry(index, model, rho, None, rejected)
+    return PoolEntry(index, model, rho, rejected)
 
 
 def _draw(cfg: CampaignConfig, rng: np.random.Generator, index: int) -> PoolEntry:
@@ -403,7 +402,7 @@ def _draw(cfg: CampaignConfig, rng: np.random.Generator, index: int) -> PoolEntr
         model, rho = cfgmod.model_from_dict(cfg.model_override)
         if rho is None:
             rho = invariant_state(model)
-        return PoolEntry(index, model, rho, None)
+        return PoolEntry(index, model, rho)
     return _random_draw(rng, cfg.dims, index)
 
 
@@ -449,56 +448,17 @@ def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
             raise error
 
 
-def _columns(entries: list[PoolEntry]) -> tuple[list, list, list]:
-    """The models, states and fixed-point structures of the entries."""
-    return (
-        [e.model for e in entries], [e.rho for e in entries], [e.fps for e in entries]
+def _columns(entries: list[PoolEntry]) -> tuple[list, list]:
+    """The models and states of the entries."""
+    return [e.model for e in entries], [e.rho for e in entries]
+
+
+def _pool(draw: Callable, n: int, then: Callable) -> Iterator:
+    """Pairs (entry, result) for the entries draw(0), ..., draw(n - 1), in
+    order, then (entries -> one result each) batched by _drawn_then_batched."""
+    return _drawn_then_batched(
+        draw, n, lambda entries: list(zip(entries, then(entries)))
     )
-
-
-def _pool_entries(draws: list[PoolEntry]) -> list[PoolEntry]:
-    """The draws with their fixed-point structures, batched.
-
-    Every model a property checks enters here, so it has passed the
-    structural probes: unitality and *-preservation (generator
-    construction), E's identities (fixed_point_structures) and complete
-    positivity of Phi_1 (the Choi spectrum)."""
-    models, rhos, _ = _columns(draws)
-    fpss = fixed_point_structures(models, rhos)
-    phis = semigroups(models, (1.0,))
-    floors = np.empty(len(draws))
-    for idx in batches((m.dim,) for m in models):
-        choi = choi_matrix(np.array([phis[i][0] for i in idx]))
-        floors[idx] = np.linalg.eigvalsh((choi + dag(choi)) / 2.0)[:, 0]
-    for floor in floors:
-        if floor < -1e-9:
-            raise QmsGapError(
-                f"generated map is not completely positive: Choi floor "
-                f"{floor:.3e}"
-            )
-    return [
-        PoolEntry(x.index, x.model, x.rho, fps, x.rejected)
-        for x, fps in zip(draws, fpss)
-    ]
-
-
-def _pool(draw: Callable, n: int, then: Optional[Callable] = None) -> Iterator:
-    """The entries of draw(0), ..., draw(n - 1), admitted by _pool_entries,
-    in order.
-
-    With then (entries -> one result each), pairs (entry, result), then's
-    work batched with the entries' own."""
-
-    def post(draws):
-        entries = _pool_entries(draws)
-        return entries if then is None else list(zip(entries, then(entries)))
-
-    return _drawn_then_batched(draw, n, post)
-
-
-def _each(entries: list[PoolEntry], then: Callable) -> list:
-    """then's results for pool entries, _BATCH entries at a time."""
-    return list(_drawn_then_batched(entries.__getitem__, len(entries), then))
 
 
 class _SharedPool:
@@ -512,8 +472,9 @@ class _SharedPool:
 
     def __iter__(self):
         if self.entries is None:
-            draw = partial(_draw, self.cfg, _rng_for(self.cfg, 0))
-            self.entries = list(_pool(draw, _pool_size(self.cfg, self.cfg.n_models)))
+            rng = _rng_for(self.cfg, 0)
+            n = _pool_size(self.cfg, self.cfg.n_models)
+            self.entries = [_draw(self.cfg, rng, i) for i in range(n)]
             self.n_rejected = sum(entry.rejected for entry in self.entries)
         return iter(self.entries)
 
@@ -525,8 +486,8 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
 def _reports(functions, entries: list[PoolEntry]) -> list[list]:
     """Gap reports of each entry for each function, from one metric table
     and one batched sweep."""
-    models, rhos, fpss = _columns(entries)
-    return gap_sweeps(models, rhos, f_metric_table(rhos, functions), fpss)
+    models, rhos = _columns(entries)
+    return gap_sweeps(models, rhos, f_metric_table(rhos, functions))
 
 
 def _gaps(functions, entries: list[PoolEntry]) -> list[list[float]]:
@@ -539,7 +500,7 @@ def _contraction_defects(
 ) -> list[float]:
     """Worst (|Phi_t|_f - 1) / tol over the time grid and the functions, for
     each entry, from one metric table and one semigroup_norms call."""
-    models, rhos, _ = _columns(entries)
+    models, rhos = _columns(entries)
     norms = semigroup_norms(models, f_metric_table(rhos, functions), t_grid)
     defects = []
     for per_time in norms:
@@ -576,8 +537,8 @@ class Case(NamedTuple):
 def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
     entries = list(pool)
-    rows = _each(entries, partial(_gaps, (gns(),) + cfg.functions()))
-    for entry, (lam_gns, *lambdas) in zip(entries, rows):
+    gaps = partial(_gaps, (gns(),) + cfg.functions())
+    for entry, (lam_gns, *lambdas) in _pool(entries.__getitem__, len(entries), gaps):
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for lam in lambdas:
@@ -591,10 +552,8 @@ def _gap_comparison(cfg, rng, pool):
 def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
     entries = list(pool)
-    defects = _each(
-        entries, partial(_contraction_defects, cfg.functions(), cfg.t_grid, tol)
-    )
-    for entry, defect in zip(entries, defects):
+    defects = partial(_contraction_defects, cfg.functions(), cfg.t_grid, tol)
+    for entry, defect in _pool(entries.__getitem__, len(entries), defects):
         yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
 
@@ -617,10 +576,11 @@ def _decay_equivalence(cfg, rng, pool):
     rejected = 0
     while produced < n_wanted and attempts < 20 * n_wanted:
         attempts += 1
-        (entry,) = _pool_entries([_draw(cfg, rng, produced)])
+        entry = _draw(cfg, rng, produced)
         rejected += entry.rejected
+        fps = fixed_point_structure(entry.model, entry.rho)
         metrics = f_metrics(entry.rho, functions)
-        reports = gap_sweep(entry.model, entry.rho, metrics, fps=entry.fps)
+        reports = gap_sweep(entry.model, entry.rho, metrics, fps=fps)
         if (
             min(r.lambda_f for r in reports) < _DECAY_GAP_FLOOR
             and cfg.model_override is None
@@ -629,9 +589,7 @@ def _decay_equivalence(cfg, rng, pool):
             continue
         defect = -math.inf
         for metric, report in zip(metrics, reports):
-            measured = empirical_decay_rate(
-                entry.model, entry.rho, metric, fps=entry.fps
-            )
+            measured = empirical_decay_rate(entry.model, entry.rho, metric, fps=fps)
             rel = abs(measured - report.lambda_f) / max(report.lambda_f, 1e-12)
             defect = max(defect, rel / tol)
         yield Case(
@@ -667,8 +625,8 @@ def _transpose_symmetry(cfg, rng, pool):
 
 
 def _curves(entries: list[PoolEntry]):
-    models, rhos, fpss = _columns(entries)
-    return gap_curves(models, rhos, _CURVE_ALPHAS, fpss)
+    models, rhos = _columns(entries)
+    return gap_curves(models, rhos, _CURVE_ALPHAS)
 
 
 def _alpha_curve(cfg, rng, pool):
@@ -810,7 +768,7 @@ def _detailed_balance_collapse(cfg, rng, pool):
 
     def draw(i):
         model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
-        return PoolEntry(i, model, rho, None)
+        return PoolEntry(i, model, rho)
 
     count = cfg.count("detailed_balance_collapse")
     for entry, lambdas in _pool(draw, count, partial(_gaps, functions)):
@@ -833,8 +791,8 @@ def _strict_gap(cfg, rng, pool):
 
 def _degenerate_gap(cfg, rng, pool):
     """The comparison on ker E of degenerate_block_model draws: each case's
-    defect is the worst of lambda_gns - lambda_f, each sweep report's
-    kernel_membership / 1e-9 and the contraction defect."""
+    defect is the worst of lambda_gns - lambda_f and the contraction defect.
+    The sweep itself raises when an f-basis leaves ker E."""
     tol = cfg.tolerance("degenerate_gap")
     functions = cfg.functions()
     contraction = partial(
@@ -842,21 +800,20 @@ def _degenerate_gap(cfg, rng, pool):
     )
 
     def draw(i):
-        return PoolEntry(i, *degenerate_block_model(rng), None)
+        return PoolEntry(i, *degenerate_block_model(rng))
 
     def then(entries):
         return list(zip(_reports((gns(),) + functions, entries), contraction(entries)))
 
     for entry, (reports, defect) in _pool(draw, cfg.count("degenerate_gap"), then):
         case_id = f"block-{entry.index:03d}"
-        if not entry.fps.degenerate:
+        if reports[0].kernel_dim <= 1:
             yield Case(case_id, entry.dim, math.inf, entry.model, entry.rho)
             continue
         lam_gns = reports[0].lambda_f
         scale = tol * max(1.0, lam_gns)
         for report in reports:
-            membership = report.residuals["kernel_membership"] / 1e-9
-            defect = max(defect, (lam_gns - report.lambda_f) / scale, membership)
+            defect = max(defect, (lam_gns - report.lambda_f) / scale)
         yield Case(case_id, entry.dim, defect, entry.model, entry.rho)
 
 

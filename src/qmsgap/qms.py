@@ -5,8 +5,10 @@ Heisenberg generator
 
     L(x) = i [H, x] + sum_j ( V_j^H x V_j - (1/2) {V_j^H V_j, x} )
 
-is unital (L(1) = 0) and *-preserving, and Phi_t = exp(t L) is a semigroup
-of unital completely positive maps.  States evolve under the trace dual
+is unital (L(1) = 0), *-preserving and conditionally completely positive,
+so Phi_t = exp(t L) is a semigroup of unital completely positive maps
+(Lindblad; Gorini, Kossakowski and Sudarshan), and `generator` asserts all
+three on every matrix it builds.  States evolve under the trace dual
 L_*, whose matrix in column-stacking coordinates is the conjugate
 transpose of the generator matrix.
 
@@ -50,6 +52,7 @@ from .linalg import (
     Superoperator,
     _as_complex_square,
     batches,
+    choi_matrix,
     dag,
     expm,
     frobenius,
@@ -151,8 +154,15 @@ def density_matrix(
 
 
 def generator(model: GKSLModel) -> Superoperator:
-    """Matrix of the Heisenberg generator; checks unitality and *-preservation.
+    """Matrix of the Heisenberg generator, checked to generate a semigroup
+    of unital completely positive maps for every t >= 0.
 
+    That holds exactly when L(1) = 0, L is *-preserving and L is
+    conditionally completely positive: its Choi matrix is positive
+    semidefinite off Omega = vec(1) / sqrt(d) (Lindblad, Commun. Math. Phys.
+    48, 1976; Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 1976).
+    PostconditionError unless each holds within max(1, max |L|) times
+    1e-10, 1e-9 and 1e-9 (the floor of the compressed Choi matrix).
     Built and checked on the first call for a model; the model keeps the
     result, with a read-only matrix, and later calls return that object.
     """
@@ -169,12 +179,24 @@ def generator(model: GKSLModel) -> Superoperator:
     gen = Superoperator(dim=d, matrix=mat)
 
     scale = max(1.0, float(np.abs(mat).max()))
+    margin = 1e-9 * scale
     images = mat @ _probes(d)[0]  # L(1), L(x), L(x^H)
     if np.linalg.norm(images[:, 0]) > DEFAULT_TOL * scale:
         raise PostconditionError("generator fails unitality L(1) = 0")
     image = images[:, 1].reshape((d, d), order="F")
-    if frobenius(images[:, 2].reshape((d, d), order="F") - dag(image)) > 1e-9 * scale:
+    if frobenius(images[:, 2].reshape((d, d), order="F") - dag(image)) > margin:
         raise PostconditionError("generator is not *-preserving")
+    complement = _omega_complement(d)  # real: its transpose is its adjoint
+    block = complement.T @ choi_matrix(mat) @ complement
+    block.flat[:: d * d] += margin  # the diagonal of the d^2 - 1 square block
+    try:  # succeeds iff no eigenvalue of the compression lies below -margin
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        floor = float(np.linalg.eigvalsh(block)[0]) - margin
+        raise PostconditionError(
+            f"generator is not conditionally completely positive: compressed "
+            f"Choi floor {floor:.3e} below {-margin:.3e}"
+        ) from None
     mat.setflags(write=False)
     object.__setattr__(model, "_generator", gen)
     return gen
@@ -390,6 +412,19 @@ def _probes(d: int) -> tuple[np.ndarray, float]:
     columns = np.stack([np.eye(d, dtype=complex).reshape(n), probe, probe_h], axis=1)
     columns.setflags(write=False)
     return columns, max(1.0, float(np.linalg.norm(probe)))
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_complement(d: int) -> np.ndarray:
+    """A real d^2 x (d^2 - 1) isometry onto the complement of vec(1),
+    read-only: the Householder reflection that takes e_1 to -vec(1) /
+    sqrt(d), less its first column."""
+    u = np.eye(d).reshape(d * d) / math.sqrt(d)
+    u[0] += 1.0
+    reflection = np.eye(d * d) - (2.0 / (u @ u)) * np.outer(u, u)
+    complement = reflection[:, 1:].astype(complex)
+    complement.setflags(write=False)
+    return complement
 
 
 def _check_expectations(columns, coeffs, states) -> None:

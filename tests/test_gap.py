@@ -956,6 +956,16 @@ def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch)
     assert all(fps._frame is None for fps in fpss)
 
 
+def test_a_batch_of_d8_models_keeps_no_frame():
+    # at d = 8 a chunk holds one model, so each model is a group of its own
+    rng = np.random.default_rng(8)
+    draws = [random_faithful_model(rng, 8)[:2] for _ in range(3)]
+    models, rhos = map(list, zip(*draws))
+    fpss = fixed_point_structures(models, rhos)
+    gap_sweeps(models, rhos, [f_metrics(rho, (gns(), kms())) for rho in rhos], fpss)
+    assert all(fps._frame is None for fps in fpss)
+
+
 def test_frame_reads_the_expectation_instead_of_solving_for_it(monkeypatch):
     # E is solved once, in fixed_point_structure; the frame reads R~ = R W
     model, rho, _ = random_faithful_model(np.random.default_rng(9), 3)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmsgap import gap, harness, linalg
+from qmsgap import gap, harness, linalg, qms
 from qmsgap.config import load_json, model_from_dict, model_to_dict
 from qmsgap.errors import (
     ConfigError,
@@ -156,20 +156,41 @@ def test_non_degenerate_block_draw_fails_with_counterexample(monkeypatch):
     assert all("model" in doc for doc in result.counterexamples)
 
 
-def test_every_constructed_family_is_admitted_by_the_pool_probes(monkeypatch):
-    admitted = []
-    real = harness._pool_entries
+def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
+    # every generator matrix qms.generator builds passes its Choi check
+    # (qms.choi_matrix); every model a family draws must have been built so
+    checked = []
+    real_choi = qms.choi_matrix
 
-    def pool_entries(draws):
-        admitted.extend(draws)
-        return real(draws)
+    def choi(matrix):
+        checked.append(matrix)
+        return real_choi(matrix)
 
-    monkeypatch.setattr(harness, "_pool_entries", pool_entries)
-    names = ("detailed_balance_collapse", "strict_gap", "degenerate_gap")
-    cfg = small_config(properties=names)
-    report = run_campaign(cfg)
-    assert report.all_passed
-    assert len(admitted) == sum(cfg.count(name) for name in names)
+    monkeypatch.setattr(qms, "choi_matrix", choi)
+    drawn = {}
+
+    def recording(name, real):
+        def draw(*args):
+            out = real(*args)
+            model = out.model if isinstance(out, harness.PoolEntry) else out[0]
+            drawn.setdefault(name, []).append(model)
+            return out
+
+        monkeypatch.setattr(harness, name, draw)
+
+    # _draw: the shared pool, the transpose, alpha and decay draws and the
+    # override; _random_draw: the strict-gap scan (and _draw's random models)
+    names = ("_draw", "_random_draw", "random_detailed_balance",
+             "degenerate_block_model")
+    for name in names:
+        recording(name, getattr(harness, name))
+    assert run_campaign(small_config()).all_passed
+    override = load_json(ROOT / "configs" / "thermal_qubit.json")
+    run_campaign(small_config(model_override=override))
+    assert sorted(drawn) == sorted(names)  # every family drew a model
+    for models in drawn.values():
+        for model in models:
+            assert any(m is model._generator.matrix for m in checked)
 
 
 def test_degenerate_gap_reads_the_sweep_not_decaying_subspace(monkeypatch):
@@ -353,10 +374,10 @@ def test_campaign_csv_does_not_depend_on_the_chunk_size(monkeypatch):
     assert run_campaign(cfg).to_csv() == want
 
 
-def _fail_in_order(monkeypatch, sweep_fails=None, choi_fails=None, draw_fails=None):
-    """Make the sweep, the Choi check or the draw of the given pool model
-    fail, so that a stage-by-stage batch would meet them in another order
-    than a model-by-model run."""
+def _fail_in_order(monkeypatch, sweep_fails=None, table_fails=None, draw_fails=None):
+    """Make the sweep, the metric table before it or the draw of the given
+    pool model fail, so that a stage-by-stage batch would meet them in
+    another order than a model-by-model run."""
     drawn = {}
     real_draw = harness._draw
 
@@ -366,12 +387,13 @@ def _fail_in_order(monkeypatch, sweep_fails=None, choi_fails=None, draw_fails=No
         drawn[index] = real_draw(cfg, rng, index)
         return drawn[index]
 
-    real_semigroups = harness.semigroups
+    real_table = harness.f_metric_table
 
-    def semigroups(models, times):
-        bad = drawn.get(choi_fails)
-        phis = real_semigroups(models, times)
-        return [-phi if bad and m is bad.model else phi for m, phi in zip(models, phis)]
+    def f_metric_table(rhos, functions):
+        bad = drawn.get(table_fails)
+        if bad and any(rho is bad.rho for rho in rhos):
+            raise QmsGapError(f"metrics of model {table_fails} fail")
+        return real_table(rhos, functions)
 
     real_sweeps = harness.gap_sweeps
 
@@ -382,18 +404,18 @@ def _fail_in_order(monkeypatch, sweep_fails=None, choi_fails=None, draw_fails=No
         return real_sweeps(models, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_draw", draw)
-    monkeypatch.setattr(harness, "semigroups", semigroups)
+    monkeypatch.setattr(harness, "f_metric_table", f_metric_table)
     monkeypatch.setattr(harness, "gap_sweeps", gap_sweeps)
 
 
 def test_pool_raises_the_error_a_model_by_model_run_meets_first(monkeypatch):
     cfg = small_config(properties=("transpose_symmetry",))
-    _fail_in_order(monkeypatch, sweep_fails=1, choi_fails=2)
+    _fail_in_order(monkeypatch, sweep_fails=1, table_fails=2)
     with pytest.raises(PostconditionError, match="sweep of model 1 fails"):
         run_campaign(cfg)
     monkeypatch.undo()
-    _fail_in_order(monkeypatch, choi_fails=2)
-    with pytest.raises(QmsGapError, match="not completely positive"):
+    _fail_in_order(monkeypatch, table_fails=2)
+    with pytest.raises(QmsGapError, match="metrics of model 2 fail"):
         run_campaign(cfg)
 
 
@@ -435,16 +457,18 @@ def _warn_for_model(monkeypatch, module, name, index, message):
 
 
 def test_pool_warns_in_the_order_of_a_model_by_model_run(monkeypatch):
-    # model 1 warns in the sweep and model 2 in the Choi check before it,
+    # model 1 warns in the sweep and model 2 in the metric table before it,
     # so a stage-by-stage batch would warn for model 2 first
     cfg = small_config(properties=("transpose_symmetry",))
     want = run_campaign(cfg).to_csv()
     _warn_for_model(monkeypatch, harness, "gap_sweeps", 1, "sweep of model 1")
-    _warn_for_model(monkeypatch, harness, "semigroups", 2, "choi of model 2")
+    _warn_for_model(monkeypatch, harness, "f_metric_table", 2, "metrics of model 2")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = run_campaign(cfg).to_csv()
-    assert [str(w.message) for w in caught] == ["sweep of model 1", "choi of model 2"]
+    assert [str(w.message) for w in caught] == [
+        "sweep of model 1", "metrics of model 2"
+    ]
     assert got == want
 
 

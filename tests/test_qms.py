@@ -336,6 +336,34 @@ def test_generator_rejects_a_map_that_is_not_star_preserving():
         generator(model)
 
 
+def test_generator_rejects_a_map_that_is_not_conditionally_completely_positive(
+    monkeypatch,
+):
+    # -L of an H = 0 model is unital and *-preserving, but off vec(1) its
+    # Choi matrix is minus that of x -> sum_j V_j^H x V_j
+    real = np.kron
+    monkeypatch.setattr(np, "kron", lambda a, b: -real(a, b))
+    model = thermal_qubit(0.3, 0.9)
+    with pytest.raises(
+        PostconditionError, match="not conditionally completely positive"
+    ):
+        generator(model)
+    assert model._generator is None
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_conditional_complete_positivity_floor_is_round_off(rng, d):
+    # off Omega = vec(1) / sqrt(d) the Choi matrix of a GKSL generator is
+    # that of x -> sum_j V_j^H x V_j, so its floor is 0 up to round-off,
+    # far inside the 1e-9 * max(1, max |L|) margin the generator allows
+    omega = np.eye(d).reshape(-1) / np.sqrt(d)
+    off = np.eye(d * d) - np.outer(omega, omega)
+    for _ in range(5):
+        choi = choi_matrix(generator(random_model(rng, d)))
+        floor = np.linalg.eigvalsh(off @ ((choi + dag(choi)) / 2.0) @ off)[0]
+        assert abs(floor) < 1e-13
+
+
 def test_model_and_generator_arrays_are_read_only(random_complex):
     h = random_complex(3, 3)
     h = (h + dag(h)) / 2.0

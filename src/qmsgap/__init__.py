@@ -73,6 +73,7 @@ from .qms import (
     generator,
     invariant_state,
     random_faithful_model,
+    random_faithful_models,
     random_model,
     semigroup,
     semigroups,

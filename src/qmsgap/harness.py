@@ -19,9 +19,11 @@ versions.  Property streams are independent, so the report is the same
 regardless of evaluation order.  Rejected model draws (no unique faithful
 invariant state) are counted, never silently dropped.
 
-Batching: a property draws its models one after another, in the order of
-its stream (rejection sampling consumes the stream, so the draws cannot be
-stacked), and then does the work after the draws for all of them at once:
+Batching: a property takes its models _BATCH at a time.  Its random
+draws are one stack (qms.random_faithful_models: the candidates are
+decided together, and the stream is replayed exactly at a rejection), so
+each model, state and rejected count is the one a draw-by-draw loop over
+the stream gives.  The work after the draws is done for the whole batch:
 metrics, fixed-point structures, gaps, curves and semigroup norms go
 through the batched routines of metric, qms and gap, which stack the
 models of one shape and give each the result it gets alone.  The cases
@@ -95,6 +97,7 @@ from .qms import (
     invariant_state,
     random_density,
     random_faithful_model,
+    random_faithful_models,
 )
 
 PROPERTY_ORDER = (
@@ -389,21 +392,29 @@ class PoolEntry:
         return f"model-{self.index:03d}"
 
 
-def _random_draw(rng: np.random.Generator, dims, index: int) -> PoolEntry:
-    """A random faithful model of d = dims[index % len(dims)] and the draws
-    rejected before it."""
-    model, rho, rejected = random_faithful_model(rng, dims[index % len(dims)])
-    return PoolEntry(index, model, rho, rejected)
+def _random_draws(rng: np.random.Generator, dims, indices) -> Iterator:
+    """For each index, a random faithful model of d = dims[index % len(dims)]
+    and the draws rejected before it, drawn as one stack
+    (qms.random_faithful_models)."""
+    drawn = random_faithful_models(rng, [dims[i % len(dims)] for i in indices])
+    return (PoolEntry(i, *x) for i, x in zip(indices, drawn))
 
 
 def _draw(cfg: CampaignConfig, rng: np.random.Generator, index: int) -> PoolEntry:
-    """The index-th pool model: the override model if the config has one."""
+    """The index-th pool model, drawn alone: the override model if the
+    config has one."""
+    if cfg.model_override is None:
+        d = cfg.dims[index % len(cfg.dims)]
+        return PoolEntry(index, *random_faithful_model(rng, d))
+    model, rho = cfgmod.model_from_dict(cfg.model_override)
+    return PoolEntry(index, model, invariant_state(model) if rho is None else rho)
+
+
+def _draws(cfg: CampaignConfig, rng: np.random.Generator, indices) -> Iterator:
+    """The pool models at the indices, random ones drawn as one stack."""
     if cfg.model_override is not None:
-        model, rho = cfgmod.model_from_dict(cfg.model_override)
-        if rho is None:
-            rho = invariant_state(model)
-        return PoolEntry(index, model, rho)
-    return _random_draw(rng, cfg.dims, index)
+        return (_draw(cfg, rng, i) for i in indices)
+    return _random_draws(rng, cfg.dims, indices)
 
 
 def _pool_size(cfg: CampaignConfig, n: int) -> int:
@@ -412,26 +423,26 @@ def _pool_size(cfg: CampaignConfig, n: int) -> int:
 
 
 def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
-    """post's results for the draws draw(0), ..., draw(n - 1), taken in order.
+    """post's results for the draws 0, ..., n - 1, taken in order.
 
-    The draws are taken and post-processed _BATCH at a time: post maps a
-    list of draws to one result each and runs once per batch.  When it
-    raises or warns on a batch of several draws, it runs again on one draw
-    at a time, in order: the warnings then come as a model-by-model run
-    gives them, and the first failing draw raises its own error, with the
-    same type and message.  A draw that raises ends the drawing; its error
-    is raised after post has checked the draws before it, as a
-    model-by-model run would have.
+    The draws are taken and post-processed _BATCH at a time: draw maps a
+    range of indices to an iterator of their draws, and post maps a list of
+    draws to one result each; each runs once per batch.  When post raises
+    or warns on a batch of several draws, it runs again on one draw at a
+    time, in order: the warnings then come as a model-by-model run gives
+    them, and the first failing draw raises its own error, with the same
+    type and message.  A draw that raises ends the drawing; its error is
+    raised after post has checked the draws before it, as a model-by-model
+    run would have.
     """
     for start in range(0, n, _BATCH):
         draws = []
         error = None
-        for i in range(start, min(n, start + _BATCH)):
-            try:
-                draws.append(draw(i))
-            except Exception as exc:  # raised below, after the earlier draws
-                error = exc
-                break
+        try:
+            for x in draw(range(start, min(n, start + _BATCH))):
+                draws.append(x)
+        except Exception as exc:  # raised below, after the earlier draws
+            error = exc
         results = None
         if len(draws) > 1:
             with warnings.catch_warnings(record=True) as caught:
@@ -454,8 +465,9 @@ def _columns(entries: list[PoolEntry]) -> tuple[list, list]:
 
 
 def _pool(draw: Callable, n: int, then: Callable) -> Iterator:
-    """Pairs (entry, result) for the entries draw(0), ..., draw(n - 1), in
-    order, then (entries -> one result each) batched by _drawn_then_batched."""
+    """Pairs (entry, result) for the entries 0, ..., n - 1 of draw (a range
+    of indices -> their entries), in order, then (entries -> one result
+    each) batched by _drawn_then_batched."""
     return _drawn_then_batched(
         draw, n, lambda entries: list(zip(entries, then(entries)))
     )
@@ -463,7 +475,7 @@ def _pool(draw: Callable, n: int, then: Callable) -> Iterator:
 
 class _SharedPool:
     """The models that gap comparison and contractivity quantify over,
-    drawn from spawn key 0 on first use."""
+    drawn from spawn key 0 on first use, _BATCH at a time."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -474,7 +486,8 @@ class _SharedPool:
         if self.entries is None:
             rng = _rng_for(self.cfg, 0)
             n = _pool_size(self.cfg, self.cfg.n_models)
-            self.entries = [_draw(self.cfg, rng, i) for i in range(n)]
+            draw = partial(_draws, self.cfg, rng)
+            self.entries = list(_drawn_then_batched(draw, n, list))
             self.n_rejected = sum(entry.rejected for entry in self.entries)
         return iter(self.entries)
 
@@ -538,7 +551,8 @@ def _gap_comparison(cfg, rng, pool):
     tol = cfg.tolerance("gap_comparison")
     entries = list(pool)
     gaps = partial(_gaps, (gns(),) + cfg.functions())
-    for entry, (lam_gns, *lambdas) in _pool(entries.__getitem__, len(entries), gaps):
+    draw = partial(map, entries.__getitem__)
+    for entry, (lam_gns, *lambdas) in _pool(draw, len(entries), gaps):
         scale = tol * max(1.0, lam_gns)
         defect = -math.inf
         for lam in lambdas:
@@ -553,7 +567,8 @@ def _contractivity(cfg, rng, pool):
     tol = cfg.tolerance("contractivity")
     entries = list(pool)
     defects = partial(_contraction_defects, cfg.functions(), cfg.t_grid, tol)
-    for entry, defect in _pool(entries.__getitem__, len(entries), defects):
+    draw = partial(map, entries.__getitem__)
+    for entry, defect in _pool(draw, len(entries), defects):
         yield Case(entry.case_id, entry.dim, defect, entry.model, entry.rho)
 
 
@@ -610,7 +625,7 @@ def _transpose_symmetry(cfg, rng, pool):
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
     transposes = tuple(transpose(f) for f in functions)
     pairs = _pool(
-        partial(_draw, cfg, rng), _pool_size(cfg, cfg.count("transpose_symmetry")),
+        partial(_draws, cfg, rng), _pool_size(cfg, cfg.count("transpose_symmetry")),
         then=partial(_gaps, functions + transposes),
     )
     for entry, lambdas in pairs:
@@ -631,7 +646,7 @@ def _curves(entries: list[PoolEntry]):
 
 def _alpha_curve(cfg, rng, pool):
     tol = cfg.tolerance("alpha_curve")
-    draw = partial(_draw, cfg, rng)
+    draw = partial(_draws, cfg, rng)
     for entry, curve in _pool(draw, _pool_size(cfg, cfg.count("alpha_curve")), _curves):
         scale = curve.tolerance * (tol / 1e-7)  # curve tolerance uses 1e-7
         defect = max(curve.symmetry_defect, curve.monotonicity_defect) / scale
@@ -766,9 +781,10 @@ def _detailed_balance_collapse(cfg, rng, pool):
     tol = cfg.tolerance("detailed_balance_collapse")
     functions = cfg.functions() + (gns(),)
 
-    def draw(i):
-        model, rho = random_detailed_balance(rng, cfg.dims[i % len(cfg.dims)])
-        return PoolEntry(i, model, rho)
+    def draw(indices):
+        for i in indices:
+            d = cfg.dims[i % len(cfg.dims)]
+            yield PoolEntry(i, *random_detailed_balance(rng, d))
 
     count = cfg.count("detailed_balance_collapse")
     for entry, lambdas in _pool(draw, count, partial(_gaps, functions)):
@@ -799,8 +815,8 @@ def _degenerate_gap(cfg, rng, pool):
         _contraction_defects, functions, cfg.t_grid, cfg.tolerance("contractivity")
     )
 
-    def draw(i):
-        return PoolEntry(i, *degenerate_block_model(rng))
+    def draw(indices):
+        return (PoolEntry(i, *degenerate_block_model(rng)) for i in indices)
 
     def then(entries):
         return list(zip(_reports((gns(),) + functions, entries), contraction(entries)))
@@ -1029,7 +1045,7 @@ def strict_gap_search(
     rejected = 0
     max_ratio = best_ratio = best_margin = -math.inf
     best_lambda_gns, best_model = math.nan, None
-    draw, gaps = partial(_random_draw, rng, dims), partial(_gaps, (gns(), kms()))
+    draw, gaps = partial(_random_draws, rng, dims), partial(_gaps, (gns(), kms()))
     for entry, (lam_gns, lam_kms) in _pool(draw, n_draws, gaps):
         rejected += entry.rejected
         if lam_gns <= GNS_GAP_FLOOR or math.isinf(lam_gns):

@@ -282,18 +282,23 @@ def chunks(n: int, d: int, per_item: int = 1):
         yield slice(start, start + step)
 
 
-def batches(keys, per_item: int = 1):
+def batches(keys, per_item: int = 1) -> list:
     """Positions of items with equal keys, each key a tuple whose first
     entry is the items' d, or None for an item to leave out: one list per
     group and chunk (see chunks).
 
     The batched routines stack the models that share a shape this way, so
     peak memory grows with neither the number of models nor of functions.
+    A lone item skips the grouping: the one-model routines run this way.
     """
-    for key, idx in grouped(keys).items():
-        if key is not None:
-            for c in chunks(len(idx), key[0], per_item):
-                yield idx[c]
+    keys = list(keys)
+    if len(keys) == 1:
+        return [] if keys[0] is None else [[0]]
+    return [
+        idx[c]
+        for key, idx in grouped(keys).items() if key is not None
+        for c in chunks(len(idx), key[0], per_item)
+    ]
 
 
 def pick(items, idx) -> list:

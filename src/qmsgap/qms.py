@@ -26,6 +26,13 @@ routine that takes a model therefore shares one generator per model, with
 or without the optional `gen=` argument.  The invariant state spans
 ker L_* and the fixed-point algebra is ker L, so both come from one SVD and
 one kernel decision per model, also kept on the model (`_kernels`).
+
+Every check and solve here runs on stacks: `_generators`, `_kernels`,
+`_invariant_states` and `fixed_point_structures` serve the models of one d
+with one stacked call per stage, each model getting bit for bit what it
+gets alone, and `generator`, `invariant_state` and `fixed_point_structure`
+are them on one model.  `random_faithful_models` decides a batch of draws
+as one stack.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConvergenceFailureError,
     DimensionMismatchError,
     KernelDecisionError,
     NoFaithfulInvariantStateError,
@@ -56,6 +64,7 @@ from .linalg import (
     dag,
     expm,
     frobenius,
+    frobenius_norms,
     herm_eig,
     pick,
     same_lengths,
@@ -155,7 +164,8 @@ def density_matrix(
 
 def generator(model: GKSLModel) -> Superoperator:
     """Matrix of the Heisenberg generator, checked to generate a semigroup
-    of unital completely positive maps for every t >= 0.
+    of unital completely positive maps for every t >= 0: _generators for
+    one model.
 
     That holds exactly when L(1) = 0, L is *-preserving and L is
     conditionally completely positive: its Choi matrix is positive
@@ -168,6 +178,40 @@ def generator(model: GKSLModel) -> Superoperator:
     """
     if model._generator is not None:
         return model._generator
+    return _generators([model])[0]
+
+
+def _generators(models: Sequence[GKSLModel], gens=None) -> list[Superoperator]:
+    """gens (None: all omitted) with each omitted one replaced by its
+    model's generator, as generator gives it.
+
+    Each is built from its own np.kron terms, and those of one d are
+    checked as stacks (linalg.batches): the PostconditionError of the first
+    failing model of a stack, whose models then keep no generator.  A model
+    listed twice keeps the first."""
+    out = list(gens or [None] * len(models))
+    mats = [
+        _generator_matrix(m) if g is None and m._generator is None else None
+        for m, g in zip(models, out)
+    ]
+    keys = ((m.dim,) if x is not None else None for m, x in zip(models, mats))
+    for idx in batches(keys):
+        _check_generators(_stack(pick(mats, idx)))
+        for i in idx:
+            if models[i]._generator is None:
+                mats[i].setflags(write=False)
+                gen = Superoperator(dim=models[i].dim, matrix=mats[i])
+                object.__setattr__(models[i], "_generator", gen)
+    return [m._generator if g is None else g for m, g in zip(models, out)]
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays of one shape as one stack: a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _generator_matrix(model: GKSLModel) -> np.ndarray:
+    """L in column-stacking coordinates, from 2 + 3 n_jumps np.kron terms."""
     d = model.dim
     eye = np.eye(d, dtype=complex)
     h = model.hamiltonian
@@ -176,30 +220,52 @@ def generator(model: GKSLModel) -> Superoperator:
         vdag_v = dag(v) @ v
         mat += np.kron(v.T, dag(v))
         mat -= 0.5 * (np.kron(eye, vdag_v) + np.kron(vdag_v.T, eye))
-    gen = Superoperator(dim=d, matrix=mat)
+    return mat
 
-    scale = max(1.0, float(np.abs(mat).max()))
+
+def _check_generators(mats: np.ndarray) -> None:
+    """PostconditionError for the first stacked generator matrix of one d
+    that fails one of generator's three conditions, naming the first of
+    them it fails."""
+    d = math.isqrt(mats.shape[-1])
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     margin = 1e-9 * scale
-    images = mat @ _probes(d)[0]  # L(1), L(x), L(x^H)
-    if np.linalg.norm(images[:, 0]) > DEFAULT_TOL * scale:
-        raise PostconditionError("generator fails unitality L(1) = 0")
-    image = images[:, 1].reshape((d, d), order="F")
-    if frobenius(images[:, 2].reshape((d, d), order="F") - dag(image)) > margin:
-        raise PostconditionError("generator is not *-preserving")
-    complement = _omega_complement(d)  # real: its transpose is its adjoint
-    block = complement.T @ choi_matrix(mat) @ complement
-    block.flat[:: d * d] += margin  # the diagonal of the d^2 - 1 square block
-    try:  # succeeds iff no eigenvalue of the compression lies below -margin
-        np.linalg.cholesky(block)
-    except np.linalg.LinAlgError:
-        floor = float(np.linalg.eigvalsh(block)[0]) - margin
-        raise PostconditionError(
-            f"generator is not conditionally completely positive: compressed "
-            f"Choi floor {floor:.3e} below {-margin:.3e}"
-        ) from None
-    mat.setflags(write=False)
-    object.__setattr__(model, "_generator", gen)
-    return gen
+    images = mats @ _probes(d)[0]  # L(1), L(x), L(x^H)
+    unital = frobenius_norms(images[:, :, :1]) <= DEFAULT_TOL * scale
+    image = images[:, :, 1].reshape(-1, d, d, order="F")
+    star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
+    star = frobenius_norms(star) <= margin
+    blocks = _compressed_choi(mats, margin)
+    try:  # succeeds iff no compression has an eigenvalue below -margin
+        np.linalg.cholesky(blocks)
+        floors = -margin
+    except np.linalg.LinAlgError:  # the floors decide which fail
+        floors = np.linalg.eigvalsh(blocks)[:, 0] - margin
+    for g in range(len(mats)):
+        if not unital[g]:
+            raise PostconditionError("generator fails unitality L(1) = 0")
+        if not star[g]:
+            raise PostconditionError("generator is not *-preserving")
+        if floors[g] < -margin[g]:
+            raise PostconditionError(
+                f"generator is not conditionally completely positive: compressed "
+                f"Choi floor {floors[g]:.3e} below {-margin[g]:.3e}"
+            )
+
+
+def _compressed_choi(mats: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Q^H C Q + shift I for the Choi matrix C of each stacked map, one
+    shift each, and an isometry Q onto the complement of Omega = vec(1) /
+    sqrt(d) (_omega_complement): a gather of C and two d-wide products, in
+    place, with no d^2-wide product."""
+    d = math.isqrt(mats.shape[-1])
+    gather, w = _omega_complement(d)
+    c = choi_matrix(mats).reshape(len(mats), -1)[:, gather]
+    c.reshape(len(mats), -1)[:, :: d * d + 1] += shift[:, None]  # Q^H Q = I
+    m = d * d - d  # the off-diagonal units, then the diagonal ones
+    c[:, :, m:-1] = c[:, :, m:] @ w
+    c[:, m:-1] = w.T @ c[:, m:]
+    return c[:, :-1, :-1]
 
 
 def _check_time(t: float) -> None:
@@ -241,8 +307,9 @@ def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
     return out
 
 
-def _kernels(model: GKSLModel, gen: Optional[Superoperator] = None) -> tuple:
-    """Columns spanning ker L_* and ker L, from one SVD of L_* = L^H.
+def _kernels(models: Sequence[GKSLModel], gens: Sequence[Superoperator]) -> list:
+    """For each model under its generator gens[i], columns spanning ker L_*
+    and ker L from one SVD of L_* = L^H.
 
     L_* = U S V^H gives L = V S U^H, so for the singular values at most
     tau0 = 100 d^2 eps_mach s_max, the right singular vectors span ker L_*
@@ -251,30 +318,32 @@ def _kernels(model: GKSLModel, gen: Optional[Superoperator] = None) -> tuple:
     round-off or as a slow mode, and raises KernelDecisionError; a model
     whose slowest mode lies below tau0 is decoupled to working precision
     and counts it as a fixed point.  The model keeps the columns,
-    read-only, for its own generator but not another gen.
+    read-only, for its own generator but not another gen.  The generators
+    of one d share a stacked SVD; the first model of a stack that fails
+    raises.
     """
-    own = gen is None or gen is model._generator
-    if own and model._kernels is not None:
-        return model._kernels
-    u, svals, vh = np.linalg.svd((gen or generator(model)).matrix.conj().T)
-    top = max(float(svals[0]), 1e-300)
-    zero, cut = 100 * model.dim**2 * np.finfo(float).eps * top, KERNEL_TOL * top
-    thin = svals[(svals > zero) & (svals <= cut)]
-    if thin.size:
-        raise KernelDecisionError(
-            f"generator singular value {thin[-1]:.3e} lies between the zero "
-            f"edge {zero:.3e} and the kernel cut {cut:.3e}: the kernel "
-            f"dimension is too close to call"
-        )
-    k = int(np.sum(svals <= zero))
-    if k == 0:
-        raise PostconditionError("generator kernel is empty; 1 should be fixed")
-    split = (vh[-k:].conj().T, u[:, -k:].copy())
-    for columns in split:
-        columns.setflags(write=False)
-    if own:
-        object.__setattr__(model, "_kernels", split)
-    return split
+    out = [m._kernels if g is m._generator else None for m, g in zip(models, gens)]
+    for idx in batches((m.dim,) if k is None else None for m, k in zip(models, out)):
+        stack = _stack([gens[i].matrix for i in idx]).conj().swapaxes(1, 2)
+        for i, u, svals, vh in zip(idx, *np.linalg.svd(stack)):
+            top, d = max(float(svals[0]), 1e-300), models[i].dim
+            zero, cut = 100 * d**2 * np.finfo(float).eps * top, KERNEL_TOL * top
+            thin = svals[(svals > zero) & (svals <= cut)]
+            if thin.size:
+                raise KernelDecisionError(
+                    f"generator singular value {thin[-1]:.3e} lies between the "
+                    f"zero edge {zero:.3e} and the kernel cut {cut:.3e}: the "
+                    f"kernel dimension is too close to call"
+                )
+            k = int(np.sum(svals <= zero))
+            if k == 0:
+                raise PostconditionError("generator kernel is empty; 1 should be fixed")
+            out[i] = (vh[-k:].conj().T, u[:, -k:].copy())
+            for columns in out[i]:
+                columns.setflags(write=False)
+            if gens[i] is models[i]._generator:
+                object.__setattr__(models[i], "_kernels", out[i])
+    return out
 
 
 def _check_state_dim(model: GKSLModel, dim: int) -> None:
@@ -294,31 +363,57 @@ def invariant_state(
     (callers may still proceed with a supplied state), and
     NoFaithfulInvariantStateError if the solution is not faithful.
     """
-    dual_kernel, _ = _kernels(model, gen)
-    kernel_dim = dual_kernel.shape[1]
-    if kernel_dim > 1:
-        raise NonUniqueInvariantStateError(
-            f"kernel of the dual generator has dimension {kernel_dim}"
-        )
-    candidate = unvec(dual_kernel[:, -1])
-    trace = complex(np.trace(candidate))
-    if abs(trace) < 1e-12:
-        raise PostconditionError("invariant-state candidate is traceless")
-    candidate = candidate / trace
-    candidate = (candidate + dag(candidate)) / 2.0
-    candidate = candidate / float(np.trace(candidate).real)
+    return _invariant_states([model], [gen])[0]
 
-    eig = herm_eig(candidate)
-    if eig.values.min() <= FAITHFULNESS_THRESHOLD:
-        raise NoFaithfulInvariantStateError(
-            f"invariant state has eigenvalue {eig.values.min():.3e} "
-            f"at or below {FAITHFULNESS_THRESHOLD:.1e}"
-        )
-    state = DensityMatrix(rho=eig.reconstruct(), eigen=eig, faithful=True)
-    residual = check_invariance(model, state, gen=gen)
-    if residual > 1e-9:
-        raise PostconditionError(f"invariant-state residual {residual:.3e}")
-    return state
+
+def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMatrix]:
+    """Each model's invariant state, as invariant_state gives it; the models
+    of one d share the stacked solves, and the first model of a stack that
+    fails a check raises.
+
+    The candidate is the last column of ker L_*, scaled to trace one and
+    Hermitized; PostconditionError if its trace is below 1e-12 or if the
+    residual |L_*(rho)| exceeds 1e-9, ConvergenceFailureError if its eigh
+    fails or fails to reconstruct it."""
+    gens = _generators(models, gens)
+    splits = _kernels(models, gens)
+    for dual_kernel, _ in splits:
+        if dual_kernel.shape[1] > 1:
+            raise NonUniqueInvariantStateError(
+                f"kernel of the dual generator has dimension {dual_kernel.shape[1]}"
+            )
+    out: list = [None] * len(models)
+    for idx in batches((m.dim,) for m in models):
+        d = models[idx[0]].dim
+        cands = _stack([splits[i][0][:, -1] for i in idx]).reshape(-1, d, d, order="F")
+        traces = cands.trace(axis1=1, axis2=2)
+        if (np.abs(traces) < 1e-12).any():
+            raise PostconditionError("invariant-state candidate is traceless")
+        cands = cands / traces[:, None, None]
+        cands = (cands + dag(cands)) / 2.0  # exactly Hermitian from here on
+        cands = cands / cands.trace(axis1=1, axis2=2).real[:, None, None]
+        try:
+            values, vectors = np.linalg.eigh(cands)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailureError(f"eigh did not converge: {exc}") from exc
+        rhos = (vectors * values[:, None, :]) @ dag(vectors)
+        scale = np.maximum(1.0, frobenius_norms(cands))
+        if (frobenius_norms(rhos - cands) > DEFAULT_TOL * scale).any():
+            raise ConvergenceFailureError("eigendecomposition fails reconstruction")
+        floors = values[:, 0]
+        if (floors <= FAITHFULNESS_THRESHOLD).any():
+            raise NoFaithfulInvariantStateError(
+                f"invariant state has eigenvalue {floors.min():.3e} "
+                f"at or below {FAITHFULNESS_THRESHOLD:.1e}"
+            )
+        duals = dag(_stack([gens[i].matrix for i in idx]))
+        residuals = frobenius_norms(duals @ rhos.reshape(-1, d * d, 1, order="F"))
+        if (residuals > 1e-9).any():
+            raise PostconditionError(f"invariant-state residual {residuals.max():.3e}")
+        for g, i in enumerate(idx):
+            eigen = HermitianEigen(values=values[g], vectors=vectors[g])
+            out[i] = DensityMatrix(rho=rhos[g], eigen=eigen, faithful=True)
+    return out
 
 
 def check_invariance(
@@ -385,7 +480,7 @@ def fixed_point_structures(
         _check_state_dim(model, rho.dim)
         if not rho.faithful:
             raise QmsGapError("fixed-point structure needs a faithful state")
-    kernels = [_kernels(m, g)[1] for m, g in zip(models, gens)]
+    kernels = [split[1] for split in _kernels(models, _generators(models, gens))]
     out: list = [None] * len(models)
     for idx in batches((m.dim, ker.shape[1]) for m, ker in zip(models, kernels)):
         d, k = models[idx[0]].dim, kernels[idx[0]].shape[1]
@@ -415,16 +510,24 @@ def _probes(d: int) -> tuple[np.ndarray, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _omega_complement(d: int) -> np.ndarray:
-    """A real d^2 x (d^2 - 1) isometry onto the complement of vec(1),
-    read-only: the Householder reflection that takes e_1 to -vec(1) /
-    sqrt(d), less its first column."""
-    u = np.eye(d).reshape(d * d) / math.sqrt(d)
+def _omega_complement(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """An isometry Q onto the complement of Omega = vec(1) / sqrt(d) in Choi
+    coordinates, as a gather and a small block, both read-only: the
+    positions i d + a of the off-diagonal units (i != a), then those of the
+    diagonal units i d + i, and a real d x (d - 1) isometry W onto the
+    diagonal vectors orthogonal to (1, ..., 1): the Householder reflection
+    that takes e_1 to -(1, ..., 1) / sqrt(d), less its first column.  So
+    Q = diag(I, W) after the gather."""
+    units = np.arange(d * d).reshape(d, d)
+    order = np.concatenate([units[~np.eye(d, dtype=bool)], np.diagonal(units)])
+    gather = order[:, None] * (d * d) + order  # flat positions in C
+    u = np.full(d, 1.0 / math.sqrt(d))
     u[0] += 1.0
-    reflection = np.eye(d * d) - (2.0 / (u @ u)) * np.outer(u, u)
-    complement = reflection[:, 1:].astype(complex)
-    complement.setflags(write=False)
-    return complement
+    reflection = np.eye(d) - (2.0 / (u @ u)) * np.outer(u, u)
+    w = reflection[:, 1:].astype(complex)
+    for part in (gather, w):
+        part.setflags(write=False)
+    return gather, w
 
 
 def _check_expectations(columns, coeffs, states) -> None:
@@ -539,3 +642,33 @@ def random_faithful_model(
     raise QmsGapError(
         f"no well-conditioned invariant state in {MAX_DRAWS} draws at d={dim}"
     )
+
+
+def random_faithful_models(
+    rng: np.random.Generator, dims: Sequence[int]
+) -> Iterator[tuple[GKSLModel, DensityMatrix, int]]:
+    """What random_faithful_model(rng, d) returns for each d of dims in turn,
+    bit for bit, with rng left where those calls leave it once every model
+    is taken; the error of the first draw that raises, after the models
+    before it.
+
+    One candidate is drawn for each d as if every one will be accepted, and
+    all are decided at once (_invariant_states).  That is exact because
+    random_model consumes the stream by d alone and an accepted draw
+    consumes nothing more.  If any candidate is rejected or raises, the
+    stream is set back to where the batch began and random_faithful_model
+    draws the batch again, one d at a time.
+    """
+    dims = list(dims)
+    start = rng.bit_generator.state
+    models = [random_model(rng, d) for d in dims]
+    try:
+        states = _invariant_states(models)
+    except (QmsGapError, np.linalg.LinAlgError):
+        states = []
+    if len(states) == len(models) and all(
+        state.eigen.values.min() > DRAW_EIG_FLOOR for state in states
+    ):
+        return iter([(model, state, 0) for model, state in zip(models, states)])
+    rng.bit_generator.state = start
+    return (random_faithful_model(rng, d) for d in dims)

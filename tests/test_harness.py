@@ -157,30 +157,53 @@ def test_non_degenerate_block_draw_fails_with_counterexample(monkeypatch):
 
 
 def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
-    # every generator matrix qms.generator builds passes its Choi check
-    # (qms.choi_matrix); every model a family draws must have been built so
-    checked = []
-    real_choi = qms.choi_matrix
+    # qms._generators sets each generator qms.generator returns, after its
+    # Choi check (qms.choi_matrix, on a stack of the generators of one d);
+    # every model a family draws must hold a generator matrix set so
+    checked, stacks = {}, []
+    real_choi, real_generators = qms.choi_matrix, qms._generators
 
-    def choi(matrix):
-        checked.append(matrix)
-        return real_choi(matrix)
+    def choi(stack):
+        stacks.append(np.array(stack))
+        return real_choi(stack)
 
+    def generators(models, gens=None):
+        unset = [model for model in models if model._generator is None]
+        stacks.clear()
+        out = real_generators(models, gens)
+        for model in unset:
+            if model._generator is None:  # a gen was given for it
+                continue
+            m = model._generator.matrix
+            assert any(
+                (stack == m).all(axis=(1, 2)).any()
+                for stack in stacks if stack.shape[1:] == m.shape
+            )
+            checked[id(m)] = m  # kept alive, so no other array takes its id
+        return out
+
+    monkeypatch.setattr(qms, "_generators", generators)
     monkeypatch.setattr(qms, "choi_matrix", choi)
     drawn = {}
 
     def recording(name, real):
-        def draw(*args):
-            out = real(*args)
+        def keep(out):
             model = out.model if isinstance(out, harness.PoolEntry) else out[0]
             drawn.setdefault(name, []).append(model)
             return out
 
+        def draw(*args):
+            out = real(*args)
+            if isinstance(out, (tuple, harness.PoolEntry)):
+                return keep(out)
+            return map(keep, out)  # the entries of a batch, as they come
+
         monkeypatch.setattr(harness, name, draw)
 
-    # _draw: the shared pool, the transpose, alpha and decay draws and the
-    # override; _random_draw: the strict-gap scan (and _draw's random models)
-    names = ("_draw", "_random_draw", "random_detailed_balance",
+    # _draws: the shared pool, the transpose and alpha draws; _draw: the
+    # decay draws and the override; _random_draws: the strict-gap scan (and
+    # _draws' random models)
+    names = ("_draws", "_draw", "_random_draws", "random_detailed_balance",
              "degenerate_block_model")
     for name in names:
         recording(name, getattr(harness, name))
@@ -190,7 +213,7 @@ def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
     assert sorted(drawn) == sorted(names)  # every family drew a model
     for models in drawn.values():
         for model in models:
-            assert any(m is model._generator.matrix for m in checked)
+            assert id(model._generator.matrix) in checked
 
 
 def test_degenerate_gap_reads_the_sweep_not_decaying_subspace(monkeypatch):
@@ -379,13 +402,14 @@ def _fail_in_order(monkeypatch, sweep_fails=None, table_fails=None, draw_fails=N
     pool model fail, so that a stage-by-stage batch would meet them in
     another order than a model-by-model run."""
     drawn = {}
-    real_draw = harness._draw
+    real_draws = harness._draws
 
-    def draw(cfg, rng, index):
-        if index == draw_fails:
-            raise QmsGapError(f"draw {index} fails")
-        drawn[index] = real_draw(cfg, rng, index)
-        return drawn[index]
+    def draws(cfg, rng, indices):
+        for index, entry in zip(indices, real_draws(cfg, rng, indices)):
+            if index == draw_fails:
+                raise QmsGapError(f"draw {index} fails")
+            drawn[index] = entry
+            yield entry
 
     real_table = harness.f_metric_table
 
@@ -403,7 +427,7 @@ def _fail_in_order(monkeypatch, sweep_fails=None, table_fails=None, draw_fails=N
             raise PostconditionError(f"sweep of model {sweep_fails} fails")
         return real_sweeps(models, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_draw", draw)
+    monkeypatch.setattr(harness, "_draws", draws)
     monkeypatch.setattr(harness, "f_metric_table", f_metric_table)
     monkeypatch.setattr(harness, "gap_sweeps", gap_sweeps)
 
@@ -435,11 +459,12 @@ def _warn_for_model(monkeypatch, module, name, index, message):
     (its first argument lists the models or states it runs on).  Returns
     the lengths of those lists, one per call."""
     drawn = {}
-    real_draw = harness._draw
+    real_draws = harness._draws
 
-    def draw(cfg, rng, i):
-        drawn[i] = real_draw(cfg, rng, i)
-        return drawn[i]
+    def draws(cfg, rng, indices):
+        for i, entry in zip(indices, real_draws(cfg, rng, indices)):
+            drawn[i] = entry
+            yield entry
 
     calls = []
     real = getattr(module, name)
@@ -451,7 +476,7 @@ def _warn_for_model(monkeypatch, module, name, index, message):
             warnings.warn(message)
         return real(items, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_draw", draw)
+    monkeypatch.setattr(harness, "_draws", draws)
     monkeypatch.setattr(module, name, stage)
     return calls
 

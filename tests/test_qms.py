@@ -281,6 +281,133 @@ def test_random_faithful_model_rejects_a_kernel_too_close_to_call(monkeypatch):
     assert rejected >= 1 and model is calls[-1] and len(calls) == rejected + 1
 
 
+def _one_model_loop(rng, dims):
+    """random_faithful_model as a plain loop: one draw, one decision, at a
+    time; yields (model, rho, rejected) per d."""
+    for d in dims:
+        for rejected in range(qms.MAX_DRAWS):
+            model = qms.random_model(rng, d)
+            try:
+                rho = invariant_state(model)
+            except (KernelDecisionError, NonUniqueInvariantStateError,
+                    NoFaithfulInvariantStateError):
+                continue
+            if rho.eigen.values.min() > qms.DRAW_EIG_FLOOR:
+                yield model, rho, rejected
+                break
+        else:
+            raise QmsGapError(f"{qms.MAX_DRAWS} draws rejected at d={d}")
+
+
+def _no_unique_state(d):
+    return GKSLModel(hamiltonian=np.zeros((d, d)))
+
+
+def _state_below_the_draw_floor(d):
+    return thermal_qubit(1e-5, 1.0)  # min eigenvalue 1e-5: faithful, too thin
+
+
+def _rejecting_draws(monkeypatch, bad_calls, bad_model=_no_unique_state):
+    """Make the random_model calls numbered bad_calls (from 0) return
+    bad_model(d), and from then on every draw taken from the same stream
+    state as one of them: a rejection tied to the stream, which a replay
+    meets again.  Returns the switch that stops numbering."""
+    real, bad, count = qms.random_model, set(), [0]
+
+    def draw(rng, d):
+        key = repr(rng.bit_generator.state)
+        model = real(rng, d)
+        if count[0] in bad_calls:
+            bad.add(key)
+        count[0] += 1
+        return bad_model(d) if key in bad else model
+
+    monkeypatch.setattr(qms, "random_model", draw)
+    return lambda: bad_calls.clear()
+
+
+def _delivered(draws):
+    """The (model, rho, rejected) draws taken before an error, and the error."""
+    out = []
+    try:
+        for x in draws:
+            out.append(x)
+    except QmsGapError as exc:
+        return out, exc
+    return out, None
+
+
+def _assert_same_draws(got, want):
+    assert len(got) == len(want)
+    for (model, rho, rejected), (model_w, rho_w, rejected_w) in zip(got, want):
+        assert rejected == rejected_w
+        for a, b in zip((model.hamiltonian, *model.jumps, rho.rho, rho.eigen.values,
+                         rho.eigen.vectors),
+                        (model_w.hamiltonian, *model_w.jumps, rho_w.rho,
+                         rho_w.eigen.values, rho_w.eigen.vectors)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_stacked_draws_without_a_rejection_are_one_stack(monkeypatch):
+    dims = (2, 3, 4, 2, 3, 4)
+    loop_rng = np.random.default_rng(11)
+    want = list(_one_model_loop(loop_rng, dims))
+    assert [r for _, _, r in want] == [0] * len(dims)
+
+    stacks, real = [], qms._invariant_states
+
+    def counted(models, gens=None):
+        stacks.append(len(models))
+        return real(models, gens)
+
+    monkeypatch.setattr(qms, "_invariant_states", counted)
+    rng = np.random.default_rng(11)
+    _assert_same_draws(list(qms.random_faithful_models(rng, dims)), want)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    assert stacks == [len(dims)]
+
+
+@pytest.mark.parametrize("bad_calls, rejected, bad_model", [
+    ({0}, [1, 0, 0, 0, 0, 0], _no_unique_state),  # the first slot of the stack
+    ({3}, [0, 0, 0, 1, 0, 0], _no_unique_state),  # a middle slot
+    ({5}, [0, 0, 0, 0, 0, 1], _no_unique_state),  # the last slot
+    ({0, 4, 7, 8}, [1, 0, 0, 1, 0, 2], _no_unique_state),
+    ({3}, [0, 0, 0, 1, 0, 0], _state_below_the_draw_floor),  # solved, then refused
+], ids=["first", "middle", "last", "several", "floor"])
+def test_stacked_draws_replay_a_one_model_loop_at_every_rejection(
+    monkeypatch, bad_calls, rejected, bad_model
+):
+    dims = (2, 3, 4, 2, 3, 4)
+    stop_numbering = _rejecting_draws(monkeypatch, set(bad_calls), bad_model)
+    loop_rng = np.random.default_rng(11)
+    want = list(_one_model_loop(loop_rng, dims))
+    stop_numbering()
+    assert [r for _, _, r in want] == rejected
+
+    rng = np.random.default_rng(11)
+    _assert_same_draws(list(qms.random_faithful_models(rng, dims)), want)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_stacked_draws_run_out_on_the_same_index_after_the_earlier_ones(monkeypatch):
+    dims = (3, 2, 4, 2)
+    stop_numbering = _rejecting_draws(
+        monkeypatch, set(range(2, 2 + qms.MAX_DRAWS))  # every draw for index 2
+    )
+    loop_rng = np.random.default_rng(5)
+    want, loop_error = _delivered(_one_model_loop(loop_rng, dims))
+    stop_numbering()
+    assert len(want) == 2 and "at d=4" in str(loop_error)
+
+    rng = np.random.default_rng(5)
+    got, error = _delivered(qms.random_faithful_models(rng, dims))
+    _assert_same_draws(got, want)
+    assert str(error) == (
+        f"no well-conditioned invariant state in {qms.MAX_DRAWS} draws at d=4"
+    )
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 def test_density_matrix_validation():
     with pytest.raises(QmsGapError):
         density_matrix(np.eye(2))  # trace 2
@@ -362,6 +489,36 @@ def test_conditional_complete_positivity_floor_is_round_off(rng, d):
         choi = choi_matrix(generator(random_model(rng, d)))
         floor = np.linalg.eigvalsh(off @ ((choi + dag(choi)) / 2.0) @ off)[0]
         assert abs(floor) < 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_gathered_choi_compression_has_the_projected_spectrum(rng, d):
+    # Q^H C Q for the gathered isometry Q has the spectrum of P C P on the
+    # complement of Omega, less the zero eigenvalue of Omega itself
+    omega = np.eye(d).reshape(-1) / np.sqrt(d)
+    off = np.eye(d * d) - np.outer(omega, omega)
+    mats = np.array([generator(random_model(rng, d)).matrix for _ in range(3)])
+    blocks = qms._compressed_choi(mats, np.zeros(3))
+    for mat, block in zip(mats, blocks):
+        choi = choi_matrix(mat)
+        projected = np.linalg.eigvalsh(off @ ((choi + dag(choi)) / 2.0) @ off)
+        gathered = np.sort(np.append(np.linalg.eigvalsh(block), 0.0))
+        np.testing.assert_allclose(gathered, projected, rtol=0, atol=1e-13)
+
+
+def test_stacked_generators_equal_one_model_builds(rng):
+    models = [random_model(rng, d) for d in (2, 3, 2, 4)]
+    twins = [GKSLModel(m.hamiltonian, m.jumps) for m in models]
+    gens = qms._generators(models)
+    for model, twin, gen in zip(models, twins, gens):
+        assert gen is model._generator
+        assert gen.matrix.tobytes() == generator(twin).matrix.tobytes()
+    bad = depolarizing_qubit(GAMMA)
+    object.__setattr__(bad, "hamiltonian", 1j * SIGMA_Z)  # not *-preserving
+    good = random_model(rng, 2)
+    with pytest.raises(PostconditionError, match=r"not \*-preserving"):
+        qms._generators([good, bad])
+    assert good._generator is None and bad._generator is None  # one stack
 
 
 def test_model_and_generator_arrays_are_read_only(random_complex):

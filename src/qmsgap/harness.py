@@ -19,23 +19,27 @@ versions.  Property streams are independent, so the report is the same
 regardless of evaluation order.  Rejected model draws (no unique faithful
 invariant state) are counted, never silently dropped.
 
-Batching: a property takes its models _BATCH at a time.  Its random
-draws are one stack (qms.random_faithful_models: the candidates are
-decided together, and the stream is replayed exactly at a rejection), so
-each model, state and rejected count is the one a draw-by-draw loop over
-the stream gives.  The work after the draws is done for the whole batch:
+Batching: a property takes its models _BATCH at a time.  Its random draws
+are one stack (qms.random_faithful_models: the candidates are decided
+together, and the stream is replayed exactly at a rejection), so each
+model, state and rejected count is the one a draw-by-draw loop over the
+stream gives.  The work after the draws is done for the whole batch:
 metrics, fixed-point structures, gaps, curves and semigroup norms go
 through the batched routines of metric, qms and gap, which stack the
-models of one shape and give each the result it gets alone.  The cases
-come out with the same ids in the same order.  Those routines run each
-stage for all models before the next, so a batch that raises or warns is
-run again one draw at a time (_drawn_then_batched, the one place that
-restores model order): errors and warnings are then those of a
-model-by-model run, and a draw that fails is raised after the models drawn
-before it are checked.  No admission stage is needed: qms.generator checks
-that each generator gives a unital completely positive semigroup, and the
-gap routines assert E's identities.  decay_equivalence redraws on the gaps
-it sees, so it alone checks its models one at a time.
+models of one shape and give each the result it gets alone.  The
+matrix-analysis properties (moreau_identity, om1_bounds, loewner_order,
+metric_closed_forms) draw their cases one by one too and decide each batch
+in stacks of one d (_stacked), their states included.  The cases come out
+with the same ids in the same order.  Those routines run each stage for
+all models before the next, so a batch that raises or warns is run again
+one draw at a time (_drawn_then_batched, the one place that restores model
+order): errors and warnings are then those of a model-by-model run, a pair
+that violates the Loewner order gets inf alone, and a draw that fails is
+raised after the models drawn before it are checked.  No admission stage
+is needed: qms.generator checks that each generator gives a unital
+completely positive semigroup, and the gap routines assert E's identities.
+decay_equivalence redraws on the gaps it sees, so it alone checks its
+cases one at a time.
 
 Defects in reports are normalized: a case's defect is its worst violation
 measured in units of the property tolerance, so defect <= 1 passes.
@@ -67,17 +71,17 @@ from .gap import (
     gap_sweeps,
     semigroup_norms,
 )
-from .linalg import dag, frobenius
+from .linalg import batches, chunks, dag, frobenius, grouped, pick
 from .metric import (
     QuadraticForm,
+    _loewner_order_probes,
     f_adjoint,
-    f_gram,
+    f_grams,
     f_inner,
     f_metric,
     f_metric_table,
     f_metrics,
-    loewner_order_probe,
-    moreau_form,
+    moreau_forms,
 )
 from .monotone import (
     MonotoneFunction,
@@ -91,11 +95,12 @@ from .monotone import (
 from .qms import (
     DensityMatrix,
     GKSLModel,
+    _random_states,
+    _state_draw,
     density_matrix,
     fixed_point_structure,
     generator,
     invariant_state,
-    random_density,
     random_faithful_model,
     random_faithful_models,
 )
@@ -656,49 +661,72 @@ def _alpha_curve(cfg, rng, pool):
         )
 
 
-def _minimize_moreau(
-    a: np.ndarray, lam: float, xi: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Minimum and minimizer of the strictly convex Q(eta) + |xi - eta|^2 / lam.
+def _stacked(per_case: int, decide: Callable, cases: list) -> list:
+    """decide's results for the cases (index, d, ...), in order, from one
+    call for each stack of the cases of one d.  A case holds per_case d x d
+    matrices in the stacks, which fill at most CHUNK_BYTES (linalg.chunks
+    counts d^2 x d^2 matrices: ceil(per_case / d^2) a case)."""
+    results = {}
+    for d, idx in grouped(case[1] for case in cases).items():
+        for c in chunks(len(idx), d, -(-per_case // d**2)):
+            results.update(zip(idx[c], decide(pick(cases, idx[c]))))
+    return [results[i] for i in range(len(cases))]
+
+
+def _minimize_moreau(a, lam, xi) -> tuple[list[float], np.ndarray]:
+    """Minima and minimizers of the strictly convex Q(eta) + |xi - eta|^2 / lam,
+    one for each A, lam and xi of the stacks a (n, d, d), lam (n,), xi (n, d).
 
     Its gradient 2 A eta - 2 (xi - eta) / lam vanishes exactly where
-    (A + 1/lam) eta = xi / lam: one LU solve, then the objective evaluated
-    directly.  It never touches the eigendecomposition that moreau_form's
-    closed form goes through, so it stays an independent oracle.
+    (A + 1/lam) eta = xi / lam: one stacked LU solve, then each objective
+    evaluated directly.  It never touches the eigendecomposition that
+    moreau_form's closed form goes through, so it stays an independent
+    oracle.
     """
-    eta = np.linalg.solve(a + np.eye(xi.size) / lam, xi / lam)
-    diff = xi - eta
-    return float(np.vdot(eta, a @ eta).real + np.vdot(diff, diff).real / lam), eta
+    lam = np.asarray(lam, dtype=float)
+    shifted = a + np.eye(xi.shape[-1]) / lam[:, None, None]
+    eta = np.linalg.solve(shifted, (xi / lam[:, None])[..., None])[..., 0]
+    image = (a @ eta[..., None])[..., 0]
+    minima = [
+        float(np.vdot(e, ae).real + np.vdot(x - e, x - e).real / l)
+        for e, ae, x, l in zip(eta, image, xi, lam)
+    ]
+    return minima, eta
 
 
 def _moreau_identity(cfg, rng, pool):
     tol = cfg.tolerance("moreau_identity")
-    for i in range(cfg.count("moreau_identity")):
-        d = int(rng.integers(2, 6))
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a = z @ dag(z) / d
-        xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        xi /= np.linalg.norm(xi)
-        lam = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+    descending = (1.0, 0.1, 0.01, 0.001)  # Q^(lam)(xi) must increase along these
 
-        form = QuadraticForm(matrix=a)
-        closed = moreau_form(form, lam, xi)
-        minimized, _ = _minimize_moreau(a, lam, xi)
-        agreement = abs(closed - minimized) / (tol * max(1.0, abs(closed)))
+    def draw(indices):
+        for i in indices:
+            d = int(rng.integers(2, 6))
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            lam = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
+            yield i, d, z @ dag(z) / d, xi / np.linalg.norm(xi), lam
 
-        values = [moreau_form(form, l, xi) for l in (1.0, 0.1, 0.01, 0.001)]
-        drop = max(
-            (values[k] - values[k + 1] for k in range(len(values) - 1)),
-            default=0.0,
-        )
-        mono = max(0.0, drop) / 1e-12
-        yield Case(f"case-{i:03d}", d, max(agreement, mono))
+    def decide(cases):
+        _, _, a, xi, lam = (np.array(column) for column in zip(*cases))
+        lams = np.column_stack([lam, np.tile(descending, (len(lam), 1))])
+        values = moreau_forms([QuadraticForm(matrix=m) for m in a], lams, xi)
+        minima, _ = _minimize_moreau(a, lam, xi)
+        defects = []
+        for (closed, *row), minimized in zip(values.tolist(), minima):
+            agreement = abs(closed - minimized) / (tol * max(1.0, abs(closed)))
+            drop = max(row[k] - row[k + 1] for k in range(len(row) - 1))
+            defects.append(max(agreement, max(0.0, drop) / 1e-12))
+        return defects
+
+    cases = _pool(draw, cfg.count("moreau_identity"), partial(_stacked, 1, decide))
+    for (i, d, *_), defect in cases:
+        yield Case(f"case-{i:03d}", d, defect)
 
 
 def _om1_bounds(cfg, rng, pool):
     tol = cfg.tolerance("om1_bounds")
-    functions = cfg.functions()
-    for f in functions:
+    functions = (gns(), anti_gns()) + cfg.functions()
+    for f in functions[2:]:
         try:
             check_om1_bounds(f)
             defect = 0.0
@@ -706,37 +734,60 @@ def _om1_bounds(cfg, rng, pool):
             defect = math.inf
         yield Case(f"bounds[{f.label}]", 0, defect)
 
-    for i in range(cfg.count("om1_bounds")):
-        d = int(rng.integers(2, 6))
-        rho = random_density(rng, d)
-        g_gns, g_anti, *grams = (
-            f_gram(m).matrix for m in f_metrics(rho, (gns(), anti_gns()) + functions)
-        )
-        g_sum = g_gns + g_anti
-        defect = -math.inf
-        for gram in grams:
-            diff = g_sum - gram
-            min_eig = float(np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[0])
-            defect = max(defect, -min_eig / tol)
+    def draw(indices):
+        for i in indices:
+            d = int(rng.integers(2, 6))
+            yield i, d, _state_draw(rng, d)
+
+    def then(cases):
+        """The worst violation of G_f <= G_gns + G_anti for each state, from
+        one metric table, then the Grams and one eigvalsh a stack."""
+        rhos = _stacked(1, lambda stack: _random_states([c[2] for c in stack]), cases)
+        table = f_metric_table(rhos, functions)
+        defects = [0.0] * len(rhos)
+        for idx in batches(((rho.dim,) for rho in rhos), len(functions)):
+            grams = f_grams([m for i in idx for m in table[i]])
+            grams = grams.reshape((len(idx), len(functions)) + grams.shape[1:])
+            diff = (grams[:, 0] + grams[:, 1])[:, None] - grams[:, 2:]
+            min_eigs = np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[..., 0]
+            for i, row in zip(idx, -min_eigs / tol):
+                defects[i] = float(row.max(initial=-math.inf))
+        return defects
+
+    for (i, d, _), defect in _pool(draw, cfg.count("om1_bounds"), then):
         yield Case(f"sandwich-{i:03d}", d, defect)
 
 
 def _loewner_order(cfg, rng, pool):
     tol = cfg.tolerance("loewner_order")
-    for i in range(cfg.count("loewner_order")):
-        d = int(rng.integers(2, 6))
-        z1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        z2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a = z1 @ dag(z1) / d
-        b = a + z2 @ dag(z2) / d
-        try:
-            report = loewner_order_probe(a, b, floor=tol)
-            margins = [m for _, m in report.resolvent_margins]
-            margins += [m for _, m in report.function_margins]
-            margins.append(report.base_margin)
-            defect = max(0.0, -min(margins)) / tol
+
+    def draw(indices):
+        for i in indices:
+            d = int(rng.integers(2, 6))
+            z1 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            z2 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a = z1 @ dag(z1) / d
+            yield i, d, a, a + z2 @ dag(z2) / d
+
+    def decide(pairs):
+        _, _, a, b = (np.array(column) for column in zip(*pairs))
+        return [
+            max(0.0, -min(r.base_margin, *(m for _, m in r.resolvent_margins),
+                          *(m for _, m in r.function_margins))) / tol
+            for r in _loewner_order_probes(a, b, floor=tol)
+        ]
+
+    def then(pairs):
+        """A lone pair that violates the order gets inf; a stack of pairs
+        that does raises, to be replayed a pair at a time."""
+        try:  # the largest stack holds the 2 x 13 functions of A and B a pair
+            return _stacked(26, decide, pairs)
         except OrderViolationError:
-            defect = math.inf
+            if len(pairs) > 1:
+                raise
+            return [math.inf]
+
+    for (i, d, *_), defect in _pool(draw, cfg.count("loewner_order"), then):
         yield Case(f"pair-{i:03d}", d, defect)
 
 
@@ -747,34 +798,51 @@ def _metric_closed_forms(cfg, rng, pool):
     s_nodes = (nodes + 1.0) / 2.0
     s_weights = glweights / 2.0
 
-    for i in range(cfg.count("metric_closed_forms")):
-        d = int(rng.integers(2, 6))
-        rho = random_density(rng, d)
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x /= frobenius(x)
-        y /= frobenius(y)
+    def draw(indices):
+        for i in indices:
+            d = int(rng.integers(2, 6))
+            state = _state_draw(rng, d)
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            yield i, d, state, x / frobenius(x), y / frobenius(y)
 
-        u = rho.eigen.vectors
-        p = rho.eigen.values
-        root = (u * np.sqrt(p)) @ dag(u)
-        kms_direct = complex(np.trace(dag(x) @ root @ y @ root))
-        kms_metric, bkm_metric = f_metrics(rho, (kms(), bkm()))
-        kms_val = f_inner(kms_metric, x, y)
-        kms_defect = abs(kms_val - kms_direct) / (
-            tol_kms * max(1.0, abs(kms_direct))
-        )
+    def decide(triples):
+        """f_inner against tr(x^H rho^(1/2) y rho^(1/2)) and the s-integral
+        of tr(x^H rho^s y rho^(1-s)), both taken for the stack at once."""
+        _, _, states, x, y = zip(*triples)
+        rhos, x, y = _random_states(states), np.array(x), np.array(y)
+        u = np.array([rho.eigen.vectors for rho in rhos])
+        p = np.array([rho.eigen.values for rho in rhos])
+        root = (u * np.sqrt(p)[:, None]) @ dag(u)
+        kms_directs = np.trace(dag(x) @ root @ y @ root, axis1=-2, axis2=-1)
+        n, d = u.shape[:2]
 
-        # tr(x^H rho^s y rho^(1-s)) at every node at once, as sum(A * B^T)
-        rho_s = (u * p ** s_nodes[:, None, None]) @ dag(u)
-        rho_1ms = (u * p ** (1.0 - s_nodes)[:, None, None]) @ dag(u)
-        traces = np.einsum("kij,kji->k", dag(x) @ rho_s, y @ rho_1ms)
-        bkm_direct = complex(s_weights @ traces)
-        bkm_val = f_inner(bkm_metric, x, y)
-        bkm_defect = abs(bkm_val - bkm_direct) / (
-            tol_bkm * max(1.0, abs(bkm_direct))
+        def powers_times(s, z):
+            """rho^s z = U p^s (U^H z) at every node s: (n, 64, d, d), from
+            one tall (64 d, d) @ (d, d) product a case."""
+            left = (u[:, None] * p[:, None, None] ** s[:, None, None]).reshape(n, -1, d)
+            return (left @ (dag(u) @ z)).reshape(n, -1, d, d)
+
+        # tr(x^H rho^s y rho^(1-s)) = tr((rho^s y) (rho^(1-s) x^H)) at every
+        # node at once, as sum(A * B^T)
+        traces = np.einsum(
+            "nkij,nkji->nk", powers_times(s_nodes, y), powers_times(1.0 - s_nodes, dag(x))
         )
-        yield Case(f"triple-{i:03d}", d, max(kms_defect, bkm_defect))
+        defects = []
+        for (kms_metric, bkm_metric), xi, yi, kms_direct, tr in zip(
+            f_metric_table(rhos, (kms(), bkm())), x, y, kms_directs, traces
+        ):
+            kms_val = f_inner(kms_metric, xi, yi)
+            kms_defect = abs(kms_val - kms_direct) / (tol_kms * max(1.0, abs(kms_direct)))
+            bkm_direct = complex(s_weights @ tr)
+            bkm_val = f_inner(bkm_metric, xi, yi)
+            bkm_defect = abs(bkm_val - bkm_direct) / (tol_bkm * max(1.0, abs(bkm_direct)))
+            defects.append(max(kms_defect, bkm_defect))
+        return defects
+
+    then = partial(_stacked, len(s_nodes), decide)
+    for (i, d, *_), defect in _pool(draw, cfg.count("metric_closed_forms"), then):
+        yield Case(f"triple-{i:03d}", d, defect)
 
 
 def _detailed_balance_collapse(cfg, rng, pool):

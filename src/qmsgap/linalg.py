@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatchError,
     FunctionDomainError,
     NotHermitianError,
-    NotPSDError,
 )
 
 DEFAULT_TOL = 1e-10
@@ -77,64 +76,41 @@ class HermitianEigen:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ dag(self.vectors)
 
-    def apply(self, g: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """U g(values) U^H for a scalar function g applied to the spectrum."""
-        gv = _eval_on_spectrum(g, self.values)
-        return (self.vectors * gv) @ dag(self.vectors)
-
-    def apply_psd(self, g) -> np.ndarray:
-        """U g(values) U^H for a positive semidefinite matrix.
-
-        Eigenvalues inside the PSD tolerance band are clipped to zero before
-        g is applied, so functions like sqrt never see round-off negatives;
-        one below the band is a NotPSDError.
-        """
-        values = self.values
-        floor = -DEFAULT_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
-        if values.min(initial=0.0) < floor:
-            raise NotPSDError(
-                f"matrix has eigenvalue {values.min():.3e} below PSD floor {floor:.3e}"
-            )
-        clipped = np.clip(values, 0.0, None)
-        return HermitianEigen(values=clipped, vectors=self.vectors).apply(g)
-
 
 def herm_eig(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix with reconstruction check.
+    """Eigendecomposition of a Hermitian matrix with reconstruction check:
+    herm_eigs of one matrix."""
+    values, vectors = herm_eigs(_as_complex_square(a)[None])
+    return HermitianEigen(values=values[0], vectors=vectors[0])
+
+
+def herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of each matrix of a finite
+    stack (n, d, d) of Hermitian matrices, from one stacked eigh.
 
     Raises NotHermitianError if ``||a - a^H||_F > DEFAULT_TOL * max(1, ||a||_F)``;
-    otherwise the input is symmetrized and handed to the solver.
+    otherwise the input is symmetrized and handed to the solver, and
+    ConvergenceFailureError unless U diag(values) U^H reconstructs it as
+    closely.  A stack raises the error of its first failing matrix.
     """
-    a = _as_complex_square(a)
-    scale = max(1.0, frobenius(a))
-    defect = frobenius(a - dag(a))
-    if defect > DEFAULT_TOL * scale:
-        raise NotHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds {DEFAULT_TOL:.1e} * {scale:.3e}"
-        )
+    scale = np.maximum(1.0, frobenius_norms(a))
+    defects = frobenius_norms(a - dag(a))
     a = (a + dag(a)) / 2.0
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigh did not converge: {exc}") from exc
-    eig = HermitianEigen(values=values, vectors=vectors)
-    if frobenius(eig.reconstruct() - a) > DEFAULT_TOL * scale:
+    residuals = frobenius_norms((vectors * values[:, None]) @ dag(vectors) - a)
+    failed = np.maximum(defects, residuals) > DEFAULT_TOL * scale
+    if failed.any():
+        k = failed.argmax()  # the first failing matrix
+        if defects[k] > DEFAULT_TOL * scale[k]:
+            raise NotHermitianError(
+                f"Hermiticity defect {defects[k]:.3e} exceeds "
+                f"{DEFAULT_TOL:.1e} * {scale[k]:.3e}"
+            )
         raise ConvergenceFailureError("eigendecomposition fails reconstruction")
-    return eig
-
-
-def _eval_on_spectrum(g, values: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        try:
-            gv = np.asarray(g(values), dtype=float)
-            if gv.shape != values.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            gv = np.asarray([float(g(v)) for v in values], dtype=float)
-    if not np.all(np.isfinite(gv)):
-        bad = values[~np.isfinite(gv)][0]
-        raise FunctionDomainError(f"scalar function non-finite at eigenvalue {bad!r}")
-    return gv
+    return values, vectors
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the

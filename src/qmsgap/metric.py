@@ -20,7 +20,8 @@ A DensityMatrix keeps its descending eigen split, as a GKSLModel keeps its
 generator, so every metric of a state, from any call, shares its read-only
 `eigenvalues` and `basis`: that identity is how the gap routines recognize
 metrics of one state.  `f_metric_table` evaluates each function once on
-the stacked modular ratios of all states of one d.
+the stacked modular ratios of all states of one d, and `f_grams` builds
+the Grams of a stack of metrics at once; `f_gram` is its stack of one.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
 f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
@@ -30,7 +31,10 @@ f = (t-1)/log t the BKM product, the s-integral of tr(x^H rho^s y rho^(1-s)).
 The module also provides Moreau regularization of quadratic forms,
 Q^(lam)(xi) = inf_eta Q(eta) + |xi - eta|^2 / lam = <xi, A(1 + lam A)^{-1} xi>,
 and an order probe checking that A <= B propagates to resolvents and to
-f(A) <= f(B) for operator monotone f.
+f(A) <= f(B) for operator monotone f.  Both are stacked routines
+(`moreau_forms`, `_loewner_order_probes`) that give each form or pair what
+it gets alone; `moreau_form` and `loewner_order_probe` are their stacks of
+one.
 """
 
 from __future__ import annotations
@@ -42,19 +46,23 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FunctionDomainError,
     IllConditionedWarning,
     NotFaithfulError,
     NotPSDError,
     OrderViolationError,
     PostconditionError,
+    QmsGapError,
     warn,
 )
 from .linalg import (
     DEFAULT_TOL,
     Superoperator,
+    _as_complex_square,
     dag,
     grouped,
     herm_eig,
+    herm_eigs,
     kron,
     vec,
 )
@@ -167,15 +175,22 @@ def warn_if_ill_conditioned(metric: FMetric) -> None:
 
 
 def f_gram(metric: FMetric) -> Superoperator:
-    """Positive definite G_f with <vec(x), G_f vec(y)> = <x, y>_f.
+    """Positive definite G_f with <vec(x), G_f vec(y)> = <x, y>_f: f_grams
+    of one metric."""
+    return Superoperator(dim=metric.dim, matrix=f_grams([metric])[0])
 
-    Diagonal with entries w_ij in matrix-unit coordinates of the
-    eigenbasis; conjugated back with W = conj(U) (x) U in general.
+
+def f_grams(metrics: Sequence[FMetric]) -> np.ndarray:
+    """The Grams G_f of metrics of one d, stacked (n, d^2, d^2).
+
+    Each is diagonal with entries w_ij in matrix-unit coordinates of its
+    eigenbasis, conjugated back with W = conj(U) (x) U.
     """
-    w = eigenbasis_rotation(metric)
-    g = (w * vec(metric.weights).real) @ dag(w)
-    g = (g + dag(g)) / 2.0
-    return Superoperator(dim=metric.dim, matrix=g)
+    basis = np.array([m.basis for m in metrics])
+    weights = np.array([m.weights for m in metrics])
+    w = kron(basis.conj(), basis)
+    g = (w * weights.swapaxes(1, 2).reshape(len(metrics), 1, -1)) @ dag(w)
+    return (g + dag(g)) / 2.0
 
 
 def f_gram_sqrt(metric: FMetric) -> tuple[np.ndarray, np.ndarray]:
@@ -227,26 +242,38 @@ class QuadraticForm:
 
 
 def moreau_form(q: QuadraticForm, lam: float, xi) -> float:
-    """Moreau regularization Q^(lam)(xi) = <xi, A(1 + lam A)^{-1} xi>.
+    """Moreau regularization Q^(lam)(xi) = <xi, A(1 + lam A)^{-1} xi>:
+    moreau_forms of one form at one lam.  Increases to Q(xi) as lam
+    decreases to 0."""
+    return float(moreau_forms([q], [[lam]], [xi])[0, 0])
+
+
+def moreau_forms(forms: Sequence[QuadraticForm], lams, xis) -> np.ndarray:
+    """Q^(lam)(xi) of each form of one d at each lam of its row of lams
+    (n, k), for its xi (n, d): an (n, k) array.
 
     Also evaluates the variational form at its closed-form minimizer
-    eta* = (1 + lam A)^{-1} xi and requires both to agree within 1e-10;
-    increases to Q(xi) as lam decreases to 0.
+    eta* = (1 + lam A)^{-1} xi and requires both to agree within 1e-10
+    (PostconditionError for the first form and lam that fails).
+    OrderViolationError unless every lam is > 0.
     """
-    if lam <= 0:
+    lams = np.asarray(lams, dtype=float)
+    if not (lams > 0).all():  # NaN fails too
         raise OrderViolationError("Moreau parameter lam must be positive")
-    xi = np.asarray(xi, dtype=complex)
-    eig = q._eigen
-    vals = np.clip(eig.values, 0.0, None)
-    coords = dag(eig.vectors) @ xi
-    closed = float(np.sum(vals / (1.0 + lam * vals) * np.abs(coords) ** 2))
+    xis = np.asarray(xis, dtype=complex)
+    vals = np.clip(np.array([q._eigen.values for q in forms]), 0.0, None)[:, None]
+    vectors = np.array([q._eigen.vectors for q in forms])
+    coords = (dag(vectors) @ xis[..., None])[:, None, :, 0]
+    shrink = 1.0 + lams[..., None] * vals
+    closed = np.sum(vals / shrink * np.abs(coords) ** 2, axis=-1)
 
-    eta = eig.vectors @ (coords / (1.0 + lam * vals))
-    variational = q(eta) + float(np.linalg.norm(xi - eta) ** 2) / lam
-    if abs(closed - variational) > 1e-10 * max(1.0, abs(closed)):
-        raise PostconditionError(
-            f"Moreau closed form {closed!r} vs minimizer value {variational!r}"
-        )
+    eta = (vectors[:, None] @ (coords / shrink)[..., None])[..., 0]
+    image = (np.array([q.matrix for q in forms])[:, None] @ eta[..., None])[..., 0]
+    miss = xis[:, None] - eta
+    variational = (eta.conj() * image + miss.conj() * miss / lams[..., None]).sum(-1).real
+    for c, v in zip(closed.flat, variational.flat):
+        if abs(c - v) > 1e-10 * max(1.0, abs(c)):
+            raise PostconditionError(f"Moreau closed form {c!r} vs minimizer value {v!r}")
     return closed
 
 
@@ -259,58 +286,68 @@ class OrderProbeReport:
     function_margins: tuple[tuple[str, float], ...]      # (label, margin)
 
 
-def _min_eig(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((a + dag(a)) / 2.0)[0])
-
-
 def loewner_order_probe(a, b, floor: float = 1e-9) -> OrderProbeReport:
     """Check A <= B, then resolvent order A(1+lam A)^{-1} <= B(1+lam B)^{-1}
     for lam = 1e-3, 1e-2, ..., 1e3 and f(A) <= f(B) for each function of
-    monotone.builtin_functions.
+    monotone.builtin_functions: _loewner_order_probes of one pair.
 
     Raises OrderViolationError naming the failing lam or f.  Margins are
     smallest eigenvalues of the differences, floored at -floor * scale.
+    QmsGapError unless floor is finite and >= 0.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    eig_a = herm_eig(a)
-    eig_b = herm_eig(b)
-    for name, eig in (("A", eig_a), ("B", eig_b)):
-        if eig.values.min() < -DEFAULT_TOL * max(1.0, eig.values.max(initial=0.0)):
-            raise NotPSDError(f"{name} is not PSD")
+    a = _as_complex_square(a, "A")[None]
+    return _loewner_order_probes(a, _as_complex_square(b, "B")[None], floor)[0]
 
-    scale = max(1.0, eig_b.values.max(initial=0.0))
-    base = _min_eig(b - a)
-    if base < -DEFAULT_TOL * scale:
-        raise OrderViolationError(
-            f"precondition A <= B fails: min eig(B - A) = {base:.3e}"
+
+def _loewner_order_probes(a, b, floor: float) -> list[OrderProbeReport]:
+    """loewner_order_probe of each pair (a[k], b[k]) of two finite stacks
+    (n, d, d), each entry of each report as that pair gives it alone.
+
+    One herm_eigs of the A stack and one of the B stack, then one stacked
+    eigvalsh of the 14 differences of every pair: B - A, the 7 resolvents
+    and the 6 functions.  A failing pair raises its own error, that of the
+    first failing pair: NotPSDError naming A or B, or OrderViolationError
+    naming the precondition, lam or f (a stack that is not Hermitian
+    raises for its A matrices first).
+    """
+    if not (np.isfinite(floor) and floor >= 0):
+        raise QmsGapError(f"order floor must be finite and >= 0, got {floor!r}")
+    values, vectors = (np.stack(x, axis=1) for x in zip(herm_eigs(a), herm_eigs(b)))
+    top = np.maximum(1.0, values.max(axis=-1))  # (n, 2): A's and B's scale
+    psd = values.min(axis=-1) >= -DEFAULT_TOL * top
+    clipped = np.clip(values, 0.0, None)[:, :, None]
+    functions = builtin_functions()
+    lams = np.array(_RESOLVENT_GRID)[:, None]
+    with np.errstate(all="ignore"):
+        spectra = np.concatenate(
+            [clipped / (1.0 + lams * clipped)] + [f(clipped) for f in functions], axis=2
+        )  # (n, 2, 13, d): each function of each spectrum
+    if not np.isfinite(spectra).all():
+        raise FunctionDomainError("an order probe function is non-finite on a spectrum")
+    images = (vectors[:, :, None] * spectra[..., None, :]) @ dag(vectors)[:, :, None]
+    diffs = np.concatenate([(b - a)[:, None], images[:, 1] - images[:, 0]], axis=1)
+    margins = np.linalg.eigvalsh((diffs + dag(diffs)) / 2.0)[..., 0]  # (n, 14)
+    # f(B) = U f(clipped spectrum of B) U^H is Hermitian: its 2-norm is max |f|
+    fscale = np.maximum(1.0, np.abs(spectra[:, 1, len(lams):]).max(axis=-1))
+    scale = top[:, 1:]  # B's
+    bounds = np.hstack([DEFAULT_TOL * scale, np.repeat(floor * scale, len(lams), 1),
+                        floor * fscale])
+    checks = ["precondition A <= B fails: min eig(B - A) = {:.3e}"]
+    checks += [f"resolvent order fails at lam = {lam!r}: margin {{:.3e}}"
+               for lam in _RESOLVENT_GRID]
+    checks += [f"monotone order fails for f = {f.label}: margin {{:.3e}}"
+               for f in functions]
+    for k in range(len(a)):
+        for name, ok in zip("AB", psd[k]):
+            if not ok:
+                raise NotPSDError(f"{name} is not PSD")
+        for j in np.flatnonzero(margins[k] < -bounds[k])[:1]:
+            raise OrderViolationError(checks[j].format(margins[k, j]))
+    return [
+        OrderProbeReport(
+            base_margin=row[0],
+            resolvent_margins=tuple(zip(_RESOLVENT_GRID, row[1:8])),
+            function_margins=tuple(zip([f.label for f in functions], row[8:])),
         )
-
-    resolvent_margins = []
-    for lam in _RESOLVENT_GRID:
-        resolvent = lambda t: t / (1.0 + lam * t)
-        margin = _min_eig(eig_b.apply_psd(resolvent) - eig_a.apply_psd(resolvent))
-        if margin < -floor * scale:
-            raise OrderViolationError(
-                f"resolvent order fails at lam = {lam!r}: margin {margin:.3e}"
-            )
-        resolvent_margins.append((float(lam), margin))
-
-    function_margins = []
-    for f in builtin_functions():
-        fa = eig_a.apply_psd(f)
-        fb = eig_b.apply_psd(f)
-        # fb = U f(clipped spectrum of B) U^H is Hermitian: its 2-norm is max |f|
-        fscale = max(1.0, float(np.abs(f(np.clip(eig_b.values, 0.0, None))).max()))
-        margin = _min_eig(fb - fa)
-        if margin < -floor * fscale:
-            raise OrderViolationError(
-                f"monotone order fails for f = {f.label}: margin {margin:.3e}"
-            )
-        function_margins.append((f.label, margin))
-
-    return OrderProbeReport(
-        base_margin=base,
-        resolvent_margins=tuple(resolvent_margins),
-        function_margins=tuple(function_margins),
-    )
+        for row in margins.tolist()
+    ]

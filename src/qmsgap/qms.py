@@ -32,7 +32,9 @@ Every check and solve here runs on stacks: `_generators`, `_kernels`,
 with one stacked call per stage, each model getting bit for bit what it
 gets alone, and `generator`, `invariant_state` and `fixed_point_structure`
 are them on one model.  `random_faithful_models` decides a batch of draws
-as one stack.
+as one stack.  States too: `density_matrices` checks a stack of them with
+one eigh, and `_random_states` builds `random_density`'s states from
+draws of one d (`_state_draw`) taken earlier, in stream order, with one QR.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .linalg import (
     expm,
     frobenius,
     frobenius_norms,
-    herm_eig,
+    herm_eigs,
     pick,
     same_lengths,
     unvec,
@@ -146,20 +148,27 @@ class DensityMatrix:
 def density_matrix(
     rho, faithfulness_threshold: float = FAITHFULNESS_THRESHOLD
 ) -> DensityMatrix:
-    rho = np.asarray(rho, dtype=complex)
-    eig = herm_eig(rho)
-    trace = float(np.trace(rho).real)
-    if abs(trace - 1.0) > DEFAULT_TOL:
-        raise QmsGapError(f"state trace {trace!r} is not 1 within tolerance")
-    if eig.values.min() < -DEFAULT_TOL:
-        raise QmsGapError(
-            f"state has negative eigenvalue {eig.values.min():.3e}"
-        )
-    return DensityMatrix(
-        rho=eig.reconstruct(),
-        eigen=eig,
-        faithful=bool(eig.values.min() > faithfulness_threshold),
-    )
+    """The state rho: density_matrices of one matrix."""
+    return density_matrices(_as_complex_square(rho)[None], faithfulness_threshold)[0]
+
+
+def density_matrices(
+    rhos: np.ndarray, faithfulness_threshold: float = FAITHFULNESS_THRESHOLD
+) -> list[DensityMatrix]:
+    """The state of each matrix of a finite stack (n, d, d), from one
+    herm_eigs: QmsGapError for the first that has a trace other than 1 or
+    a negative eigenvalue (beyond DEFAULT_TOL)."""
+    values, vectors = herm_eigs(rhos)
+    for trace, low in zip(np.trace(rhos, axis1=1, axis2=2).real.tolist(), values[:, 0]):
+        if abs(trace - 1.0) > DEFAULT_TOL:
+            raise QmsGapError(f"state trace {trace!r} is not 1 within tolerance")
+        if low < -DEFAULT_TOL:
+            raise QmsGapError(f"state has negative eigenvalue {low:.3e}")
+    return [
+        DensityMatrix(rho=(v * w) @ dag(v), eigen=HermitianEigen(values=w, vectors=v),
+                      faithful=bool(w[0] > faithfulness_threshold))
+        for w, v in zip(values, vectors)
+    ]
 
 
 def generator(model: GKSLModel) -> Superoperator:
@@ -583,38 +592,45 @@ def thermal_qubit(
     )
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-ish unitary from the QR decomposition of a Ginibre matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _state_draw(rng: np.random.Generator, dim: int) -> tuple:
+    """What random_density takes from the stream: a Dirichlet spectrum and
+    a Ginibre matrix for the basis."""
+    raw = rng.dirichlet(np.ones(dim))
+    return raw, rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _random_states(draws) -> list[DensityMatrix]:
+    """random_density's state of each _state_draw of one d: the spectrum
+    floored by DENSITY_EIG_FLOOR in the Haar-ish basis of the QR
+    decomposition, from one stacked QR and one density_matrices."""
+    raw, z = (np.array(column) for column in zip(*draws))
+    p = (raw + 2.0 * DENSITY_EIG_FLOOR) / (1.0 + 2.0 * DENSITY_EIG_FLOOR * raw.shape[1])
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (phases / np.abs(phases))[:, None, :]
+    return density_matrices((u * p[:, None, :]) @ dag(u))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Random faithful state: Dirichlet spectrum floored by DENSITY_EIG_FLOOR,
-    Haar-ish basis."""
-    raw = rng.dirichlet(np.ones(dim))
-    p = (raw + 2.0 * DENSITY_EIG_FLOOR) / (1.0 + 2.0 * DENSITY_EIG_FLOOR * dim)
-    u = random_unitary(rng, dim)
-    return density_matrix((u * p) @ dag(u))
+    """Random faithful state: _random_states of one _state_draw."""
+    return _random_states([_state_draw(rng, dim)])[0]
 
 
 def random_model(rng: np.random.Generator, dim: int) -> GKSLModel:
     """H with complex Gaussian entries / sqrt(d) (Hermitized) and one to
-    three Gaussian jumps scaled by 1 / sqrt(d)."""
+    three Gaussian jumps scaled by 1 / sqrt(d).  Each Ginibre stack takes
+    its real and imaginary parts from one standard_normal call, in the
+    stream order of one matrix at a time."""
     scale = 1.0 / np.sqrt(dim)
 
-    def ginibre():
-        return (
-            (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-            / np.sqrt(2.0)
-            * scale
-        )
+    def ginibre(k):
+        z = rng.standard_normal((k, 2, dim, dim))
+        return (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0) * scale
 
-    a = ginibre()
+    a = ginibre(1)[0]
     h = (a + dag(a)) / 2.0
     n_jumps = int(rng.integers(1, 4))
-    return GKSLModel(hamiltonian=h, jumps=tuple(ginibre() for _ in range(n_jumps)))
+    return GKSLModel(hamiltonian=h, jumps=tuple(ginibre(n_jumps)))
 
 
 def random_faithful_model(

@@ -6,8 +6,9 @@ import numpy as np
 
 from qmsgap.config import SCHEMA_VERSION
 from qmsgap.harness import CampaignConfig, CampaignReport, PropertyResult
-from qmsgap.linalg import Superoperator, kron
-from qmsgap.qms import DensityMatrix, FixedPointStructure
+from qmsgap.errors import FunctionDomainError, NotPSDError
+from qmsgap.linalg import DEFAULT_TOL, Superoperator, dag, herm_eig, kron
+from qmsgap.qms import DensityMatrix, FixedPointStructure, GKSLModel
 
 
 def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -20,6 +21,42 @@ def projector(fps: FixedPointStructure) -> Superoperator:
     return Superoperator(
         dim=math.isqrt(len(fps.columns)), matrix=fps.columns @ fps.coefficients
     )
+
+
+def psd_function(a, g) -> np.ndarray:
+    """U g(values) U^H for a positive semidefinite a = U diag(values) U^H.
+
+    Eigenvalues inside the PSD tolerance band are clipped to zero before g
+    is applied, so functions like sqrt never see round-off negatives; one
+    below the band is a NotPSDError, and a non-finite g a FunctionDomainError.
+    """
+    eig = herm_eig(a)
+    floor = -DEFAULT_TOL * max(1.0, float(np.abs(eig.values).max(initial=0.0)))
+    if eig.values.min(initial=0.0) < floor:
+        raise NotPSDError(f"matrix has eigenvalue {eig.values.min():.3e} below {floor:.3e}")
+    with np.errstate(all="ignore"):
+        gv = np.asarray(g(np.clip(eig.values, 0.0, None)), dtype=float)
+    if not np.isfinite(gv).all():
+        raise FunctionDomainError("scalar function non-finite on the spectrum")
+    return (eig.vectors * gv) @ dag(eig.vectors)
+
+
+def random_model_by_matrix(rng: np.random.Generator, dim: int) -> GKSLModel:
+    """qms.random_model drawn one Ginibre matrix at a time: the real part
+    and then the imaginary part of H, then the jump count, then each jump."""
+    scale = 1.0 / np.sqrt(dim)
+
+    def ginibre():
+        return (
+            (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            / np.sqrt(2.0)
+            * scale
+        )
+
+    a = ginibre()
+    h = (a + a.conj().T) / 2.0
+    n_jumps = int(rng.integers(1, 4))
+    return GKSLModel(hamiltonian=h, jumps=tuple(ginibre() for _ in range(n_jumps)))
 
 
 def property_result(report: CampaignReport, name: str) -> PropertyResult:

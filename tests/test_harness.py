@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -508,3 +509,44 @@ def test_a_warned_batch_reruns_its_stages_once_per_draw(monkeypatch):
         run_campaign(cfg)
     assert [str(w.message) for w in caught] == ["metrics of model 2"]
     assert calls == [n] + [1] * n
+
+
+# ---------------------------------------------------------------------------
+# The matrix-analysis properties, decided a stack at a time
+# ---------------------------------------------------------------------------
+
+MATRIX_ANALYSIS = ("moreau_identity", "om1_bounds", "loewner_order", "metric_closed_forms")
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", MATRIX_ANALYSIS)
+def test_matrix_analysis_cases_equal_those_of_a_case_by_case_run(monkeypatch, name, seed):
+    cfg = replace(acceptance_config(seed), properties=(name,))
+    (want,) = run_campaign(cfg).results
+    monkeypatch.setattr(harness, "_BATCH", 1)
+    (got,) = run_campaign(cfg).results
+    assert got.n_cases == want.n_cases >= 50
+    assert got.cases == want.cases  # ids, dims and defects bit for bit
+
+
+def test_an_order_violation_gives_inf_to_its_own_pair_only(monkeypatch):
+    cfg = replace(acceptance_config(), properties=("loewner_order",))
+    (want,) = run_campaign(cfg).results
+    real_pool = harness._pool
+    stacks = []
+
+    def pool(draw, n, then):
+        def violating(indices):  # the middle pair of the first batch: B = A / 2
+            return ((i, d, a, a / 2.0 if i == 8 else b) for i, d, a, b in draw(indices))
+
+        def recorded(pairs):
+            stacks.append(len(pairs))
+            return then(pairs)
+
+        return real_pool(violating, n, recorded)
+
+    monkeypatch.setattr(harness, "_pool", pool)
+    (got,) = run_campaign(cfg).results
+    assert harness._BATCH == 16 and stacks[:2] == [16, 1]  # the batch is replayed
+    assert got.cases[8].defect == np.inf and not got.cases[8].passed
+    assert got.cases[:8] + got.cases[9:] == want.cases[:8] + want.cases[9:]

@@ -14,10 +14,13 @@ from qmsgap.linalg import (
     choi_matrix,
     expm,
     herm_eig,
+    herm_eigs,
     kron,
     unvec,
     vec,
 )
+
+from references import psd_function
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -56,6 +59,24 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_stacked_eigh_equals_one_matrix_at_a_time_and_names_the_first_failure(
+    random_psd,
+):
+    a = np.array([random_psd(4) for _ in range(5)])
+    values, vectors = herm_eigs(a)
+    for x, w, v in zip(a, values, vectors):
+        eig = herm_eig(x)
+        np.testing.assert_array_equal(eig.values, w)
+        np.testing.assert_array_equal(eig.vectors, v)
+    a[1, 0, 1] += 1e-3
+    a[3, 0, 1] += 1.0
+    with pytest.raises(NotHermitianError) as want:
+        herm_eig(a[1])
+    with pytest.raises(NotHermitianError) as got:
+        herm_eigs(a)
+    assert str(got.value) == str(want.value)
+
+
 def test_herm_eig_takes_a_matrix_without_a_contiguous_last_axis():
     a = np.array([[2.0, 1j], [-1j, 3.0]]).T
     np.testing.assert_allclose(herm_eig(a).reconstruct(), a, atol=1e-12)
@@ -75,8 +96,9 @@ def test_herm_eig_reconstructs(seed, d):
 
 
 def _psd_function(a, g):
-    """g(a) = U g(L) U^H for a PSD a, round-off negatives clipped."""
-    return herm_eig(a).apply_psd(g)
+    """g(a) = U g(L) U^H for a PSD a, round-off negatives clipped: the
+    reference the order probe tests check against."""
+    return psd_function(a, g)
 
 
 def test_matrix_function_sqrt():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -9,8 +11,9 @@ from qmsgap.errors import (
     NotFaithfulError,
     OrderViolationError,
     PostconditionError,
+    QmsGapError,
 )
-from qmsgap.linalg import dag, herm_eig, vec
+from qmsgap.linalg import dag, vec
 from qmsgap.metric import (
     QuadraticForm,
     eigenbasis_rotation,
@@ -20,8 +23,11 @@ from qmsgap.metric import (
     f_metric,
     f_metric_table,
     f_metrics,
+    _loewner_order_probes,
+    f_grams,
     loewner_order_probe,
     moreau_form,
+    moreau_forms,
 )
 from qmsgap.monotone import (
     anti_gns,
@@ -35,6 +41,8 @@ from qmsgap.monotone import (
     transpose,
 )
 from qmsgap.qms import Superoperator, density_matrix, random_density
+
+from references import psd_function
 
 
 def diag_state(*populations):
@@ -322,7 +330,7 @@ def test_exact_moreau_oracle_matches_the_descent(rng, random_complex):
         xi = random_complex(d)
         xi /= np.linalg.norm(xi)
         lam = float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0))))
-        value, eta = harness._minimize_moreau(a, lam, xi)
+        (value,), (eta,) = harness._minimize_moreau(a[None], [lam], xi[None])
         want = _descend(a, lam, xi)
         assert abs(value - want) <= 1e-10 * abs(want)
         gradient = 2.0 * (a @ eta) - 2.0 * (xi - eta) / lam
@@ -344,6 +352,23 @@ def test_moreau_needs_positive_lambda(rng, random_complex):
     form = QuadraticForm(matrix=np.eye(2, dtype=complex))
     with pytest.raises(OrderViolationError):
         moreau_form(form, 0.0, np.array([1.0, 0.0]))
+
+
+def test_moreau_rejects_a_lambda_that_is_nan():
+    form = QuadraticForm(matrix=np.eye(2, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OrderViolationError):
+            moreau_form(form, float("nan"), np.array([1.0, 0.0]))
+
+
+def test_stacked_moreau_forms_equal_one_form_at_a_time(rng, random_psd, random_complex):
+    forms = [QuadraticForm(matrix=random_psd(3)) for _ in range(4)]
+    xis = random_complex(4, 3)
+    lams = np.exp(rng.uniform(-3, 2, (4, 5)))
+    got = moreau_forms(forms, lams, xis)
+    for form, row, xi, values in zip(forms, lams, xis, got):
+        assert [moreau_form(form, lam, xi) for lam in row] == values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +403,7 @@ def test_order_probe_decomposes_each_operand_once(monkeypatch, random_psd):
     b = a + random_psd(4)
     want = []
     for f in builtin_functions():
-        diff = herm_eig(b).apply_psd(f) - herm_eig(a).apply_psd(f)
+        diff = psd_function(b, f) - psd_function(a, f)
         want.append(float(np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[0]))
     calls = []
     eigh = np.linalg.eigh
@@ -404,6 +429,53 @@ def test_order_probe_decomposes_each_operand_once(monkeypatch, random_psd):
 def test_order_probe_rejects_wrong_order():
     with pytest.raises(OrderViolationError):
         loewner_order_probe(2.0 * np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+def test_order_probe_rejects_a_floor_that_is_not_finite_and_nonnegative(floor):
+    a, b = np.diag([1.0, 0.0]), np.array([[2.0, 1.0], [1.0, 1.0]])
+    loewner_order_probe(a, b)  # a valid pair: A <= B
+    with pytest.raises(QmsGapError, match="order floor must be finite") as info:
+        loewner_order_probe(a, b, floor=floor)
+    assert not isinstance(info.value, OrderViolationError)
+
+
+def _order_pairs(random_psd, d, n):
+    a = np.array([random_psd(d) for _ in range(n)])
+    return a, a + np.array([random_psd(d) for _ in range(n)])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_order_probes_equal_one_pair_at_a_time(random_psd, d):
+    a, b = _order_pairs(random_psd, d, 6)
+    got = _loewner_order_probes(a, b, 1e-9)
+    assert got == [loewner_order_probe(x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize(
+    "first, later",
+    [
+        (lambda a, b: (b, a), lambda a, b: (2.0 * b, a)),  # precondition A <= B
+        (lambda a, b: (a, -b), lambda a, b: (2.0 * b, a)),  # B not PSD
+    ],
+)
+def test_stacked_order_probes_raise_the_error_of_the_first_failing_pair(
+    random_psd, first, later
+):
+    a, b = _order_pairs(random_psd, 3, 5)
+    a[1], b[1] = first(a[1].copy(), b[1].copy())
+    a[3], b[3] = later(a[3].copy(), b[3].copy())
+    with pytest.raises(QmsGapError) as want:
+        loewner_order_probe(a[1], b[1])
+    with pytest.raises(type(want.value)) as got:
+        _loewner_order_probes(a, b, 1e-9)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_grams_equal_one_metric_at_a_time(rng):
+    metrics = f_metrics(random_density(rng, 3), builtin_functions())
+    for got, metric in zip(f_grams(metrics), metrics):
+        np.testing.assert_array_equal(got, f_gram(metric).matrix)
 
 
 # ---------------------------------------------------------------------------

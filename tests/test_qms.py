@@ -37,7 +37,7 @@ from qmsgap.qms import (
     thermal_qubit,
 )
 
-from references import gns_gram_matrix, projector
+from references import gns_gram_matrix, projector, random_model_by_matrix
 
 GAMMA = 0.35
 
@@ -260,6 +260,18 @@ def test_random_model_is_seed_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_random_model_draws_the_stream_of_one_matrix_at_a_time(d):
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(6):
+        got, want = random_model(rng, d), random_model_by_matrix(reference, d)
+        np.testing.assert_array_equal(got.hamiltonian, want.hamiltonian)
+        assert len(got.jumps) == len(want.jumps)
+        for x, y in zip(got.jumps, want.jumps):
+            np.testing.assert_array_equal(x, y)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_random_faithful_model_conditioning(rng):
     for d in (2, 3, 4):
         _, rho, _ = random_faithful_model(rng, d)
@@ -415,6 +427,29 @@ def test_density_matrix_validation():
         density_matrix(np.diag([1.5, -0.5]))
     pure = density_matrix(np.diag([1.0, 0.0]))
     assert not pure.faithful
+
+
+def test_stacked_random_states_equal_a_two_dimensional_construction():
+    rng, loop = np.random.default_rng(3), np.random.default_rng(3)
+    got = qms._random_states([qms._state_draw(rng, 3) for _ in range(5)])
+    for state in got:
+        raw = loop.dirichlet(np.ones(3))
+        p = (raw + 2.0 * qms.DENSITY_EIG_FLOOR) / (1.0 + 6.0 * qms.DENSITY_EIG_FLOOR)
+        q, r = np.linalg.qr(loop.standard_normal((3, 3)) + 1j * loop.standard_normal((3, 3)))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        rho = (u * p) @ dag(u)
+        values, vectors = np.linalg.eigh((rho + dag(rho)) / 2.0)
+        np.testing.assert_array_equal(state.eigen.values, values)
+        np.testing.assert_array_equal(state.eigen.vectors, vectors)
+        np.testing.assert_array_equal(state.rho, (vectors * values) @ dag(vectors))
+        assert state.faithful
+    assert rng.bit_generator.state == loop.bit_generator.state
+
+
+def test_stacked_states_raise_for_the_first_that_is_not_a_state():
+    stack = np.array([np.eye(2) / 2.0, np.diag([1.5, -0.5]), np.eye(2)])
+    with pytest.raises(QmsGapError, match="negative eigenvalue -5.000e-01"):
+        qms.density_matrices(stack)
 
 
 def test_model_requires_hermitian_hamiltonian():

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gap import gap_curve, spectral_gap_f
 from .metric import f_metric
-from .qms import check_invariance, fixed_point_structure, invariant_state
+from .qms import check_invariance, invariant_state
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -113,9 +113,8 @@ def _load_model(path):
 def cmd_gap(args) -> int:
     f = cfgmod.parse_f_spec(args.f_spec)
     model, rho = _load_model(args.config)
-    fps = fixed_point_structure(model, rho)
     metric = f_metric(rho, f)
-    report = spectral_gap_f(model, rho, metric, fps=fps)
+    report = spectral_gap_f(model, rho, metric)
 
     alpha = "" if f.kind != "power" else fmt(f.alpha)
     min_spectrum = (
@@ -151,8 +150,7 @@ def _parse_grid(spec: str):
 def cmd_curve(args) -> int:
     alphas = _parse_grid(args.grid)
     model, rho = _load_model(args.config)
-    fps = fixed_point_structure(model, rho)
-    curve = gap_curve(model, rho, alphas, fps=fps)
+    curve = gap_curve(model, rho, alphas)
 
     sys.stdout.write("alpha,lambda,symmetry_defect,monotonicity_defect\n")
     for alpha, lam in curve.points:

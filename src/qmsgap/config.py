@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, QmsGapError
 from .monotone import (
     MonotoneFunction,
     anti_gns,
@@ -72,6 +72,9 @@ def model_to_dict(model: GKSLModel, rho: Optional[DensityMatrix] = None) -> dict
 def model_from_dict(doc) -> tuple[GKSLModel, Optional[DensityMatrix]]:
     if not isinstance(doc, dict):
         raise ConfigError("model config must be a JSON object")
+    unknown = sorted(set(doc) - {"schema_version", "dim", "hamiltonian", "jumps", "rho"})
+    if unknown:
+        raise ConfigError(f"unknown keys in model config: {unknown}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported schema_version {doc.get('schema_version')!r}"
@@ -118,8 +121,8 @@ def function_from_descriptor(doc) -> MonotoneFunction:
     if kind == "power":
         try:
             return power(float(doc["alpha"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad power descriptor {doc!r}") from exc
+        except (KeyError, TypeError, ValueError, QmsGapError) as exc:
+            raise ConfigError(f"bad power descriptor {doc!r}: {exc}") from exc
     if kind == "measure":
         try:
             atoms = [
@@ -135,22 +138,20 @@ def function_from_descriptor(doc) -> MonotoneFunction:
 
 
 def parse_f_spec(spec: str) -> MonotoneFunction:
-    """Parse command-line metric specs:
+    """The function of the metric descriptor a command-line spec names:
     gns | anti-gns | kms | bkm | power:ALPHA | measure:PATH."""
-    if spec in _SIMPLE_KINDS:
-        return _SIMPLE_KINDS[spec]()
-    if spec.startswith("power:"):
-        try:
-            return power(float(spec.split(":", 1)[1]))
-        except Exception as exc:
-            raise ConfigError(f"bad power spec {spec!r}: {exc}") from exc
-    if spec.startswith("measure:"):
-        path = spec.split(":", 1)[1]
-        doc = load_json(path)
+    kind, colon, arg = spec.partition(":")
+    if not colon:
+        doc = {"kind": kind}
+    elif kind == "power":
+        doc = {"kind": "power", "alpha": arg}
+    elif kind == "measure":
+        doc = load_json(arg)
         if isinstance(doc, list):
             doc = {"kind": "measure", "atoms": doc}
-        return function_from_descriptor(doc)
-    raise ConfigError(f"unknown metric spec {spec!r}")
+    else:
+        raise ConfigError(f"unknown metric spec {spec!r}")
+    return function_from_descriptor(doc)
 
 
 def load_json(path) -> Any:

@@ -80,7 +80,7 @@ one model, whose frame broadcasts over its slices.  A call on several
 models keeps no frame.  A batch runs each stage for all its models before
 the next, so its first error is that of the first failing stage; the
 campaign restores model order by running a batch that raises or warns
-again one model at a time (harness._drawn_then_batched).  Every stack
+again one model at a time (harness._pool).  Every stack
 holds at most linalg.CHUNK_BYTES (64 KiB) of d^2 x d^2 complex data:
 max(1, 4096 // d^4) slices or models (256 at d = 2, 16 at d = 4, one at
 d = 8), so peak memory grows with neither the number of models nor of

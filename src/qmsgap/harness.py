@@ -32,14 +32,14 @@ metric_closed_forms) draw their cases one by one too and decide each batch
 in stacks of one d (_stacked), their states included.  The cases come out
 with the same ids in the same order.  Those routines run each stage for
 all models before the next, so a batch that raises or warns is run again
-one draw at a time (_drawn_then_batched, the one place that restores model
-order): errors and warnings are then those of a model-by-model run, a pair
-that violates the Loewner order gets inf alone, and a draw that fails is
+one draw at a time (_pool, the one place that restores model order):
+errors and warnings are then those of a model-by-model run, a pair that
+violates the Loewner order gets inf alone, and a draw that fails is
 raised after the models drawn before it are checked.  No admission stage
 is needed: qms.generator checks that each generator gives a unital
 completely positive semigroup, and the gap routines assert E's identities.
-decay_equivalence redraws on the gaps it sees, so it alone checks its
-cases one at a time.
+decay_equivalence redraws on the gaps it sees, so it alone draws stacks
+of one (_draws) and checks its cases one at a time.
 
 Defects in reports are normalized: a case's defect is its worst violation
 measured in units of the property tolerance, so defect <= 1 passes.
@@ -51,7 +51,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -101,7 +101,6 @@ from .qms import (
     fixed_point_structure,
     generator,
     invariant_state,
-    random_faithful_model,
     random_faithful_models,
 )
 
@@ -232,6 +231,9 @@ class CampaignConfig:
     def from_dict(cls, doc: dict, seed: Optional[int] = None) -> "CampaignConfig":
         if not isinstance(doc, dict):
             raise ConfigError("campaign config must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"schema_version"})
+        if unknown:
+            raise ConfigError(f"unknown keys in campaign config: {unknown}")
         if doc.get("schema_version", cfgmod.SCHEMA_VERSION) != cfgmod.SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {doc.get('schema_version')!r}"
@@ -405,21 +407,14 @@ def _random_draws(rng: np.random.Generator, dims, indices) -> Iterator:
     return (PoolEntry(i, *x) for i, x in zip(indices, drawn))
 
 
-def _draw(cfg: CampaignConfig, rng: np.random.Generator, index: int) -> PoolEntry:
-    """The index-th pool model, drawn alone: the override model if the
-    config has one."""
-    if cfg.model_override is None:
-        d = cfg.dims[index % len(cfg.dims)]
-        return PoolEntry(index, *random_faithful_model(rng, d))
-    model, rho = cfgmod.model_from_dict(cfg.model_override)
-    return PoolEntry(index, model, invariant_state(model) if rho is None else rho)
-
-
 def _draws(cfg: CampaignConfig, rng: np.random.Generator, indices) -> Iterator:
-    """The pool models at the indices, random ones drawn as one stack."""
-    if cfg.model_override is not None:
-        return (_draw(cfg, rng, i) for i in indices)
-    return _random_draws(rng, cfg.dims, indices)
+    """The pool models at the indices: the override model if the config has
+    one, else random ones drawn as one stack."""
+    if cfg.model_override is None:
+        return _random_draws(rng, cfg.dims, indices)
+    model, rho = cfgmod.model_from_dict(cfg.model_override)
+    rho = invariant_state(model) if rho is None else rho
+    return (PoolEntry(i, model, rho) for i in indices)
 
 
 def _pool_size(cfg: CampaignConfig, n: int) -> int:
@@ -427,18 +422,18 @@ def _pool_size(cfg: CampaignConfig, n: int) -> int:
     return 1 if cfg.model_override is not None else n
 
 
-def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
-    """post's results for the draws 0, ..., n - 1, taken in order.
+def _pool(draw: Callable, n: int, then: Callable) -> Iterator:
+    """Pairs (draw, result) for the draws 0, ..., n - 1, taken in order.
 
-    The draws are taken and post-processed _BATCH at a time: draw maps a
-    range of indices to an iterator of their draws, and post maps a list of
-    draws to one result each; each runs once per batch.  When post raises
-    or warns on a batch of several draws, it runs again on one draw at a
-    time, in order: the warnings then come as a model-by-model run gives
-    them, and the first failing draw raises its own error, with the same
-    type and message.  A draw that raises ends the drawing; its error is
-    raised after post has checked the draws before it, as a model-by-model
-    run would have.
+    The draws are taken and then processed _BATCH at a time: draw maps a
+    range of indices to an iterator of their draws, and then maps a list of
+    draws to a list of one result each; each runs once per batch.  When
+    then raises or warns on a batch of several draws, it runs again on one
+    draw at a time, in order: the warnings then come as a model-by-model
+    run gives them, and the first failing draw raises its own error, with
+    the same type and message.  A draw that raises ends the drawing; its
+    error is raised after then has checked the draws before it, as a
+    model-by-model run would have.
     """
     for start in range(0, n, _BATCH):
         draws = []
@@ -452,14 +447,14 @@ def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
         if len(draws) > 1:
             with warnings.catch_warnings(record=True) as caught:
                 try:
-                    results = post(draws)
+                    results = then(draws)
                 except Exception:  # any error: the replay below raises it again
                     pass
             if caught:
                 results = None
         if results is None:  # a batch of one, or one that raised or warned
-            results = [post([x])[0] for x in draws]
-        yield from results
+            results = [then([x])[0] for x in draws]
+        yield from zip(draws, results)
         if error is not None:
             raise error
 
@@ -467,15 +462,6 @@ def _drawn_then_batched(draw: Callable, n: int, post: Callable) -> Iterator:
 def _columns(entries: list[PoolEntry]) -> tuple[list, list]:
     """The models and states of the entries."""
     return [e.model for e in entries], [e.rho for e in entries]
-
-
-def _pool(draw: Callable, n: int, then: Callable) -> Iterator:
-    """Pairs (entry, result) for the entries 0, ..., n - 1 of draw (a range
-    of indices -> their entries), in order, then (entries -> one result
-    each) batched by _drawn_then_batched."""
-    return _drawn_then_batched(
-        draw, n, lambda entries: list(zip(entries, then(entries)))
-    )
 
 
 class _SharedPool:
@@ -492,7 +478,7 @@ class _SharedPool:
             rng = _rng_for(self.cfg, 0)
             n = _pool_size(self.cfg, self.cfg.n_models)
             draw = partial(_draws, self.cfg, rng)
-            self.entries = list(_drawn_then_batched(draw, n, list))
+            self.entries = [entry for entry, _ in _pool(draw, n, list)]
             self.n_rejected = sum(entry.rejected for entry in self.entries)
         return iter(self.entries)
 
@@ -596,7 +582,7 @@ def _decay_equivalence(cfg, rng, pool):
     rejected = 0
     while produced < n_wanted and attempts < 20 * n_wanted:
         attempts += 1
-        entry = _draw(cfg, rng, produced)
+        (entry,) = _draws(cfg, rng, [produced])
         rejected += entry.rejected
         fps = fixed_point_structure(entry.model, entry.rho)
         metrics = f_metrics(entry.rho, functions)

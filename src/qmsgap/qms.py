@@ -47,7 +47,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ConvergenceFailureError,
     DimensionMismatchError,
     KernelDecisionError,
     NoFaithfulInvariantStateError,
@@ -382,8 +381,8 @@ def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMat
 
     The candidate is the last column of ker L_*, scaled to trace one and
     Hermitized; PostconditionError if its trace is below 1e-12 or if the
-    residual |L_*(rho)| exceeds 1e-9, ConvergenceFailureError if its eigh
-    fails or fails to reconstruct it."""
+    residual |L_*(rho)| exceeds 1e-9, ConvergenceFailureError if its
+    herm_eigs fails or fails to reconstruct it."""
     gens = _generators(models, gens)
     splits = _kernels(models, gens)
     for dual_kernel, _ in splits:
@@ -401,14 +400,8 @@ def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMat
         cands = cands / traces[:, None, None]
         cands = (cands + dag(cands)) / 2.0  # exactly Hermitian from here on
         cands = cands / cands.trace(axis1=1, axis2=2).real[:, None, None]
-        try:
-            values, vectors = np.linalg.eigh(cands)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"eigh did not converge: {exc}") from exc
+        values, vectors = herm_eigs(cands)
         rhos = (vectors * values[:, None, :]) @ dag(vectors)
-        scale = np.maximum(1.0, frobenius_norms(cands))
-        if (frobenius_norms(rhos - cands) > DEFAULT_TOL * scale).any():
-            raise ConvergenceFailureError("eigendecomposition fails reconstruction")
         floors = values[:, 0]
         if (floors <= FAITHFULNESS_THRESHOLD).any():
             raise NoFaithfulInvariantStateError(

@@ -135,9 +135,31 @@ def test_gap_exit_3_for_non_finite_or_boolean_entry(capsys, tmp_path, field, ent
     assert f"{field}: entry 0" in err
 
 
-def test_gap_exit_3_for_unknown_metric(capsys, depolarizing_config):
-    code, _, err = run(capsys, "gap", depolarizing_config, "--f", "nope")
-    assert code == 3 and "metric" in err
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("nope", "unknown metric kind 'nope'"),
+        ("power:2", "power exponent must lie in [0, 1], got 2.0"),
+        ("power:nan", "power exponent must lie in [0, 1], got nan"),
+        ("kms:1", "unknown metric spec 'kms:1'"),
+        ("power", "bad power descriptor"),
+    ],
+    ids=["nope", "power:2", "power:nan", "kms:1", "power"],
+)
+def test_gap_exit_3_for_unknown_metric(capsys, depolarizing_config, spec, message):
+    code, _, err = run(capsys, "gap", depolarizing_config, "--f", spec)
+    assert code == 3
+    assert err.startswith("qmsgap: input error:") and message in err
+
+
+def test_gap_exit_3_for_a_misspelled_model_key(capsys, tmp_path):
+    doc = model_to_dict(depolarizing_qubit(GAMMA))
+    doc["jump"] = doc.pop("jumps")
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gap", str(path))
+    assert code == 3 and out == ""
+    assert "unknown keys in model config: ['jump']" in err
 
 
 def test_gap_inf_sentinel(capsys, tmp_path):
@@ -236,6 +258,12 @@ def test_verify_missing_file(capsys, tmp_path):
         ("t_grid", [math.nan], "t_grid entry must be a finite number"),
         ("seed", True, "seed must be an integer"),
         ("seed", 1.7, "seed must be an integer"),
+        ("f_suite", [{"kind": "power", "alpha": 2.0}],
+         "power exponent must lie in [0, 1], got 2.0"),
+        ("tolerance", {"contractivity": 1e-8},
+         "unknown keys in campaign config: ['tolerance']"),
+        ("model_override", {**model_to_dict(depolarizing_qubit(GAMMA)), "jump": []},
+         "unknown keys in model config: ['jump']"),
     ],
 )
 def test_verify_exit_3_for_malformed_campaign_config(

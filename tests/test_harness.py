@@ -201,10 +201,9 @@ def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
 
         monkeypatch.setattr(harness, name, draw)
 
-    # _draws: the shared pool, the transpose and alpha draws; _draw: the
-    # decay draws and the override; _random_draws: the strict-gap scan (and
-    # _draws' random models)
-    names = ("_draws", "_draw", "_random_draws", "random_detailed_balance",
+    # _draws: the shared pool, the transpose, alpha and decay draws and the
+    # override; _random_draws: the strict-gap scan (and _draws' random models)
+    names = ("_draws", "_random_draws", "random_detailed_balance",
              "degenerate_block_model")
     for name in names:
         recording(name, getattr(harness, name))

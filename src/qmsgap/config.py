@@ -119,9 +119,11 @@ def function_from_descriptor(doc) -> MonotoneFunction:
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind]()
     if kind == "power":
+        if "alpha" not in doc:
+            raise ConfigError(f"bad power descriptor {doc!r}: missing key 'alpha'")
         try:
             return power(float(doc["alpha"]))
-        except (KeyError, TypeError, ValueError, QmsGapError) as exc:
+        except (TypeError, ValueError, QmsGapError) as exc:
             raise ConfigError(f"bad power descriptor {doc!r}: {exc}") from exc
     if kind == "measure":
         try:

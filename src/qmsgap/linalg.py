@@ -93,6 +93,12 @@ def herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ConvergenceFailureError unless U diag(values) U^H reconstructs it as
     closely.  A stack raises the error of its first failing matrix.
     """
+    return _herm_eigs(a)[:2]
+
+
+def _herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """herm_eigs, and the stack of reconstructions U diag(values) U^H it
+    checked."""
     scale = np.maximum(1.0, frobenius_norms(a))
     defects = frobenius_norms(a - dag(a))
     a = (a + dag(a)) / 2.0
@@ -100,7 +106,8 @@ def herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigh did not converge: {exc}") from exc
-    residuals = frobenius_norms((vectors * values[:, None]) @ dag(vectors) - a)
+    rebuilt = (vectors * values[:, None]) @ dag(vectors)
+    residuals = frobenius_norms(rebuilt - a)
     failed = np.maximum(defects, residuals) > DEFAULT_TOL * scale
     if failed.any():
         k = failed.argmax()  # the first failing matrix
@@ -110,7 +117,7 @@ def herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"{DEFAULT_TOL:.1e} * {scale[k]:.3e}"
             )
         raise ConvergenceFailureError("eigendecomposition fails reconstruction")
-    return values, vectors
+    return values, vectors, rebuilt
 
 
 # Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the

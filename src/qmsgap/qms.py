@@ -27,14 +27,15 @@ or without the optional `gen=` argument.  The invariant state spans
 ker L_* and the fixed-point algebra is ker L, so both come from one SVD and
 one kernel decision per model, also kept on the model (`_kernels`).
 
-Every check and solve here runs on stacks: `_generators`, `_kernels`,
-`_invariant_states` and `fixed_point_structures` serve the models of one d
-with one stacked call per stage, each model getting bit for bit what it
-gets alone, and `generator`, `invariant_state` and `fixed_point_structure`
-are them on one model.  `random_faithful_models` decides a batch of draws
-as one stack.  States too: `density_matrices` checks a stack of them with
-one eigh, and `_random_states` builds `random_density`'s states from
-draws of one d (`_state_draw`) taken earlier, in stream order, with one QR.
+Every build, check and solve here runs on stacks: `_generators`,
+`_kernels`, `_invariant_states` and `fixed_point_structures` serve the
+models of one d with one stacked call per stage, each model getting bit for
+bit what it gets alone, and `generator`, `invariant_state` and
+`fixed_point_structure` are them on one model.  `random_faithful_models`
+decides a batch of draws as one stack.  States too: `density_matrices`
+checks a stack of them with one eigh, and `_random_states` builds
+`random_density`'s states from draws of one d (`_state_draw`) taken
+earlier, in stream order, with one QR.
 """
 
 from __future__ import annotations
@@ -60,13 +61,13 @@ from .linalg import (
     HermitianEigen,
     Superoperator,
     _as_complex_square,
+    _herm_eigs,
     batches,
     choi_matrix,
     dag,
     expm,
     frobenius,
     frobenius_norms,
-    herm_eigs,
     pick,
     same_lengths,
     unvec,
@@ -154,19 +155,19 @@ def density_matrix(
 def density_matrices(
     rhos: np.ndarray, faithfulness_threshold: float = FAITHFULNESS_THRESHOLD
 ) -> list[DensityMatrix]:
-    """The state of each matrix of a finite stack (n, d, d), from one
-    herm_eigs: QmsGapError for the first that has a trace other than 1 or
-    a negative eigenvalue (beyond DEFAULT_TOL)."""
-    values, vectors = herm_eigs(rhos)
+    """The state of each matrix of a finite stack (n, d, d), rebuilt from
+    its eigendecomposition by one herm_eigs: QmsGapError for the first that
+    has a trace other than 1 or a negative eigenvalue (beyond DEFAULT_TOL)."""
+    values, vectors, rebuilt = _herm_eigs(rhos)
     for trace, low in zip(np.trace(rhos, axis1=1, axis2=2).real.tolist(), values[:, 0]):
         if abs(trace - 1.0) > DEFAULT_TOL:
             raise QmsGapError(f"state trace {trace!r} is not 1 within tolerance")
         if low < -DEFAULT_TOL:
             raise QmsGapError(f"state has negative eigenvalue {low:.3e}")
     return [
-        DensityMatrix(rho=(v * w) @ dag(v), eigen=HermitianEigen(values=w, vectors=v),
+        DensityMatrix(rho=rho, eigen=HermitianEigen(values=w, vectors=v),
                       faithful=bool(w[0] > faithfulness_threshold))
-        for w, v in zip(values, vectors)
+        for w, v, rho in zip(values, vectors, rebuilt)
     ]
 
 
@@ -193,22 +194,22 @@ def _generators(models: Sequence[GKSLModel], gens=None) -> list[Superoperator]:
     """gens (None: all omitted) with each omitted one replaced by its
     model's generator, as generator gives it.
 
-    Each is built from its own np.kron terms, and those of one d are
-    checked as stacks (linalg.batches): the PostconditionError of the first
-    failing model of a stack, whose models then keep no generator.  A model
-    listed twice keeps the first."""
+    Those of one d are built and checked as stacks (linalg.batches,
+    _generator_stack): the PostconditionError of the first failing model of
+    a stack, whose models then keep no generator.  Each model keeps a copy
+    of its own matrix, not a view of the stack.  A model listed twice keeps
+    the first."""
     out = list(gens or [None] * len(models))
-    mats = [
-        _generator_matrix(m) if g is None and m._generator is None else None
-        for m, g in zip(models, out)
-    ]
-    keys = ((m.dim,) if x is not None else None for m, x in zip(models, mats))
+    keys = ((m.dim,) if g is None and m._generator is None else None
+            for m, g in zip(models, out))
     for idx in batches(keys):
-        _check_generators(_stack(pick(mats, idx)))
-        for i in idx:
+        mats = _generator_stack(pick(models, idx))
+        _check_generators(mats)
+        for i, mat in zip(idx, mats):
             if models[i]._generator is None:
-                mats[i].setflags(write=False)
-                gen = Superoperator(dim=models[i].dim, matrix=mats[i])
+                mat = mat.copy()
+                mat.setflags(write=False)
+                gen = Superoperator(dim=models[i].dim, matrix=mat)
                 object.__setattr__(models[i], "_generator", gen)
     return [m._generator if g is None else g for m, g in zip(models, out)]
 
@@ -218,17 +219,47 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _generator_matrix(model: GKSLModel) -> np.ndarray:
-    """L in column-stacking coordinates, from 2 + 3 n_jumps np.kron terms."""
-    d = model.dim
+def _generator_stack(models: Sequence[GKSLModel]) -> np.ndarray:
+    """L of each model of one d in column-stacking coordinates, stacked in
+    the models' order: i (1 (x) H - H^T (x) 1), then for each jump V in turn
+    + V^T (x) V^H - (1 (x) V^H V + (V^H V)^T (x) 1) / 2.
+
+    Each term with an identity side is one np.kron for the stack, the cross
+    term one per model and jump (2 + 3 n_jumps calls for one model).  The
+    models are taken in descending jump count, so jump k's terms update a
+    leading slice.  Every entry is the same product and the same sequence
+    of sums as the model built alone."""
+    counts = [len(m.jumps) for m in models]
+    order = sorted(range(len(models)), key=counts.__getitem__, reverse=True)
+    models = pick(models, order)
+    jumps = [[m.jumps[k] for m in models if len(m.jumps) > k]
+             for k in range(len(models[0].jumps))]
+    d = models[0].dim
     eye = np.eye(d, dtype=complex)
-    h = model.hamiltonian
-    mat = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for v in model.jumps:
-        vdag_v = dag(v) @ v
-        mat += np.kron(v.T, dag(v))
-        mat -= 0.5 * (np.kron(eye, vdag_v) + np.kron(vdag_v.T, eye))
-    return mat
+    h = _stack([m.hamiltonian for m in models])
+    v = np.array([a for vs in jumps for a in vs]).reshape(-1, d, d)  # k-major, or empty
+    v_t = _transposes(v)  # contiguous factors spare np.kron a copy
+    v_h = v_t.conj()
+    vdag_v = dag(v) @ v
+    vdag_v_t = _transposes(vdag_v)
+    mat = 1j * (np.kron(eye, h) - np.kron(_transposes(h), eye))
+    start = 0
+    for vs in jumps:
+        rows, end = mat[: len(vs)], start + len(vs)
+        for row, a, b in zip(rows, v_t[start:end], v_h[start:end]):
+            row += np.kron(a, b)
+        rows -= 0.5 * (
+            np.kron(eye, vdag_v[start:end]) + np.kron(vdag_v_t[start:end], eye)
+        )
+        start = end
+    if order == sorted(order):
+        return mat
+    return mat[sorted(range(len(order)), key=order.__getitem__)]  # models' order
+
+
+def _transposes(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack, C-contiguous."""
+    return np.ascontiguousarray(a.swapaxes(1, 2))
 
 
 def _check_generators(mats: np.ndarray) -> None:
@@ -400,8 +431,7 @@ def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMat
         cands = cands / traces[:, None, None]
         cands = (cands + dag(cands)) / 2.0  # exactly Hermitian from here on
         cands = cands / cands.trace(axis1=1, axis2=2).real[:, None, None]
-        values, vectors = herm_eigs(cands)
-        rhos = (vectors * values[:, None, :]) @ dag(vectors)
+        values, vectors, rhos = _herm_eigs(cands)
         floors = values[:, 0]
         if (floors <= FAITHFULNESS_THRESHOLD).any():
             raise NoFaithfulInvariantStateError(

@@ -16,6 +16,21 @@ def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
     return kron(rho.rho.T, np.eye(rho.dim, dtype=complex))
 
 
+def gksl_generator_matrix(model: GKSLModel) -> np.ndarray:
+    """L(x) = i [H, x] + sum_j (V_j^H x V_j - {V_j^H V_j, x} / 2) of one model
+    in column-stacking coordinates, term by term: vec(a x b) is
+    (b^T (x) a) vec(x), each term one 2-D np.kron, the jumps in turn."""
+    eye = np.eye(model.dim, dtype=complex)
+    h = model.hamiltonian
+    mat = 1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for v in model.jumps:
+        v_h = v.conj().T
+        v_h_v = v_h @ v
+        mat += np.kron(v.T, v_h)
+        mat -= 0.5 * (np.kron(eye, v_h_v) + np.kron(v_h_v.T, eye))
+    return mat
+
+
 def projector(fps: FixedPointStructure) -> Superoperator:
     """The d^2 x d^2 matrix of E = B R, formed from its rank-dim N factors."""
     return Superoperator(

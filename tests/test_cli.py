@@ -142,7 +142,7 @@ def test_gap_exit_3_for_non_finite_or_boolean_entry(capsys, tmp_path, field, ent
         ("power:2", "power exponent must lie in [0, 1], got 2.0"),
         ("power:nan", "power exponent must lie in [0, 1], got nan"),
         ("kms:1", "unknown metric spec 'kms:1'"),
-        ("power", "bad power descriptor"),
+        ("power", "bad power descriptor {'kind': 'power'}: missing key 'alpha'"),
     ],
     ids=["nope", "power:2", "power:nan", "kms:1", "power"],
 )

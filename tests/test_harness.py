@@ -390,6 +390,21 @@ def test_exact_moreau_oracle_passes_far_inside_the_tightened_tolerance():
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_d8_campaign_passes_every_property():
+    # configs/campaign_d8.json: every generator build at d = 8 is a stack of
+    # one (linalg.chunks); six properties draw at the config's dims, the
+    # matrix-analysis ones, strict_gap and degenerate_gap at their own d
+    cfg = CampaignConfig.from_dict(load_json(ROOT / "configs" / "campaign_d8.json"))
+    report = run_campaign(cfg)
+    assert [r.name for r in report.results] == list(PROPERTY_ORDER)
+    assert report.all_passed
+    at_d8 = {r.name for r in report.results if {c.dim for c in r.cases} == {8}}
+    assert at_d8 == {
+        "gap_comparison", "contractivity", "decay_equivalence",
+        "transpose_symmetry", "alpha_curve", "detailed_balance_collapse",
+    }
+
+
 def test_campaign_csv_does_not_depend_on_the_chunk_size(monkeypatch):
     cfg = CampaignConfig.from_dict(load_json(ROOT / "configs" / "campaign_small.json"))
     want = run_campaign(cfg).to_csv()

@@ -37,7 +37,12 @@ from qmsgap.qms import (
     thermal_qubit,
 )
 
-from references import gns_gram_matrix, projector, random_model_by_matrix
+from references import (
+    gksl_generator_matrix,
+    gns_gram_matrix,
+    projector,
+    random_model_by_matrix,
+)
 
 GAMMA = 0.35
 
@@ -554,6 +559,58 @@ def test_stacked_generators_equal_one_model_builds(rng):
     with pytest.raises(PostconditionError, match=r"not \*-preserving"):
         qms._generators([good, bad])
     assert good._generator is None and bad._generator is None  # one stack
+
+
+def test_stacked_generators_equal_the_term_by_term_oracle(rng, random_complex):
+    # one call on a shuffled mix of d = 2, 3, 4, 8 and 1-3 jumps, with one
+    # model whose generator is already set and one entry whose gen is given
+    models = [
+        GKSLModel(random_model(rng, d).hamiltonian,
+                  tuple(random_complex(d, d) for _ in range(n)))
+        for d in (2, 3, 4, 8) for n in (1, 2, 3, 2)
+    ]
+    cached = generator(models[5])
+    given = Superoperator(dim=4, matrix=-gksl_generator_matrix(models[9]))
+    order = rng.permutation(len(models))
+    shuffled = [models[i] for i in order]
+    gens = qms._generators(shuffled, [given if i == 9 else None for i in order])
+    for i, model, gen in zip(order, shuffled, gens):
+        if i == 9:
+            assert gen is given and model._generator is None
+            continue
+        assert gen is model._generator
+        assert gen.matrix.tobytes() == gksl_generator_matrix(model).tobytes()
+    assert models[5]._generator is cached
+    # 1 then 2 jumps: the build takes the pair swapped and hands it back
+    pair = [GKSLModel(m.hamiltonian, m.jumps) for m in models[:2]]
+    for model, gen in zip(pair, qms._generators(pair)):
+        assert gen.matrix.tobytes() == gksl_generator_matrix(model).tobytes()
+
+
+def test_a_stack_raises_its_first_failing_model_in_the_given_order(rng, monkeypatch):
+    # the build takes a stack by descending jump count, but the check reads
+    # it in the caller's order: the 1-jump model at 1 fails before the
+    # 2-jump model at 3, and then no model of the stack keeps a generator
+    models = [GKSLModel(random_model(rng, 2).hamiltonian, random_model(rng, 2).jumps[:1])
+              for _ in range(5)]
+    models[3] = GKSLModel(models[3].hamiltonian, (SIGMA_MINUS, SIGMA_PLUS))
+    object.__setattr__(models[1], "hamiltonian", 1j * SIGMA_Z)  # not *-preserving
+    real, bad = qms._generator_stack, models[3]
+
+    def negated(stack):  # -L for bad: unital, *-preserving, not CCP
+        mats = real(stack)
+        for mat, model in zip(mats, stack):
+            if model is bad:
+                mat *= -1.0
+        return mats
+
+    monkeypatch.setattr(qms, "_generator_stack", negated)
+    with pytest.raises(PostconditionError, match=r"not \*-preserving"):
+        qms._generators(models)
+    assert all(m._generator is None for m in models)
+    with pytest.raises(PostconditionError, match="not conditionally completely positive"):
+        qms._generators(models[2:])
+    assert all(m._generator is None for m in models)
 
 
 def test_model_and_generator_arrays_are_read_only(random_complex):

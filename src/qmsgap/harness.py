@@ -19,7 +19,8 @@ versions.  Property streams are independent, so the report is the same
 regardless of evaluation order.  Rejected model draws (no unique faithful
 invariant state) are counted, never silently dropped.
 
-Batching: a property takes its models _BATCH at a time.  Its random draws
+Batching: a property takes its models _BATCH at a time (48: draws cycling
+d = 2, 3, 4 give a batch 16 models of each d).  Its random draws
 are one stack (qms.random_faithful_models: the candidates are decided
 together, and the stream is replayed exactly at a rejection), so each
 model, state and rejected count is the one a draw-by-draw loop over the
@@ -148,11 +149,13 @@ DEFAULT_COUNTS = {
 }
 
 KMS_CLOSED_FORM_TOL = 1e-11
-# models drawn, then checked as one batch, at a time.  16 already shares
-# each numpy call among enough models that larger batches ran no faster on
-# the acceptance campaign, while its peak memory grew with the batch (the
-# metrics and reports of a batch are held at once)
-_BATCH = 16
+# models drawn, then checked as one batch, at a time.  The batched routines
+# stack the models of one d, so draws cycling d = 2, 3, 4 give 16 models a
+# d: exactly one d = 4 chunk (linalg.chunks: CHUNK_BYTES // (16 * 4^4)).
+# On a 2-core box, 48 cut perfbench's acceptance wall time by 12% against
+# 16 (seeds 42 and 7, 10 of 10 alternating pairs each).  A larger batch
+# only adds chunks, and holds more metrics and reports at once
+_BATCH = 48
 # lambda_gns at or below this is an exact zero gap that round-off may have
 # made positive (single-jump d = 2 models); strict_gap_search skips it
 GNS_GAP_FLOOR = 1e-10
@@ -293,7 +296,7 @@ def acceptance_config(seed: int = 42) -> CampaignConfig:
     return CampaignConfig(seed=seed, n_models=200, dims=(2, 3, 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseRecord:
     case_id: str
     dim: int
@@ -427,7 +430,8 @@ def _pool(draw: Callable, n: int, then: Callable) -> Iterator:
 
     The draws are taken and then processed _BATCH at a time: draw maps a
     range of indices to an iterator of their draws, and then maps a list of
-    draws to a list of one result each; each runs once per batch.  When
+    draws to a list of one result each; each runs once per batch, and only
+    the batch's draws and results are held at once.  When
     then raises or warns on a batch of several draws, it runs again on one
     draw at a time, in order: the warnings then come as a model-by-model
     run gives them, and the first failing draw raises its own error, with
@@ -465,8 +469,12 @@ def _columns(entries: list[PoolEntry]) -> tuple[list, list]:
 
 
 class _SharedPool:
-    """The models that gap comparison and contractivity quantify over,
-    drawn from spawn key 0 on first use, _BATCH at a time."""
+    """The models that the READERS, gap comparison and contractivity,
+    quantify over, drawn from spawn key 0 on first use, _BATCH at a time.
+    run_campaign drops them after the last reader it runs, so they are not
+    held through the batches of later properties; n_rejected stays."""
+
+    READERS = ("gap_comparison", "contractivity")
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -935,12 +943,20 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
     Deterministic given the seed: each property draws from its own spawn
     key of the campaign seed.  Gap comparison and contractivity quantify
-    over "the same models" and share one pool; its rejected draws count
-    toward the campaign total but toward no property.
+    over "the same models" and share one pool, dropped after the last of
+    them runs; its rejected draws count toward the campaign total but
+    toward no property.
     """
     t0 = time.perf_counter()
     pool = _SharedPool(cfg)
-    results = [_run_property(cfg, name, pool) for name in cfg.properties]
+    last_reader = next(
+        (name for name in reversed(cfg.properties) if name in _SharedPool.READERS), None
+    )
+    results = []
+    for name in cfg.properties:
+        results.append(_run_property(cfg, name, pool))
+        if name == last_reader:
+            pool.entries = None  # a later reader would draw them again
     return CampaignReport(
         config=cfg,
         results=results,

@@ -1,5 +1,8 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +265,12 @@ def test_config_roundtrip():
     again = CampaignConfig.from_dict(campaign_config_to_dict(cfg))
     assert again == cfg
     assert acceptance_config().n_models == 200
+
+
+def test_acceptance_config_file_is_the_acceptance_campaign():
+    # configs/campaign_acceptance.json is what `qmsgap verify` runs in CI
+    doc = load_json(ROOT / "configs" / "campaign_acceptance.json")
+    assert CampaignConfig.from_dict(doc) == acceptance_config(42)
 
 
 def test_detailed_balance_model_is_self_adjoint_for_every_f():
@@ -561,6 +570,60 @@ def test_an_order_violation_gives_inf_to_its_own_pair_only(monkeypatch):
 
     monkeypatch.setattr(harness, "_pool", pool)
     (got,) = run_campaign(cfg).results
-    assert harness._BATCH == 16 and stacks[:2] == [16, 1]  # the batch is replayed
+    assert stacks[:2] == [harness._BATCH, 1]  # the first batch is replayed
     assert got.cases[8].defect == np.inf and not got.cases[8].passed
     assert got.cases[:8] + got.cases[9:] == want.cases[:8] + want.cases[9:]
+
+
+def test_acceptance_csv_equals_that_of_a_draw_by_draw_run(monkeypatch):
+    cfg = acceptance_config(7)
+    want = run_campaign(cfg).to_csv()
+    monkeypatch.setattr(harness, "_BATCH", 1)
+    assert run_campaign(cfg).to_csv() == want
+
+
+# ---------------------------------------------------------------------------
+# The shared pool, dropped after its last reader
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("readers", [
+    ("gap_comparison", "contractivity"), ("contractivity", "gap_comparison"),
+])
+def test_the_pool_is_drawn_once_and_dropped_after_its_last_reader(monkeypatch, readers):
+    cases = dict(harness._PROPERTY_CASES)
+    refs, shared, alive = [], [], []
+
+    def reader(cfg, rng, pool, name):
+        models = [entry.model for entry in pool]
+        if refs:  # the second reader gets the first one's models, not a redraw
+            shared.append(all(ref() is model for ref, model in zip(refs, models)))
+        else:
+            refs.extend(map(weakref.ref, models))
+        yield from cases[name](cfg, rng, pool)
+
+    def later(cfg, rng, pool):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        yield from cases["transpose_symmetry"](cfg, rng, pool)
+
+    for name in readers:
+        monkeypatch.setitem(harness._PROPERTY_CASES, name, partial(reader, name=name))
+    monkeypatch.setitem(harness._PROPERTY_CASES, "transpose_symmetry", later)
+    report = run_campaign(small_config(properties=readers + ("transpose_symmetry",)))
+    assert report.all_passed
+    assert len(refs) == 4 and shared == [True] and alive == [0]
+
+
+def test_the_pool_readers_give_the_same_cases_in_any_order(small_report):
+    # contractivity reads the pool first and gap_comparison last, after
+    # alpha_curve; the pool is drawn once and dropped after gap_comparison
+    order = (
+        "contractivity", "decay_equivalence", "transpose_symmetry",
+        "alpha_curve", "gap_comparison",
+    ) + PROPERTY_ORDER[5:]
+    report = run_campaign(small_config(properties=order))
+    assert report.n_rejected_draws == small_report.n_rejected_draws
+    for name in PROPERTY_ORDER:
+        got, want = property_result(report, name), property_result(small_report, name)
+        assert got.cases == want.cases and got.n_rejected == want.n_rejected

@@ -27,14 +27,15 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f.  So a model's frame is built once: L~ = W^H L W; Q = W^H B_N and
+f, and W only on rho (`FMetric.rotation`, formed once per state).  So a
+model's frame is built once: L~ = W^H L W; Q = W^H B_N and
 R~ = R W from the factors E = B_N R that fixed_point_structure solved
 for (the frame solves nothing); and, from one SVD of the fixed-point
 constraints C = Q^H diag(sqrt w_gns), a unitary [V Y] with Y spanning
 diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A frame
 holds these for a stack of models, model axis first.  A one-model call
-keeps its frame on its FixedPointStructure, keyed by the eigendata arrays
-rho keeps (metric.py) and by the generator L~ came from, so
+keeps its frame on its FixedPointStructure, keyed by the W rho keeps and
+by the generator L~ came from, so
 `spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace` and
 `empirical_decay_rate` (with its exp(t L~)) build it only once.
 
@@ -59,7 +60,7 @@ one f) is one eigvalsh of the deflated H_f plus a fixed handful of
 O(dim N d^4) numpy calls, Q (R~ diag(w_f)^{-1/2} V) among them, with Y Y^H
 and |V_i|^2 (|B~_f|^2 = sum_i |V_i|^2 / w_f,i) kept on the frame; one
 stacked eigvalsh serves a chunk of slices.  `f_operator_norms` rotates a
-map S once (a read-only S keeps S~ = W^H S W, keyed by rho's eigendata)
+map S once (a read-only S keeps S~ = W^H S W, keyed by the W rho keeps)
 and takes the 2-norms of A_f = diag(sqrt w_f) S~ diag(1/sqrt w_f) as
 sqrt(lambda_max(A_f^H A_f)); `spectral_gap_f`, `decaying_subspace` and
 `f_operator_norm` are thin wrappers over the two.  `empirical_decay_rate`,
@@ -96,7 +97,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     NegativeGapWarning,
     PostconditionError,
     QmsGapError,
@@ -104,10 +104,12 @@ from .errors import (
     warn,
 )
 from .linalg import (
-    Superoperator, batches, chunks, dag, expm, frobenius_norms, kron, pick,
-    same_lengths,
+    Superoperator, batches, chunks, dag, expm, frobenius_norms, pick, same_lengths,
 )
-from .metric import COND_GUARD, FMetric, f_metric_table, warn_if_ill_conditioned
+from .metric import (
+    COND_GUARD, FMetric, f_metric_table, same_state, warn_if_ill_conditioned,
+    weight_rows,
+)
 from .monotone import power
 from .qms import (
     DensityMatrix,
@@ -161,40 +163,16 @@ class _Frame:
     """The eigen frame (see the module docstring) of models of one d and
     dim N, stacked on a leading model axis: its state part (W, the
     orthonormality of [V Y] and the slice parts V, |V_i|^2, Y^H, Y Y^H, Q
-    and R~) is keyed by the eigendata of model 0's state, its generator
+    and R~) is keyed by the W model 0's state keeps (state), its generator
     part (L~ and model 0's decay stack) by model 0's generator.  Only a
     one-model frame is kept, so only its keys are ever read."""
 
-    __slots__ = ("basis", "eigenvalues", "rotation", "orthonormality", "parts",
-                 "source", "gen", "decay")
+    __slots__ = ("state", "rotation", "orthonormality", "parts", "source", "gen",
+                 "decay")
 
-    def __init__(self, metric: FMetric, rotation, ortho, parts):
-        self.basis, self.eigenvalues = metric.basis, metric.eigenvalues
-        self.rotation, self.orthonormality, self.parts = rotation, ortho, parts
-        self.source = self.gen = self.decay = None
-
-
-def _one_state(a, b) -> bool:
-    """Whether a and b (metrics or frames) carry the eigendata of one state:
-    every metric of a state shares the arrays it keeps (see metric.py)."""
-    return a.basis is b.basis and a.eigenvalues is b.eigenvalues
-
-
-def _weights(metrics: Sequence[FMetric]) -> np.ndarray:
-    """Rows w_f = vec(p_j f(p_i / p_j)), the diagonal f-Grams of the frame."""
-    return np.array([m.weights.T for m in metrics]).reshape(len(metrics), -1)
-
-
-def _same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
-    """The metrics must come from one state (QmsGapError) on the d of the
-    model or map they measure (DimensionMismatchError)."""
-    first = metrics[0]
-    if first.dim != dim:
-        raise DimensionMismatchError(
-            f"metric of dimension {first.dim} for a {what} of dimension {dim}"
-        )
-    if not all(_one_state(m, first) for m in metrics[1:]):
-        raise QmsGapError("metrics of one call must come from one state")
+    def __init__(self, state, rotation, ortho, parts):
+        self.state, self.rotation, self.orthonormality = state, rotation, ortho
+        self.parts, self.source, self.gen, self.decay = parts, None, None, None
 
 
 def _build_frame(
@@ -205,8 +183,7 @@ def _build_frame(
     singular vectors, from one stacked SVD, of the fixed-point constraints
     C = Q^H diag(sqrt w_gns) (see the module docstring)."""
     d, n_fixed = states[0].dim, fpss[0].dim
-    u = np.array([m.basis for m in states])
-    rotation = kron(u.conj(), u)
+    rotation = np.array([m.rotation for m in states])
     span = dag(rotation) @ np.array([fps.columns for fps in fpss])
     root_gns = np.sqrt(np.repeat(np.array([m.eigenvalues for m in states]), d, axis=1))
     constraints = dag(span) * root_gns[:, None, :]
@@ -221,7 +198,7 @@ def _build_frame(
     fixed_h = dag(fixed)
     rows = np.add.reduce((kernel.conj() * kernel).real, axis=-1)
     parts = (kernel, rows, np.ascontiguousarray(fixed_h), fixed @ fixed_h, span, coords)
-    return _Frame(states[0], rotation, ortho, parts)
+    return _Frame(states[0].rotation, rotation, ortho, parts)
 
 
 def _frame(
@@ -240,7 +217,7 @@ def _frame(
     a group of one model (every group at d = 8): such a frame serves once,
     and a pool's frames would be held as long as the pool."""
     frame = fpss[0]._frame if len(fpss) == 1 else None
-    if frame is None or not _one_state(frame, states[0]):
+    if frame is None or frame.state is not states[0].rotation:
         frame = _build_frame(fpss, states)
     if gens is not None and frame.source is not gens[0]:
         rotation = frame.rotation
@@ -333,7 +310,7 @@ def gap_sweeps(
     todo = []
     for i, metrics in enumerate(metric_lists):
         if metrics:
-            _same_state(metrics, models[i].dim, "model")
+            same_state(metrics, models[i].dim, "model")
             if gens[i] is None:
                 gens[i] = generator(models[i])
             if fpss[i] is None:
@@ -364,7 +341,7 @@ def _sweep_group(frame: _Frame, metric_lists, n_fixed: int) -> list[GapReport]:
     g of the frame, in model order.  Warns IllConditionedWarning for
     weights spread beyond COND_GUARD, also when nothing decays."""
     metrics = [m for ms in metric_lists for m in ms]
-    weights = _weights(metrics)
+    weights = weight_rows(metrics)
     ordered = np.sort(weights, axis=1)  # one sort gives min(w_f) and max(w_f)
     ratios = (ordered[:, -1] / ordered[:, 0]).tolist()
     for metric, ratio in zip(metrics, ratios):
@@ -430,13 +407,13 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     beyond 1 / SUBSPACE_DROP_TOL and PostconditionError when the basis is not
     annihilated by E to MEMBERSHIP_TOL.
     """
-    _same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
+    same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
     frame = _frame([fps], [metric])
     object.__setattr__(fps, "_frame", frame)
     kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
     if kernel.shape[1] == 0:
         return kernel
-    weights = _weights([metric])
+    weights = weight_rows([metric])
     root = np.sqrt(weights)
     ratios = (weights.max(axis=1) / weights.min(axis=1)).tolist()
     _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, [metric])
@@ -446,9 +423,8 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
 def _rotations(
     metric_lists: Sequence[Sequence[FMetric]], maps: np.ndarray
 ) -> np.ndarray:
-    """S~ = W^H S W for each map maps[g, t], W the frame of metric_lists[g]."""
-    u = np.array([metrics[0].basis for metrics in metric_lists])
-    rotation = kron(u.conj(), u)[:, None]
+    """S~ = W^H S W for each map maps[g, t], W the state of metric_lists[g]."""
+    rotation = np.array([metrics[0].rotation for metrics in metric_lists])[:, None]
     return dag(rotation) @ maps @ rotation
 
 
@@ -462,7 +438,7 @@ def _operator_norms(
     n_maps, n_times = rotated.shape[:2]
     n_metrics = len(metric_lists[0])
     rotated = rotated.reshape((n_maps * n_times,) + rotated.shape[2:])
-    root = np.sqrt(np.concatenate([_weights(metrics) for metrics in metric_lists]))
+    root = np.sqrt(np.concatenate([weight_rows(metrics) for metrics in metric_lists]))
     slices = np.arange(n_maps * n_times * n_metrics)
     which_map = slices // n_metrics
     which_root = slices // (n_times * n_metrics) * n_metrics + slices % n_metrics
@@ -487,10 +463,10 @@ def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray
     """
     if not metrics:
         return np.empty(0)
-    _same_state(metrics, s.dim, "map")
+    same_state(metrics, s.dim, "map")
     kept = s._rotated
-    if kept is None or not _one_state(kept[0], metrics[0]):
-        kept = (metrics[0], _rotations([metrics], s.matrix[None, None]))
+    if kept is None or kept[0] is not metrics[0].rotation:
+        kept = (metrics[0].rotation, _rotations([metrics], s.matrix[None, None]))
         if not s.matrix.flags.writeable:
             object.__setattr__(s, "_rotated", kept)
     return _operator_norms([metrics], kept[1])[0, 0]
@@ -516,7 +492,7 @@ def semigroup_norms(
     same_lengths(models=models, metric_lists=metric_lists)
     for model, metrics in zip(models, metric_lists):
         if metrics:
-            _same_state(metrics, model.dim, "model")
+            same_state(metrics, model.dim, "model")
     out = [np.empty((len(times), len(metrics))) for metrics in metric_lists]
     keys = ((m.dim, len(metrics)) if metrics else None
             for m, metrics in zip(models, metric_lists))
@@ -633,7 +609,7 @@ def empirical_decay_rate(
     Raises RankDeficiencyError when that f-Gram loses rank; math.inf when
     nothing decays.
     """
-    _same_state([metric], model.dim, "model")
+    same_state([metric], model.dim, "model")
     if gen is None:
         gen = generator(model)
     if fps is None:
@@ -643,7 +619,7 @@ def empirical_decay_rate(
     kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:
         return math.inf
-    weights = _weights([metric])[0]
+    weights = weight_rows([metric])[0]
     raw = kernel / np.sqrt(np.repeat(metric.eigenvalues, metric.dim))[:, None]
     gram = dag(raw) @ (weights[:, None] * raw)
     vals, vecs = np.linalg.eigh((gram + dag(gram)) / 2.0)

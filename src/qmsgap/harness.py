@@ -192,7 +192,8 @@ class CampaignConfig:
     properties: tuple[str, ...] = PROPERTY_ORDER
 
     def __post_init__(self):
-        _integer(self.seed, "seed")
+        if _integer(self.seed, "seed") < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if _integer(self.n_models, "n_models") < 1:
             raise ConfigError("n_models must be at least 1")
         if not self.dims or any(
@@ -206,6 +207,8 @@ class CampaignConfig:
         for name in self.properties:
             if name not in PROPERTY_ORDER:
                 raise ConfigError(f"unknown property {name!r}")
+        if not self.properties:
+            raise ConfigError("property list is empty (vacuous run)")
         if len(set(self.properties)) != len(self.properties):
             raise ConfigError("property list contains duplicates")
         for name, count in self.counts.items():

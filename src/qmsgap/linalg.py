@@ -185,9 +185,9 @@ def unvec(v) -> np.ndarray:
 class Superoperator:
     """Matrix form of a linear map on M_d(C) in column-stacking coordinates.
 
-    ``matrix @ vec(x) == vec(S(x))`` for the represented map S.  The
-    f-operator norms keep the map's rotation into a state's eigen frame in
-    `_rotated` (see gap.py) when the matrix is read-only.
+    ``matrix @ vec(x) == vec(S(x))`` for the represented map S.  When the
+    matrix is read-only, the f-operator norms keep (W, W^H S W) in
+    `_rotated`, W the rotation of the state they measured in (see gap.py).
     """
 
     dim: int

@@ -17,9 +17,12 @@ All f-computations here go through this weight matrix rather than through
 a d^2 x d^2 eigendecomposition of f(Delta): the diagonal structure is
 exact, weights cost O(d^2), and no spurious non-normality enters.
 A DensityMatrix keeps its descending eigen split, as a GKSLModel keeps its
-generator, so every metric of a state, from any call, shares its read-only
-`eigenvalues` and `basis`: that identity is how the gap routines recognize
-metrics of one state.  `f_metric_table` evaluates each function once on
+generator, with the eigen-frame rotation W = conj(U) (x) U (so that
+W^H vec(x) = vec(U^H x U)) formed there and nowhere else.  So every metric
+of a state, from any call, shares its read-only `eigenvalues`, `basis` and
+`rotation`: that identity is how the gap routines recognize metrics of
+one state.  `weight_rows` is the one vectorization of the weights in that
+frame.  `f_metric_table` evaluates each function once on
 the stacked modular ratios of all states of one d, and `f_grams` builds
 the Grams of a stack of metrics at once; `f_gram` is its stack of one.
 
@@ -63,8 +66,6 @@ from .linalg import (
     grouped,
     herm_eig,
     herm_eigs,
-    kron,
-    vec,
 )
 from .monotone import MonotoneFunction, builtin_functions
 from .qms import DensityMatrix
@@ -77,13 +78,15 @@ _RESOLVENT_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)  # loewner_order_probe'
 class FMetric:
     """Spectral data of rho plus the weight matrix of <., .>_f.
 
-    eigenvalues are descending, basis columns match them, and
+    eigenvalues are descending, basis columns match them, rotation is
+    W = conj(basis) (x) basis (all three kept by the state), and
     weights[i, j] = eigenvalues[j] * f(eigenvalues[i] / eigenvalues[j]).
     """
 
     f: MonotoneFunction
     eigenvalues: np.ndarray
     basis: np.ndarray
+    rotation: np.ndarray
     weights: np.ndarray
 
     @property
@@ -104,8 +107,8 @@ def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
 def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetric]]:
     """For each state, the metric of each function, in order.
 
-    The metrics of a state share its kept eigenvalues and basis arrays
-    (descending; see the module docstring).  The states of one d are
+    The metrics of a state share its kept eigenvalues, basis and rotation
+    arrays (descending; see the module docstring).  The states of one d are
     stacked, and each function is evaluated once on the stack of their
     modular ratios, with the entries it gives each state alone.  Raises
     NotFaithfulError for a state that is not faithful, DimensionMismatchError
@@ -133,9 +136,9 @@ def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetri
             if not (w > 0).all():  # NaN weights fail too
                 raise PostconditionError("f-weights must be strictly positive")
             weights.append(w)
-        for g, (i, (pg, ug, _)) in enumerate(zip(idx, splits)):
+        for g, (i, (pg, ug, _, wg)) in enumerate(zip(idx, splits)):
             table[i] = [
-                FMetric(f=f, eigenvalues=pg, basis=ug, weights=w[g])
+                FMetric(f=f, eigenvalues=pg, basis=ug, rotation=wg, weights=w[g])
                 for f, w in zip(functions, weights)
             ]
     return table
@@ -146,20 +149,35 @@ def f_metric(rho: DensityMatrix, f: MonotoneFunction) -> FMetric:
     return f_metrics(rho, [f])[0]
 
 
-def to_eigenbasis(metric: FMetric, x) -> np.ndarray:
-    return dag(metric.basis) @ np.asarray(x, dtype=complex) @ metric.basis
+def same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
+    """The metrics must come from one state (QmsGapError) on the d of the
+    model or map they measure (DimensionMismatchError)."""
+    first = metrics[0]
+    if first.dim != dim:
+        raise DimensionMismatchError(
+            f"metric of dimension {first.dim} for a {what} of dimension {dim}"
+        )
+    if any(m.rotation is not first.rotation for m in metrics[1:]):
+        raise QmsGapError("metrics of one call must come from one state")
+
+
+def weight_rows(metrics: Sequence[FMetric]) -> np.ndarray:
+    """Rows w_f = vec(p_j f(p_i / p_j)) of metrics of one d, stacked
+    (n, d^2): the diagonal f-Grams in the eigen frame."""
+    return np.array([m.weights.T for m in metrics]).reshape(len(metrics), -1)
 
 
 def f_inner(metric: FMetric, x, y) -> complex:
-    """<x, y>_f = sum_ij w_ij conj(x~_ij) y~_ij in the eigenbasis of rho."""
-    xt = to_eigenbasis(metric, x)
-    yt = to_eigenbasis(metric, y)
+    """<x, y>_f = sum_ij w_ij conj(x~_ij) y~_ij, x~ = U^H x U in the
+    eigenbasis of rho; DimensionMismatchError unless x and y are d x d."""
+    pair = [np.asarray(z, dtype=complex) for z in (x, y)]
+    for z in pair:
+        if z.shape != metric.basis.shape:
+            raise DimensionMismatchError(
+                f"metric of dimension {metric.dim} for a matrix of shape {z.shape}"
+            )
+    xt, yt = (dag(metric.basis) @ z @ metric.basis for z in pair)
     return complex(np.sum(metric.weights * xt.conj() * yt))
-
-
-def eigenbasis_rotation(metric: FMetric) -> np.ndarray:
-    """Unitary W = conj(U) (x) U, so that W^H vec(x) = vec(U^H x U)."""
-    return kron(metric.basis.conj(), metric.basis)
 
 
 def warn_if_ill_conditioned(metric: FMetric) -> None:
@@ -184,12 +202,10 @@ def f_grams(metrics: Sequence[FMetric]) -> np.ndarray:
     """The Grams G_f of metrics of one d, stacked (n, d^2, d^2).
 
     Each is diagonal with entries w_ij in matrix-unit coordinates of its
-    eigenbasis, conjugated back with W = conj(U) (x) U.
+    eigenbasis, conjugated back with its state's W = conj(U) (x) U.
     """
-    basis = np.array([m.basis for m in metrics])
-    weights = np.array([m.weights for m in metrics])
-    w = kron(basis.conj(), basis)
-    g = (w * weights.swapaxes(1, 2).reshape(len(metrics), 1, -1)) @ dag(w)
+    w = np.array([m.rotation for m in metrics])
+    g = (w * weight_rows(metrics)[:, None]) @ dag(w)
     return (g + dag(g)) / 2.0
 
 
@@ -200,8 +216,8 @@ def f_gram_sqrt(metric: FMetric) -> tuple[np.ndarray, np.ndarray]:
     in the eigen frame); it is the materialized reference that tests check
     f-operator norms against, and perfbench traces it by name.
     """
-    w = eigenbasis_rotation(metric)
-    root = np.sqrt(vec(metric.weights).real)
+    w = metric.rotation
+    root = np.sqrt(weight_rows([metric])[0])
     return (w * root) @ dag(w), (w / root) @ dag(w)
 
 
@@ -210,10 +226,12 @@ def f_adjoint(metric: FMetric, s: Superoperator) -> Superoperator:
 
     Warns (IllConditionedWarning) when the weight spread exceeds 1e12 and
     proceeds; the result then carries amplified round-off.
+    DimensionMismatchError for s on another d than the metric.
     """
+    same_state([metric], s.dim, "map")
     warn_if_ill_conditioned(metric)
-    w = eigenbasis_rotation(metric)
-    weights = vec(metric.weights).real
+    w = metric.rotation
+    weights = weight_rows([metric])[0]
     inner = dag(w) @ s.matrix.conj().T @ w
     adj = (w / weights) @ (inner * weights) @ dag(w)
     return Superoperator(dim=metric.dim, matrix=adj)

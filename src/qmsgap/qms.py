@@ -68,6 +68,7 @@ from .linalg import (
     expm,
     frobenius,
     frobenius_norms,
+    kron,
     pick,
     same_lengths,
     unvec,
@@ -132,10 +133,12 @@ class DensityMatrix:
 
     @functools.cached_property
     def _split(self) -> tuple:
-        """Descending eigenvalues p, their basis and the modular ratios
-        p_i / p_j, read-only: made once, shared by the state's f-metrics."""
+        """Descending eigenvalues p, their basis U, the modular ratios
+        p_i / p_j and the eigen-frame rotation W = conj(U) (x) U, read-only:
+        made once, shared by the state's f-metrics."""
         p = self.eigen.values[::-1].copy()
-        split = (p, self.eigen.vectors[:, ::-1].copy(), p[:, None] / p[None, :])
+        u = self.eigen.vectors[:, ::-1].copy()
+        split = (p, u, p[:, None] / p[None, :], kron(u.conj(), u))
         for part in split:
             part.setflags(write=False)
         return split

@@ -227,6 +227,12 @@ def test_verify_seed_override_changes_the_run(capsys, tmp_path, campaign_config)
     assert (tmp_path / "a.txt.csv").read_bytes() != (tmp_path / "b.txt.csv").read_bytes()
 
 
+def test_verify_negative_seed_override_is_input_error(capsys, campaign_config):
+    path, _ = campaign_config
+    code, _, err = run(capsys, "verify", path, "--seed", "-1")
+    assert code == 3 and "seed must be >= 0, got -1" in err
+
+
 def test_verify_requires_some_seed(capsys, tmp_path, campaign_config):
     path, doc = campaign_config
     del doc["seed"]
@@ -264,6 +270,8 @@ def test_verify_missing_file(capsys, tmp_path):
          "unknown keys in campaign config: ['tolerance']"),
         ("model_override", {**model_to_dict(depolarizing_qubit(GAMMA)), "jump": []},
          "unknown keys in model config: ['jump']"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("properties", [], "property list is empty"),
     ],
 )
 def test_verify_exit_3_for_malformed_campaign_config(

@@ -6,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qmsgap import gap, linalg
+from qmsgap import gap, linalg, qms
+from qmsgap import metric as metric_module
 from qmsgap.errors import (
     DimensionMismatchError,
     IllConditionedWarning,
@@ -32,7 +33,9 @@ from qmsgap.gap import (
 from qmsgap.harness import degenerate_block_model
 from qmsgap.linalg import Superoperator, dag, unvec, vec
 from qmsgap.metric import (
+    f_adjoint,
     f_gram,
+    f_grams,
     f_gram_sqrt,
     f_inner,
     f_metric,
@@ -550,6 +553,22 @@ def test_a_kept_rotation_serves_only_metrics_of_its_state(rng):
     want = f_operator_norms(f_metrics(other, SUITE), fresh)
     np.testing.assert_array_equal(theirs, want)
     assert np.abs(theirs - ours).max() > 1e-6
+
+
+def test_a_state_forms_its_rotation_once(rng, monkeypatch):
+    # W = conj(U) (x) U is formed where the state keeps its eigen split and
+    # nowhere else: every gap, norm, Gram and adjoint of the state reads it
+    assert not hasattr(gap, "kron") and not hasattr(metric_module, "kron")
+    builds = _count_calls(monkeypatch, qms, "kron")
+    model, rho, _ = random_faithful_model(rng, 3)
+    metrics = f_metrics(rho, SUITE[:13])
+    gap_sweep(model, rho, metrics)
+    for t in (0.1, 1.0, 10.0):
+        f_operator_norms(metrics, semigroup(model, t))
+    f_grams(metrics)
+    f_adjoint(metrics[0], generator(model))
+    assert len(builds) == 1
+    assert all(m.rotation is metrics[0].rotation for m in metrics)
 
 
 def test_a_writable_matrix_is_never_kept(rng):

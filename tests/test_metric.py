@@ -16,7 +16,6 @@ from qmsgap.errors import (
 from qmsgap.linalg import dag, vec
 from qmsgap.metric import (
     QuadraticForm,
-    eigenbasis_rotation,
     f_adjoint,
     f_gram,
     f_inner,
@@ -167,21 +166,25 @@ def test_f_metrics_share_one_split_and_equal_f_metric(rng):
     functions = builtin_functions()
     metrics = f_metrics(rho, functions)
     first = metrics[0]
-    assert not first.eigenvalues.flags.writeable and not first.basis.flags.writeable
+    for name in ("eigenvalues", "basis", "rotation"):
+        assert not getattr(first, name).flags.writeable
     for f, m in zip(functions, metrics):
         assert m.f is f
         assert m.eigenvalues is first.eigenvalues and m.basis is first.basis
+        assert m.rotation is first.rotation
         single = f_metric(rho, f)
-        for name in ("eigenvalues", "basis", "weights"):
+        for name in ("eigenvalues", "basis", "rotation", "weights"):
             assert getattr(m, name).tobytes() == getattr(single, name).tobytes()
     assert f_metrics(rho, []) == []
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_eigenbasis_rotation_equals_numpy_kron(rng, d):
+    # the state's W, kept beside its eigen split, is np.kron's bit for bit
     metric = f_metric(random_density(rng, d), kms())
     want = np.kron(metric.basis.conj(), metric.basis)
-    assert eigenbasis_rotation(metric).tobytes() == want.tobytes()
+    assert metric.rotation.tobytes() == want.tobytes()
+    assert not metric.rotation.flags.writeable
 
 
 def test_gram_of_trace_state_is_half_identity():
@@ -258,6 +261,23 @@ def test_f_adjoint_property(rng, random_complex):
             lhs = f_inner(metric, adj.apply(x), y)
             rhs = f_inner(metric, x, s.apply(y))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: f_adjoint(m, Superoperator.identity(2)),
+        lambda m: f_inner(m, np.eye(2), np.eye(3)),
+        lambda m: f_inner(m, np.eye(3, 2), np.eye(3)),
+        lambda m: f_inner(m, np.ones(9), np.eye(3)),
+    ],
+    ids=["adjoint", "inner-y", "inner-x-not-square", "inner-x-flat"],
+)
+def test_input_of_another_dimension_is_named(rng, call):
+    # as f_operator_norm names it, not as a numpy matmul error
+    metric = f_metric(random_density(rng, 3), kms())
+    with pytest.raises(DimensionMismatchError, match="metric of dimension 3 for a"):
+        call(metric)
 
 
 def test_f_adjoint_warns_when_ill_conditioned():
@@ -515,12 +535,13 @@ def test_metrics_of_one_state_share_its_kept_split(rng):
     # recognize one state)
     rho = random_density(rng, 3)
     first, second = f_metric(rho, kms()), f_metric(rho, kms())
-    assert first.eigenvalues is second.eigenvalues
-    assert first.basis is second.basis
     (other,) = f_metric_table([rho], [bkm()])[0]
-    assert other.eigenvalues is first.eigenvalues and other.basis is first.basis
-    assert not first.eigenvalues.flags.writeable and not first.basis.flags.writeable
-    assert f_metric(random_density(rng, 3), kms()).basis is not first.basis
+    for name in ("eigenvalues", "basis", "rotation"):
+        assert getattr(first, name) is getattr(second, name) is getattr(other, name)
+        assert not getattr(first, name).flags.writeable
+    stranger = f_metric(random_density(rng, 3), kms())
+    assert stranger.basis is not first.basis
+    assert stranger.rotation is not first.rotation
 
 
 def test_f_that_is_not_entrywise_is_named():

@@ -27,7 +27,7 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f, and W only on rho (`FMetric.rotation`, formed once per state).  So a
+f, and W only on rho (kept on the state, formed once).  So a
 model's frame is built once: L~ = W^H L W; Q = W^H B_N and
 R~ = R W from the factors E = B_N R that fixed_point_structure solved
 for (the frame solves nothing); and, from one SVD of the fixed-point
@@ -71,15 +71,27 @@ neither shortcut.
 Batches of models
 -----------------
 `gap_sweeps`, `gap_curves` and `semigroup_norms` take many models.  Models
-of one d and one dim N share stacks: their frame is one stack, built by
-one stacked SVD, and each (model, function) pair, or (model, time,
-function) triple, is one slice of one chunked computation that gathers
-its model's arrays from that stack.  numpy's stacked matmul, eigvalsh,
-svd and solve treat each slice as the 2-d call would, so each model gets
-exactly the numbers it gets alone; the one-model routines are these on
-one model, whose frame broadcasts over its slices.  A call on several
-models keeps no frame.  A batch runs each stage for all its models before
-the next, so its first error is that of the first failing stage; the
+of one d, one dim N and one function count share stacks: their frame is
+one stack, built by one stacked SVD, and their weight rows are one table
+(n, k, d^2).  The cores (`_sweep_group`, `_operator_norms`) take such a
+table, with labels for their warnings and errors, and return arrays: the
+gap, spectrum and residuals of each (model, function) and the norm of
+each (model, time, function).  Each distinct row of a model is one slice,
+computed once and reported under each of its labels: gns and power(0)
+give bitwise-equal rows, as do bkm and transpose(bkm), and kms and
+power(0.5) where numpy takes t^0.5 as sqrt t.  A chunk of slices, (model,
+row) pairs or (model, time, row) triples, is one stacked computation that
+gathers each slice's arrays from its model's stack.  numpy's stacked
+matmul, eigvalsh, svd and solve treat each slice as the 2-d call would, so
+each model gets exactly the numbers it gets alone; the one-model routines
+are these on one model, whose frame broadcasts over its slices.
+`function_sweeps` and `function_norms` read the rows of
+metric.weight_table and build no FMetric or GapReport; the campaign's
+properties use them.  The routines that take metrics build their
+GapReports from the arrays at the end (`Sweep.reports`).  A call on
+several models keeps no frame.  A batch runs each stage for all its
+models before the next, so its first error is that of the first failing
+stage, and it warns of negative gaps once its group is swept; the
 campaign restores model order by running a batch that raises or warns
 again one model at a time (harness._pool).  Every stack
 holds at most linalg.CHUNK_BYTES (64 KiB) of d^2 x d^2 complex data:
@@ -92,7 +104,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,17 +116,19 @@ from .errors import (
     warn,
 )
 from .linalg import (
-    Superoperator, batches, chunks, dag, expm, frobenius_norms, pick, same_lengths,
+    CHUNK_BYTES, Superoperator, batches, chunks, dag, expm, frobenius_norms, pick,
+    same_lengths,
 )
 from .metric import (
-    COND_GUARD, FMetric, f_metric_table, same_state, warn_if_ill_conditioned,
-    weight_rows,
+    COND_GUARD, FMetric, same_state, warn_if_ill_conditioned, weight_rows,
+    weight_table,
 )
 from .monotone import power
 from .qms import (
     DensityMatrix,
     FixedPointStructure,
     GKSLModel,
+    _check_state_dim,
     fixed_point_structure,
     fixed_point_structures,
     generator,
@@ -159,6 +173,26 @@ class GapReport:
         return math.isinf(self.lambda_f)
 
 
+class Sweep(NamedTuple):
+    """The gaps of one model for a list of functions, as arrays: lambdas
+    (k,), spectra (k, d^2 - kernel_dim) and residuals (k, 4) in the order
+    GapReport names them, (k, 0) when nothing decays."""
+
+    kernel_dim: int
+    lambdas: np.ndarray
+    spectra: np.ndarray
+    residuals: np.ndarray
+
+    def reports(self, labels: Sequence[str]) -> list[GapReport]:
+        """One GapReport per function, under its label."""
+        return [
+            GapReport(label, lam, self.kernel_dim, spectrum, dict(zip(_RESIDUALS, res)))
+            for label, lam, spectrum, res in zip(
+                labels, self.lambdas.tolist(), self.spectra, self.residuals.tolist()
+            )
+        ]
+
+
 class _Frame:
     """The eigen frame (see the module docstring) of models of one d and
     dim N, stacked on a leading model axis: its state part (W, the
@@ -175,17 +209,16 @@ class _Frame:
         self.parts, self.source, self.gen, self.decay = parts, None, None, None
 
 
-def _build_frame(
-    fpss: Sequence[FixedPointStructure], states: Sequence[FMetric]
-) -> _Frame:
-    """State part of the frame of models with one d and one dim N: Q and R~
-    from E's factors, and [V Y], the conjugate transpose of the right
-    singular vectors, from one stacked SVD, of the fixed-point constraints
+def _build_frame(fpss: Sequence[FixedPointStructure], eigenvalues, rotations) -> _Frame:
+    """State part of the frame of models with one d and one dim N (their
+    states' descending eigenvalues p and rotations W): Q and R~ from E's
+    factors, and [V Y], the conjugate transpose of the right singular
+    vectors, from one stacked SVD, of the fixed-point constraints
     C = Q^H diag(sqrt w_gns) (see the module docstring)."""
-    d, n_fixed = states[0].dim, fpss[0].dim
-    rotation = np.array([m.rotation for m in states])
+    d, n_fixed = len(eigenvalues[0]), fpss[0].dim
+    rotation = np.array(rotations)
     span = dag(rotation) @ np.array([fps.columns for fps in fpss])
-    root_gns = np.sqrt(np.repeat(np.array([m.eigenvalues for m in states]), d, axis=1))
+    root_gns = np.sqrt(np.repeat(np.array(eigenvalues), d, axis=1))
     constraints = dag(span) * root_gns[:, None, :]
     unitary = dag(np.linalg.svd(constraints)[2])
     ortho = np.maximum.reduce(
@@ -198,17 +231,18 @@ def _build_frame(
     fixed_h = dag(fixed)
     rows = np.add.reduce((kernel.conj() * kernel).real, axis=-1)
     parts = (kernel, rows, np.ascontiguousarray(fixed_h), fixed @ fixed_h, span, coords)
-    return _Frame(states[0].rotation, rotation, ortho, parts)
+    return _Frame(rotations[0], rotation, ortho, parts)
 
 
 def _frame(
     fpss: Sequence[FixedPointStructure],
-    states: Sequence[FMetric],
+    eigenvalues,
+    rotations,
     gens: Optional[Sequence[Superoperator]] = None,
 ) -> _Frame:
-    """The frame of models (states[i] a metric of model i's state) that
-    share one d and one dim N and fit one chunk (linalg.chunks); with gens,
-    their L~ too.
+    """The frame of models that share one d and one dim N and fit one chunk
+    (linalg.chunks), their states given by their eigenvalues and rotations;
+    with gens, their L~ too.
 
     One model takes the frame kept on its FixedPointStructure when that
     frame serves the state; its L~ is rotated again only for another
@@ -217,8 +251,8 @@ def _frame(
     a group of one model (every group at d = 8): such a frame serves once,
     and a pool's frames would be held as long as the pool."""
     frame = fpss[0]._frame if len(fpss) == 1 else None
-    if frame is None or frame.state is not states[0].rotation:
-        frame = _build_frame(fpss, states)
+    if frame is None or frame.state is not rotations[0]:
+        frame = _build_frame(fpss, eigenvalues, rotations)
     if gens is not None and frame.source is not gens[0]:
         rotation = frame.rotation
         frame.gen = dag(rotation) @ np.array([gen.matrix for gen in gens]) @ rotation
@@ -226,64 +260,216 @@ def _frame(
     return frame
 
 
-def _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, metrics):
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """For the weight rows (n, k, d^2) of n models: the flat indices
+    g k + f of each model's distinct rows (the first of equal ones, in
+    order) and, for every row, the position of its equal among them, or
+    None when every row is distinct.  Weights are positive, so rows that
+    compare equal are equal bit for bit (see the module docstring).
+
+    A row is taken for the first row of its model that shares its entry
+    w_{d-1,0} = p_0 f(p_{d-1} / p_0), if all its entries agree.  That
+    comparison holds n k^2 bytes: a table that needs more than CHUNK_BYTES
+    has every row swept."""
+    n, k, size = rows.shape
+    every = np.arange(n * k)
+    if k == 1 or n * k * k > CHUNK_BYTES:
+        return every, None
+    key = rows[:, :, math.isqrt(size) - 1]
+    first = (key[:, :, None] == key[:, None]).argmax(axis=-1)
+    equal = (first + k * np.arange(n)[:, None]).ravel()
+    if (equal == every).all():
+        return every, None
+    flat = rows.reshape(n * k, size)
+    equal = np.where((flat == flat[equal]).all(axis=1), equal, every)
+    distinct = equal == every
+    return every[distinct], (np.cumsum(distinct) - 1)[equal]
+
+
+def _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, label):
     """Memberships |P~ B~_f| / |B~_f| of the f-bases B~_f = diag(w_f)^{-1/2} V
-    of ker E of stacked slices (root = sqrt(w_f), ratios = max / min of w_f).
+    of ker E of stacked slices (root = sqrt(w_f), ratios = max / min of w_f
+    as a list; label(s) names slice s).
 
     RankDeficiencyError when min(w_f) / max(w_f) < SUBSPACE_DROP_TOL: by
     Cauchy interlacing the f-Gram on ker E has its eigenvalues in
     [min(w_f), max(w_f)].  PostconditionError for a membership above
-    MEMBERSHIP_TOL: ker E is then not Delta-invariant to that margin."""
-    for metric, ratio in zip(metrics, ratios):
+    MEMBERSHIP_TOL: ker E is then not Delta-invariant to that margin.  Each
+    names the first failing slice."""
+    for s, ratio in enumerate(ratios):
         if ratio > 1.0 / SUBSPACE_DROP_TOL:
             raise RankDeficiencyError(
                 f"f-weight spread {1.0 / ratio:.3e} below {SUBSPACE_DROP_TOL:.1e} "
-                f"for {metric.f.label}: the f-Gram on ker E may lose rank"
+                f"for {label(s)}: the f-Gram on ker E may lose rank"
             )
     reduced = (coords / root[:, None, :]) @ kernel  # R~ diag(w_f)^{-1/2} V
     basis_norm = np.sqrt(np.add.reduce(rows / weights, axis=-1))  # |B~_f|
-    membership = (frobenius_norms(span @ reduced) / basis_norm).tolist()
-    for metric, m in zip(metrics, membership):
+    membership = frobenius_norms(span @ reduced) / basis_norm
+    for s, m in enumerate(membership.tolist()):
         if m > MEMBERSHIP_TOL:
-            raise PostconditionError(
-                f"f-basis leaves ker E by {m:.3e} for {metric.f.label}"
-            )
+            raise PostconditionError(f"f-basis leaves ker E by {m:.3e} for {label(s)}")
     return membership
 
 
 def _sweep_chunk(kernel, rows, fixed_h, deflator, span, coords, gen, weights, ratios,
-                 ortho, metrics, kernel_dim: int) -> list[GapReport]:
-    """Reports of stacked slices: slice s is metrics[s] (weights[s], their
-    ratio max / min) on the frame of slice parts kernel[s], ..., gen[s] (one
-    frame's arrays broadcast) and orthonormality ortho[s].  The spectrum is
-    the d^2 - dim N lowest eigenvalues of the deflated H_f + c_f Y Y^H."""
+                 label, out):
+    """The spectra of stacked slices, their adjoint, invariance and
+    membership residuals written to columns 1-3 of out: slice s has
+    weights[s] (their ratio max / min) on the frame of slice parts
+    kernel[s], ..., gen[s] (one frame's arrays broadcast), and label(s)
+    names it.  The spectrum is the d^2 - dim N lowest eigenvalues of the
+    deflated H_f + c_f Y Y^H."""
     root = np.sqrt(weights)
-    membership = _f_basis_defects(
-        kernel, rows, span, coords, weights, root, ratios, metrics
+    out[:, 3] = _f_basis_defects(
+        kernel, rows, span, coords, weights, root, ratios, label
     )
     scaled = root[:, :, None] * gen / root[:, None, :]  # M_f
     size = frobenius_norms(scaled)
     deflated = (1.0 + 2.0 * size)[:, None, None] * deflator - (
         scaled + dag(scaled)
     ) / 2.0
-    spectra = np.linalg.eigvalsh(deflated)[:, : gen.shape[-1] - kernel_dim]
     scale = np.maximum(1.0, size)
     drift = fixed_h @ scaled  # Z = Y^H M_f
-    adjoint = (frobenius_norms(drift) / scale).tolist()
-    leak = (frobenius_norms(drift @ kernel) / scale).tolist()
-    reports = []
-    for metric, spectrum, lam, *residuals in zip(
-        metrics, spectra, spectra[:, 0].tolist(), ortho, adjoint, leak, membership
-    ):
+    out[:, 1] = frobenius_norms(drift) / scale
+    out[:, 2] = frobenius_norms(drift @ kernel) / scale
+    return np.linalg.eigvalsh(deflated)[:, : kernel.shape[-1]]
+
+
+def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
+    """Gaps of n models with one d and one dim N for k weight rows each:
+    rows[g] (n, k, d^2) on model g of the frame, labels[g] naming them.
+    Returns a Sweep's lambdas, spectra and residuals for each model,
+    stacked (n, k, ...).
+
+    Each distinct row of a model is one slice (_distinct), its result
+    reported under each of its labels.  Warns IllConditionedWarning for
+    weights spread beyond COND_GUARD, also when nothing decays, and then,
+    once the group is swept, NegativeGapWarning for a gap below -1e-8: each
+    once per label, in order."""
+    n, k, size = rows.shape
+    kept, slot = _distinct(rows)
+    weights = rows.reshape(n * k, size)
+    if slot is not None:
+        weights = weights[kept]
+    ratios = np.maximum.reduce(weights, axis=1) / np.minimum.reduce(weights, axis=1)
+    spreads = ratios.tolist()
+    for ratio in spreads if slot is None else ratios[slot].tolist():
+        if ratio > COND_GUARD:
+            warn_if_ill_conditioned(ratio)
+    if n_fixed == size:
+        return np.full((n, k), math.inf), np.empty((n, k, 0)), np.empty((n, k, 0))
+
+    def label(s):  # of row s = g k + f
+        return labels[s // k][s % k]
+
+    owner = kept // k
+    stacks = (*frame.parts, frame.gen)
+    arrays = [stack[0] for stack in stacks]  # one model broadcasts alone
+    spectra = np.empty((len(kept), size - n_fixed))
+    residuals = np.empty((len(kept), len(_RESIDUALS)))
+    residuals[:, 0] = frame.orthonormality[owner]
+    for c in chunks(len(kept), math.isqrt(size)):
+        if n > 1:  # each slice takes the frame of its model
+            arrays = [stack[owner[c]] for stack in stacks]
+        spectra[c] = _sweep_chunk(
+            *arrays, weights[c], spreads[c], lambda s, c=c: label(kept[c][s]),
+            residuals[c],
+        )
+    if slot is not None:
+        spectra, residuals = spectra[slot], residuals[slot]
+    for s, lam in enumerate(spectra[:, 0].tolist()):
         if lam < -1e-8:
             warn(
-                f"negative gap {lam:.3e} for {metric.f.label}: restricted "
+                f"negative gap {lam:.3e} for {label(s)}: restricted "
                 f"generator is not dissipative",
                 NegativeGapWarning,
             )
-        residuals = dict(zip(_RESIDUALS, residuals))
-        reports.append(GapReport(metric.f.label, lam, kernel_dim, spectrum, residuals))
-    return reports
+    spectra = spectra.reshape(n, k, -1)
+    return spectra[:, :, 0], spectra, residuals.reshape(n, k, -1)
+
+
+def _sweeps(models, rhos, states, rows, labels, fpss=None, gens=None) -> list:
+    """The Sweep of each model for its k_i weight rows rows[i] (each d^2
+    entries in vec order, or a d x d matrix read in column order) under
+    labels[i], states[i] = (p, W) of the state they come from; None for a
+    model without rows.
+
+    A missing fps or gen is computed.  The models that share d, dim N and
+    k are stacked: their frames are built together and every (model, row)
+    pair is one slice of the same chunked sweep (see the module docstring),
+    with the result each model gets alone.  Each stage runs for all models
+    before the next, so the error raised is that of the first failing
+    stage."""
+    n = len(models)
+    fpss, gens = list(fpss or [None] * n), list(gens or [None] * n)
+    todo = []
+    for i, model_rows in enumerate(rows):
+        if len(model_rows):
+            if gens[i] is None:
+                gens[i] = generator(models[i])
+            if fpss[i] is None:
+                todo.append(i)
+    if todo:
+        computed = fixed_point_structures(
+            pick(models, todo), pick(rhos, todo), pick(gens, todo)
+        )
+        for i, fps in zip(todo, computed):
+            fpss[i] = fps
+
+    out: list = [None] * n
+    keys = [(m.dim, fps.dim, len(r)) if len(r) else None
+            for m, fps, r in zip(models, fpss, rows)]
+    for idx in batches(keys):
+        eigenvalues, rotations = zip(*pick(states, idx))
+        frame = _frame(pick(fpss, idx), eigenvalues, rotations, pick(gens, idx))
+        if n == 1:
+            object.__setattr__(fpss[0], "_frame", frame)
+        d, n_fixed, k = keys[idx[0]]
+        stack = np.array(pick(rows, idx)).reshape(len(idx), k, d * d)
+        arrays = _sweep_group(frame, stack, pick(labels, idx), n_fixed)
+        for i, lambdas, spectra, residuals in zip(idx, *arrays):
+            out[i] = Sweep(n_fixed, lambdas, spectra, residuals)
+    return out
+
+
+def _metric_columns(models, metric_lists) -> tuple[list, list, list]:
+    """For each model, the (p, W) of its metrics' state, their weight rows
+    (weights read in column order) and their labels: what _sweeps and
+    _semigroup_norms take.  The metrics of a model must come from one state
+    on its d (same_state)."""
+    for model, metrics in zip(models, metric_lists):
+        if metrics:
+            same_state(metrics, model.dim, "model")
+    return (
+        [(ms[0].eigenvalues, ms[0].rotation) if ms else None for ms in metric_lists],
+        [[m.weights.T for m in ms] for ms in metric_lists],
+        [[m.f.label for m in ms] for ms in metric_lists],
+    )
+
+
+def _table_columns(models, rhos, functions) -> tuple[list, list, list]:
+    """_metric_columns for the functions on each model's state, from one
+    metric.weight_table, with no FMetric."""
+    functions = tuple(functions)
+    rows = weight_table(rhos, functions)
+    for model, rho in zip(models, rhos):
+        _check_state_dim(model, rho.dim)
+    labels = [f.label for f in functions]
+    return [(rho._split[0], rho._split[3]) for rho in rhos], rows, [labels] * len(rhos)
+
+
+def function_sweeps(
+    models: Sequence[GKSLModel],
+    rhos: Sequence[DensityMatrix],
+    functions,
+    fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
+    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+) -> list[Sweep]:
+    """The Sweep of each model for each function on its state, in order:
+    gap_sweeps with no FMetric or GapReport, raising and warning as it
+    does."""
+    same_lengths(models=models, rhos=rhos, fpss=fpss, gens=gens)
+    return _sweeps(models, rhos, *_table_columns(models, rhos, functions), fpss, gens)
 
 
 def gap_sweeps(
@@ -296,73 +482,17 @@ def gap_sweeps(
     """Gap reports of each model for each of its metrics (all built from its
     state), in order; the batched form of gap_sweep.
 
-    A missing fps or gen is computed.  The models that share d and dim N
-    are stacked: their frames are built together and every (model, metric)
-    pair is one slice of the same chunked sweep (see the module docstring),
-    with the result each model gets alone.  Each stage runs for all models
-    before the next, so the error raised is that of the first failing stage
-    (see the module docstring); lists of unequal lengths raise
-    DimensionMismatchError."""
+    A missing fps or gen is computed.  The models that share d, dim N and
+    metric count are stacked (_sweeps), with the result each model gets
+    alone; equal weight rows of one model are swept once.  Each stage runs
+    for all models before the next, so the error raised is that of the
+    first failing stage (see the module docstring); lists of unequal
+    lengths raise DimensionMismatchError."""
     same_lengths(models=models, rhos=rhos, metric_lists=metric_lists, fpss=fpss,
                  gens=gens)
-    n = len(models)
-    fpss, gens = list(fpss or [None] * n), list(gens or [None] * n)
-    todo = []
-    for i, metrics in enumerate(metric_lists):
-        if metrics:
-            same_state(metrics, models[i].dim, "model")
-            if gens[i] is None:
-                gens[i] = generator(models[i])
-            if fpss[i] is None:
-                todo.append(i)
-    if todo:
-        computed = fixed_point_structures(
-            pick(models, todo), pick(rhos, todo), pick(gens, todo)
-        )
-        for i, fps in zip(todo, computed):
-            fpss[i] = fps
-
-    reports: list[list[GapReport]] = [[] for _ in models]
-    keys = [(m.dim, fps.dim) if metrics else None
-            for m, fps, metrics in zip(models, fpss, metric_lists)]
-    for rows in batches(keys):
-        lists = pick(metric_lists, rows)
-        frame = _frame(pick(fpss, rows), [ms[0] for ms in lists], pick(gens, rows))
-        if n == 1:
-            object.__setattr__(fpss[0], "_frame", frame)
-        out = iter(_sweep_group(frame, lists, fpss[rows[0]].dim))
-        for i, metrics in zip(rows, lists):
-            reports[i] = [next(out) for _ in metrics]
-    return reports
-
-
-def _sweep_group(frame: _Frame, metric_lists, n_fixed: int) -> list[GapReport]:
-    """Reports of models with one d and one dim N, metric_lists[g] on model
-    g of the frame, in model order.  Warns IllConditionedWarning for
-    weights spread beyond COND_GUARD, also when nothing decays."""
-    metrics = [m for ms in metric_lists for m in ms]
-    weights = weight_rows(metrics)
-    ordered = np.sort(weights, axis=1)  # one sort gives min(w_f) and max(w_f)
-    ratios = (ordered[:, -1] / ordered[:, 0]).tolist()
-    for metric, ratio in zip(metrics, ratios):
-        if ratio > COND_GUARD:
-            warn_if_ill_conditioned(metric)
-    d = metrics[0].dim
-    if n_fixed == d * d:
-        return [GapReport(m.f.label, math.inf, n_fixed, np.empty(0), {})
-                for m in metrics]
-    owner = np.repeat(np.arange(len(metric_lists)), [len(ms) for ms in metric_lists])
-    ortho = frame.orthonormality[owner].tolist()
-    stacks = (*frame.parts, frame.gen)
-    arrays = [stack[0] for stack in stacks]  # one model broadcasts alone
-    reports = []
-    for c in chunks(len(metrics), d):
-        if len(metric_lists) > 1:  # each slice takes the frame of its model
-            arrays = [stack[owner[c]] for stack in stacks]
-        reports += _sweep_chunk(
-            *arrays, weights[c], ratios[c], ortho[c], metrics[c], n_fixed
-        )
-    return reports
+    states, rows, labels = _metric_columns(models, metric_lists)
+    sweeps = _sweeps(models, rhos, states, rows, labels, fpss, gens)
+    return [s.reports(names) if s else [] for s, names in zip(sweeps, labels)]
 
 
 def gap_sweep(
@@ -408,48 +538,46 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     annihilated by E to MEMBERSHIP_TOL.
     """
     same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
-    frame = _frame([fps], [metric])
+    frame = _frame([fps], [metric.eigenvalues], [metric.rotation])
     object.__setattr__(fps, "_frame", frame)
     kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
     if kernel.shape[1] == 0:
         return kernel
     weights = weight_rows([metric])
     root = np.sqrt(weights)
-    ratios = (weights.max(axis=1) / weights.min(axis=1)).tolist()
-    _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, [metric])
+    ratios = weights.max(axis=1) / weights.min(axis=1)
+    _f_basis_defects(
+        kernel, rows, span, coords, weights, root, ratios, lambda s: metric.f.label
+    )
     return frame.rotation[0] @ (kernel / root[0][:, None])
 
 
-def _rotations(
-    metric_lists: Sequence[Sequence[FMetric]], maps: np.ndarray
-) -> np.ndarray:
-    """S~ = W^H S W for each map maps[g, t], W the state of metric_lists[g]."""
-    rotation = np.array([metrics[0].rotation for metrics in metric_lists])[:, None]
-    return dag(rotation) @ maps @ rotation
-
-
-def _operator_norms(
-    metric_lists: Sequence[Sequence[FMetric]], rotated: np.ndarray
-) -> np.ndarray:
-    """Norms [g, t, f] of the maps rotated[g, t] = S~ for metric_lists[g][f],
-    all of one d and one length: the 2-norms of
+def _operator_norms(rows: np.ndarray, rotated: np.ndarray) -> np.ndarray:
+    """Norms [g, t, f] of the maps rotated[g, t] = S~ for the weight rows
+    rows[g, f] (n, k, d^2) of model g's state: the 2-norms of
     A = diag(sqrt w_f) S~ diag(1/sqrt w_f), as sqrt(lambda_max(A^H A)), one
-    slice per (g, t, f)."""
-    n_maps, n_times = rotated.shape[:2]
-    n_metrics = len(metric_lists[0])
-    rotated = rotated.reshape((n_maps * n_times,) + rotated.shape[2:])
-    root = np.sqrt(np.concatenate([weight_rows(metrics) for metrics in metric_lists]))
-    slices = np.arange(n_maps * n_times * n_metrics)
-    which_map = slices // n_metrics
-    which_root = slices // (n_times * n_metrics) * n_metrics + slices % n_metrics
-    norms = np.empty(slices.size)
-    for c in chunks(slices.size, metric_lists[0][0].dim):
+    slice per distinct row of model g (_distinct) and t."""
+    n, n_times = rotated.shape[:2]
+    k, size = rows.shape[1:]
+    kept, slot = _distinct(rows)
+    flat = rows.reshape(n * k, size)
+    root = np.sqrt(flat if slot is None else flat[kept])
+    maps = rotated.reshape(n * n_times, size, size)
+    which_root, when = np.divmod(np.arange(len(kept) * n_times), n_times)
+    norms = np.empty(which_root.size)
+    for c in chunks(norms.size, math.isqrt(size)):
         r = root[which_root[c]]
         # one map broadcasts over the slices; several are gathered per slice
-        maps_c = rotated[0] if len(rotated) == 1 else rotated[which_map[c]]
+        if len(maps) == 1:
+            maps_c = maps[0]
+        else:
+            maps_c = maps[(kept // k * n_times)[which_root[c]] + when[c]]
         scaled = r[:, :, None] * maps_c / r[:, None, :]
         norms[c] = np.sqrt(np.linalg.eigvalsh(dag(scaled) @ scaled)[:, -1])
-    return norms.reshape(n_maps, n_times, n_metrics)
+    norms = norms.reshape(len(kept), n_times)
+    if slot is not None:
+        norms = norms[slot]
+    return norms.reshape(n, k, n_times).swapaxes(1, 2)
 
 
 def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray:
@@ -464,17 +592,36 @@ def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray
     if not metrics:
         return np.empty(0)
     same_state(metrics, s.dim, "map")
+    w = metrics[0].rotation
     kept = s._rotated
-    if kept is None or kept[0] is not metrics[0].rotation:
-        kept = (metrics[0].rotation, _rotations([metrics], s.matrix[None, None]))
+    if kept is None or kept[0] is not w:
+        kept = (w, dag(w[None, None]) @ s.matrix[None, None] @ w[None, None])
         if not s.matrix.flags.writeable:
             object.__setattr__(s, "_rotated", kept)
-    return _operator_norms([metrics], kept[1])[0, 0]
+    return _operator_norms(weight_rows(metrics)[None], kept[1])[0, 0]
 
 
 def f_operator_norm(metric: FMetric, s: Superoperator) -> float:
     """Operator norm of the represented map for |.|_f: f_operator_norms([metric], s)."""
     return float(f_operator_norms([metric], s)[0])
+
+
+def _semigroup_norms(models, states, rows, times) -> list[np.ndarray]:
+    """f-operator norms of Phi_t for each model i, time and weight row of
+    rows[i], states[i] = (p, W) of their state (as _sweeps takes them): one
+    (len(times), k_i) array per model.  The models of one d and one k share
+    stacked expms over all times (qms.semigroups) and chunked norm stacks
+    (linalg.batches), with the result each model gets alone."""
+    out = [np.empty((len(times), len(r))) for r in rows]
+    keys = [(m.dim, len(r)) if len(r) else None for m, r in zip(models, rows)]
+    for idx in batches(keys, len(times)):
+        d, k = keys[idx[0]]
+        phis = np.array(semigroups(pick(models, idx), times))
+        w = np.array([states[i][1] for i in idx])[:, None]
+        stack = np.array(pick(rows, idx)).reshape(len(idx), k, d * d)
+        for i, norms in zip(idx, _operator_norms(stack, dag(w) @ phis @ w)):
+            out[i] = norms
+    return out
 
 
 def semigroup_norms(
@@ -485,23 +632,23 @@ def semigroup_norms(
     """f_operator_norms of Phi_t for each model, time and metric of the
     model's state: one (len(times), len(metrics)) array per model.
 
-    The models of one d and one metric count share stacked expms over all
-    times (qms.semigroups) and chunked norm stacks (linalg.batches), with
-    the result each model gets alone; lists of unequal lengths raise
-    DimensionMismatchError."""
+    The models of one d and one metric count are stacked
+    (_semigroup_norms), with the result each model gets alone; equal
+    weight rows of one model are taken once.  Lists of unequal lengths
+    raise DimensionMismatchError."""
     same_lengths(models=models, metric_lists=metric_lists)
-    for model, metrics in zip(models, metric_lists):
-        if metrics:
-            same_state(metrics, model.dim, "model")
-    out = [np.empty((len(times), len(metrics))) for metrics in metric_lists]
-    keys = ((m.dim, len(metrics)) if metrics else None
-            for m, metrics in zip(models, metric_lists))
-    for rows in batches(keys, len(times)):
-        lists = pick(metric_lists, rows)
-        phis = np.array(semigroups(pick(models, rows), times))
-        for i, norms in zip(rows, _operator_norms(lists, _rotations(lists, phis))):
-            out[i] = norms
-    return out
+    states, rows, _ = _metric_columns(models, metric_lists)
+    return _semigroup_norms(models, states, rows, times)
+
+
+def function_norms(
+    models: Sequence[GKSLModel], rhos: Sequence[DensityMatrix], functions, times
+) -> list[np.ndarray]:
+    """semigroup_norms for each function on each model's state, with no
+    FMetric."""
+    same_lengths(models=models, rhos=rhos)
+    states, rows, _ = _table_columns(models, rhos, functions)
+    return _semigroup_norms(models, states, rows, times)
 
 
 @dataclass(frozen=True)
@@ -527,8 +674,8 @@ class GapCurve:
         return self.monotonicity_defect <= self.tolerance
 
 
-def _curve(alphas: list[float], reports: Sequence[GapReport]) -> GapCurve:
-    points = [(alpha, r.lambda_f) for alpha, r in zip(alphas, reports)]
+def _curve(alphas: list[float], lambdas: list[float]) -> GapCurve:
+    points = list(zip(alphas, lambdas))
 
     lambdas = dict(points)
     finite = [lam for _, lam in points if not math.isinf(lam)]
@@ -566,14 +713,14 @@ def gap_curves(
 ) -> list[GapCurve]:
     """Power-family gap curve of each model on one alpha grid (QmsGapError
     if it is empty, DimensionMismatchError for lists of unequal lengths):
-    one f_metric_table and one gap_sweeps for all models."""
+    one function_sweeps for all models."""
     same_lengths(models=models, rhos=rhos, fpss=fpss, gens=gens)
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
         raise QmsGapError("gap curve needs at least one alpha")
-    metric_lists = f_metric_table(rhos, [power(alpha) for alpha in alphas])
-    reports = gap_sweeps(models, rhos, metric_lists, fpss, gens)
-    return [_curve(alphas, row) for row in reports]
+    functions = [power(alpha) for alpha in alphas]
+    sweeps = function_sweeps(models, rhos, functions, fpss, gens)
+    return [_curve(alphas, sweep.lambdas.tolist()) for sweep in sweeps]
 
 
 def gap_curve(
@@ -614,7 +761,7 @@ def empirical_decay_rate(
         gen = generator(model)
     if fps is None:
         fps = fixed_point_structure(model, rho, gen=gen)
-    frame = _frame([fps], [metric], [gen])
+    frame = _frame([fps], [metric.eigenvalues], [metric.rotation], [gen])
     object.__setattr__(fps, "_frame", frame)
     kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:

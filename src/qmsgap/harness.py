@@ -25,9 +25,12 @@ are one stack (qms.random_faithful_models: the candidates are decided
 together, and the stream is replayed exactly at a rejection), so each
 model, state and rejected count is the one a draw-by-draw loop over the
 stream gives.  The work after the draws is done for the whole batch:
-metrics, fixed-point structures, gaps, curves and semigroup norms go
-through the batched routines of metric, qms and gap, which stack the
-models of one shape and give each the result it gets alone.  The
+weight tables, fixed-point structures, gaps, curves and semigroup norms
+go through the batched routines of metric, qms and gap, which stack the
+models of one shape and give each the result it gets alone.  They read
+the gaps and norms as arrays (gap.function_sweeps, gap.function_norms)
+and build no FMetric or GapReport; only decay_equivalence and
+metric_closed_forms, which check that API, build metrics.  The
 matrix-analysis properties (moreau_identity, om1_bounds, loewner_order,
 metric_closed_forms) draw their cases one by one too and decide each batch
 in stacks of one d (_stacked), their states included.  The cases come out
@@ -67,22 +70,22 @@ from .errors import (
 )
 from .gap import (
     empirical_decay_rate,
+    function_norms,
+    function_sweeps,
     gap_curves,
     gap_sweep,
-    gap_sweeps,
-    semigroup_norms,
 )
 from .linalg import batches, chunks, dag, frobenius, grouped, pick
 from .metric import (
     QuadraticForm,
+    _adjoint,
+    _grams,
     _loewner_order_probes,
-    f_adjoint,
-    f_grams,
     f_inner,
-    f_metric,
     f_metric_table,
     f_metrics,
     moreau_forms,
+    weight_table,
 )
 from .monotone import (
     MonotoneFunction,
@@ -498,25 +501,25 @@ def _rng_for(cfg: CampaignConfig, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(key,)))
 
 
-def _reports(functions, entries: list[PoolEntry]) -> list[list]:
-    """Gap reports of each entry for each function, from one metric table
+def _sweeps(functions, entries: list[PoolEntry]) -> list:
+    """The gap.Sweep of each entry for the functions: one weight table a d
     and one batched sweep."""
     models, rhos = _columns(entries)
-    return gap_sweeps(models, rhos, f_metric_table(rhos, functions))
+    return function_sweeps(models, rhos, functions)
 
 
 def _gaps(functions, entries: list[PoolEntry]) -> list[list[float]]:
-    """The gaps of _reports."""
-    return [[r.lambda_f for r in row] for row in _reports(functions, entries)]
+    """The gaps of _sweeps."""
+    return [sweep.lambdas.tolist() for sweep in _sweeps(functions, entries)]
 
 
 def _contraction_defects(
     functions, t_grid, tol: float, entries: list[PoolEntry]
 ) -> list[float]:
     """Worst (|Phi_t|_f - 1) / tol over the time grid and the functions, for
-    each entry, from one metric table and one semigroup_norms call."""
+    each entry, from one weight table a d and one function_norms call."""
     models, rhos = _columns(entries)
-    norms = semigroup_norms(models, f_metric_table(rhos, functions), t_grid)
+    norms = function_norms(models, rhos, functions, t_grid)
     defects = []
     for per_time in norms:
         defect = -math.inf
@@ -738,12 +741,13 @@ def _om1_bounds(cfg, rng, pool):
 
     def then(cases):
         """The worst violation of G_f <= G_gns + G_anti for each state, from
-        one metric table, then the Grams and one eigvalsh a stack."""
+        one weight table a d, then the Grams and one eigvalsh a stack."""
         rhos = _stacked(1, lambda stack: _random_states([c[2] for c in stack]), cases)
-        table = f_metric_table(rhos, functions)
+        rows = weight_table(rhos, functions)
         defects = [0.0] * len(rhos)
         for idx in batches(((rho.dim,) for rho in rhos), len(functions)):
-            grams = f_grams([m for i in idx for m in table[i]])
+            w = np.repeat([rhos[i]._split[3] for i in idx], len(functions), axis=0)
+            grams = _grams(w, np.concatenate(pick(rows, idx)))
             grams = grams.reshape((len(idx), len(functions)) + grams.shape[1:])
             diff = (grams[:, 0] + grams[:, 1])[:, None] - grams[:, 2:]
             min_eigs = np.linalg.eigvalsh((diff + dag(diff)) / 2.0)[..., 0]
@@ -884,17 +888,18 @@ def _degenerate_gap(cfg, rng, pool):
         return (PoolEntry(i, *degenerate_block_model(rng)) for i in indices)
 
     def then(entries):
-        return list(zip(_reports((gns(),) + functions, entries), contraction(entries)))
+        return list(zip(_sweeps((gns(),) + functions, entries), contraction(entries)))
 
-    for entry, (reports, defect) in _pool(draw, cfg.count("degenerate_gap"), then):
+    for entry, (sweep, defect) in _pool(draw, cfg.count("degenerate_gap"), then):
         case_id = f"block-{entry.index:03d}"
-        if reports[0].kernel_dim <= 1:
+        if sweep.kernel_dim <= 1:
             yield Case(case_id, entry.dim, math.inf, entry.model, entry.rho)
             continue
-        lam_gns = reports[0].lambda_f
+        lambdas = sweep.lambdas.tolist()
+        lam_gns = lambdas[0]
         scale = tol * max(1.0, lam_gns)
-        for report in reports:
-            defect = max(defect, (lam_gns - report.lambda_f) / scale)
+        for lam in lambdas:
+            defect = max(defect, (lam_gns - lam) / scale)
         yield Case(case_id, entry.dim, defect, entry.model, entry.rho)
 
 
@@ -1017,8 +1022,9 @@ def detailed_balance_model(
     model = GKSLModel(hamiltonian=np.zeros((d, d), dtype=complex), jumps=tuple(jumps))
 
     gen = generator(model)
-    adj = f_adjoint(f_metric(rho, gns()), gen)
-    residual = float(np.abs(adj.matrix - gen.matrix).max())
+    (weights,) = weight_table([rho], [gns()])[0]
+    adj = _adjoint(rho._split[3], weights, gen.matrix)
+    residual = float(np.abs(adj - gen.matrix).max())
     if residual > 1e-9 * max(1.0, float(np.abs(gen.matrix).max())):
         raise RateMismatchError(
             f"constructed generator is not GNS-self-adjoint: residual {residual:.3e}"

@@ -292,7 +292,8 @@ def pick(items, idx) -> list:
 def same_lengths(**lists) -> None:
     """The per-model lists of one batched call (None for an omitted one)
     must have one length: DimensionMismatchError naming them otherwise."""
-    given = {name: len(items) for name, items in lists.items() if items is not None}
-    if len(set(given.values())) > 1:
-        named = ", ".join(f"{name} {n}" for name, n in given.items())
+    if len({len(items) for items in lists.values() if items is not None}) > 1:
+        named = ", ".join(
+            f"{name} {len(items)}" for name, items in lists.items() if items is not None
+        )
         raise DimensionMismatchError(f"per-model lists differ in length: {named}")

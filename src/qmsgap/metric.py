@@ -21,10 +21,16 @@ generator, with the eigen-frame rotation W = conj(U) (x) U (so that
 W^H vec(x) = vec(U^H x U)) formed there and nowhere else.  So every metric
 of a state, from any call, shares its read-only `eigenvalues`, `basis` and
 `rotation`: that identity is how the gap routines recognize metrics of
-one state.  `weight_rows` is the one vectorization of the weights in that
-frame.  `f_metric_table` evaluates each function once on
-the stacked modular ratios of all states of one d, and `f_grams` builds
-the Grams of a stack of metrics at once; `f_gram` is its stack of one.
+one state.  `weight_table` is the one evaluator of the weights: for the
+states of one d it evaluates each function once on their stacked modular
+ratios and writes a table (n, k, d^2) of rows w_f = vec(p_j f(p_i / p_j))
+in column-stacking order, the vectorization of the weights in that frame;
+each state's rows sit beside its own p, U and W.  The gap and norm
+engines and the campaign read those rows; `f_metric_table`, `f_metrics`
+and `f_metric` hand out FMetric views of them (weights is a row read as a
+d x d matrix), and `weight_rows` stacks the rows of given metrics.
+`f_grams` builds the Grams of a stack of metrics at once (`_grams` of the
+rotations and rows); `f_gram` is its stack of one.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
 f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
@@ -93,10 +99,6 @@ class FMetric:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def condition_number(self) -> float:
-        return float(self.weights.max() / self.weights.min())
-
 
 def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
     """The metric of each function, in order, from one split of rho's
@@ -105,43 +107,59 @@ def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
 
 
 def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetric]]:
-    """For each state, the metric of each function, in order.
+    """For each state, the metric of each function, in order: views of
+    its rows of weight_table.
 
     The metrics of a state share its kept eigenvalues, basis and rotation
-    arrays (descending; see the module docstring).  The states of one d are
-    stacked, and each function is evaluated once on the stack of their
-    modular ratios, with the entries it gives each state alone.  Raises
-    NotFaithfulError for a state that is not faithful, DimensionMismatchError
-    when f does not return one value per ratio and PostconditionError when
-    some weight is <= 0.
+    arrays (descending; see the module docstring), and each metric's
+    weights are its weight row read as a d x d matrix.  Raises as
+    weight_table does.
+    """
+    functions = tuple(functions)
+    table = []
+    for rho, rows in zip(rhos, weight_table(rhos, functions)):
+        p, u, _, w = rho._split
+        weights = rows.reshape(len(functions), len(p), len(p)).swapaxes(1, 2)
+        table.append([FMetric(f, p, u, w, wf) for f, wf in zip(functions, weights)])
+    return table
+
+
+def weight_table(rhos: Sequence[DensityMatrix], functions) -> list[np.ndarray]:
+    """For each state, its weight rows w_f = vec(p_j f(p_i / p_j)) for each
+    function, (len(functions), d^2): the rows weight_rows stacks.
+
+    The states of one d are one (n, k, d^2) table, and each function is
+    evaluated once on the stack of their modular ratios, with the entries
+    it gives each state alone; each state's rows are a view of its table.
+    Raises NotFaithfulError for a state that is not faithful,
+    DimensionMismatchError when f does not return one value per ratio and
+    PostconditionError when some weight is <= 0.
     """
     functions = tuple(functions)
     for rho in rhos:
         if not rho.faithful:
             raise NotFaithfulError("f-metric needs a faithful state")
-    table: list = [None] * len(rhos)
+    out: list = [None] * len(rhos)
     for idx in grouped(rho.dim for rho in rhos).values():
         splits = [rhos[i]._split for i in idx]
         p = np.array([split[0] for split in splits])
         ratios = np.array([split[2] for split in splits])
-        weights = []
-        for f in functions:
+        n, d = p.shape
+        table = np.empty((n, len(functions), d, d))  # [g, f, j, i]: rows in vec order
+        for k, f in enumerate(functions):
             values = f(ratios)
             if np.shape(values) != ratios.shape:
                 raise DimensionMismatchError(
                     f"{f.label} gives shape {np.shape(values)} on modular ratios "
                     f"of shape {ratios.shape}: f must act entrywise"
                 )
-            w = p[:, None, :] * values
+            w = np.multiply(p[:, None, :], values, out=table[:, k].swapaxes(1, 2))
             if not (w > 0).all():  # NaN weights fail too
                 raise PostconditionError("f-weights must be strictly positive")
-            weights.append(w)
-        for g, (i, (pg, ug, _, wg)) in enumerate(zip(idx, splits)):
-            table[i] = [
-                FMetric(f=f, eigenvalues=pg, basis=ug, rotation=wg, weights=w[g])
-                for f, w in zip(functions, weights)
-            ]
-    return table
+        rows = table.reshape(n, len(functions), d * d)
+        for g, i in enumerate(idx):
+            out[i] = rows[g]
+    return out
 
 
 def f_metric(rho: DensityMatrix, f: MonotoneFunction) -> FMetric:
@@ -180,13 +198,14 @@ def f_inner(metric: FMetric, x, y) -> complex:
     return complex(np.sum(metric.weights * xt.conj() * yt))
 
 
-def warn_if_ill_conditioned(metric: FMetric) -> None:
-    """IllConditionedWarning when the weight spread exceeds COND_GUARD; f-adjoints
-    and gaps computed from such weights carry amplified round-off.  The
-    warning names the line that called into the package (errors.warn)."""
-    if metric.condition_number > COND_GUARD:
+def warn_if_ill_conditioned(condition: float) -> None:
+    """IllConditionedWarning when a weight spread max / min exceeds COND_GUARD;
+    f-adjoints and gaps computed from such weights carry amplified
+    round-off.  The warning names the line that called into the package
+    (errors.warn)."""
+    if condition > COND_GUARD:
         warn(
-            f"f-Gram condition number {metric.condition_number:.3e} exceeds "
+            f"f-Gram condition number {condition:.3e} exceeds "
             f"{COND_GUARD:.1e}; results may lose accuracy",
             IllConditionedWarning,
         )
@@ -199,13 +218,16 @@ def f_gram(metric: FMetric) -> Superoperator:
 
 
 def f_grams(metrics: Sequence[FMetric]) -> np.ndarray:
-    """The Grams G_f of metrics of one d, stacked (n, d^2, d^2).
+    """The Grams G_f of metrics of one d, stacked (n, d^2, d^2): _grams of
+    their rotations and weight rows."""
+    return _grams(np.array([m.rotation for m in metrics]), weight_rows(metrics))
 
-    Each is diagonal with entries w_ij in matrix-unit coordinates of its
-    eigenbasis, conjugated back with its state's W = conj(U) (x) U.
-    """
-    w = np.array([m.rotation for m in metrics])
-    g = (w * weight_rows(metrics)[:, None]) @ dag(w)
+
+def _grams(rotations: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """G = W diag(w) W^H for each rotation W (n, d^2, d^2) and weight row w
+    (n, d^2): diagonal with entries w_ij in matrix-unit coordinates of the
+    eigenbasis, conjugated back with the state's W = conj(U) (x) U."""
+    g = (rotations * rows[:, None]) @ dag(rotations)
     return (g + dag(g)) / 2.0
 
 
@@ -229,12 +251,15 @@ def f_adjoint(metric: FMetric, s: Superoperator) -> Superoperator:
     DimensionMismatchError for s on another d than the metric.
     """
     same_state([metric], s.dim, "map")
-    warn_if_ill_conditioned(metric)
-    w = metric.rotation
-    weights = weight_rows([metric])[0]
-    inner = dag(w) @ s.matrix.conj().T @ w
-    adj = (w / weights) @ (inner * weights) @ dag(w)
+    adj = _adjoint(metric.rotation, weight_rows([metric])[0], s.matrix)
     return Superoperator(dim=metric.dim, matrix=adj)
+
+
+def _adjoint(w: np.ndarray, weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """G^{-1} S^H G for G = W diag(weights) W^H, as f_adjoint gives it."""
+    warn_if_ill_conditioned(float(weights.max() / weights.min()))
+    inner = dag(w) @ matrix.conj().T @ w
+    return (w / weights) @ (inner * weights) @ dag(w)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ _BKM_TAYLOR_CUTOFF = 1e-8
 
 
 def _check_nonnegative(t: np.ndarray):
-    if np.any(t < 0):
+    if (t < 0).any():  # NaN passes, as with np.any
         raise NegativeArgumentError("operator monotone functions need t >= 0")
 
 

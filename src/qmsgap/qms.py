@@ -367,19 +367,24 @@ def _kernels(models: Sequence[GKSLModel], gens: Sequence[Superoperator]) -> list
     out = [m._kernels if g is m._generator else None for m, g in zip(models, gens)]
     for idx in batches((m.dim,) if k is None else None for m, k in zip(models, out)):
         stack = _stack([gens[i].matrix for i in idx]).conj().swapaxes(1, 2)
-        for i, u, svals, vh in zip(idx, *np.linalg.svd(stack)):
-            top, d = max(float(svals[0]), 1e-300), models[i].dim
-            zero, cut = 100 * d**2 * np.finfo(float).eps * top, KERNEL_TOL * top
-            thin = svals[(svals > zero) & (svals <= cut)]
-            if thin.size:
+        us, svals, vhs = np.linalg.svd(stack)
+        d = models[idx[0]].dim
+        top = np.maximum(svals[:, :1], 1e-300)
+        edges = top * np.array([100 * d**2 * np.finfo(float).eps, KERNEL_TOL])
+        # how many singular values lie at or below the zero edge and the cut;
+        # svd sorts them descending, so the smallest thin one is at -1 - n_zero
+        counts = np.add.reduce(svals[:, None] <= edges[:, :, None], axis=2).tolist()
+        for g, (n_zero, n_cut) in enumerate(counts):
+            if n_cut > n_zero:
+                zero, cut = edges[g]
                 raise KernelDecisionError(
-                    f"generator singular value {thin[-1]:.3e} lies between the "
-                    f"zero edge {zero:.3e} and the kernel cut {cut:.3e}: the "
-                    f"kernel dimension is too close to call"
+                    f"generator singular value {svals[g, -1 - n_zero]:.3e} lies "
+                    f"between the zero edge {zero:.3e} and the kernel cut "
+                    f"{cut:.3e}: the kernel dimension is too close to call"
                 )
-            k = int(np.sum(svals <= zero))
-            if k == 0:
+            if n_zero == 0:
                 raise PostconditionError("generator kernel is empty; 1 should be fixed")
+        for i, u, vh, (k, _) in zip(idx, us, vhs, counts):
             out[i] = (vh[-k:].conj().T, u[:, -k:].copy())
             for columns in out[i]:
                 columns.setflags(write=False)

@@ -907,6 +907,102 @@ def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
 
 
 # ---------------------------------------------------------------------------
+# Equal weight rows: swept once, reported under each label
+# ---------------------------------------------------------------------------
+
+# gns and power(0) always give equal weight rows, and so do bkm and
+# transpose(bkm); kms and power(0.5) do where numpy takes t^0.5 as sqrt t
+DUPLICATES = (gns(), power(0.0), kms(), power(0.5), bkm(), transpose(bkm()))
+
+
+def test_duplicate_weights_get_the_bits_they_get_alone():
+    cases = _mixed_stack()
+    models = [model for model, _ in cases]
+    rhos = [rho for _, rho in cases]
+    table = f_metric_table(rhos, DUPLICATES)
+    sweeps = gap_sweeps(models, rhos, table)
+    norms = semigroup_norms(models, table, TIMES)
+    for (model, rho), reports, norm in zip(cases, sweeps, norms):
+        assert [r.f_label for r in reports] == [f.label for f in DUPLICATES]
+        for f, report, column in zip(DUPLICATES, reports, norm.T):
+            alone = f_metric(rho, f)
+            _assert_same_reports([report], gap_sweep(model, rho, [alone]))
+            want = [f_operator_norm(alone, semigroup(model, t)) for t in TIMES]
+            np.testing.assert_array_equal(column, want)
+
+
+def test_each_distinct_weight_row_is_one_slice(monkeypatch):
+    model, rho, _ = random_faithful_model(np.random.default_rng(12), 3)
+    fps = fixed_point_structure(model, rho)
+    metrics = f_metrics(rho, DUPLICATES)
+    distinct = len(np.unique([m.weights for m in metrics], axis=0))
+    assert distinct <= 4
+    slices = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        slices.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    gap_sweep(model, rho, metrics, fps=fps)
+    semigroup_norms([model], [metrics], TIMES)
+    assert slices == [distinct, distinct * len(TIMES)]  # one chunk each at d = 3
+
+
+def _caught(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def test_duplicate_weights_warn_once_per_label_in_order():
+    # a flipped generator gives negative gaps; a frozen model on an
+    # ill-conditioned state warns before finding nothing to decay
+    model, rho, flipped = _flipped_thermal()
+    ill = density_matrix(
+        np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
+    )
+    frozen = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
+    for case, state, gen, category in (
+        (model, rho, flipped, NegativeGapWarning),
+        (frozen, ill, None, IllConditionedWarning),
+    ):
+        metrics = f_metrics(state, DUPLICATES)
+        got = _caught(lambda: gap_sweep(case, state, metrics, gen=gen))
+        want = [
+            warned for m in metrics
+            for warned in _caught(lambda: gap_sweep(case, state, [m], gen=gen))
+        ]
+        assert got == want
+        assert [c for c, _ in got] == [category] * len(DUPLICATES)
+    labels = [message.split(" for ")[1].split(":")[0] for _, message in _caught(
+        lambda: gap_sweep(model, rho, f_metrics(rho, DUPLICATES), gen=flipped)
+    )]
+    assert labels == [f.label for f in DUPLICATES]
+
+
+def test_a_failing_duplicate_raises_what_a_model_by_model_run_raises():
+    # the kms basis leaves ker E of _bad_expectation_case; power(0.5) comes
+    # first, with the weights of kms or ones that fail the same way
+    functions = (power(0.5), kms(), gns(), power(0.0), transpose(bkm()), bkm())
+    good = random_faithful_model(np.random.default_rng(5), 2)[:2]
+    model, rho, _, fps = _bad_expectation_case()
+    with pytest.raises(PostconditionError) as alone:
+        gap_sweep(model, rho, f_metrics(rho, functions), fps=fps)
+    assert "for power(0.5)" in str(alone.value)
+    with pytest.raises(PostconditionError) as batched:
+        gap_sweeps(
+            [good[0], model, good[0]],
+            [good[1], rho, good[1]],
+            [f_metrics(r, functions) for r in (good[1], rho, good[1])],
+            [None, fps, None],
+        )
+    assert str(batched.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
 # The frame kept on the FixedPointStructure
 # ---------------------------------------------------------------------------
 

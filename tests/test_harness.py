@@ -16,7 +16,7 @@ from qmsgap.errors import (
     QmsGapError,
     RateMismatchError,
 )
-from qmsgap.gap import spectral_gap_f
+from qmsgap.gap import GapReport, gap_sweeps, spectral_gap_f
 from qmsgap.harness import (
     PROPERTY_ORDER,
     CampaignConfig,
@@ -27,7 +27,7 @@ from qmsgap.harness import (
     run_campaign,
     strict_gap_search,
 )
-from qmsgap.metric import f_adjoint, f_metric
+from qmsgap.metric import FMetric, f_adjoint, f_metric, f_metric_table
 from qmsgap.monotone import builtin_functions, gns, kms, power
 from qmsgap.qms import (
     SIGMA_X,
@@ -421,8 +421,43 @@ def test_campaign_csv_does_not_depend_on_the_chunk_size(monkeypatch):
     assert run_campaign(cfg).to_csv() == want
 
 
+def _counted_inits(monkeypatch, *classes):
+    """Count the objects of each class built from here on, by name."""
+    counts = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+def test_pooled_properties_build_no_metric_or_report_objects(monkeypatch):
+    # the pooled properties read weight tables and gap arrays; only
+    # decay_equivalence and metric_closed_forms use the FMetric API
+    cfg = CampaignConfig.from_dict(load_json(ROOT / "configs" / "campaign_small.json"))
+    api_users = ("decay_equivalence", "metric_closed_forms")
+    pooled = tuple(name for name in PROPERTY_ORDER if name not in api_users)
+    counts = _counted_inits(monkeypatch, FMetric, GapReport)
+    assert run_campaign(replace(cfg, properties=pooled)).all_passed
+    assert counts == {"FMetric": 0, "GapReport": 0}
+    run_campaign(replace(cfg, properties=api_users))
+    assert counts["FMetric"] > 0 and counts["GapReport"] > 0
+
+
+def test_table_gaps_of_a_pool_batch_equal_those_of_gap_sweeps():
+    cfg = acceptance_config(42)
+    entries = list(harness._draws(cfg, harness._rng_for(cfg, 0), range(harness._BATCH)))
+    functions = (gns(),) + cfg.functions()  # gap_comparison's, with duplicates
+    models, rhos = harness._columns(entries)
+    reports = gap_sweeps(models, rhos, f_metric_table(rhos, functions))
+    want = [[r.lambda_f for r in row] for row in reports]
+    assert harness._gaps(functions, entries) == want
+
+
 def _fail_in_order(monkeypatch, sweep_fails=None, table_fails=None, draw_fails=None):
-    """Make the sweep, the metric table before it or the draw of the given
+    """Make the sweep, the weight table before it or the draw of the given
     pool model fail, so that a stage-by-stage batch would meet them in
     another order than a model-by-model run."""
     drawn = {}
@@ -435,25 +470,25 @@ def _fail_in_order(monkeypatch, sweep_fails=None, table_fails=None, draw_fails=N
             drawn[index] = entry
             yield entry
 
-    real_table = harness.f_metric_table
+    real_table = gap.weight_table
 
-    def f_metric_table(rhos, functions):
+    def weight_table(rhos, functions):
         bad = drawn.get(table_fails)
         if bad and any(rho is bad.rho for rho in rhos):
             raise QmsGapError(f"metrics of model {table_fails} fail")
         return real_table(rhos, functions)
 
-    real_sweeps = harness.gap_sweeps
+    real_sweeps = gap._sweeps
 
-    def gap_sweeps(models, *args, **kwargs):
+    def sweeps(models, *args, **kwargs):
         bad = drawn.get(sweep_fails)
         if bad and any(m is bad.model for m in models):
             raise PostconditionError(f"sweep of model {sweep_fails} fails")
         return real_sweeps(models, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_draws", draws)
-    monkeypatch.setattr(harness, "f_metric_table", f_metric_table)
-    monkeypatch.setattr(harness, "gap_sweeps", gap_sweeps)
+    monkeypatch.setattr(gap, "weight_table", weight_table)
+    monkeypatch.setattr(gap, "_sweeps", sweeps)
 
 
 def test_pool_raises_the_error_a_model_by_model_run_meets_first(monkeypatch):
@@ -506,12 +541,12 @@ def _warn_for_model(monkeypatch, module, name, index, message):
 
 
 def test_pool_warns_in_the_order_of_a_model_by_model_run(monkeypatch):
-    # model 1 warns in the sweep and model 2 in the metric table before it,
+    # model 1 warns in the sweep and model 2 in the weight table before it,
     # so a stage-by-stage batch would warn for model 2 first
     cfg = small_config(properties=("transpose_symmetry",))
     want = run_campaign(cfg).to_csv()
-    _warn_for_model(monkeypatch, harness, "gap_sweeps", 1, "sweep of model 1")
-    _warn_for_model(monkeypatch, harness, "f_metric_table", 2, "metrics of model 2")
+    _warn_for_model(monkeypatch, gap, "_sweeps", 1, "sweep of model 1")
+    _warn_for_model(monkeypatch, gap, "weight_table", 2, "metrics of model 2")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = run_campaign(cfg).to_csv()
@@ -522,11 +557,11 @@ def test_pool_warns_in_the_order_of_a_model_by_model_run(monkeypatch):
 
 
 def test_a_warned_batch_reruns_its_stages_once_per_draw(monkeypatch):
-    # the batch runs f_metric_table once, then each of its n draws once more:
+    # the batch runs weight_table once, then each of its n draws once more:
     # 1 + n calls, with no replay nested inside the batched routines
     n = 5
     cfg = small_config(properties=("alpha_curve",), counts={"alpha_curve": n})
-    calls = _warn_for_model(monkeypatch, gap, "f_metric_table", 2, "metrics of model 2")
+    calls = _warn_for_model(monkeypatch, gap, "weight_table", 2, "metrics of model 2")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_campaign(cfg)

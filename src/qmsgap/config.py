@@ -110,33 +110,47 @@ def model_from_dict(doc) -> tuple[GKSLModel, Optional[DensityMatrix]]:
 # ---------------------------------------------------------------------------
 
 _SIMPLE_KINDS = {"gns": gns, "anti-gns": anti_gns, "kms": kms, "bkm": bkm}
+_KEYS = {"power": {"kind", "alpha"}, "measure": {"kind", "atoms"}}
+
+
+def _number(value) -> float:
+    """float(value); a boolean is no number (TypeError)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def function_from_descriptor(doc) -> MonotoneFunction:
+    """The function of {"kind": gns|anti-gns|kms|bkm}, {"kind": "power",
+    "alpha": A} or {"kind": "measure", "atoms": [[lambda, weight], ...]};
+    ConfigError for any other key or kind and for a boolean number."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"metric descriptor must have a 'kind': {doc!r}")
     kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in {*_SIMPLE_KINDS, *_KEYS}:
+        raise ConfigError(f"unknown metric kind {kind!r}")
+    unknown = sorted(set(doc) - _KEYS.get(kind, {"kind"}))
+    if unknown:
+        raise ConfigError(f"unknown keys in {kind} metric descriptor: {unknown}")
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind]()
     if kind == "power":
         if "alpha" not in doc:
             raise ConfigError(f"bad power descriptor {doc!r}: missing key 'alpha'")
         try:
-            return power(float(doc["alpha"]))
+            return power(_number(doc["alpha"]))
         except (TypeError, ValueError, QmsGapError) as exc:
             raise ConfigError(f"bad power descriptor {doc!r}: {exc}") from exc
-    if kind == "measure":
-        try:
-            atoms = [
-                (math.inf if lam == "inf" else float(lam), float(w))
-                for lam, w in doc["atoms"]
-            ]
-            return from_measure(atoms)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"bad measure descriptor {doc!r}") from exc
-    raise ConfigError(f"unknown metric kind {kind!r}")
+    try:
+        atoms = [
+            (math.inf if lam == "inf" else _number(lam), _number(w))
+            for lam, w in doc["atoms"]
+        ]
+        return from_measure(atoms)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"bad measure descriptor {doc!r}") from exc
 
 
 def parse_f_spec(spec: str) -> MonotoneFunction:

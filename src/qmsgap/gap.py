@@ -76,12 +76,10 @@ one stack, built by one stacked SVD, and their weight rows are one table
 (n, k, d^2).  The cores (`_sweep_group`, `_operator_norms`) take such a
 table, with labels for their warnings and errors, and return arrays: the
 gap, spectrum and residuals of each (model, function) and the norm of
-each (model, time, function).  Each distinct row of a model is one slice,
-computed once and reported under each of its labels: gns and power(0)
-give bitwise-equal rows, as do bkm and transpose(bkm), and kms and
-power(0.5) where numpy takes t^0.5 as sqrt t.  A chunk of slices, (model,
-row) pairs or (model, time, row) triples, is one stacked computation that
-gathers each slice's arrays from its model's stack.  numpy's stacked
+each (model, time, function).  Each (model, row) pair is one slice of a
+sweep, each (model, row, time) triple one slice of a norm, also where two
+functions give equal rows.  A chunk of slices is one stacked computation
+that gathers each slice's arrays from its model's stack.  numpy's stacked
 matmul, eigvalsh, svd and solve treat each slice as the 2-d call would, so
 each model gets exactly the numbers it gets alone; the one-model routines
 are these on one model, whose frame broadcasts over its slices.
@@ -116,8 +114,7 @@ from .errors import (
     warn,
 )
 from .linalg import (
-    CHUNK_BYTES, Superoperator, batches, chunks, dag, expm, frobenius_norms, pick,
-    same_lengths,
+    Superoperator, batches, chunks, dag, expm, frobenius_norms, pick, same_lengths,
 )
 from .metric import (
     COND_GUARD, FMetric, same_state, warn_if_ill_conditioned, weight_rows,
@@ -260,32 +257,6 @@ def _frame(
     return frame
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """For the weight rows (n, k, d^2) of n models: the flat indices
-    g k + f of each model's distinct rows (the first of equal ones, in
-    order) and, for every row, the position of its equal among them, or
-    None when every row is distinct.  Weights are positive, so rows that
-    compare equal are equal bit for bit (see the module docstring).
-
-    A row is taken for the first row of its model that shares its entry
-    w_{d-1,0} = p_0 f(p_{d-1} / p_0), if all its entries agree.  That
-    comparison holds n k^2 bytes: a table that needs more than CHUNK_BYTES
-    has every row swept."""
-    n, k, size = rows.shape
-    every = np.arange(n * k)
-    if k == 1 or n * k * k > CHUNK_BYTES:
-        return every, None
-    key = rows[:, :, math.isqrt(size) - 1]
-    first = (key[:, :, None] == key[:, None]).argmax(axis=-1)
-    equal = (first + k * np.arange(n)[:, None]).ravel()
-    if (equal == every).all():
-        return every, None
-    flat = rows.reshape(n * k, size)
-    equal = np.where((flat == flat[equal]).all(axis=1), equal, every)
-    distinct = equal == every
-    return every[distinct], (np.cumsum(distinct) - 1)[equal]
-
-
 def _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, label):
     """Memberships |P~ B~_f| / |B~_f| of the f-bases B~_f = diag(w_f)^{-1/2} V
     of ker E of stacked slices (root = sqrt(w_f), ratios = max / min of w_f
@@ -341,19 +312,14 @@ def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
     Returns a Sweep's lambdas, spectra and residuals for each model,
     stacked (n, k, ...).
 
-    Each distinct row of a model is one slice (_distinct), its result
-    reported under each of its labels.  Warns IllConditionedWarning for
+    Each (model, row) pair is one slice.  Warns IllConditionedWarning for
     weights spread beyond COND_GUARD, also when nothing decays, and then,
     once the group is swept, NegativeGapWarning for a gap below -1e-8: each
     once per label, in order."""
     n, k, size = rows.shape
-    kept, slot = _distinct(rows)
     weights = rows.reshape(n * k, size)
-    if slot is not None:
-        weights = weights[kept]
-    ratios = np.maximum.reduce(weights, axis=1) / np.minimum.reduce(weights, axis=1)
-    spreads = ratios.tolist()
-    for ratio in spreads if slot is None else ratios[slot].tolist():
+    spreads = (weights.max(axis=1) / weights.min(axis=1)).tolist()
+    for ratio in spreads:
         if ratio > COND_GUARD:
             warn_if_ill_conditioned(ratio)
     if n_fixed == size:
@@ -362,21 +328,19 @@ def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
     def label(s):  # of row s = g k + f
         return labels[s // k][s % k]
 
-    owner = kept // k
+    owner = np.arange(n * k) // k
     stacks = (*frame.parts, frame.gen)
     arrays = [stack[0] for stack in stacks]  # one model broadcasts alone
-    spectra = np.empty((len(kept), size - n_fixed))
-    residuals = np.empty((len(kept), len(_RESIDUALS)))
+    spectra = np.empty((n * k, size - n_fixed))
+    residuals = np.empty((n * k, len(_RESIDUALS)))
     residuals[:, 0] = frame.orthonormality[owner]
-    for c in chunks(len(kept), math.isqrt(size)):
+    for c in chunks(n * k, math.isqrt(size)):
         if n > 1:  # each slice takes the frame of its model
             arrays = [stack[owner[c]] for stack in stacks]
         spectra[c] = _sweep_chunk(
-            *arrays, weights[c], spreads[c], lambda s, c=c: label(kept[c][s]),
+            *arrays, weights[c], spreads[c], lambda s, c=c: label(c.start + s),
             residuals[c],
         )
-    if slot is not None:
-        spectra, residuals = spectra[slot], residuals[slot]
     for s, lam in enumerate(spectra[:, 0].tolist()):
         if lam < -1e-8:
             warn(
@@ -484,10 +448,9 @@ def gap_sweeps(
 
     A missing fps or gen is computed.  The models that share d, dim N and
     metric count are stacked (_sweeps), with the result each model gets
-    alone; equal weight rows of one model are swept once.  Each stage runs
-    for all models before the next, so the error raised is that of the
-    first failing stage (see the module docstring); lists of unequal
-    lengths raise DimensionMismatchError."""
+    alone.  Each stage runs for all models before the next, so the error
+    raised is that of the first failing stage (see the module docstring);
+    lists of unequal lengths raise DimensionMismatchError."""
     same_lengths(models=models, rhos=rhos, metric_lists=metric_lists, fpss=fpss,
                  gens=gens)
     states, rows, labels = _metric_columns(models, metric_lists)
@@ -556,27 +519,20 @@ def _operator_norms(rows: np.ndarray, rotated: np.ndarray) -> np.ndarray:
     """Norms [g, t, f] of the maps rotated[g, t] = S~ for the weight rows
     rows[g, f] (n, k, d^2) of model g's state: the 2-norms of
     A = diag(sqrt w_f) S~ diag(1/sqrt w_f), as sqrt(lambda_max(A^H A)), one
-    slice per distinct row of model g (_distinct) and t."""
+    slice per (model, row, time)."""
     n, n_times = rotated.shape[:2]
     k, size = rows.shape[1:]
-    kept, slot = _distinct(rows)
-    flat = rows.reshape(n * k, size)
-    root = np.sqrt(flat if slot is None else flat[kept])
+    root = np.sqrt(rows.reshape(n * k, size))
     maps = rotated.reshape(n * n_times, size, size)
-    which_root, when = np.divmod(np.arange(len(kept) * n_times), n_times)
+    which_root, when = np.divmod(np.arange(n * k * n_times), n_times)
+    which_map = which_root // k * n_times + when
     norms = np.empty(which_root.size)
     for c in chunks(norms.size, math.isqrt(size)):
         r = root[which_root[c]]
         # one map broadcasts over the slices; several are gathered per slice
-        if len(maps) == 1:
-            maps_c = maps[0]
-        else:
-            maps_c = maps[(kept // k * n_times)[which_root[c]] + when[c]]
+        maps_c = maps[0] if len(maps) == 1 else maps[which_map[c]]
         scaled = r[:, :, None] * maps_c / r[:, None, :]
         norms[c] = np.sqrt(np.linalg.eigvalsh(dag(scaled) @ scaled)[:, -1])
-    norms = norms.reshape(len(kept), n_times)
-    if slot is not None:
-        norms = norms[slot]
     return norms.reshape(n, k, n_times).swapaxes(1, 2)
 
 
@@ -633,9 +589,8 @@ def semigroup_norms(
     model's state: one (len(times), len(metrics)) array per model.
 
     The models of one d and one metric count are stacked
-    (_semigroup_norms), with the result each model gets alone; equal
-    weight rows of one model are taken once.  Lists of unequal lengths
-    raise DimensionMismatchError."""
+    (_semigroup_norms), with the result each model gets alone.  Lists of
+    unequal lengths raise DimensionMismatchError."""
     same_lengths(models=models, metric_lists=metric_lists)
     states, rows, _ = _metric_columns(models, metric_lists)
     return _semigroup_norms(models, states, rows, times)

@@ -272,6 +272,18 @@ def test_verify_missing_file(capsys, tmp_path):
          "unknown keys in model config: ['jump']"),
         ("seed", -1, "seed must be >= 0, got -1"),
         ("properties", [], "property list is empty"),
+        ("f_suite", [{"kind": "power", "alpha": True}], "True is not a number"),
+        ("f_suite", [{"kind": "measure", "atoms": [[True, 1.0]]}],
+         "bad measure descriptor"),
+        ("f_suite", [{"kind": "measure", "atoms": [[0.0, True]]}],
+         "bad measure descriptor"),
+        ("f_suite", [{"kind": "gns", "alpha": 3}],
+         "unknown keys in gns metric descriptor: ['alpha']"),
+        ("f_suite", [{"kind": "power", "alpha": 0.5, "beta": 1}],
+         "unknown keys in power metric descriptor: ['beta']"),
+        ("f_suite", [{"kind": "measure", "atoms": [[0.0, 1.0]], "alpha": 0.5}],
+         "unknown keys in measure metric descriptor: ['alpha']"),
+        ("f_suite", [{"kind": ["gns"]}], "unknown metric kind ['gns']"),
     ],
 )
 def test_verify_exit_3_for_malformed_campaign_config(

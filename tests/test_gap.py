@@ -23,6 +23,8 @@ from qmsgap.gap import (
     empirical_decay_rate,
     f_operator_norm,
     f_operator_norms,
+    function_norms,
+    function_sweeps,
     gap_curve,
     gap_curves,
     gap_sweep,
@@ -907,7 +909,7 @@ def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
 
 
 # ---------------------------------------------------------------------------
-# Equal weight rows: swept once, reported under each label
+# Equal weight rows: one slice each, reported under each label
 # ---------------------------------------------------------------------------
 
 # gns and power(0) always give equal weight rows, and so do bkm and
@@ -922,8 +924,15 @@ def test_duplicate_weights_get_the_bits_they_get_alone():
     table = f_metric_table(rhos, DUPLICATES)
     sweeps = gap_sweeps(models, rhos, table)
     norms = semigroup_norms(models, table, TIMES)
+    # the campaign's array path: no FMetric, the same bits
+    labels = [f.label for f in DUPLICATES]
+    arrays = function_sweeps(models, rhos, DUPLICATES)
+    for sweep, reports in zip(arrays, sweeps):
+        _assert_same_reports(sweep.reports(labels), reports)
+    for got, want in zip(function_norms(models, rhos, DUPLICATES, TIMES), norms):
+        np.testing.assert_array_equal(got, want)
     for (model, rho), reports, norm in zip(cases, sweeps, norms):
-        assert [r.f_label for r in reports] == [f.label for f in DUPLICATES]
+        assert [r.f_label for r in reports] == labels
         for f, report, column in zip(DUPLICATES, reports, norm.T):
             alone = f_metric(rho, f)
             _assert_same_reports([report], gap_sweep(model, rho, [alone]))
@@ -931,12 +940,11 @@ def test_duplicate_weights_get_the_bits_they_get_alone():
             np.testing.assert_array_equal(column, want)
 
 
-def test_each_distinct_weight_row_is_one_slice(monkeypatch):
+def test_each_weight_row_is_one_slice(monkeypatch):
+    # equal rows too: one stacked eigvalsh serves all of a model's slices
     model, rho, _ = random_faithful_model(np.random.default_rng(12), 3)
     fps = fixed_point_structure(model, rho)
     metrics = f_metrics(rho, DUPLICATES)
-    distinct = len(np.unique([m.weights for m in metrics], axis=0))
-    assert distinct <= 4
     slices = []
     real = np.linalg.eigvalsh
 
@@ -947,7 +955,8 @@ def test_each_distinct_weight_row_is_one_slice(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     gap_sweep(model, rho, metrics, fps=fps)
     semigroup_norms([model], [metrics], TIMES)
-    assert slices == [distinct, distinct * len(TIMES)]  # one chunk each at d = 3
+    # one chunk each at d = 3
+    assert slices == [len(DUPLICATES), len(DUPLICATES) * len(TIMES)]
 
 
 def _caught(call):

@@ -21,11 +21,11 @@ from .gap import (
     empirical_decay_rate,
     f_operator_norm,
     f_operator_norms,
+    function_norms,
+    function_sweeps,
     gap_curve,
     gap_curves,
     gap_sweep,
-    gap_sweeps,
-    semigroup_norms,
     spectral_gap_f,
 )
 from .linalg import (

@@ -114,8 +114,9 @@ _KEYS = {"power": {"kind", "alpha"}, "measure": {"kind", "atoms"}}
 
 
 def _number(value) -> float:
-    """float(value); a boolean is no number (TypeError)."""
-    if isinstance(value, bool):
+    """value as a float if it is a JSON number, else TypeError (a boolean
+    or a string is no number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
@@ -123,7 +124,8 @@ def _number(value) -> float:
 def function_from_descriptor(doc) -> MonotoneFunction:
     """The function of {"kind": gns|anti-gns|kms|bkm}, {"kind": "power",
     "alpha": A} or {"kind": "measure", "atoms": [[lambda, weight], ...]};
-    ConfigError for any other key or kind and for a boolean number."""
+    ConfigError for any other key or kind and for a number given as a
+    boolean or a string (a measure atom's lambda may be "inf")."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"metric descriptor must have a 'kind': {doc!r}")
     kind = doc["kind"]
@@ -160,7 +162,10 @@ def parse_f_spec(spec: str) -> MonotoneFunction:
     if not colon:
         doc = {"kind": kind}
     elif kind == "power":
-        doc = {"kind": "power", "alpha": arg}
+        try:
+            doc = {"kind": "power", "alpha": float(arg)}
+        except ValueError:
+            raise ConfigError(f"bad power exponent {arg!r}: not a number") from None
     elif kind == "measure":
         doc = load_json(arg)
         if isinstance(doc, list):

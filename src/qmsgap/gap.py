@@ -70,32 +70,32 @@ neither shortcut.
 
 Batches of models
 -----------------
-`gap_sweeps`, `gap_curves` and `semigroup_norms` take many models.  Models
-of one d, one dim N and one function count share stacks: their frame is
-one stack, built by one stacked SVD, and their weight rows are one table
-(n, k, d^2).  The cores (`_sweep_group`, `_operator_norms`) take such a
-table, with labels for their warnings and errors, and return arrays: the
-gap, spectrum and residuals of each (model, function) and the norm of
-each (model, time, function).  Each (model, row) pair is one slice of a
-sweep, each (model, row, time) triple one slice of a norm, also where two
-functions give equal rows.  A chunk of slices is one stacked computation
-that gathers each slice's arrays from its model's stack.  numpy's stacked
-matmul, eigvalsh, svd and solve treat each slice as the 2-d call would, so
-each model gets exactly the numbers it gets alone; the one-model routines
-are these on one model, whose frame broadcasts over its slices.
-`function_sweeps` and `function_norms` read the rows of
-metric.weight_table and build no FMetric or GapReport; the campaign's
-properties use them.  The routines that take metrics build their
-GapReports from the arrays at the end (`Sweep.reports`).  A call on
-several models keeps no frame.  A batch runs each stage for all its
-models before the next, so its first error is that of the first failing
-stage, and it warns of negative gaps once its group is swept; the
-campaign restores model order by running a batch that raises or warns
-again one model at a time (harness._pool).  Every stack
-holds at most linalg.CHUNK_BYTES (64 KiB) of d^2 x d^2 complex data:
-max(1, 4096 // d^4) slices or models (256 at d = 2, 16 at d = 4, one at
-d = 8), so peak memory grows with neither the number of models nor of
-functions.
+`function_sweeps`, `gap_curves` and `function_norms` take many models and
+one list of functions; `gap_sweep`, `gap_curve` and `f_operator_norms`
+are their one-model counterparts.  Models of one d, one dim N and one
+function count share stacks: their frame is one stack, built by one
+stacked SVD, and their weight rows are one table (n, k, d^2) of
+metric.weight_table.  The cores (`_sweep_group`, `_operator_norms`) take
+such a table, with labels for their warnings and errors, and return
+arrays: the gap, spectrum and residuals of each (model, function) and the
+norm of each (model, time, function).  Each (model, row) pair is one slice
+of a sweep, each (model, row, time) triple one slice of a norm, also where
+two functions give equal rows.  A chunk of slices is one stacked
+computation that gathers each slice's arrays from its model's stack.
+numpy's stacked matmul, eigvalsh, svd and solve treat each slice as the
+2-d call would, so each model gets exactly the numbers it gets alone; the
+one-model routines are these on one model, whose frame broadcasts over
+its slices.  The batched routines build no FMetric or GapReport; the
+campaign's properties use them, and `gap_sweep` builds its GapReports
+from the arrays at the end (`Sweep.reports`).  A call on several models
+keeps no frame.  A batch runs each stage for all its models before the
+next, so its first error is that of the first failing stage, and it warns
+of negative gaps once its group is swept; the campaign restores model
+order by running a batch that raises or warns again one model at a time
+(harness._pool).  Every stack holds at most linalg.CHUNK_BYTES (64 KiB)
+of d^2 x d^2 complex data: max(1, 4096 // d^4) slices or models (256 at
+d = 2, 16 at d = 4, one at d = 8), so peak memory grows with neither the
+number of models nor of functions.
 """
 
 from __future__ import annotations
@@ -354,9 +354,8 @@ def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
 
 def _sweeps(models, rhos, states, rows, labels, fpss=None, gens=None) -> list:
     """The Sweep of each model for its k_i weight rows rows[i] (each d^2
-    entries in vec order, or a d x d matrix read in column order) under
-    labels[i], states[i] = (p, W) of the state they come from; None for a
-    model without rows.
+    entries in vec order) under labels[i], states[i] = (p, W) of the state
+    they come from; None for a model without rows.
 
     A missing fps or gen is computed.  The models that share d, dim N and
     k are stacked: their frames are built together and every (model, row)
@@ -396,24 +395,10 @@ def _sweeps(models, rhos, states, rows, labels, fpss=None, gens=None) -> list:
     return out
 
 
-def _metric_columns(models, metric_lists) -> tuple[list, list, list]:
-    """For each model, the (p, W) of its metrics' state, their weight rows
-    (weights read in column order) and their labels: what _sweeps and
-    _semigroup_norms take.  The metrics of a model must come from one state
-    on its d (same_state)."""
-    for model, metrics in zip(models, metric_lists):
-        if metrics:
-            same_state(metrics, model.dim, "model")
-    return (
-        [(ms[0].eigenvalues, ms[0].rotation) if ms else None for ms in metric_lists],
-        [[m.weights.T for m in ms] for ms in metric_lists],
-        [[m.f.label for m in ms] for ms in metric_lists],
-    )
-
-
 def _table_columns(models, rhos, functions) -> tuple[list, list, list]:
-    """_metric_columns for the functions on each model's state, from one
-    metric.weight_table, with no FMetric."""
+    """For each model, the (p, W) of its state, its weight rows for the
+    functions (one metric.weight_table) and their labels: what _sweeps
+    takes."""
     functions = tuple(functions)
     rows = weight_table(rhos, functions)
     for model, rho in zip(models, rhos):
@@ -429,33 +414,16 @@ def function_sweeps(
     fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
     gens: Optional[Sequence[Optional[Superoperator]]] = None,
 ) -> list[Sweep]:
-    """The Sweep of each model for each function on its state, in order:
-    gap_sweeps with no FMetric or GapReport, raising and warning as it
-    does."""
+    """The Sweep of each model for each function on its state, in order;
+    the batched form of gap_sweep, with no FMetric or GapReport.
+
+    A missing fps or gen is computed.  The models that share d and dim N
+    are stacked (_sweeps), with the result each model gets alone.  Each
+    stage runs for all models before the next, so the error raised is that
+    of the first failing stage (see the module docstring); lists of
+    unequal lengths raise DimensionMismatchError."""
     same_lengths(models=models, rhos=rhos, fpss=fpss, gens=gens)
     return _sweeps(models, rhos, *_table_columns(models, rhos, functions), fpss, gens)
-
-
-def gap_sweeps(
-    models: Sequence[GKSLModel],
-    rhos: Sequence[DensityMatrix],
-    metric_lists: Sequence[Sequence[FMetric]],
-    fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
-    gens: Optional[Sequence[Optional[Superoperator]]] = None,
-) -> list[list[GapReport]]:
-    """Gap reports of each model for each of its metrics (all built from its
-    state), in order; the batched form of gap_sweep.
-
-    A missing fps or gen is computed.  The models that share d, dim N and
-    metric count are stacked (_sweeps), with the result each model gets
-    alone.  Each stage runs for all models before the next, so the error
-    raised is that of the first failing stage (see the module docstring);
-    lists of unequal lengths raise DimensionMismatchError."""
-    same_lengths(models=models, rhos=rhos, metric_lists=metric_lists, fpss=fpss,
-                 gens=gens)
-    states, rows, labels = _metric_columns(models, metric_lists)
-    sweeps = _sweeps(models, rhos, states, rows, labels, fpss, gens)
-    return [s.reports(names) if s else [] for s, names in zip(sweeps, labels)]
 
 
 def gap_sweep(
@@ -465,8 +433,7 @@ def gap_sweep(
     fps: Optional[FixedPointStructure] = None,
     gen: Optional[Superoperator] = None,
 ) -> list[GapReport]:
-    """Gap reports for every metric (all built from rho), in order:
-    gap_sweeps for one model.
+    """Gap reports for every metric (all built from rho), in order.
 
     Builds the model's eigen frame on first use, keeps it on fps and batches
     the functions over it (see the module docstring).  No metrics give no
@@ -475,10 +442,18 @@ def gap_sweep(
     COND_GUARD and NegativeGapWarning for a gap below -1e-8, which signals a
     non-contraction bug upstream; raises RankDeficiencyError when some
     f-weights spread beyond 1 / SUBSPACE_DROP_TOL, PostconditionError when
-    an f-basis leaves ker E by more than MEMBERSHIP_TOL and
-    DimensionMismatchError for metrics on another d than the model.
+    an f-basis leaves ker E by more than MEMBERSHIP_TOL, QmsGapError for
+    metrics of two states and DimensionMismatchError for metrics on another
+    d than the model.
     """
-    return gap_sweeps([model], [rho], [metrics], [fps], [gen])[0]
+    if not metrics:
+        return []
+    same_state(metrics, model.dim, "model")
+    labels = [m.f.label for m in metrics]
+    state = (metrics[0].eigenvalues, metrics[0].rotation)
+    (sweep,) = _sweeps([model], [rho], [state], [weight_rows(metrics)], [labels],
+                       [fps], [gen])
+    return sweep.reports(labels)
 
 
 def spectral_gap_f(
@@ -562,48 +537,26 @@ def f_operator_norm(metric: FMetric, s: Superoperator) -> float:
     return float(f_operator_norms([metric], s)[0])
 
 
-def _semigroup_norms(models, states, rows, times) -> list[np.ndarray]:
-    """f-operator norms of Phi_t for each model i, time and weight row of
-    rows[i], states[i] = (p, W) of their state (as _sweeps takes them): one
-    (len(times), k_i) array per model.  The models of one d and one k share
-    stacked expms over all times (qms.semigroups) and chunked norm stacks
-    (linalg.batches), with the result each model gets alone."""
-    out = [np.empty((len(times), len(r))) for r in rows]
-    keys = [(m.dim, len(r)) if len(r) else None for m, r in zip(models, rows)]
-    for idx in batches(keys, len(times)):
-        d, k = keys[idx[0]]
-        phis = np.array(semigroups(pick(models, idx), times))
-        w = np.array([states[i][1] for i in idx])[:, None]
-        stack = np.array(pick(rows, idx)).reshape(len(idx), k, d * d)
-        for i, norms in zip(idx, _operator_norms(stack, dag(w) @ phis @ w)):
-            out[i] = norms
-    return out
-
-
-def semigroup_norms(
-    models: Sequence[GKSLModel],
-    metric_lists: Sequence[Sequence[FMetric]],
-    times,
-) -> list[np.ndarray]:
-    """f_operator_norms of Phi_t for each model, time and metric of the
-    model's state: one (len(times), len(metrics)) array per model.
-
-    The models of one d and one metric count are stacked
-    (_semigroup_norms), with the result each model gets alone.  Lists of
-    unequal lengths raise DimensionMismatchError."""
-    same_lengths(models=models, metric_lists=metric_lists)
-    states, rows, _ = _metric_columns(models, metric_lists)
-    return _semigroup_norms(models, states, rows, times)
-
-
 def function_norms(
     models: Sequence[GKSLModel], rhos: Sequence[DensityMatrix], functions, times
 ) -> list[np.ndarray]:
-    """semigroup_norms for each function on each model's state, with no
-    FMetric."""
+    """f_operator_norms of Phi_t for each model, time and function on the
+    model's state: one (len(times), len(functions)) array per model.
+
+    The models of one d share stacked expms over all times (qms.semigroups)
+    and chunked norm stacks (linalg.batches), with the result each model
+    gets alone.  Lists of unequal lengths raise DimensionMismatchError."""
     same_lengths(models=models, rhos=rhos)
-    states, rows, _ = _table_columns(models, rhos, functions)
-    return _semigroup_norms(models, states, rows, times)
+    _, rows, _ = _table_columns(models, rhos, functions)
+    out = [np.empty((len(times), len(r))) for r in rows]
+    keys = [(m.dim,) if len(r) else None for m, r in zip(models, rows)]
+    for idx in batches(keys, len(times)):
+        phis = np.array(semigroups(pick(models, idx), times))
+        w = np.array([rhos[i]._split[3] for i in idx])[:, None]
+        stack = np.array(pick(rows, idx))
+        for i, norms in zip(idx, _operator_norms(stack, dag(w) @ phis @ w)):
+            out[i] = norms
+    return out
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,13 @@ d = 2, 3, 4 give a batch 16 models of each d).  Its random draws
 are one stack (qms.random_faithful_models: the candidates are decided
 together, and the stream is replayed exactly at a rejection), so each
 model, state and rejected count is the one a draw-by-draw loop over the
-stream gives.  The work after the draws is done for the whole batch:
-weight tables, fixed-point structures, gaps, curves and semigroup norms
-go through the batched routines of metric, qms and gap, which stack the
-models of one shape and give each the result it gets alone.  They read
-the gaps and norms as arrays (gap.function_sweeps, gap.function_norms)
-and build no FMetric or GapReport; only decay_equivalence and
-metric_closed_forms, which check that API, build metrics.  The
+stream gives.  The work after the draws is done for the whole batch by
+the batched routines of metric, qms and gap (weight_table,
+fixed_point_structures, function_sweeps, gap_curves, function_norms),
+which stack the models of one shape and give each what its one-model
+counterpart gives it.  They return arrays and build no FMetric or
+GapReport; only decay_equivalence and metric_closed_forms, which check
+that API, build metrics.  The
 matrix-analysis properties (moreau_identity, om1_bounds, loewner_order,
 metric_closed_forms) draw their cases one by one too and decide each batch
 in stacks of one d (_stacked), their states included.  The cases come out

@@ -29,8 +29,6 @@ each state's rows sit beside its own p, U and W.  The gap and norm
 engines and the campaign read those rows; `f_metric_table`, `f_metrics`
 and `f_metric` hand out FMetric views of them (weights is a row read as a
 d x d matrix), and `weight_rows` stacks the rows of given metrics.
-`f_grams` builds the Grams of a stack of metrics at once (`_grams` of the
-rotations and rows); `f_gram` is its stack of one.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
 f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
@@ -212,15 +210,10 @@ def warn_if_ill_conditioned(condition: float) -> None:
 
 
 def f_gram(metric: FMetric) -> Superoperator:
-    """Positive definite G_f with <vec(x), G_f vec(y)> = <x, y>_f: f_grams
-    of one metric."""
-    return Superoperator(dim=metric.dim, matrix=f_grams([metric])[0])
-
-
-def f_grams(metrics: Sequence[FMetric]) -> np.ndarray:
-    """The Grams G_f of metrics of one d, stacked (n, d^2, d^2): _grams of
-    their rotations and weight rows."""
-    return _grams(np.array([m.rotation for m in metrics]), weight_rows(metrics))
+    """Positive definite G_f with <vec(x), G_f vec(y)> = <x, y>_f: _grams
+    of the metric's rotation and weight row."""
+    gram = _grams(metric.rotation[None], weight_rows([metric]))[0]
+    return Superoperator(dim=metric.dim, matrix=gram)
 
 
 def _grams(rotations: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -143,8 +143,9 @@ def test_gap_exit_3_for_non_finite_or_boolean_entry(capsys, tmp_path, field, ent
         ("power:nan", "power exponent must lie in [0, 1], got nan"),
         ("kms:1", "unknown metric spec 'kms:1'"),
         ("power", "bad power descriptor {'kind': 'power'}: missing key 'alpha'"),
+        ("power:abc", "bad power exponent 'abc': not a number"),
     ],
-    ids=["nope", "power:2", "power:nan", "kms:1", "power"],
+    ids=["nope", "power:2", "power:nan", "kms:1", "power", "power:abc"],
 )
 def test_gap_exit_3_for_unknown_metric(capsys, depolarizing_config, spec, message):
     code, _, err = run(capsys, "gap", depolarizing_config, "--f", spec)
@@ -284,6 +285,9 @@ def test_verify_missing_file(capsys, tmp_path):
         ("f_suite", [{"kind": "measure", "atoms": [[0.0, 1.0]], "alpha": 0.5}],
          "unknown keys in measure metric descriptor: ['alpha']"),
         ("f_suite", [{"kind": ["gns"]}], "unknown metric kind ['gns']"),
+        ("f_suite", [{"kind": "power", "alpha": "0.5"}], "'0.5' is not a number"),
+        ("f_suite", [{"kind": "measure", "atoms": [["0.5", "1"]]}],
+         "bad measure descriptor"),
     ],
 )
 def test_verify_exit_3_for_malformed_campaign_config(

@@ -28,8 +28,6 @@ from qmsgap.gap import (
     gap_curve,
     gap_curves,
     gap_sweep,
-    gap_sweeps,
-    semigroup_norms,
     spectral_gap_f,
 )
 from qmsgap.harness import degenerate_block_model
@@ -37,7 +35,6 @@ from qmsgap.linalg import Superoperator, dag, unvec, vec
 from qmsgap.metric import (
     f_adjoint,
     f_gram,
-    f_grams,
     f_gram_sqrt,
     f_inner,
     f_metric,
@@ -567,7 +564,8 @@ def test_a_state_forms_its_rotation_once(rng, monkeypatch):
     gap_sweep(model, rho, metrics)
     for t in (0.1, 1.0, 10.0):
         f_operator_norms(metrics, semigroup(model, t))
-    f_grams(metrics)
+    for m in metrics:
+        f_gram(m)
     f_adjoint(metrics[0], generator(model))
     assert len(builds) == 1
     assert all(m.rotation is metrics[0].rotation for m in metrics)
@@ -649,7 +647,7 @@ def _flipped_thermal():
 
 # each public entry point reaches the warning at another depth in gap.py
 NEGATIVE_GAP_CALLS = {
-    "gap_sweeps": lambda m, r, g: gap_sweeps([m], [r], [[f_metric(r, gns())]], gens=[g]),
+    "function_sweeps": lambda m, r, g: function_sweeps([m], [r], [gns()], gens=[g]),
     "gap_sweep": lambda m, r, g: gap_sweep(m, r, [f_metric(r, gns())], gen=g),
     "spectral_gap_f": lambda m, r, g: spectral_gap_f(m, r, f_metric(r, gns()), gen=g),
     "gap_curve": lambda m, r, g: gap_curve(m, r, [0.5], gen=g),
@@ -673,12 +671,16 @@ def test_ill_conditioned_warning_names_the_callers_line():
         np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
     )
     model = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        gap_sweep(model, rho, [f_metric(rho, gns())])
-    (warned,) = caught
-    assert issubclass(warned.category, IllConditionedWarning)
-    assert warned.filename == __file__
+    for call in (
+        lambda: gap_sweep(model, rho, [f_metric(rho, gns())]),
+        lambda: function_sweeps([model], [rho], [gns()]),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        (warned,) = caught
+        assert issubclass(warned.category, IllConditionedWarning)
+        assert warned.filename == __file__
 
 
 def test_gap_sweep_warns_on_ill_conditioned_weights():
@@ -740,6 +742,11 @@ def _assert_same_reports(got, want):
         assert a.residuals == b.residuals
 
 
+def _reports(sweeps, functions):
+    # the GapReports a one-model gap_sweep gives, from function_sweeps' arrays
+    return [sweep.reports([f.label for f in functions]) for sweep in sweeps]
+
+
 def test_mixed_stack_gives_what_one_model_calls_give():
     cases = _mixed_stack()
     models = [model for model, _ in cases]
@@ -747,8 +754,8 @@ def test_mixed_stack_gives_what_one_model_calls_give():
     assert sorted({fps.dim for fps in fixed_point_structures(models, rhos)}) == [1, 2]
     table = f_metric_table(rhos, SUITE)
     fpss = fixed_point_structures(models, rhos)
-    sweeps = gap_sweeps(models, rhos, table, fpss)
-    norms = semigroup_norms(models, table, TIMES)
+    sweeps = _reports(function_sweeps(models, rhos, SUITE, fpss), SUITE)
+    norms = function_norms(models, rhos, SUITE, TIMES)
     curves = gap_curves(models, rhos, ALPHAS, fpss)
     for (model, rho), fps_b, metrics_b, reports, norm, curve in zip(
         cases, fpss, table, sweeps, norms, curves
@@ -768,26 +775,24 @@ def test_one_matrix_per_chunk_changes_nothing(monkeypatch):
     cases = _mixed_stack()
     models = [model for model, _ in cases]
     rhos = [rho for _, rho in cases]
-    table = f_metric_table(rhos, SUITE)
-    sweeps = gap_sweeps(models, rhos, table)
-    norms = semigroup_norms(models, table, TIMES)
+    sweeps = _reports(function_sweeps(models, rhos, SUITE), SUITE)
+    norms = function_norms(models, rhos, SUITE, TIMES)
     monkeypatch.setattr(linalg, "CHUNK_BYTES", 1)
-    for got, want in zip(gap_sweeps(models, rhos, table), sweeps):
+    for got, want in zip(_reports(function_sweeps(models, rhos, SUITE), SUITE), sweeps):
         _assert_same_reports(got, want)
-    for got, want in zip(semigroup_norms(models, table, TIMES), norms):
+    for got, want in zip(function_norms(models, rhos, SUITE, TIMES), norms):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("routine", ["semigroups", "semigroup_norms"])
+@pytest.mark.parametrize("routine", ["semigroups", "function_norms"])
 def test_an_empty_time_grid_gives_empty_arrays(routine):
     cases = _mixed_stack()
     models = [model for model, _ in cases]
-    table = f_metric_table([rho for _, rho in cases], SUITE)
     if routine == "semigroups":
         got = semigroups(models, ())
         want = [(0, m.dim**2, m.dim**2) for m in models]
     else:
-        got = semigroup_norms(models, table, ())
+        got = function_norms(models, [rho for _, rho in cases], SUITE, ())
         want = [(0, len(SUITE))] * len(models)
     assert [a.shape for a in got] == want
 
@@ -796,16 +801,16 @@ def _length_cases():
     # fresh models, so a generator built before the check would show
     models = [depolarizing_qubit(GAMMA), depolarizing_qubit(2 * GAMMA)]
     rho = density_matrix(np.eye(2) / 2.0)
-    metrics = f_metrics(rho, (gns(), kms()))
+    functions = (gns(), kms())
     return {
-        "sweeps-metric_lists": (lambda: gap_sweeps(models, [rho, rho], [metrics]),
-                                "models 2, rhos 2, metric_lists 1"),
-        "sweeps-fpss": (lambda: gap_sweeps(models, [rho, rho], [metrics] * 2, [None]),
-                        "models 2, rhos 2, metric_lists 2, fpss 1"),
-        "sweeps-gens": (lambda: gap_sweeps(models, [rho] * 2, [metrics] * 2, None, []),
-                        "models 2, rhos 2, metric_lists 2, gens 0"),
-        "norms": (lambda: semigroup_norms(models, [metrics], (1.0,)),
-                  "models 2, metric_lists 1"),
+        "sweeps-rhos": (lambda: function_sweeps(models, [rho], functions),
+                        "models 2, rhos 1"),
+        "sweeps-fpss": (lambda: function_sweeps(models, [rho, rho], functions, [None]),
+                        "models 2, rhos 2, fpss 1"),
+        "sweeps-gens": (lambda: function_sweeps(models, [rho] * 2, functions, None, []),
+                        "models 2, rhos 2, gens 0"),
+        "norms": (lambda: function_norms(models, [rho], functions, (1.0,)),
+                  "models 2, rhos 1"),
         "structures-rhos": (lambda: fixed_point_structures(models[:1], [rho, rho]),
                             "models 1, rhos 2"),
         "structures-models": (lambda: fixed_point_structures(models, [rho]),
@@ -842,31 +847,22 @@ def _bad_expectation_case():
         columns=fixed,
         coefficients=np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram),
     )
-    return model, rho, [f_metric(rho, kms())], fps
+    return model, rho, fps
 
 
 def test_batch_raises_the_error_of_a_failing_model():
     # a batched call runs each stage for all models before the next, so it
     # raises the error of the first failing stage; the campaign restores
     # model order (tests/test_harness.py)
-    rng = np.random.default_rng(5)
-    good = random_faithful_model(rng, 2)[:2]
-    bad = _bad_expectation_case()
+    good = random_faithful_model(np.random.default_rng(5), 2)[:2]
+    model, rho, fps = _bad_expectation_case()
     with pytest.raises(PostconditionError) as alone:
-        gap_sweep(bad[0], bad[1], bad[2], fps=bad[3])
+        gap_sweep(model, rho, f_metrics(rho, SUITE), fps=fps)
     with pytest.raises(PostconditionError) as batched:
-        gap_sweeps(
-            [good[0], bad[0], good[0]],
-            [good[1], bad[1], good[1]],
-            [f_metrics(good[1], SUITE), bad[2], f_metrics(good[1], SUITE)],
-            [None, bad[3], None],
+        function_sweeps(
+            [good[0], model, good[0]], [good[1], rho, good[1]], SUITE, [None, fps, None]
         )
     assert str(batched.value) == str(alone.value)
-    model3, rho3, _ = random_faithful_model(rng, 3)
-    _, other, _ = random_faithful_model(rng, 3)
-    mixed = [f_metric(rho3, kms()), f_metric(other, kms())]
-    with pytest.raises(QmsGapError, match="one state"):
-        gap_sweeps([good[0], model3], [good[1], rho3], [f_metrics(good[1], SUITE), mixed])
 
 
 def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
@@ -892,7 +888,7 @@ def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
         return out, sorted((w.category.__name__, str(w.message)) for w in caught)
 
     batched, got = run(
-        lambda: gap_sweeps(models, rhos, f_metric_table(rhos, functions), gens=gens)
+        lambda: _reports(function_sweeps(models, rhos, functions, gens=gens), functions)
     )
     alone, want = run(
         lambda: [
@@ -921,16 +917,9 @@ def test_duplicate_weights_get_the_bits_they_get_alone():
     cases = _mixed_stack()
     models = [model for model, _ in cases]
     rhos = [rho for _, rho in cases]
-    table = f_metric_table(rhos, DUPLICATES)
-    sweeps = gap_sweeps(models, rhos, table)
-    norms = semigroup_norms(models, table, TIMES)
-    # the campaign's array path: no FMetric, the same bits
+    sweeps = _reports(function_sweeps(models, rhos, DUPLICATES), DUPLICATES)
+    norms = function_norms(models, rhos, DUPLICATES, TIMES)
     labels = [f.label for f in DUPLICATES]
-    arrays = function_sweeps(models, rhos, DUPLICATES)
-    for sweep, reports in zip(arrays, sweeps):
-        _assert_same_reports(sweep.reports(labels), reports)
-    for got, want in zip(function_norms(models, rhos, DUPLICATES, TIMES), norms):
-        np.testing.assert_array_equal(got, want)
     for (model, rho), reports, norm in zip(cases, sweeps, norms):
         assert [r.f_label for r in reports] == labels
         for f, report, column in zip(DUPLICATES, reports, norm.T):
@@ -954,7 +943,7 @@ def test_each_weight_row_is_one_slice(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     gap_sweep(model, rho, metrics, fps=fps)
-    semigroup_norms([model], [metrics], TIMES)
+    function_norms([model], [rho], DUPLICATES, TIMES)
     # one chunk each at d = 3
     assert slices == [len(DUPLICATES), len(DUPLICATES) * len(TIMES)]
 
@@ -997,15 +986,13 @@ def test_a_failing_duplicate_raises_what_a_model_by_model_run_raises():
     # first, with the weights of kms or ones that fail the same way
     functions = (power(0.5), kms(), gns(), power(0.0), transpose(bkm()), bkm())
     good = random_faithful_model(np.random.default_rng(5), 2)[:2]
-    model, rho, _, fps = _bad_expectation_case()
+    model, rho, fps = _bad_expectation_case()
     with pytest.raises(PostconditionError) as alone:
         gap_sweep(model, rho, f_metrics(rho, functions), fps=fps)
     assert "for power(0.5)" in str(alone.value)
     with pytest.raises(PostconditionError) as batched:
-        gap_sweeps(
-            [good[0], model, good[0]],
-            [good[1], rho, good[1]],
-            [f_metrics(r, functions) for r in (good[1], rho, good[1])],
+        function_sweeps(
+            [good[0], model, good[0]], [good[1], rho, good[1]], functions,
             [None, fps, None],
         )
     assert str(batched.value) == str(alone.value)
@@ -1052,7 +1039,7 @@ def test_a_one_model_call_keeps_exactly_one_frame():
     model, rho, _ = random_faithful_model(np.random.default_rng(9), 3)
     fps = fixed_point_structure(model, rho)
     assert fps._frame is None
-    gap_sweeps([model], [rho], [f_metrics(rho, SUITE)], [fps])
+    function_sweeps([model], [rho], SUITE, [fps])
     kept = fps._frame
     assert kept is not None and kept.rotation.shape[0] == 1  # one model
     spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
@@ -1066,7 +1053,6 @@ def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch)
     models, rhos = map(list, zip(*draws))
     gens = [generator(m) for m in models]
     fpss = fixed_point_structures(models, rhos, gens)
-    metric_lists = [f_metrics(rho, SUITE) for rho in rhos]
     stacks = []
     real = np.linalg.svd
 
@@ -1075,7 +1061,7 @@ def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch)
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    gap_sweeps(models, rhos, metric_lists, fpss, gens)
+    function_sweeps(models, rhos, SUITE, fpss, gens)
     assert sorted(stacks) == [(2,), (3,)]  # one per (d, dim N) group
     assert all(fps._frame is None for fps in fpss)
 
@@ -1086,7 +1072,7 @@ def test_a_batch_of_d8_models_keeps_no_frame():
     draws = [random_faithful_model(rng, 8)[:2] for _ in range(3)]
     models, rhos = map(list, zip(*draws))
     fpss = fixed_point_structures(models, rhos)
-    gap_sweeps(models, rhos, [f_metrics(rho, (gns(), kms())) for rho in rhos], fpss)
+    function_sweeps(models, rhos, (gns(), kms()), fpss)
     assert all(fps._frame is None for fps in fpss)
 
 

@@ -16,7 +16,7 @@ from qmsgap.errors import (
     QmsGapError,
     RateMismatchError,
 )
-from qmsgap.gap import GapReport, gap_sweeps, spectral_gap_f
+from qmsgap.gap import GapReport, gap_sweep, spectral_gap_f
 from qmsgap.harness import (
     PROPERTY_ORDER,
     CampaignConfig,
@@ -27,7 +27,7 @@ from qmsgap.harness import (
     run_campaign,
     strict_gap_search,
 )
-from qmsgap.metric import FMetric, f_adjoint, f_metric, f_metric_table
+from qmsgap.metric import FMetric, f_adjoint, f_metric, f_metrics
 from qmsgap.monotone import builtin_functions, gns, kms, power
 from qmsgap.qms import (
     SIGMA_X,
@@ -446,13 +446,15 @@ def test_pooled_properties_build_no_metric_or_report_objects(monkeypatch):
     assert counts["FMetric"] > 0 and counts["GapReport"] > 0
 
 
-def test_table_gaps_of_a_pool_batch_equal_those_of_gap_sweeps():
+def test_table_gaps_of_a_pool_batch_equal_those_of_gap_sweep():
     cfg = acceptance_config(42)
     entries = list(harness._draws(cfg, harness._rng_for(cfg, 0), range(harness._BATCH)))
     functions = (gns(),) + cfg.functions()  # gap_comparison's, with duplicates
     models, rhos = harness._columns(entries)
-    reports = gap_sweeps(models, rhos, f_metric_table(rhos, functions))
-    want = [[r.lambda_f for r in row] for row in reports]
+    want = [
+        [r.lambda_f for r in gap_sweep(model, rho, f_metrics(rho, functions))]
+        for model, rho in zip(models, rhos)
+    ]
     assert harness._gaps(functions, entries) == want
 
 

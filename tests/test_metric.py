@@ -23,7 +23,6 @@ from qmsgap.metric import (
     f_metric_table,
     f_metrics,
     _loewner_order_probes,
-    f_grams,
     loewner_order_probe,
     moreau_form,
     moreau_forms,
@@ -490,12 +489,6 @@ def test_stacked_order_probes_raise_the_error_of_the_first_failing_pair(
     with pytest.raises(type(want.value)) as got:
         _loewner_order_probes(a, b, 1e-9)
     assert str(got.value) == str(want.value)
-
-
-def test_stacked_grams_equal_one_metric_at_a_time(rng):
-    metrics = f_metrics(random_density(rng, 3), builtin_functions())
-    for got, metric in zip(f_grams(metrics), metrics):
-        np.testing.assert_array_equal(got, f_gram(metric).matrix)
 
 
 # ---------------------------------------------------------------------------

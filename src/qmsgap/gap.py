@@ -125,10 +125,11 @@ from .qms import (
     DensityMatrix,
     FixedPointStructure,
     GKSLModel,
+    _check_generator,
     _check_state_dim,
+    _generators,
     fixed_point_structure,
     fixed_point_structures,
-    generator,
     semigroups,
 )
 
@@ -242,11 +243,12 @@ def _frame(
     with gens, their L~ too.
 
     One model takes the frame kept on its FixedPointStructure when that
-    frame serves the state; its L~ is rotated again only for another
-    generator.  Otherwise the frame is built, for several models as one
-    stack.  A one-model call keeps it; a batched call keeps none, also for
-    a group of one model (every group at d = 8): such a frame serves once,
-    and a pool's frames would be held as long as the pool."""
+    frame serves the state; its L~ is rotated again only for the generator
+    of another model that shares the fps.  Otherwise the frame is built,
+    for several models as one stack.  A one-model call keeps it; a batched
+    call keeps none, also for a group of one model (every group at d = 8):
+    such a frame serves once, and a pool's frames would be held as long as
+    the pool."""
     frame = fpss[0]._frame if len(fpss) == 1 else None
     if frame is None or frame.state is not rotations[0]:
         frame = _build_frame(fpss, eigenvalues, rotations)
@@ -348,43 +350,34 @@ def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
                 f"generator is not dissipative",
                 NegativeGapWarning,
             )
-    spectra = spectra.reshape(n, k, -1)
-    return spectra[:, :, 0], spectra, residuals.reshape(n, k, -1)
+    spectra = spectra.reshape(n, k, size - n_fixed)
+    return spectra[:, :, 0], spectra, residuals.reshape(n, k, len(_RESIDUALS))
 
 
-def _sweeps(models, rhos, states, rows, labels, fpss=None, gens=None) -> list:
+def _sweeps(models, rhos, rows, labels, fpss=None) -> list:
     """The Sweep of each model for its k_i weight rows rows[i] (each d^2
-    entries in vec order) under labels[i], states[i] = (p, W) of the state
-    they come from; None for a model without rows.
+    entries in vec order, of the state rhos[i]) under labels[i].
 
-    A missing fps or gen is computed.  The models that share d, dim N and
-    k are stacked: their frames are built together and every (model, row)
-    pair is one slice of the same chunked sweep (see the module docstring),
+    A missing fps is computed.  The models that share d, dim N and k are
+    stacked: their frames are built together and every (model, row) pair
+    is one slice of the same chunked sweep (see the module docstring),
     with the result each model gets alone.  Each stage runs for all models
     before the next, so the error raised is that of the first failing
     stage."""
     n = len(models)
-    fpss, gens = list(fpss or [None] * n), list(gens or [None] * n)
-    todo = []
-    for i, model_rows in enumerate(rows):
-        if len(model_rows):
-            if gens[i] is None:
-                gens[i] = generator(models[i])
-            if fpss[i] is None:
-                todo.append(i)
+    gens, fpss = _generators(models), list(fpss or [None] * n)
+    todo = [i for i, fps in enumerate(fpss) if fps is None]
     if todo:
-        computed = fixed_point_structures(
-            pick(models, todo), pick(rhos, todo), pick(gens, todo)
-        )
+        computed = fixed_point_structures(pick(models, todo), pick(rhos, todo))
         for i, fps in zip(todo, computed):
             fpss[i] = fps
 
     out: list = [None] * n
-    keys = [(m.dim, fps.dim, len(r)) if len(r) else None
-            for m, fps, r in zip(models, fpss, rows)]
+    keys = [(m.dim, fps.dim, len(r)) for m, fps, r in zip(models, fpss, rows)]
     for idx in batches(keys):
-        eigenvalues, rotations = zip(*pick(states, idx))
-        frame = _frame(pick(fpss, idx), eigenvalues, rotations, pick(gens, idx))
+        splits = [rhos[i]._split for i in idx]
+        frame = _frame(pick(fpss, idx), [split[0] for split in splits],
+                       [split[3] for split in splits], pick(gens, idx))
         if n == 1:
             object.__setattr__(fpss[0], "_frame", frame)
         d, n_fixed, k = keys[idx[0]]
@@ -395,35 +388,37 @@ def _sweeps(models, rhos, states, rows, labels, fpss=None, gens=None) -> list:
     return out
 
 
-def _table_columns(models, rhos, functions) -> tuple[list, list, list]:
-    """For each model, the (p, W) of its state, its weight rows for the
-    functions (one metric.weight_table) and their labels: what _sweeps
-    takes."""
+def _table_columns(models, rhos, functions) -> tuple[list, list]:
+    """For each model, its state's weight rows for the functions (one
+    metric.weight_table) and their labels: what _sweeps takes."""
     functions = tuple(functions)
     rows = weight_table(rhos, functions)
     for model, rho in zip(models, rhos):
         _check_state_dim(model, rho.dim)
-    labels = [f.label for f in functions]
-    return [(rho._split[0], rho._split[3]) for rho in rhos], rows, [labels] * len(rhos)
+    return rows, [[f.label for f in functions]] * len(rhos)
+
+
+def _check_metrics(model: GKSLModel, rho: DensityMatrix, metrics) -> None:
+    """The metrics must be on the model's d (DimensionMismatchError) and
+    come from rho, the one state of the call (QmsGapError)."""
+    same_state(metrics, model.dim, "model")
+    if not rho.faithful or metrics[0].rotation is not rho._split[3]:
+        raise QmsGapError("the metrics of a call must come from its state rho")
 
 
 def function_sweeps(
-    models: Sequence[GKSLModel],
-    rhos: Sequence[DensityMatrix],
-    functions,
-    fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
-    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+    models: Sequence[GKSLModel], rhos: Sequence[DensityMatrix], functions
 ) -> list[Sweep]:
     """The Sweep of each model for each function on its state, in order;
     the batched form of gap_sweep, with no FMetric or GapReport.
 
-    A missing fps or gen is computed.  The models that share d and dim N
-    are stacked (_sweeps), with the result each model gets alone.  Each
-    stage runs for all models before the next, so the error raised is that
-    of the first failing stage (see the module docstring); lists of
-    unequal lengths raise DimensionMismatchError."""
-    same_lengths(models=models, rhos=rhos, fpss=fpss, gens=gens)
-    return _sweeps(models, rhos, *_table_columns(models, rhos, functions), fpss, gens)
+    The models that share d and dim N are stacked (_sweeps), with the
+    result each model gets alone.  Each stage runs for all models before
+    the next, so the error raised is that of the first failing stage (see
+    the module docstring); lists of unequal lengths raise
+    DimensionMismatchError."""
+    same_lengths(models=models, rhos=rhos)
+    return _sweeps(models, rhos, *_table_columns(models, rhos, functions))
 
 
 def gap_sweep(
@@ -431,7 +426,6 @@ def gap_sweep(
     rho: DensityMatrix,
     metrics: Sequence[FMetric],
     fps: Optional[FixedPointStructure] = None,
-    gen: Optional[Superoperator] = None,
 ) -> list[GapReport]:
     """Gap reports for every metric (all built from rho), in order.
 
@@ -443,16 +437,14 @@ def gap_sweep(
     non-contraction bug upstream; raises RankDeficiencyError when some
     f-weights spread beyond 1 / SUBSPACE_DROP_TOL, PostconditionError when
     an f-basis leaves ker E by more than MEMBERSHIP_TOL, QmsGapError for
-    metrics of two states and DimensionMismatchError for metrics on another
-    d than the model.
+    metrics of another state than rho and DimensionMismatchError for
+    metrics on another d than the model.
     """
     if not metrics:
         return []
-    same_state(metrics, model.dim, "model")
+    _check_metrics(model, rho, metrics)
     labels = [m.f.label for m in metrics]
-    state = (metrics[0].eigenvalues, metrics[0].rotation)
-    (sweep,) = _sweeps([model], [rho], [state], [weight_rows(metrics)], [labels],
-                       [fps], [gen])
+    (sweep,) = _sweeps([model], [rho], [weight_rows(metrics)], [labels], [fps])
     return sweep.reports(labels)
 
 
@@ -463,8 +455,10 @@ def spectral_gap_f(
     fps: Optional[FixedPointStructure] = None,
     gen: Optional[Superoperator] = None,
 ) -> GapReport:
-    """Gap for one metric: gap_sweep over [metric]."""
-    return gap_sweep(model, rho, [metric], fps=fps, gen=gen)[0]
+    """Gap for one metric: gap_sweep over [metric]; gen, if given, must be
+    generator(model) (QmsGapError)."""
+    _check_generator(model, gen)
+    return gap_sweep(model, rho, [metric], fps=fps)[0]
 
 
 def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
@@ -547,7 +541,7 @@ def function_norms(
     and chunked norm stacks (linalg.batches), with the result each model
     gets alone.  Lists of unequal lengths raise DimensionMismatchError."""
     same_lengths(models=models, rhos=rhos)
-    _, rows, _ = _table_columns(models, rhos, functions)
+    rows, _ = _table_columns(models, rhos, functions)
     out = [np.empty((len(times), len(r))) for r in rows]
     keys = [(m.dim,) if len(r) else None for m, r in zip(models, rows)]
     for idx in batches(keys, len(times)):
@@ -613,22 +607,12 @@ def _curve(alphas: list[float], lambdas: list[float]) -> GapCurve:
 
 
 def gap_curves(
-    models: Sequence[GKSLModel],
-    rhos: Sequence[DensityMatrix],
-    alphas,
-    fpss: Optional[Sequence[Optional[FixedPointStructure]]] = None,
-    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+    models: Sequence[GKSLModel], rhos: Sequence[DensityMatrix], alphas
 ) -> list[GapCurve]:
     """Power-family gap curve of each model on one alpha grid (QmsGapError
     if it is empty, DimensionMismatchError for lists of unequal lengths):
     one function_sweeps for all models."""
-    same_lengths(models=models, rhos=rhos, fpss=fpss, gens=gens)
-    alphas = [float(alpha) for alpha in alphas]
-    if not alphas:
-        raise QmsGapError("gap curve needs at least one alpha")
-    functions = [power(alpha) for alpha in alphas]
-    sweeps = function_sweeps(models, rhos, functions, fpss, gens)
-    return [_curve(alphas, sweep.lambdas.tolist()) for sweep in sweeps]
+    return _curves(models, rhos, alphas, None)
 
 
 def gap_curve(
@@ -638,8 +622,21 @@ def gap_curve(
     fps: Optional[FixedPointStructure] = None,
     gen: Optional[Superoperator] = None,
 ) -> GapCurve:
-    """Power-family gaps on the alpha grid: gap_curves for one model."""
-    return gap_curves([model], [rho], alphas, [fps], [gen])[0]
+    """Power-family gaps on the alpha grid: gap_curves for one model, with
+    its fps if given; gen, if given, must be generator(model) (QmsGapError)."""
+    _check_generator(model, gen)
+    return _curves([model], [rho], alphas, [fps])[0]
+
+
+def _curves(models, rhos, alphas, fpss) -> list[GapCurve]:
+    """gap_curves with the models' fixed-point structures (None: computed)."""
+    same_lengths(models=models, rhos=rhos)
+    alphas = [float(alpha) for alpha in alphas]
+    if not alphas:
+        raise QmsGapError("gap curve needs at least one alpha")
+    functions = [power(alpha) for alpha in alphas]
+    sweeps = _sweeps(models, rhos, *_table_columns(models, rhos, functions), fpss)
+    return [_curve(alphas, sweep.lambdas.tolist()) for sweep in sweeps]
 
 
 def empirical_decay_rate(
@@ -647,7 +644,6 @@ def empirical_decay_rate(
     rho: DensityMatrix,
     metric: FMetric,
     fps: Optional[FixedPointStructure] = None,
-    gen: Optional[Superoperator] = None,
 ) -> float:
     """Decay rate of Phi_t on the decaying subspace, from the semigroup.
 
@@ -661,15 +657,13 @@ def empirical_decay_rate(
     diag(w_gns)^{-1/2} V, not from rescaling V, so this oracle does not rest
     on the Delta-invariance of ker E that gap_sweep uses.  Phi~_t at the
     three times is exponentiated once per frame and serves every metric.
-    Raises RankDeficiencyError when that f-Gram loses rank; math.inf when
-    nothing decays.
+    Raises RankDeficiencyError when that f-Gram loses rank, QmsGapError for
+    a metric of another state than rho; math.inf when nothing decays.
     """
-    same_state([metric], model.dim, "model")
-    if gen is None:
-        gen = generator(model)
+    _check_metrics(model, rho, [metric])
     if fps is None:
-        fps = fixed_point_structure(model, rho, gen=gen)
-    frame = _frame([fps], [metric.eigenvalues], [metric.rotation], [gen])
+        fps = fixed_point_structure(model, rho)
+    frame = _frame([fps], [metric.eigenvalues], [metric.rotation], _generators([model]))
     object.__setattr__(fps, "_frame", frame)
     kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:

@@ -290,10 +290,8 @@ def pick(items, idx) -> list:
 
 
 def same_lengths(**lists) -> None:
-    """The per-model lists of one batched call (None for an omitted one)
-    must have one length: DimensionMismatchError naming them otherwise."""
-    if len({len(items) for items in lists.values() if items is not None}) > 1:
-        named = ", ".join(
-            f"{name} {len(items)}" for name, items in lists.items() if items is not None
-        )
+    """The per-model lists of one batched call must have one length:
+    DimensionMismatchError naming them otherwise."""
+    if len({len(items) for items in lists.values()}) > 1:
+        named = ", ".join(f"{name} {len(items)}" for name, items in lists.items())
         raise DimensionMismatchError(f"per-model lists differ in length: {named}")

@@ -22,17 +22,17 @@ Models are immutable: a GKSLModel keeps read-only copies of H and the
 jumps (the caller's arrays stay as they were), so `generator` builds and
 checks the generator matrix once per model, keeps it on the model and
 returns that same read-only Superoperator on every later call.  Every
-routine that takes a model therefore shares one generator per model, with
-or without the optional `gen=` argument.  The invariant state spans
+routine that takes a model runs that one generator; the few that still
+accept `gen=` take only that object.  The invariant state spans
 ker L_* and the fixed-point algebra is ker L, so both come from one SVD and
 one kernel decision per model, also kept on the model (`_kernels`).
 
 Every build, check and solve here runs on stacks: `_generators`,
-`_kernels`, `_invariant_states` and `fixed_point_structures` serve the
-models of one d with one stacked call per stage, each model getting bit for
-bit what it gets alone, and `generator`, `invariant_state` and
-`fixed_point_structure` are them on one model.  `random_faithful_models`
-decides a batch of draws as one stack.  States too: `density_matrices`
+`_kernels`, `_invariant_states`, `fixed_point_structures` and `semigroups`
+serve the models of one d with one stacked call per stage, each model
+getting bit for bit what it gets alone, and `generator`, `invariant_state`,
+`fixed_point_structure` and `semigroup` are them on one model.
+`random_faithful_models` decides a batch of draws as one stack.  States too: `density_matrices`
 checks a stack of them with one eigh, and `_random_states` builds
 `random_density`'s states from draws of one d (`_state_draw`) taken
 earlier, in stream order, with one QR.
@@ -193,18 +193,15 @@ def generator(model: GKSLModel) -> Superoperator:
     return _generators([model])[0]
 
 
-def _generators(models: Sequence[GKSLModel], gens=None) -> list[Superoperator]:
-    """gens (None: all omitted) with each omitted one replaced by its
-    model's generator, as generator gives it.
+def _generators(models: Sequence[GKSLModel]) -> list[Superoperator]:
+    """Each model's generator, as generator gives it.
 
-    Those of one d are built and checked as stacks (linalg.batches,
-    _generator_stack): the PostconditionError of the first failing model of
-    a stack, whose models then keep no generator.  Each model keeps a copy
-    of its own matrix, not a view of the stack.  A model listed twice keeps
-    the first."""
-    out = list(gens or [None] * len(models))
-    keys = ((m.dim,) if g is None and m._generator is None else None
-            for m, g in zip(models, out))
+    Those not yet kept are built and checked as stacks of one d
+    (linalg.batches, _generator_stack): the PostconditionError of the first
+    failing model of a stack, whose models then keep no generator.  Each
+    model keeps a copy of its own matrix, not a view of the stack.  A model
+    listed twice keeps the first."""
+    keys = ((m.dim,) if m._generator is None else None for m in models)
     for idx in batches(keys):
         mats = _generator_stack(pick(models, idx))
         _check_generators(mats)
@@ -214,7 +211,14 @@ def _generators(models: Sequence[GKSLModel], gens=None) -> list[Superoperator]:
                 mat.setflags(write=False)
                 gen = Superoperator(dim=models[i].dim, matrix=mat)
                 object.__setattr__(models[i], "_generator", gen)
-    return [m._generator if g is None else g for m, g in zip(models, out)]
+    return [m._generator for m in models]
+
+
+def _check_generator(model: GKSLModel, gen: Optional[Superoperator]) -> None:
+    """QmsGapError unless gen is None or the generator the model keeps:
+    every routine runs the model's one generator.  Builds nothing."""
+    if gen is not None and gen is not model._generator:
+        raise QmsGapError("gen must be generator(model), the model's own generator")
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -321,11 +325,10 @@ def semigroup(
     model: GKSLModel, t: float, gen: Optional[Superoperator] = None
 ) -> Superoperator:
     """Phi_t = exp(t L) as a superoperator with a read-only matrix; t must
-    be finite and nonnegative."""
+    be finite and nonnegative: semigroups for one model and one time."""
     _check_time(t)
-    if gen is None:
-        gen = generator(model)
-    phi = expm(t * gen.matrix)
+    _check_generator(model, gen)
+    phi = semigroups([model], [t])[0][0]
     phi.setflags(write=False)
     return Superoperator(dim=model.dim, matrix=phi)
 
@@ -334,8 +337,8 @@ def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
     """The matrices of Phi_t = exp(t L) for each model at each time: one
     (len(times), d^2, d^2) array per model.
 
-    The models of one d are exponentiated as stacks (linalg.batches), with
-    the same entries as semigroup(model, t) gives each of them.
+    The models of one d are exponentiated as stacks (linalg.batches), each
+    model getting the entries it gets alone (linalg.expm).
     """
     times = np.array([float(t) for t in times])
     for t in times:
@@ -349,9 +352,9 @@ def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
     return out
 
 
-def _kernels(models: Sequence[GKSLModel], gens: Sequence[Superoperator]) -> list:
-    """For each model under its generator gens[i], columns spanning ker L_*
-    and ker L from one SVD of L_* = L^H.
+def _kernels(models: Sequence[GKSLModel]) -> list:
+    """For each model, columns spanning ker L_* and ker L from one SVD of
+    L_* = L^H, L its generator.
 
     L_* = U S V^H gives L = V S U^H, so for the singular values at most
     tau0 = 100 d^2 eps_mach s_max, the right singular vectors span ker L_*
@@ -360,11 +363,11 @@ def _kernels(models: Sequence[GKSLModel], gens: Sequence[Superoperator]) -> list
     round-off or as a slow mode, and raises KernelDecisionError; a model
     whose slowest mode lies below tau0 is decoupled to working precision
     and counts it as a fixed point.  The model keeps the columns,
-    read-only, for its own generator but not another gen.  The generators
-    of one d share a stacked SVD; the first model of a stack that fails
-    raises.
+    read-only.  The generators of one d share a stacked SVD; the first
+    model of a stack that fails raises.
     """
-    out = [m._kernels if g is m._generator else None for m, g in zip(models, gens)]
+    gens = _generators(models)
+    out = [m._kernels for m in models]
     for idx in batches((m.dim,) if k is None else None for m, k in zip(models, out)):
         stack = _stack([gens[i].matrix for i in idx]).conj().swapaxes(1, 2)
         us, svals, vhs = np.linalg.svd(stack)
@@ -388,8 +391,7 @@ def _kernels(models: Sequence[GKSLModel], gens: Sequence[Superoperator]) -> list
             out[i] = (vh[-k:].conj().T, u[:, -k:].copy())
             for columns in out[i]:
                 columns.setflags(write=False)
-            if gens[i] is models[i]._generator:
-                object.__setattr__(models[i], "_kernels", out[i])
+            object.__setattr__(models[i], "_kernels", out[i])
     return out
 
 
@@ -410,10 +412,11 @@ def invariant_state(
     (callers may still proceed with a supplied state), and
     NoFaithfulInvariantStateError if the solution is not faithful.
     """
-    return _invariant_states([model], [gen])[0]
+    _check_generator(model, gen)
+    return _invariant_states([model])[0]
 
 
-def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMatrix]:
+def _invariant_states(models: Sequence[GKSLModel]) -> list[DensityMatrix]:
     """Each model's invariant state, as invariant_state gives it; the models
     of one d share the stacked solves, and the first model of a stack that
     fails a check raises.
@@ -422,8 +425,7 @@ def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMat
     Hermitized; PostconditionError if its trace is below 1e-12 or if the
     residual |L_*(rho)| exceeds 1e-9, ConvergenceFailureError if its
     herm_eigs fails or fails to reconstruct it."""
-    gens = _generators(models, gens)
-    splits = _kernels(models, gens)
+    splits = _kernels(models)
     for dual_kernel, _ in splits:
         if dual_kernel.shape[1] > 1:
             raise NonUniqueInvariantStateError(
@@ -446,7 +448,7 @@ def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMat
                 f"invariant state has eigenvalue {floors.min():.3e} "
                 f"at or below {FAITHFULNESS_THRESHOLD:.1e}"
             )
-        duals = dag(_stack([gens[i].matrix for i in idx]))
+        duals = dag(_stack([models[i]._generator.matrix for i in idx]))
         residuals = frobenius_norms(duals @ rhos.reshape(-1, d * d, 1, order="F"))
         if (residuals > 1e-9).any():
             raise PostconditionError(f"invariant-state residual {residuals.max():.3e}")
@@ -456,13 +458,11 @@ def _invariant_states(models: Sequence[GKSLModel], gens=None) -> list[DensityMat
     return out
 
 
-def check_invariance(
-    model: GKSLModel, rho, gen: Optional[Superoperator] = None
-) -> float:
+def check_invariance(model: GKSLModel, rho) -> float:
     """Frobenius norm of L_*(rho) for a d x d rho; invariant below 1e-9."""
     mat = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     _check_state_dim(model, len(mat))
-    return float(np.linalg.norm((gen or generator(model)).matrix.conj().T @ vec(mat)))
+    return float(np.linalg.norm(generator(model).matrix.conj().T @ vec(mat)))
 
 
 @dataclass(frozen=True)
@@ -499,13 +499,12 @@ def fixed_point_structure(
 ) -> FixedPointStructure:
     """Kernel of the generator plus the GNS-orthogonal projection onto it:
     fixed_point_structures for one model."""
-    return fixed_point_structures([model], [rho], [gen])[0]
+    _check_generator(model, gen)
+    return fixed_point_structures([model], [rho])[0]
 
 
 def fixed_point_structures(
-    models: Sequence[GKSLModel],
-    rhos: Sequence[DensityMatrix],
-    gens: Optional[Sequence[Optional[Superoperator]]] = None,
+    models: Sequence[GKSLModel], rhos: Sequence[DensityMatrix]
 ) -> list[FixedPointStructure]:
     """The fixed-point structure of each model under its state, in order.
 
@@ -514,13 +513,12 @@ def fixed_point_structures(
     (`_kernels`), R solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram,
     E's identities are asserted on the factors (PostconditionError), and
     models of one d and dim N share stacked solves (linalg.batches)."""
-    same_lengths(models=models, rhos=rhos, gens=gens)
-    gens = gens or [None] * len(models)
+    same_lengths(models=models, rhos=rhos)
     for model, rho in zip(models, rhos):
         _check_state_dim(model, rho.dim)
         if not rho.faithful:
             raise QmsGapError("fixed-point structure needs a faithful state")
-    kernels = [split[1] for split in _kernels(models, _generators(models, gens))]
+    kernels = [split[1] for split in _kernels(models)]
     out: list = [None] * len(models)
     for idx in batches((m.dim, ker.shape[1]) for m, ker in zip(models, kernels)):
         d, k = models[idx[0]].dim, kernels[idx[0]].shape[1]

@@ -16,6 +16,14 @@ def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
     return kron(rho.rho.T, np.eye(rho.dim, dtype=complex))
 
 
+def with_generator(model: GKSLModel, matrix: np.ndarray) -> GKSLModel:
+    """A fresh copy of model that keeps the map `matrix` as its generator,
+    unchecked: a model whose one generator is foreign to its H and jumps."""
+    twin = GKSLModel(hamiltonian=model.hamiltonian, jumps=model.jumps)
+    object.__setattr__(twin, "_generator", Superoperator(dim=model.dim, matrix=matrix))
+    return twin
+
+
 def gksl_generator_matrix(model: GKSLModel) -> np.ndarray:
     """L(x) = i [H, x] + sum_j (V_j^H x V_j - {V_j^H V_j, x} / 2) of one model
     in column-stacking coordinates, term by term: vec(a x b) is

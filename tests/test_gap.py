@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -63,7 +64,7 @@ from qmsgap.qms import (
     thermal_qubit,
 )
 
-from references import gns_gram_matrix, projector
+from references import gns_gram_matrix, projector, with_generator
 
 GAMMA = 0.35
 G_UP, G_DOWN = 0.3, 0.9
@@ -117,15 +118,14 @@ def _tail_fit_decay_rate(model, rho, metric, rng, n_vectors=200, t_max=5.0):
     """Per-sample regression oracle: slope of log |Phi_t x|_f on the tail
     window, minimized over random mean-zero x.  Valid when the restricted
     generator is normal, e.g. for detailed-balanced models."""
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     basis = decaying_subspace(metric, fps)
     coeffs = rng.standard_normal((basis.shape[1], n_vectors))
     samples = basis @ coeffs
     ts = np.linspace(t_max / 2.0, t_max, 12)
     logs = np.empty((ts.size, n_vectors))
     for k, t in enumerate(ts):
-        phi = semigroup(model, float(t), gen=gen)
+        phi = semigroup(model, float(t))
         evolved = phi.matrix @ samples
         for j in range(n_vectors):
             logs[k, j] = np.log(
@@ -169,18 +169,17 @@ def test_decay_certificate_on_random_models(rng):
     # |Phi_t x|_f <= exp(-(lambda - 1e-6) t) |x|_f for sampled x
     for i in range(4):
         model, rho, _ = random_faithful_model(rng, [2, 3][i % 2])
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
+        fps = fixed_point_structure(model, rho)
         for f in (gns(), kms(), power(0.4)):
             metric = f_metric(rho, f)
-            report = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
+            report = spectral_gap_f(model, rho, metric, fps=fps)
             basis = decaying_subspace(metric, fps)
             samples = basis @ (
                 rng.standard_normal((basis.shape[1], 100))
                 + 1j * rng.standard_normal((basis.shape[1], 100))
             )
             for t in (0.5, 1.0, 2.0):
-                phi = semigroup(model, t, gen=gen)
+                phi = semigroup(model, t)
                 evolved = phi.matrix @ samples
                 for j in range(samples.shape[1]):
                     x0 = unvec(samples[:, j])
@@ -191,13 +190,12 @@ def test_decay_certificate_on_random_models(rng):
 
 
 def _assert_decay_matches_gap(model, rho, functions, rel=1e-8):
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     metrics = [f_metric(rho, f) for f in functions]
-    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    reports = gap_sweep(model, rho, metrics, fps=fps)
     for metric, report in zip(metrics, reports):
         assert report.lambda_f > 1e-3  # a relative check needs a real gap
-        measured = empirical_decay_rate(model, rho, metric, fps=fps, gen=gen)
+        measured = empirical_decay_rate(model, rho, metric, fps=fps)
         assert measured == pytest.approx(report.lambda_f, rel=rel)
 
 
@@ -291,14 +289,13 @@ def test_gap_curve_structure_on_random_models(rng):
 def test_gap_comparison_on_random_models(rng):
     for i in range(8):
         model, rho, _ = random_faithful_model(rng, [2, 3, 4][i % 3])
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
+        fps = fixed_point_structure(model, rho)
         lam_gns = spectral_gap_f(
-            model, rho, f_metric(rho, gns()), fps=fps, gen=gen
+            model, rho, f_metric(rho, gns()), fps=fps
         ).lambda_f
         for f in [power(0.1 * k) for k in range(11)] + [kms(), bkm()]:
             lam = spectral_gap_f(
-                model, rho, f_metric(rho, f), fps=fps, gen=gen
+                model, rho, f_metric(rho, f), fps=fps
             ).lambda_f
             assert lam >= lam_gns - 1e-7 * max(1.0, lam_gns)
 
@@ -306,14 +303,13 @@ def test_gap_comparison_on_random_models(rng):
 def test_transpose_gap_equality(rng):
     for i in range(5):
         model, rho, _ = random_faithful_model(rng, [2, 3][i % 2])
-        gen = generator(model)
-        fps = fixed_point_structure(model, rho, gen=gen)
+        fps = fixed_point_structure(model, rho)
         for f in (gns(), power(0.3), bkm()):
             lam = spectral_gap_f(
-                model, rho, f_metric(rho, f), fps=fps, gen=gen
+                model, rho, f_metric(rho, f), fps=fps
             ).lambda_f
             lam_t = spectral_gap_f(
-                model, rho, f_metric(rho, transpose(f)), fps=fps, gen=gen
+                model, rho, f_metric(rho, transpose(f)), fps=fps
             ).lambda_f
             assert abs(lam - lam_t) <= 1e-7 * max(1.0, lam)
 
@@ -325,7 +321,6 @@ def test_degenerate_mode_uses_kernel_of_expectation(rng):
     rho = density_matrix(np.eye(4) / 4.0)
     fps = fixed_point_structure(model, rho)
     assert fps.degenerate and fps.dim == 8
-    gen = generator(model)
     lam_gns = None
     for f in (gns(), kms(), bkm()):
         metric = f_metric(rho, f)
@@ -333,7 +328,7 @@ def test_degenerate_mode_uses_kernel_of_expectation(rng):
         assert basis.shape == (16, 8)
         # every basis vector is annihilated by the conditional expectation
         assert np.linalg.norm(projector(fps).matrix @ basis) <= 1e-9
-        report = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
+        report = spectral_gap_f(model, rho, metric, fps=fps)
         # off-block coherences decay at rate 2 g_z = 2 for the unit jump
         assert report.lambda_f == pytest.approx(2.0, rel=1e-12)
         if lam_gns is None:
@@ -368,9 +363,9 @@ def _reference_spectrum(rho, metric, fps, gen):
 
 def _assert_sweep_matches_reference(model, rho):
     gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     metrics = [f_metric(rho, f) for f in SUITE]
-    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    reports = gap_sweep(model, rho, metrics, fps=fps)
     assert [r.f_label for r in reports] == [f.label for f in SUITE]
     for metric, report in zip(metrics, reports):
         expected = _reference_spectrum(rho, metric, fps, gen)
@@ -495,8 +490,7 @@ def test_basis_leaving_ker_e_is_named():
 
 def test_engine_makes_no_eigh_and_the_oracle_its_own(monkeypatch):
     model, rho, _ = random_faithful_model(np.random.default_rng(8), 8)
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     metrics = [f_metric(rho, f) for f in SUITE]
     calls = []
     real_eigh = np.linalg.eigh
@@ -506,10 +500,10 @@ def test_engine_makes_no_eigh_and_the_oracle_its_own(monkeypatch):
         return real_eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    gap_sweep(model, rho, metrics, fps=fps)
     decaying_subspace(metrics[0], fps)
     assert calls == []
-    empirical_decay_rate(model, rho, metrics[0], fps=fps, gen=gen)
+    empirical_decay_rate(model, rho, metrics[0], fps=fps)
     assert len(calls) == 1
 
 
@@ -629,38 +623,37 @@ def test_gap_sweep_raises_on_rank_drop(monkeypatch, thermal):
         gap_sweep(model, rho, [f_metric(rho, kms())])
 
 
-def test_gap_sweep_warns_on_negative_gap(thermal):
-    model, rho = thermal
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
-    flipped = Superoperator(dim=2, matrix=-gen.matrix)
-    with pytest.warns(NegativeGapWarning):
-        (report,) = gap_sweep(model, rho, [f_metric(rho, gns())], fps=fps, gen=flipped)
-    assert report.lambda_f == pytest.approx(-(G_UP + G_DOWN), rel=1e-12)
-
-
 def _flipped_thermal():
+    # the thermal qubit and its state, and a model whose generator is -L
     model = thermal_qubit(G_UP, G_DOWN)
     rho = invariant_state(model)
-    return model, rho, Superoperator(dim=2, matrix=-generator(model).matrix)
+    return model, rho, with_generator(model, -generator(model).matrix)
+
+
+def test_gap_sweep_warns_on_negative_gap():
+    model, rho, flipped = _flipped_thermal()
+    fps = fixed_point_structure(model, rho)
+    with pytest.warns(NegativeGapWarning):
+        (report,) = gap_sweep(flipped, rho, [f_metric(rho, gns())], fps=fps)
+    assert report.lambda_f == pytest.approx(-(G_UP + G_DOWN), rel=1e-12)
 
 
 # each public entry point reaches the warning at another depth in gap.py
 NEGATIVE_GAP_CALLS = {
-    "function_sweeps": lambda m, r, g: function_sweeps([m], [r], [gns()], gens=[g]),
-    "gap_sweep": lambda m, r, g: gap_sweep(m, r, [f_metric(r, gns())], gen=g),
-    "spectral_gap_f": lambda m, r, g: spectral_gap_f(m, r, f_metric(r, gns()), gen=g),
-    "gap_curve": lambda m, r, g: gap_curve(m, r, [0.5], gen=g),
-    "gap_curves": lambda m, r, g: gap_curves([m], [r], [0.5], gens=[g]),
+    "function_sweeps": lambda m, r: function_sweeps([m], [r], [gns()]),
+    "gap_sweep": lambda m, r: gap_sweep(m, r, [f_metric(r, gns())]),
+    "spectral_gap_f": lambda m, r: spectral_gap_f(m, r, f_metric(r, gns())),
+    "gap_curve": lambda m, r: gap_curve(m, r, [0.5]),
+    "gap_curves": lambda m, r: gap_curves([m], [r], [0.5]),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(NEGATIVE_GAP_CALLS))
 def test_negative_gap_warning_names_the_callers_line(entry):
-    model, rho, flipped = _flipped_thermal()
+    _, rho, flipped = _flipped_thermal()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        NEGATIVE_GAP_CALLS[entry](model, rho, flipped)
+        NEGATIVE_GAP_CALLS[entry](flipped, rho)
     (warned,) = caught
     assert issubclass(warned.category, NegativeGapWarning)
     assert warned.filename == __file__
@@ -704,11 +697,10 @@ def test_gap_curve_memory_does_not_grow_with_the_grid():
     # d = 8 batches one function at a time; stacking all 101 would peak
     # near 60 MB
     model, rho, _ = random_faithful_model(np.random.default_rng(8), 8)
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     tracemalloc.start()
     try:
-        gap_curve(model, rho, [k / 100 for k in range(101)], fps=fps, gen=gen)
+        gap_curve(model, rho, [k / 100 for k in range(101)], fps=fps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -754,9 +746,9 @@ def test_mixed_stack_gives_what_one_model_calls_give():
     assert sorted({fps.dim for fps in fixed_point_structures(models, rhos)}) == [1, 2]
     table = f_metric_table(rhos, SUITE)
     fpss = fixed_point_structures(models, rhos)
-    sweeps = _reports(function_sweeps(models, rhos, SUITE, fpss), SUITE)
+    sweeps = _reports(function_sweeps(models, rhos, SUITE), SUITE)
     norms = function_norms(models, rhos, SUITE, TIMES)
-    curves = gap_curves(models, rhos, ALPHAS, fpss)
+    curves = gap_curves(models, rhos, ALPHAS)
     for (model, rho), fps_b, metrics_b, reports, norm, curve in zip(
         cases, fpss, table, sweeps, norms, curves
     ):
@@ -805,21 +797,13 @@ def _length_cases():
     return {
         "sweeps-rhos": (lambda: function_sweeps(models, [rho], functions),
                         "models 2, rhos 1"),
-        "sweeps-fpss": (lambda: function_sweeps(models, [rho, rho], functions, [None]),
-                        "models 2, rhos 2, fpss 1"),
-        "sweeps-gens": (lambda: function_sweeps(models, [rho] * 2, functions, None, []),
-                        "models 2, rhos 2, gens 0"),
         "norms": (lambda: function_norms(models, [rho], functions, (1.0,)),
                   "models 2, rhos 1"),
         "structures-rhos": (lambda: fixed_point_structures(models[:1], [rho, rho]),
                             "models 1, rhos 2"),
         "structures-models": (lambda: fixed_point_structures(models, [rho]),
                               "models 2, rhos 1"),
-        "structures-gens": (lambda: fixed_point_structures(models, [rho] * 2, [None]),
-                            "models 2, rhos 2, gens 1"),
         "curves-rhos": (lambda: gap_curves(models, [rho], [0.5]), "models 2, rhos 1"),
-        "curves-fpss": (lambda: gap_curves(models, [rho] * 2, [0.5], [None] * 3),
-                        "models 2, rhos 2, fpss 3"),
     }
 
 
@@ -850,6 +834,11 @@ def _bad_expectation_case():
     return model, rho, fps
 
 
+def _sweeps_given(models, rhos, functions, fpss):
+    # function_sweeps with the fixed-point structures given (None: computed)
+    return gap._sweeps(models, rhos, *gap._table_columns(models, rhos, functions), fpss)
+
+
 def test_batch_raises_the_error_of_a_failing_model():
     # a batched call runs each stage for all models before the next, so it
     # raises the error of the first failing stage; the campaign restores
@@ -859,7 +848,7 @@ def test_batch_raises_the_error_of_a_failing_model():
     with pytest.raises(PostconditionError) as alone:
         gap_sweep(model, rho, f_metrics(rho, SUITE), fps=fps)
     with pytest.raises(PostconditionError) as batched:
-        function_sweeps(
+        _sweeps_given(
             [good[0], model, good[0]], [good[1], rho, good[1]], SUITE, [None, fps, None]
         )
     assert str(batched.value) == str(alone.value)
@@ -869,14 +858,12 @@ def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
     # the second model warns in the sweep (a flipped generator), the third
     # before it (ill-conditioned weights)
     rng = np.random.default_rng(6)
-    model, rho = thermal
-    flipped = Superoperator(dim=2, matrix=-generator(model).matrix)
+    _, rho, flipped = _flipped_thermal()
     ill = density_matrix(
         np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
     )
     frozen = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
-    cases = [random_faithful_model(rng, 3)[:2], (model, rho), (frozen, ill)]
-    gens = [None, flipped, None]
+    cases = [random_faithful_model(rng, 3)[:2], (flipped, rho), (frozen, ill)]
     models = [m for m, _ in cases]
     rhos = [r for _, r in cases]
     functions = (gns(), kms())
@@ -888,14 +875,9 @@ def test_batch_gives_the_warnings_and_reports_of_one_model_calls(thermal):
         return out, sorted((w.category.__name__, str(w.message)) for w in caught)
 
     batched, got = run(
-        lambda: _reports(function_sweeps(models, rhos, functions, gens=gens), functions)
+        lambda: _reports(function_sweeps(models, rhos, functions), functions)
     )
-    alone, want = run(
-        lambda: [
-            gap_sweep(m, r, f_metrics(r, functions), gen=g)
-            for (m, r), g in zip(cases, gens)
-        ]
-    )
+    alone, want = run(lambda: [gap_sweep(m, r, f_metrics(r, functions)) for m, r in cases])
     assert got == want
     assert [category for category, _ in want] == ["IllConditionedWarning"] * 2 + [
         "NegativeGapWarning"
@@ -958,25 +940,25 @@ def _caught(call):
 def test_duplicate_weights_warn_once_per_label_in_order():
     # a flipped generator gives negative gaps; a frozen model on an
     # ill-conditioned state warns before finding nothing to decay
-    model, rho, flipped = _flipped_thermal()
+    _, rho, flipped = _flipped_thermal()
     ill = density_matrix(
         np.diag([1.0 - 2e-13, 1e-13, 1e-13]), faithfulness_threshold=1e-16
     )
     frozen = GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex))
-    for case, state, gen, category in (
-        (model, rho, flipped, NegativeGapWarning),
-        (frozen, ill, None, IllConditionedWarning),
+    for case, state, category in (
+        (flipped, rho, NegativeGapWarning),
+        (frozen, ill, IllConditionedWarning),
     ):
         metrics = f_metrics(state, DUPLICATES)
-        got = _caught(lambda: gap_sweep(case, state, metrics, gen=gen))
+        got = _caught(lambda: gap_sweep(case, state, metrics))
         want = [
             warned for m in metrics
-            for warned in _caught(lambda: gap_sweep(case, state, [m], gen=gen))
+            for warned in _caught(lambda: gap_sweep(case, state, [m]))
         ]
         assert got == want
         assert [c for c, _ in got] == [category] * len(DUPLICATES)
     labels = [message.split(" for ")[1].split(":")[0] for _, message in _caught(
-        lambda: gap_sweep(model, rho, f_metrics(rho, DUPLICATES), gen=flipped)
+        lambda: gap_sweep(flipped, rho, f_metrics(rho, DUPLICATES))
     )]
     assert labels == [f.label for f in DUPLICATES]
 
@@ -991,7 +973,7 @@ def test_a_failing_duplicate_raises_what_a_model_by_model_run_raises():
         gap_sweep(model, rho, f_metrics(rho, functions), fps=fps)
     assert "for power(0.5)" in str(alone.value)
     with pytest.raises(PostconditionError) as batched:
-        function_sweeps(
+        _sweeps_given(
             [good[0], model, good[0]], [good[1], rho, good[1]], functions,
             [None, fps, None],
         )
@@ -1021,14 +1003,13 @@ def _fresh(fps):
 
 def test_frame_is_built_once_per_model_and_state(monkeypatch):
     model, rho, _ = random_faithful_model(np.random.default_rng(9), 4)
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     svds = _count_calls(monkeypatch, np.linalg, "svd")
-    first = spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps, gen=gen)
+    first = spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
     assert len(svds) == 1  # the kernel SVD of the frame
     for f in SUITE:  # metrics of other f_metrics calls on the same state
-        spectral_gap_f(model, rho, f_metric(rho, f), fps=fps, gen=gen)
-    gap_curve(model, rho, ALPHAS, fps=fps, gen=gen)
+        spectral_gap_f(model, rho, f_metric(rho, f), fps=fps)
+    gap_curve(model, rho, ALPHAS, fps=fps)
     decaying_subspace(f_metric(rho, bkm()), fps)
     assert len(svds) == 1
     again = spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
@@ -1039,7 +1020,7 @@ def test_a_one_model_call_keeps_exactly_one_frame():
     model, rho, _ = random_faithful_model(np.random.default_rng(9), 3)
     fps = fixed_point_structure(model, rho)
     assert fps._frame is None
-    function_sweeps([model], [rho], SUITE, [fps])
+    gap_curve(model, rho, ALPHAS, fps=fps)
     kept = fps._frame
     assert kept is not None and kept.rotation.shape[0] == 1  # one model
     spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
@@ -1051,8 +1032,7 @@ def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch)
     draws = [random_faithful_model(np.random.default_rng(40 + i), d)[:2]
              for i, d in enumerate(dims)]
     models, rhos = map(list, zip(*draws))
-    gens = [generator(m) for m in models]
-    fpss = fixed_point_structures(models, rhos, gens)
+    fpss = fixed_point_structures(models, rhos)
     stacks = []
     real = np.linalg.svd
 
@@ -1061,7 +1041,7 @@ def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch)
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    function_sweeps(models, rhos, SUITE, fpss, gens)
+    _sweeps_given(models, rhos, SUITE, fpss)
     assert sorted(stacks) == [(2,), (3,)]  # one per (d, dim N) group
     assert all(fps._frame is None for fps in fpss)
 
@@ -1072,7 +1052,7 @@ def test_a_batch_of_d8_models_keeps_no_frame():
     draws = [random_faithful_model(rng, 8)[:2] for _ in range(3)]
     models, rhos = map(list, zip(*draws))
     fpss = fixed_point_structures(models, rhos)
-    function_sweeps(models, rhos, (gns(), kms()), fpss)
+    _sweeps_given(models, rhos, (gns(), kms()), fpss)
     assert all(fps._frame is None for fps in fpss)
 
 
@@ -1107,18 +1087,17 @@ def test_a_metric_of_another_state_never_takes_the_kept_frame(monkeypatch):
     _assert_same_reports([got], [want])
 
 
-def test_frame_follows_the_generator(thermal):
-    model, rho = thermal
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+def test_frame_follows_the_generator():
+    # one fps serves the model and a twin whose generator is -L
+    model, rho, flipped = _flipped_thermal()
+    fps = fixed_point_structure(model, rho)
     metric = f_metric(rho, gns())
-    flipped = Superoperator(dim=2, matrix=-gen.matrix)
     with pytest.warns(NegativeGapWarning):
-        negative = spectral_gap_f(model, rho, metric, fps=fps, gen=flipped)
-    positive = spectral_gap_f(model, rho, metric, fps=fps, gen=gen)
+        negative = spectral_gap_f(flipped, rho, metric, fps=fps)
+    positive = spectral_gap_f(model, rho, metric, fps=fps)
     assert negative.lambda_f < 0 < positive.lambda_f
     _assert_same_reports(
-        [positive], [spectral_gap_f(model, rho, metric, fps=_fresh(fps), gen=gen)]
+        [positive], [spectral_gap_f(model, rho, metric, fps=_fresh(fps))]
     )
 
 
@@ -1217,10 +1196,10 @@ def _compressed_spectrum(metric, fps, gen):
 def test_deflated_spectrum_matches_a_compression_onto_ker_e(case, n_fixed):
     model, rho = case()
     gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     assert fps.dim == n_fixed
     metrics = [f_metric(rho, f) for f in SUITE]
-    reports = gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    reports = gap_sweep(model, rho, metrics, fps=fps)
     for metric, report in zip(metrics, reports):
         expected = _compressed_spectrum(metric, fps, gen)
         assert report.spectrum.shape == expected.shape == (rho.dim**2 - n_fixed,)
@@ -1231,11 +1210,10 @@ def test_deflated_spectrum_matches_a_compression_onto_ker_e(case, n_fixed):
 
 def _deflation_reports(case, n_fixed):
     model, rho = case()
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     assert fps.dim == n_fixed
     metrics = [f_metric(rho, f) for f in SUITE]
-    return fps, metrics, gap_sweep(model, rho, metrics, fps=fps, gen=gen)
+    return fps, metrics, gap_sweep(model, rho, metrics, fps=fps)
 
 
 @pytest.mark.parametrize("case, n_fixed", DEFLATION_CASES)
@@ -1270,10 +1248,10 @@ def test_subspace_invariance_bounds_what_the_deflation_neglects(thermal):
     fps = fixed_point_structure(model, rho)
     coupling_map = np.outer(vec(np.eye(2)), vec(SIGMA_X).conj())
     coupled = generator(model).matrix + 0.1 * coupling_map
-    gen = Superoperator(dim=2, matrix=coupled)
+    twin = with_generator(model, coupled)
     for f in (gns(), kms(), power(0.2)):
         metric = f_metric(rho, f)
-        (report,) = gap_sweep(model, rho, [metric], fps=fps, gen=gen)
+        (report,) = gap_sweep(twin, rho, [metric], fps=fps)
         root, inv_root = f_gram_sqrt(metric)
         size = np.linalg.norm(root @ coupled @ inv_root)
         coupling = report.residuals["subspace_invariance"] * max(1.0, size)
@@ -1281,5 +1259,105 @@ def test_subspace_invariance_bounds_what_the_deflation_neglects(thermal):
         assert report.residuals["adjoint_consistency"] >= report.residuals[
             "subspace_invariance"
         ]
-        moved = abs(report.lambda_f - _compressed_spectrum(metric, fps, gen)[0])
+        moved = abs(report.lambda_f - _compressed_spectrum(metric, fps, generator(twin))[0])
         assert 0.0 < moved <= (coupling / 2.0) ** 2
+
+
+# ---------------------------------------------------------------------------
+# One generator per model, one state per call
+# ---------------------------------------------------------------------------
+
+GEN_KEYWORDS = {
+    "spectral_gap_f": lambda m, r, g: spectral_gap_f(m, r, f_metric(r, kms()), gen=g),
+    "gap_curve": lambda m, r, g: gap_curve(m, r, ALPHAS, gen=g),
+    "invariant_state": lambda m, r, g: invariant_state(m, gen=g),
+    "fixed_point_structure": lambda m, r, g: fixed_point_structure(m, r, gen=g),
+    "semigroup": lambda m, r, g: semigroup(m, 0.7, gen=g),
+}
+
+
+def test_only_five_routines_take_gen_and_none_takes_gens_or_fpss():
+    from qmsgap import cli, config, harness, metric, monotone
+
+    takes_gen = set()
+    for module in (qms, gap, metric, linalg, monotone, harness, config, cli):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(obj):
+                continue
+            if obj.__module__ != module.__name__:
+                continue
+            parameters = inspect.signature(obj).parameters
+            assert not {"gens", "fpss"} & set(parameters), name
+            if "gen" in parameters:
+                takes_gen.add(name)
+    assert takes_gen == set(GEN_KEYWORDS)
+
+
+def _as_bytes(out):
+    # what a kept-gen routine returns, as comparable bytes
+    if isinstance(out, gap.GapReport):
+        return (out.lambda_f, out.spectrum.tobytes(), out.residuals)
+    if isinstance(out, gap.GapCurve):
+        return out
+    if isinstance(out, FixedPointStructure):
+        return out.columns.tobytes(), out.coefficients.tobytes()
+    if isinstance(out, Superoperator):
+        return out.matrix.tobytes()
+    return out.rho.tobytes(), out.eigen.values.tobytes()
+
+
+@pytest.mark.parametrize("entry", sorted(GEN_KEYWORDS))
+def test_a_kept_gen_keyword_takes_only_the_models_own_generator(entry):
+    call = GEN_KEYWORDS[entry]
+    model, rho, _ = random_faithful_model(np.random.default_rng(1), 3)
+    gen = generator(model)
+    assert _as_bytes(call(model, rho, gen)) == _as_bytes(call(model, rho, None))
+    same_numbers = Superoperator(dim=3, matrix=gen.matrix.copy())
+    twin = GKSLModel(model.hamiltonian, model.jumps)
+    for foreign in (same_numbers, generator(twin)):
+        with pytest.raises(QmsGapError, match=r"generator\(model\)"):
+            call(model, rho, foreign)
+    # a model that keeps no generator yet takes none, and builds none
+    fresh = GKSLModel(model.hamiltonian, model.jumps)
+    with pytest.raises(QmsGapError, match=r"generator\(model\)"):
+        call(fresh, rho, gen)
+    assert fresh._generator is None
+
+
+def test_a_metric_of_another_state_is_named():
+    # rho2 has the model's d, but the call's state is rho
+    model, rho, _ = random_faithful_model(np.random.default_rng(1), 3)
+    foreign = f_metric(density_matrix(np.eye(3) / 3), kms())
+    fps = fixed_point_structure(model, rho)
+    for call in (
+        lambda: gap_sweep(model, rho, [foreign]),
+        lambda: spectral_gap_f(model, rho, foreign),
+        lambda: spectral_gap_f(model, rho, foreign, fps=fps),
+        lambda: empirical_decay_rate(model, rho, foreign),
+        lambda: empirical_decay_rate(model, rho, foreign, fps=fps),
+    ):
+        with pytest.raises(QmsGapError, match="come from its state rho"):
+            call()
+    own = f_metric(rho, kms())
+    assert empirical_decay_rate(model, rho, own) == pytest.approx(
+        spectral_gap_f(model, rho, own).lambda_f, rel=1e-8
+    )
+
+
+def test_an_empty_function_list_gives_each_model_an_empty_sweep():
+    cases = _mixed_stack()
+    cases.append((GKSLModel(hamiltonian=np.zeros((3, 3), dtype=complex)),
+                  density_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex))))
+    models = [model for model, _ in cases]
+    rhos = [rho for _, rho in cases]
+    for (model, rho), sweep, fps in zip(
+        cases, function_sweeps(models, rhos, ()), fixed_point_structures(models, rhos)
+    ):
+        decaying = model.dim**2 - fps.dim
+        assert sweep.kernel_dim == fps.dim
+        assert sweep.lambdas.shape == (0,)
+        assert sweep.spectra.shape == (0, decaying)
+        assert sweep.residuals.shape == (0, 4 if decaying else 0)
+        assert sweep.reports([]) == []
+    (alone,) = function_sweeps(models[:1], rhos[:1], ())
+    assert alone.lambdas.shape == (0,) and alone.residuals.shape == (0, 4)

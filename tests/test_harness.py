@@ -162,8 +162,9 @@ def test_non_degenerate_block_draw_fails_with_counterexample(monkeypatch):
 
 def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
     # qms._generators sets each generator qms.generator returns, after its
-    # Choi check (qms.choi_matrix, on a stack of the generators of one d);
-    # every model a family draws must hold a generator matrix set so
+    # Choi check (qms.choi_matrix, on a stack of the generators of one d),
+    # and gap._sweeps calls it too; every model a family draws must hold a
+    # generator matrix set so
     checked, stacks = {}, []
     real_choi, real_generators = qms.choi_matrix, qms._generators
 
@@ -171,13 +172,11 @@ def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
         stacks.append(np.array(stack))
         return real_choi(stack)
 
-    def generators(models, gens=None):
+    def generators(models):
         unset = [model for model in models if model._generator is None]
         stacks.clear()
-        out = real_generators(models, gens)
+        out = real_generators(models)
         for model in unset:
-            if model._generator is None:  # a gen was given for it
-                continue
             m = model._generator.matrix
             assert any(
                 (stack == m).all(axis=(1, 2)).any()
@@ -187,6 +186,7 @@ def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
         return out
 
     monkeypatch.setattr(qms, "_generators", generators)
+    monkeypatch.setattr(gap, "_generators", generators)
     monkeypatch.setattr(qms, "choi_matrix", choi)
     drawn = {}
 
@@ -304,10 +304,9 @@ def test_detailed_balance_rejects_broken_rates():
 
 def test_detailed_balance_collapses_the_gap_family(rng):
     model, rho = random_detailed_balance(rng, 3)
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     lambdas = [
-        spectral_gap_f(model, rho, f_metric(rho, f), fps=fps, gen=gen).lambda_f
+        spectral_gap_f(model, rho, f_metric(rho, f), fps=fps).lambda_f
         for f in builtin_functions() + (power(0.15),)
     ]
     spread = max(lambdas) - min(lambdas)
@@ -329,13 +328,12 @@ def test_strict_gap_search_finds_separation():
     assert result.best_model is not None
     # the reported best model replays standalone
     model, rho = model_from_dict(result.best_model)
-    gen = generator(model)
-    fps = fixed_point_structure(model, rho, gen=gen)
+    fps = fixed_point_structure(model, rho)
     lam_gns = spectral_gap_f(
-        model, rho, f_metric(rho, gns()), fps=fps, gen=gen
+        model, rho, f_metric(rho, gns()), fps=fps
     ).lambda_f
     lam_kms = spectral_gap_f(
-        model, rho, f_metric(rho, kms()), fps=fps, gen=gen
+        model, rho, f_metric(rho, kms()), fps=fps
     ).lambda_f
     assert lam_kms - lam_gns == pytest.approx(result.best_margin, rel=1e-9)
 

@@ -14,7 +14,7 @@ from qmsgap.errors import (
     QmsGapError,
 )
 from qmsgap import qms
-from qmsgap.linalg import Superoperator, choi_matrix, dag, frobenius, unvec, vec
+from qmsgap.linalg import choi_matrix, dag, frobenius, unvec, vec
 from qmsgap.qms import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -42,6 +42,7 @@ from references import (
     gns_gram_matrix,
     projector,
     random_model_by_matrix,
+    with_generator,
 )
 
 GAMMA = 0.35
@@ -373,9 +374,9 @@ def test_stacked_draws_without_a_rejection_are_one_stack(monkeypatch):
 
     stacks, real = [], qms._invariant_states
 
-    def counted(models, gens=None):
+    def counted(models):
         stacks.append(len(models))
-        return real(models, gens)
+        return real(models)
 
     monkeypatch.setattr(qms, "_invariant_states", counted)
     rng = np.random.default_rng(11)
@@ -563,21 +564,15 @@ def test_stacked_generators_equal_one_model_builds(rng):
 
 def test_stacked_generators_equal_the_term_by_term_oracle(rng, random_complex):
     # one call on a shuffled mix of d = 2, 3, 4, 8 and 1-3 jumps, with one
-    # model whose generator is already set and one entry whose gen is given
+    # model whose generator is already set
     models = [
         GKSLModel(random_model(rng, d).hamiltonian,
                   tuple(random_complex(d, d) for _ in range(n)))
         for d in (2, 3, 4, 8) for n in (1, 2, 3, 2)
     ]
     cached = generator(models[5])
-    given = Superoperator(dim=4, matrix=-gksl_generator_matrix(models[9]))
-    order = rng.permutation(len(models))
-    shuffled = [models[i] for i in order]
-    gens = qms._generators(shuffled, [given if i == 9 else None for i in order])
-    for i, model, gen in zip(order, shuffled, gens):
-        if i == 9:
-            assert gen is given and model._generator is None
-            continue
+    shuffled = [models[i] for i in rng.permutation(len(models))]
+    for model, gen in zip(shuffled, qms._generators(shuffled)):
         assert gen is model._generator
         assert gen.matrix.tobytes() == gksl_generator_matrix(model).tobytes()
     assert models[5]._generator is cached
@@ -644,10 +639,11 @@ def test_semigroup_rejects_a_time_that_is_not_finite_and_nonnegative(t):
 
 
 def test_semigroup_of_a_generator_with_non_finite_entries_is_named():
-    gen = generator(depolarizing_qubit(GAMMA))
-    broken = type(gen)(dim=2, matrix=np.where(np.eye(4) > 0, np.nan, gen.matrix))
+    model = depolarizing_qubit(GAMMA)
+    nan_diagonal = np.where(np.eye(4) > 0, np.nan, generator(model).matrix)
+    broken = with_generator(model, nan_diagonal)
     with pytest.raises(FunctionDomainError, match="finite entries"):
-        semigroup(depolarizing_qubit(GAMMA), 1.0, gen=broken)
+        semigroup(broken, 1.0)
 
 
 def test_stacked_semigroups_and_fixed_points_equal_one_model_calls(rng):
@@ -728,8 +724,7 @@ def test_each_expectation_identity_is_checked_on_the_factors(identity):
 
 
 def test_state_and_fixed_points_share_one_kernel_split(rng, monkeypatch):
-    # ker L_* and ker L come from one SVD of L_*, kept on the model; the
-    # split of another generator (here -L, same kernels) is not kept
+    # ker L_* and ker L come from one SVD of L_*, kept on the model
     svds = []
     real = np.linalg.svd
 
@@ -739,16 +734,10 @@ def test_state_and_fixed_points_share_one_kernel_split(rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     model = random_model(rng, 3)
-    flipped = Superoperator(dim=3, matrix=-generator(model).matrix)
-    foreign = invariant_state(model, gen=flipped)
-    assert len(svds) == 1
     rho = invariant_state(model)
     fps = fixed_point_structure(model, rho)
-    assert len(svds) == 2
-    np.testing.assert_allclose(foreign.rho, rho.rho, atol=1e-12)
+    assert len(svds) == 1
     assert fps.dim == 1
-    fixed_point_structure(model, rho, gen=flipped)
-    assert len(svds) == 3
 
 
 def test_a_state_of_another_dimension_is_named(monkeypatch):

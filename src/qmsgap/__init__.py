@@ -53,7 +53,6 @@ from .monotone import (
     anti_gns,
     bkm,
     check_om1_bounds,
-    closed_form,
     from_measure,
     gns,
     h_kernel,

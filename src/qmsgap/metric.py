@@ -129,9 +129,8 @@ def weight_table(rhos: Sequence[DensityMatrix], functions) -> list[np.ndarray]:
     The states of one d are one (n, k, d^2) table, and each function is
     evaluated once on the stack of their modular ratios, with the entries
     it gives each state alone; each state's rows are a view of its table.
-    Raises NotFaithfulError for a state that is not faithful,
-    DimensionMismatchError when f does not return one value per ratio and
-    PostconditionError when some weight is <= 0.
+    Raises NotFaithfulError for a state that is not faithful and
+    PostconditionError when some weight is <= 0 (or NaN).
     """
     functions = tuple(functions)
     for rho in rhos:
@@ -145,13 +144,7 @@ def weight_table(rhos: Sequence[DensityMatrix], functions) -> list[np.ndarray]:
         n, d = p.shape
         table = np.empty((n, len(functions), d, d))  # [g, f, j, i]: rows in vec order
         for k, f in enumerate(functions):
-            values = f(ratios)
-            if np.shape(values) != ratios.shape:
-                raise DimensionMismatchError(
-                    f"{f.label} gives shape {np.shape(values)} on modular ratios "
-                    f"of shape {ratios.shape}: f must act entrywise"
-                )
-            w = np.multiply(p[:, None, :], values, out=table[:, k].swapaxes(1, 2))
+            w = np.multiply(p[:, None, :], f(ratios), out=table[:, k].swapaxes(1, 2))
             if not (w > 0).all():  # NaN weights fail too
                 raise PostconditionError("f-weights must be strictly positive")
         rows = table.reshape(n, len(functions), d * d)

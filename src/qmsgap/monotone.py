@@ -10,10 +10,11 @@ representation
 with a finite Borel measure m; f(1) = 1 exactly when m is a probability
 measure.  This module provides the named members used by the state-induced
 inner products (GNS f = 1, anti-GNS f = t, KMS f = sqrt t, BKM
-f = (t - 1)/log t, the power family t^alpha), discrete-measure and
-closed-form representations, the transpose f~(t) = t f(1/t), and
-diagnostic checks of the normalized bounds f(1) = 1, f(t) <= t + 1 and
-monotonicity.
+f = (t - 1)/log t, the power family t^alpha) and discrete Loewner
+measures, so every function it builds is operator monotone by
+construction; the transpose f~(t) = t f(1/t), which maps each of these
+kinds to one of them; and diagnostic checks of the normalized bounds
+f(t) <= t + 1 and monotonicity of an evaluator.
 
 The infinity atom of a discrete measure is encoded by ``math.inf``; the
 kernel is evaluated by its limit h(t, inf) = t there.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,16 +85,14 @@ class MonotoneFunction:
     """An operator monotone function f: R+ -> R+ with f(1) = 1.
 
     kind is one of "gns" (f = 1), "anti-gns" (f = t), "kms" (f = sqrt t),
-    "bkm" (f = (t-1)/log t), "power" (f = t^alpha, alpha in [0, 1]),
-    "measure" (discrete Loewner measure, atoms = ((lam, weight), ...)) or
-    "closed-form" (arbitrary evaluator, normalization checked at build).
+    "bkm" (f = (t-1)/log t), "power" (f = t^alpha, alpha in [0, 1]) or
+    "measure" (discrete Loewner measure, atoms = ((lam, weight), ...)):
+    each operator monotone by construction.
     """
 
     kind: str
     alpha: Optional[float] = None
     atoms: Optional[tuple[tuple[float, float], ...]] = None
-    fn: Optional[Callable] = None
-    name: Optional[str] = None
 
     def __post_init__(self):
         if self.kind == "power":
@@ -114,12 +113,6 @@ class MonotoneFunction:
                 )
             if not all(lam >= 0 for lam, _ in self.atoms):
                 raise NegativeArgumentError("measure atoms must lie in [0, inf]")
-        elif self.kind == "closed-form":
-            if self.fn is None:
-                raise QmsGapError("closed-form kind needs an evaluator")
-            at_one = float(np.asarray(self.fn(np.asarray([1.0]))).reshape(())[()])
-            if not abs(at_one - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
-                raise QmsGapError(f"f(1) = {at_one!r} violates the normalization")
         elif self.kind not in ("gns", "anti-gns", "kms", "bkm"):
             raise QmsGapError(f"unknown monotone function kind {self.kind!r}")
 
@@ -127,8 +120,9 @@ class MonotoneFunction:
     def label(self) -> str:
         if self.kind == "power":
             return f"power({self.alpha:g})"
-        if self.kind == "closed-form" and self.name:
-            return self.name
+        if self.kind == "measure":  # round-trip atoms, no comma: CSV case ids
+            atoms = ";".join(f"{lam!r}:{weight!r}" for lam, weight in self.atoms)
+            return f"measure({atoms})"
         return self.kind
 
     def __call__(self, t):
@@ -144,12 +138,10 @@ class MonotoneFunction:
             out = _bkm_values(t_arr)
         elif self.kind == "power":
             out = np.power(t_arr, self.alpha)
-        elif self.kind == "measure":
+        else:
             out = np.zeros_like(t_arr)
             for lam, weight in self.atoms:
                 out += weight * h_kernel(t_arr, lam)
-        else:
-            out = np.asarray(self.fn(t_arr), dtype=float)
         return float(out) if np.isscalar(t) else out
 
 
@@ -186,12 +178,6 @@ def from_measure(atoms) -> MonotoneFunction:
     )
 
 
-def closed_form(fn, name: str | None = None) -> MonotoneFunction:
-    """Arbitrary evaluator; only the normalization f(1) = 1 is checked here.
-    Use check_om1_bounds to probe the monotone bounds."""
-    return MonotoneFunction(kind="closed-form", fn=fn, name=name)
-
-
 def builtin_functions() -> tuple[MonotoneFunction, ...]:
     """Named members plus representative powers, for order/collapse probes."""
     return (gns(), anti_gns(), kms(), bkm(), power(0.25), power(0.75))
@@ -200,10 +186,10 @@ def builtin_functions() -> tuple[MonotoneFunction, ...]:
 def transpose(f: MonotoneFunction) -> MonotoneFunction:
     """The transpose f~(t) = t f(1/t).
 
-    Named kinds map to named kinds (gns <-> anti-gns, kms and bkm are
-    self-transpose, power(alpha) -> power(1 - alpha)).  For a discrete
-    measure the transpose is the pushforward of the atoms under
-    lam -> 1/lam, because t h(1/t, lam) = h(t, 1/lam).
+    Each kind maps to a kind exactly: gns <-> anti-gns, kms and bkm are
+    self-transpose, power(alpha) -> power(1 - alpha), and a discrete
+    measure goes to the pushforward of its atoms under lam -> 1/lam
+    (0 <-> inf), because t h(1/t, lam) = h(t, 1/lam).
     """
     if f.kind == "gns":
         return anti_gns()
@@ -213,32 +199,15 @@ def transpose(f: MonotoneFunction) -> MonotoneFunction:
         return MonotoneFunction(kind=f.kind)
     if f.kind == "power":
         return power(1.0 - f.alpha)
-    if f.kind == "measure":
-        flipped = []
-        for lam, weight in f.atoms:
-            if lam == 0.0:
-                flipped.append((math.inf, weight))
-            elif math.isinf(lam):
-                flipped.append((0.0, weight))
-            else:
-                flipped.append((1.0 / lam, weight))
-        return from_measure(flipped)
-
-    base = f.fn
-
-    def transposed(t):
-        t = np.asarray(t, dtype=float)
-        positive = t > 0
-        safe = np.where(positive, t, 1.0)
-        out = safe * np.asarray(base(1.0 / safe), dtype=float)
-        if np.any(~positive):
-            # limit of t f(1/t) at 0, approximated just inside the domain
-            tiny = 1e-14
-            out = np.where(positive, out, tiny * float(base(1.0 / tiny)))
-        return out
-
-    name = f"transpose({f.label})"
-    return closed_form(transposed, name=name)
+    flipped = []
+    for lam, weight in f.atoms:
+        if lam == 0.0:
+            flipped.append((math.inf, weight))
+        elif math.isinf(lam):
+            flipped.append((0.0, weight))
+        else:
+            flipped.append((1.0 / lam, weight))
+    return from_measure(flipped)
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,8 @@ def generator(model: GKSLModel) -> Superoperator:
     semidefinite off Omega = vec(1) / sqrt(d) (Lindblad, Commun. Math. Phys.
     48, 1976; Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 1976).
     PostconditionError unless each holds within max(1, max |L|) times
-    1e-10, 1e-9 and 1e-9 (the floor of the compressed Choi matrix).
+    1e-10, 1e-9 and 1e-9 (the floor of P C P for the Choi matrix C and the
+    projector P = 1 - Omega Omega^H).
     Built and checked on the first call for a model; the model keeps the
     result, with a read-only matrix, and later calls return that object.
     """
@@ -281,8 +282,11 @@ def _check_generators(mats: np.ndarray) -> None:
     image = images[:, :, 1].reshape(-1, d, d, order="F")
     star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
     star = frobenius_norms(star) <= margin
-    blocks = _compressed_choi(mats, margin)
-    try:  # succeeds iff no compression has an eigenvalue below -margin
+    omega = np.eye(d).reshape(-1) / math.sqrt(d)  # vec(1) / sqrt(d)
+    off = np.eye(d * d) - np.outer(omega, omega)
+    blocks = off @ choi_matrix(mats) @ off  # P C P, Omega's eigenvalue 0
+    blocks.reshape(len(mats), -1)[:, :: d * d + 1] += margin[:, None]
+    try:  # succeeds iff no P C P has an eigenvalue below -margin
         np.linalg.cholesky(blocks)
         floors = -margin
     except np.linalg.LinAlgError:  # the floors decide which fail
@@ -294,24 +298,9 @@ def _check_generators(mats: np.ndarray) -> None:
             raise PostconditionError("generator is not *-preserving")
         if floors[g] < -margin[g]:
             raise PostconditionError(
-                f"generator is not conditionally completely positive: compressed "
+                f"generator is not conditionally completely positive: projected "
                 f"Choi floor {floors[g]:.3e} below {-margin[g]:.3e}"
             )
-
-
-def _compressed_choi(mats: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Q^H C Q + shift I for the Choi matrix C of each stacked map, one
-    shift each, and an isometry Q onto the complement of Omega = vec(1) /
-    sqrt(d) (_omega_complement): a gather of C and two d-wide products, in
-    place, with no d^2-wide product."""
-    d = math.isqrt(mats.shape[-1])
-    gather, w = _omega_complement(d)
-    c = choi_matrix(mats).reshape(len(mats), -1)[:, gather]
-    c.reshape(len(mats), -1)[:, :: d * d + 1] += shift[:, None]  # Q^H Q = I
-    m = d * d - d  # the off-diagonal units, then the diagonal ones
-    c[:, :, m:-1] = c[:, :, m:] @ w
-    c[:, m:-1] = w.T @ c[:, m:]
-    return c[:, :-1, :-1]
 
 
 def _check_time(t: float) -> None:
@@ -545,27 +534,6 @@ def _probes(d: int) -> tuple[np.ndarray, float]:
     columns = np.stack([np.eye(d, dtype=complex).reshape(n), probe, probe_h], axis=1)
     columns.setflags(write=False)
     return columns, max(1.0, float(np.linalg.norm(probe)))
-
-
-@functools.lru_cache(maxsize=None)
-def _omega_complement(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """An isometry Q onto the complement of Omega = vec(1) / sqrt(d) in Choi
-    coordinates, as a gather and a small block, both read-only: the
-    positions i d + a of the off-diagonal units (i != a), then those of the
-    diagonal units i d + i, and a real d x (d - 1) isometry W onto the
-    diagonal vectors orthogonal to (1, ..., 1): the Householder reflection
-    that takes e_1 to -(1, ..., 1) / sqrt(d), less its first column.  So
-    Q = diag(I, W) after the gather."""
-    units = np.arange(d * d).reshape(d, d)
-    order = np.concatenate([units[~np.eye(d, dtype=bool)], np.diagonal(units)])
-    gather = order[:, None] * (d * d) + order  # flat positions in C
-    u = np.full(d, 1.0 / math.sqrt(d))
-    u[0] += 1.0
-    reflection = np.eye(d) - (2.0 / (u @ u)) * np.outer(u, u)
-    w = reflection[:, 1:].astype(complex)
-    for part in (gather, w):
-        part.setflags(write=False)
-    return gather, w
 
 
 def _check_expectations(columns, coeffs, states) -> None:

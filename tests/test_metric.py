@@ -31,7 +31,6 @@ from qmsgap.monotone import (
     anti_gns,
     bkm,
     builtin_functions,
-    closed_form,
     from_measure,
     gns,
     kms,
@@ -535,12 +534,3 @@ def test_metrics_of_one_state_share_its_kept_split(rng):
     stranger = f_metric(random_density(rng, 3), kms())
     assert stranger.basis is not first.basis
     assert stranger.rotation is not first.rotation
-
-
-def test_f_that_is_not_entrywise_is_named():
-    rho = diag_state(0.7, 0.3)
-    flat = closed_form(lambda t: 1.0, name="flat")
-    with pytest.raises(DimensionMismatchError, match=r"flat gives shape \(\)"):
-        f_metrics(rho, [kms(), flat])
-    with pytest.raises(DimensionMismatchError, match="flat"):
-        f_metric_table([rho, diag_state(0.4, 0.6)], [flat])

@@ -11,13 +11,15 @@ from qmsgap.errors import (
     PostconditionError,
     QmsGapError,
 )
-from qmsgap.metric import f_metric
+from qmsgap import monotone
+from qmsgap.gap import gap_sweep
+from qmsgap.metric import f_metric, f_metrics
 from qmsgap.monotone import (
+    MonotoneFunction,
     anti_gns,
     bkm,
     builtin_functions,
     check_om1_bounds,
-    closed_form,
     from_measure,
     gns,
     h_kernel,
@@ -25,11 +27,20 @@ from qmsgap.monotone import (
     power,
     transpose,
 )
-from qmsgap.qms import density_matrix
+from qmsgap.qms import density_matrix, invariant_state, thermal_qubit
 
 from references import bkm_masked
 
 positive_t = st.floats(min_value=1e-8, max_value=1e8)
+
+# discrete Loewner measures with a 0 atom, an inf atom and finite atoms,
+# whose transposes are the pushforwards under lam -> 1/lam
+MEASURES = (
+    from_measure([(0.0, 0.25), (49.0, 0.5), (math.inf, 0.25)]),
+    from_measure([(0.0, 0.3), (0.2, 0.7)]),
+    from_measure([(1.0 / 3.0, 0.4), (math.inf, 0.6)]),
+    from_measure([(1e-3, 0.5), (7.0, 0.5)]),
+)
 
 
 def test_h_kernel_endpoints():
@@ -106,8 +117,13 @@ def test_power_domain_is_validated():
         power(-0.1)
     with pytest.raises(QmsGapError):
         power(1.5)
-    with pytest.raises(QmsGapError):
-        closed_form(lambda t: 2.0 * np.ones_like(t))  # f(1) != 1
+
+
+def test_closed_form_is_an_unknown_kind():
+    # every function is a named member or a discrete Loewner measure, so
+    # operator monotone by construction; there is no arbitrary evaluator
+    with pytest.raises(QmsGapError, match="unknown monotone function kind"):
+        MonotoneFunction(kind="closed-form")
 
 
 def test_transpose_named_mappings():
@@ -117,12 +133,20 @@ def test_transpose_named_mappings():
     assert transpose(bkm()).kind == "bkm"
     t = transpose(power(0.3))
     assert t.kind == "power" and abs(t.alpha - 0.7) < 1e-15
+    # a measure goes to its atoms' pushforward under lam -> 1/lam, and back
+    # only up to round-off: 1 / (1 / 49) != 49 in floating point
+    pairs = [(transpose(MEASURES[0]), [(math.inf, 0.25), (1.0 / 49.0, 0.5), (0.0, 0.25)])]
+    pairs += [(transpose(transpose(f)), f.atoms) for f in MEASURES]
+    for got, want in pairs:
+        assert got.kind == "measure" and len(got.atoms) == len(want)
+        for (lam, w), (lam_want, w_want) in zip(got.atoms, want):
+            assert lam == pytest.approx(lam_want, rel=1e-15, abs=0.0) and w == w_want
 
 
 @settings(max_examples=30, deadline=None)
 @given(t=positive_t)
 def test_transpose_is_an_involution(t):
-    for f in builtin_functions():
+    for f in builtin_functions() + MEASURES:
         twice = transpose(transpose(f))
         assert abs(twice(t) - f(t)) <= 1e-10 * max(abs(f(t)), 1e-300)
 
@@ -130,7 +154,7 @@ def test_transpose_is_an_involution(t):
 @settings(max_examples=30, deadline=None)
 @given(t=positive_t)
 def test_transpose_formula(t):
-    for f in builtin_functions():
+    for f in builtin_functions() + MEASURES:
         assert abs(transpose(f)(t) - t * f(1.0 / t)) <= 1e-10 * max(
             t * f(1.0 / t), 1e-300
         )
@@ -153,14 +177,14 @@ def test_om1_bounds_kms_margin():
 
 
 def test_om1_bounds_pass_for_builtins():
-    for f in builtin_functions():
+    for f in builtin_functions() + MEASURES:
         check_om1_bounds(f)
 
 
 def test_om1_bounds_reject_square():
-    square = closed_form(lambda t: t**2, name="square")
+    # the probe only calls f on its grid, so a plain callable reaches it
     with pytest.raises(BoundViolationError):
-        check_om1_bounds(square)
+        check_om1_bounds(lambda t: t**2)
 
 
 @pytest.mark.parametrize(
@@ -177,13 +201,24 @@ def test_infinite_atom_is_allowed():
     assert from_measure([(math.inf, 1.0)])(3.0) == 3.0
 
 
-def test_closed_form_giving_nan_fails_its_checks():
-    with pytest.raises(QmsGapError, match="normalization"):
-        closed_form(lambda t: np.full_like(t, math.nan))
-    nan_off_one = closed_form(lambda t: np.where(t == 1.0, 1.0, math.nan))
+def test_closed_form_giving_nan_fails_its_checks(monkeypatch):
+    # BKM's closed form (t - 1) / log t, broken to give NaN: the weight
+    # table's positivity postcondition names it
+    monkeypatch.setattr(monotone, "_bkm_values", lambda t: np.full_like(t, math.nan))
     rho = density_matrix(np.diag([0.3, 0.7]).astype(complex))
     with pytest.raises(PostconditionError, match="strictly positive"):
-        f_metric(rho, nan_off_one)
+        f_metric(rho, bkm())
+
+
+def test_each_measure_has_its_own_label():
+    assert from_measure([(0.5, 0.4), (math.inf, 0.6)]).label == "measure(0.5:0.4;inf:0.6)"
+    labels = [f.label for f in MEASURES]
+    assert len(set(labels)) == len(labels)
+    assert not any("," in label for label in labels)  # CSV case ids are unquoted
+    model = thermal_qubit(0.3, 0.9)
+    rho = invariant_state(model)
+    reports = gap_sweep(model, rho, f_metrics(rho, MEASURES))
+    assert [r.f_label for r in reports] == labels
 
 
 def test_measure_weights_must_sum_to_one():

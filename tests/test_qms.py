@@ -532,21 +532,6 @@ def test_conditional_complete_positivity_floor_is_round_off(rng, d):
         assert abs(floor) < 1e-13
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_gathered_choi_compression_has_the_projected_spectrum(rng, d):
-    # Q^H C Q for the gathered isometry Q has the spectrum of P C P on the
-    # complement of Omega, less the zero eigenvalue of Omega itself
-    omega = np.eye(d).reshape(-1) / np.sqrt(d)
-    off = np.eye(d * d) - np.outer(omega, omega)
-    mats = np.array([generator(random_model(rng, d)).matrix for _ in range(3)])
-    blocks = qms._compressed_choi(mats, np.zeros(3))
-    for mat, block in zip(mats, blocks):
-        choi = choi_matrix(mat)
-        projected = np.linalg.eigvalsh(off @ ((choi + dag(choi)) / 2.0) @ off)
-        gathered = np.sort(np.append(np.linalg.eigvalsh(block), 0.0))
-        np.testing.assert_allclose(gathered, projected, rtol=0, atol=1e-13)
-
-
 def test_stacked_generators_equal_one_model_builds(rng):
     models = [random_model(rng, d) for d in (2, 3, 2, 4)]
     twins = [GKSLModel(m.hamiltonian, m.jumps) for m in models]

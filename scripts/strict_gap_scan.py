@@ -17,16 +17,23 @@ import sys
 from qmsgap.harness import CampaignConfig, strict_gap_search
 
 
+def dims_list(spec: str) -> tuple[int, ...]:
+    """The comma-separated dimensions of --dims, each in 2..8."""
+    dims = tuple(int(d) for d in spec.split(","))
+    if not all(2 <= d <= 8 for d in dims):
+        raise argparse.ArgumentTypeError(f"dimensions must lie in 2..8, got {spec!r}")
+    return dims
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--draws", type=int, default=500)
-    parser.add_argument("--dims", default="2,3")
+    parser.add_argument("--dims", type=dims_list, default=(2, 3))
     args = parser.parse_args()
 
-    dims = tuple(int(d) for d in args.dims.split(","))
     cfg = CampaignConfig(seed=args.seed, counts={"strict_gap": args.draws})
-    result = strict_gap_search(cfg, dims=dims)
+    result = strict_gap_search(cfg, dims=args.dims)
 
     print(f"draws: {result.n_draws}   rejected: {result.n_rejected}")
     print(f"best margin  lambda_kms - lambda_gns = {result.best_margin:.6g}")

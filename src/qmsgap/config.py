@@ -14,7 +14,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError, QmsGapError
+from .errors import ConfigError, NotFaithfulError, QmsGapError
 from .monotone import (
     MonotoneFunction,
     anti_gns,
@@ -24,7 +24,7 @@ from .monotone import (
     kms,
     power,
 )
-from .qms import DensityMatrix, GKSLModel, density_matrix
+from .qms import DensityMatrix, GKSLModel, check_invariance, density_matrix
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +70,9 @@ def model_to_dict(model: GKSLModel, rho: Optional[DensityMatrix] = None) -> dict
 
 
 def model_from_dict(doc) -> tuple[GKSLModel, Optional[DensityMatrix]]:
+    """The model of a model document and its rho if it supplies one:
+    ConfigError for a malformed document or a rho with |L_*(rho)|_F above
+    1e-9, NotFaithfulError for a rho that is not faithful."""
     if not isinstance(doc, dict):
         raise ConfigError("model config must be a JSON object")
     unknown = sorted(set(doc) - {"schema_version", "dim", "hamiltonian", "jumps", "rho"})
@@ -102,6 +105,14 @@ def model_from_dict(doc) -> tuple[GKSLModel, Optional[DensityMatrix]]:
             raise
         except Exception as exc:
             raise ConfigError(f"invalid rho: {exc}") from exc
+        if not rho.faithful:
+            raise NotFaithfulError("supplied rho is not faithful")
+        residual = check_invariance(model, rho)
+        if residual > 1e-9:  # the bar computed invariant states are held to
+            raise ConfigError(
+                f"supplied rho is not invariant: residual |L_*(rho)| {residual:.3e} "
+                f"exceeds 1e-9"
+            )
     return model, rho
 
 

@@ -118,8 +118,9 @@ class MonotoneFunction:
 
     @property
     def label(self) -> str:
-        if self.kind == "power":
-            return f"power({self.alpha:g})"
+        if self.kind == "power":  # :g where it round-trips, else repr
+            alpha = f"{self.alpha:g}"
+            return f"power({alpha if float(alpha) == self.alpha else repr(self.alpha)})"
         if self.kind == "measure":  # round-trip atoms, no comma: CSV case ids
             atoms = ";".join(f"{lam!r}:{weight!r}" for lam, weight in self.atoms)
             return f"measure({atoms})"

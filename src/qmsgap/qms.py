@@ -232,37 +232,26 @@ def _generator_stack(models: Sequence[GKSLModel]) -> np.ndarray:
     the models' order: i (1 (x) H - H^T (x) 1), then for each jump V in turn
     + V^T (x) V^H - (1 (x) V^H V + (V^H V)^T (x) 1) / 2.
 
-    Each term with an identity side is one np.kron for the stack, the cross
-    term one per model and jump (2 + 3 n_jumps calls for one model).  The
-    models are taken in descending jump count, so jump k's terms update a
-    leading slice.  Every entry is the same product and the same sequence
-    of sums as the model built alone."""
-    counts = [len(m.jumps) for m in models]
-    order = sorted(range(len(models)), key=counts.__getitem__, reverse=True)
-    models = pick(models, order)
-    jumps = [[m.jumps[k] for m in models if len(m.jumps) > k]
-             for k in range(len(models[0].jumps))]
+    Jump k updates the rows of the models that have a k-th jump: the cross
+    term is one np.kron per model and jump, each term with an identity side
+    one np.kron for those rows (2 + 3 n_jumps calls for one model).  Each
+    row is updated in place, where mat[have] would gather and scatter the
+    stack.  Every entry is the same product and the same sequence of sums as
+    the model built alone."""
     d = models[0].dim
     eye = np.eye(d, dtype=complex)
     h = _stack([m.hamiltonian for m in models])
-    v = np.array([a for vs in jumps for a in vs]).reshape(-1, d, d)  # k-major, or empty
-    v_t = _transposes(v)  # contiguous factors spare np.kron a copy
-    v_h = v_t.conj()
-    vdag_v = dag(v) @ v
-    vdag_v_t = _transposes(vdag_v)
     mat = 1j * (np.kron(eye, h) - np.kron(_transposes(h), eye))
-    start = 0
-    for vs in jumps:
-        rows, end = mat[: len(vs)], start + len(vs)
-        for row, a, b in zip(rows, v_t[start:end], v_h[start:end]):
-            row += np.kron(a, b)
-        rows -= 0.5 * (
-            np.kron(eye, vdag_v[start:end]) + np.kron(vdag_v_t[start:end], eye)
-        )
-        start = end
-    if order == sorted(order):
-        return mat
-    return mat[sorted(range(len(order)), key=order.__getitem__)]  # models' order
+    for k in range(max(len(m.jumps) for m in models)):
+        have = [i for i, m in enumerate(models) if len(m.jumps) > k]
+        v = _stack([models[i].jumps[k] for i in have])
+        v_t = _transposes(v)  # contiguous factors spare np.kron a copy
+        vdag_v = dag(v) @ v
+        sides = 0.5 * (np.kron(eye, vdag_v) + np.kron(_transposes(vdag_v), eye))
+        for i, a, b, side in zip(have, v_t, v_t.conj(), sides):
+            mat[i] += np.kron(a, b)
+            mat[i] -= side
+    return mat
 
 
 def _transposes(a: np.ndarray) -> np.ndarray:

@@ -345,6 +345,35 @@ def test_exit_2_for_a_kernel_dimension_too_close_to_call(capsys, command):
     assert "ill-posed" in err and "too close to call" in err
 
 
+RHO_NOT_INVARIANT = Path(__file__).parent / "data" / "rho_not_invariant.json"
+
+
+@pytest.mark.parametrize("command", ["gap", "curve", "verify"])
+def test_exit_3_for_a_supplied_rho_that_is_not_invariant(capsys, tmp_path, command):
+    # the thermal qubit (0.25, 1.0) with rho = 1 / 2: |L_*(rho)| = 0.53, as
+    # a model file and as a campaign's model_override
+    path = str(RHO_NOT_INVARIANT)
+    if command == "verify":
+        doc = {"schema_version": 1, "seed": 1, "n_models": 2, "dims": [2],
+               "model_override": json.loads(RHO_NOT_INVARIANT.read_text())}
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 3 and out == ""
+    assert "supplied rho is not invariant: residual |L_*(rho)| 5.303e-01" in err
+
+
+@pytest.mark.parametrize("command", ["gap", "curve"])
+def test_exit_2_for_a_supplied_rho_that_is_not_faithful(capsys, tmp_path, command):
+    # invariant but not faithful: the thermal qubit without excitation
+    model = GKSLModel(hamiltonian=np.zeros((2, 2)), jumps=(np.array([[0, 1], [0, 0.0]]),))
+    path = tmp_path / "ground.json"
+    path.write_text(json.dumps(model_to_dict(model, density_matrix(np.diag([1.0, 0.0])))))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert "supplied rho is not faithful" in err
+
+
 def test_log_level_env_var(capsys, depolarizing_config, monkeypatch):
     import logging
 

@@ -610,6 +610,23 @@ def test_an_order_violation_gives_inf_to_its_own_pair_only(monkeypatch):
     assert got.cases[:8] + got.cases[9:] == want.cases[:8] + want.cases[9:]
 
 
+def test_powers_that_print_alike_under_g_get_their_own_bounds_rows():
+    # 0.1234567 and 0.1234568 both read 0.123457 under :g, and 0.1 * 3
+    # reads 0.3: each label falls back to repr where :g does not round-trip
+    suite = tuple({"kind": "power", "alpha": a} for a in (0.1234567, 0.1234568, 0.1 * 3))
+    cfg = CampaignConfig(seed=1, n_models=1, f_suite=suite, properties=("om1_bounds",))
+    rows = [row for row in run_campaign(cfg).to_csv().splitlines()
+            if row.startswith("om1_bounds,bounds[")]
+    assert [row.split(",")[1] for row in rows] == [
+        "bounds[power(0.1234567)]", "bounds[power(0.1234568)]",
+        "bounds[power(0.30000000000000004)]",
+    ]
+    assert [f.label for f in acceptance_config().functions()] == [
+        *(f"power({a})" for a in ("0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6",
+                                  "0.7", "0.8", "0.9", "1")), "kms", "bkm",
+    ]
+
+
 def test_acceptance_csv_equals_that_of_a_draw_by_draw_run(monkeypatch):
     cfg = acceptance_config(7)
     want = run_campaign(cfg).to_csv()

@@ -548,12 +548,12 @@ def test_stacked_generators_equal_one_model_builds(rng):
 
 
 def test_stacked_generators_equal_the_term_by_term_oracle(rng, random_complex):
-    # one call on a shuffled mix of d = 2, 3, 4, 8 and 1-3 jumps, with one
+    # one call on a shuffled mix of d = 2, 3, 4, 8 and 0-5 jumps, with one
     # model whose generator is already set
     models = [
         GKSLModel(random_model(rng, d).hamiltonian,
                   tuple(random_complex(d, d) for _ in range(n)))
-        for d in (2, 3, 4, 8) for n in (1, 2, 3, 2)
+        for d in (2, 3, 4, 8) for n in (1, 2, 3, 2, 0, 4, 5)
     ]
     cached = generator(models[5])
     shuffled = [models[i] for i in rng.permutation(len(models))]
@@ -561,16 +561,37 @@ def test_stacked_generators_equal_the_term_by_term_oracle(rng, random_complex):
         assert gen is model._generator
         assert gen.matrix.tobytes() == gksl_generator_matrix(model).tobytes()
     assert models[5]._generator is cached
-    # 1 then 2 jumps: the build takes the pair swapped and hands it back
+    # 1 then 2 jumps: jump 1 updates the second row alone
     pair = [GKSLModel(m.hamiltonian, m.jumps) for m in models[:2]]
     for model, gen in zip(pair, qms._generators(pair)):
         assert gen.matrix.tobytes() == gksl_generator_matrix(model).tobytes()
 
 
+def test_a_stack_takes_2_plus_2_max_n_plus_sum_n_kron_calls(
+    rng, random_complex, monkeypatch
+):
+    # two identity-side terms for H and for each jump index, one cross term
+    # per model and jump: 2 + 2 * 5 + 11 = 23 for the counts (2, 0, 5, 1, 3)
+    models = [
+        GKSLModel(random_model(rng, 3).hamiltonian,
+                  tuple(random_complex(3, 3) for _ in range(n)))
+        for n in (2, 0, 5, 1, 3)
+    ]
+    real, calls = np.kron, []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "kron", counted)
+    qms._generators(models)
+    assert len(calls) == 23
+
+
 def test_a_stack_raises_its_first_failing_model_in_the_given_order(rng, monkeypatch):
-    # the build takes a stack by descending jump count, but the check reads
-    # it in the caller's order: the 1-jump model at 1 fails before the
-    # 2-jump model at 3, and then no model of the stack keeps a generator
+    # the check reads a stack in the caller's order: the 1-jump model at 1
+    # fails before the 2-jump model at 3, and then no model of the stack
+    # keeps a generator
     models = [GKSLModel(random_model(rng, 2).hamiltonian, random_model(rng, 2).jumps[:1])
               for _ in range(5)]
     models[3] = GKSLModel(models[3].hamiltonian, (SIGMA_MINUS, SIGMA_PLUS))

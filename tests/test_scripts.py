@@ -56,3 +56,11 @@ def test_strict_gap_scan_ratio_is_not_set_by_round_off():
     (line,) = [l for l in done.stdout.splitlines() if l.startswith(prefix)]
     ratio = float(line[len(prefix):])
     assert math.isfinite(ratio) and ratio < 1e3
+
+
+def test_strict_gap_scan_dims_outside_2_to_8_are_a_usage_error():
+    # exit 2 before any draw: a crash would exit 1, as "not found" does
+    for dims in ("0", "2,9", "2,x"):
+        done = run_script("strict_gap_scan.py", "--draws", "20", "--dims", dims)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "argument --dims" in done.stderr and "Traceback" not in done.stderr

@@ -35,9 +35,11 @@ constraints C = Q^H diag(sqrt w_gns), a unitary [V Y] with Y spanning
 diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A frame
 holds these for a stack of models, model axis first.  A one-model call
 keeps its frame on its FixedPointStructure, keyed by the W rho keeps and
-by the generator L~ came from, so
-`spectral_gap_f` one f at a time, `gap_curve`, `decaying_subspace` and
-`empirical_decay_rate` (with its exp(t L~)) build it only once.
+by the generator L~ came from, and reads it through one accessor
+(`_kept_frame`), so `spectral_gap_f` one f at a time, `gap_curve`,
+`decaying_subspace` and `empirical_decay_rate` (with its exp(t L~)) build
+it only once; `gap_sweep` and `gap_curve` hand it straight to the sweep
+core, and the one-model chain gathers no stack of one.
 
 E is the rho-preserving conditional expectation onto the fixed-point
 algebra, so it commutes with the modular group (Takesaki, J. Funct. Anal.
@@ -84,11 +86,12 @@ two functions give equal rows.  A chunk of slices is one stacked
 computation that gathers each slice's arrays from its model's stack.
 numpy's stacked matmul, eigvalsh, svd and solve treat each slice as the
 2-d call would, so each model gets exactly the numbers it gets alone; the
-one-model routines are these on one model, whose frame broadcasts over
-its slices.  The batched routines build no FMetric or GapReport; the
-campaign's properties use them, and `gap_sweep` builds its GapReports
-from the arrays at the end (`Sweep.reports`).  A call on several models
-keeps no frame.  A batch runs each stage for all its models before the
+one-model routines run the same core on their kept frame, a stack of one
+model that broadcasts over its slices.  The batched routines build no
+FMetric or GapReport; the campaign's properties use them, and `gap_sweep`
+builds its GapReports from the arrays at the end (`Sweep.reports`).  A
+batched call keeps no frame, also for a group of one model, and reads
+none.  A batch runs each stage for all its models before the
 next, so its first error is that of the first failing stage, and it warns
 of negative gaps once its group is swept; the campaign restores model
 order by running a batch that raises or warns again one model at a time
@@ -114,7 +117,8 @@ from .errors import (
     warn,
 )
 from .linalg import (
-    Superoperator, batches, chunks, dag, expm, frobenius_norms, pick, same_lengths,
+    Superoperator, _stack, batches, chunks, dag, expm, frobenius_norms, pick,
+    same_lengths,
 )
 from .metric import (
     COND_GUARD, FMetric, same_state, warn_if_ill_conditioned, weight_rows,
@@ -206,6 +210,12 @@ class _Frame:
         self.state, self.rotation, self.orthonormality = state, rotation, ortho
         self.parts, self.source, self.gen, self.decay = parts, None, None, None
 
+    def rotate(self, gens: Sequence[Superoperator]) -> None:
+        """Set L~ = W^H L W for the generator of each model, keyed by
+        gens[0]; the decay stack of the generator before goes."""
+        self.gen = dag(self.rotation) @ _stack([g.matrix for g in gens]) @ self.rotation
+        self.source, self.decay = gens[0], None
+
 
 def _build_frame(fpss: Sequence[FixedPointStructure], eigenvalues, rotations) -> _Frame:
     """State part of the frame of models with one d and one dim N (their
@@ -214,15 +224,15 @@ def _build_frame(fpss: Sequence[FixedPointStructure], eigenvalues, rotations) ->
     vectors, from one stacked SVD, of the fixed-point constraints
     C = Q^H diag(sqrt w_gns) (see the module docstring)."""
     d, n_fixed = len(eigenvalues[0]), fpss[0].dim
-    rotation = np.array(rotations)
-    span = dag(rotation) @ np.array([fps.columns for fps in fpss])
-    root_gns = np.sqrt(np.repeat(np.array(eigenvalues), d, axis=1))
+    rotation = _stack(rotations)
+    span = dag(rotation) @ _stack([fps.columns for fps in fpss])
+    root_gns = np.sqrt(np.repeat(_stack(eigenvalues), d, axis=1))
     constraints = dag(span) * root_gns[:, None, :]
     unitary = dag(np.linalg.svd(constraints)[2])
     ortho = np.maximum.reduce(
         np.abs(dag(unitary) @ unitary - np.eye(d * d)), axis=(1, 2)
     )
-    coords = np.array([fps.coefficients for fps in fpss]) @ rotation
+    coords = _stack([fps.coefficients for fps in fpss]) @ rotation
     # C order, as a gathered stack has it, for bit-identical products
     kernel = np.ascontiguousarray(unitary[:, :, n_fixed:])
     fixed = np.ascontiguousarray(unitary[:, :, :n_fixed])
@@ -232,30 +242,23 @@ def _build_frame(fpss: Sequence[FixedPointStructure], eigenvalues, rotations) ->
     return _Frame(rotations[0], rotation, ortho, parts)
 
 
-def _frame(
-    fpss: Sequence[FixedPointStructure],
-    eigenvalues,
-    rotations,
-    gens: Optional[Sequence[Superoperator]] = None,
+def _kept_frame(
+    fps: FixedPointStructure, eigenvalues, rotation, gen: Optional[Superoperator] = None
 ) -> _Frame:
-    """The frame of models that share one d and one dim N and fit one chunk
-    (linalg.chunks), their states given by their eigenvalues and rotations;
-    with gens, their L~ too.
-
-    One model takes the frame kept on its FixedPointStructure when that
-    frame serves the state; its L~ is rotated again only for the generator
-    of another model that shares the fps.  Otherwise the frame is built,
-    for several models as one stack.  A one-model call keeps it; a batched
-    call keeps none, also for a group of one model (every group at d = 8):
-    such a frame serves once, and a pool's frames would be held as long as
-    the pool."""
-    frame = fpss[0]._frame if len(fpss) == 1 else None
-    if frame is None or frame.state is not rotations[0]:
-        frame = _build_frame(fpss, eigenvalues, rotations)
-    if gens is not None and frame.source is not gens[0]:
-        rotation = frame.rotation
-        frame.gen = dag(rotation) @ np.array([gen.matrix for gen in gens]) @ rotation
-        frame.source, frame.decay = gens[0], None
+    """The frame of one model kept on its fps, for the state of the
+    eigenvalues and rotation W given and, with gen, the L~ of that
+    generator: built (and kept) when fps keeps none or one of another
+    state, L~ rotated again for the generator of another model that shares
+    the fps.  The one-model routines read their frame here; the batched
+    ones build theirs and keep none, also for a group of one model (every
+    group at d = 8): such a frame serves once, and a pool's frames would be
+    held as long as the pool."""
+    frame = fps._frame
+    if frame is None or frame.state is not rotation:
+        frame = _build_frame([fps], [eigenvalues], [rotation])
+        object.__setattr__(fps, "_frame", frame)
+    if gen is not None and frame.source is not gen:
+        frame.rotate([gen])
     return frame
 
 
@@ -330,15 +333,15 @@ def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
     def label(s):  # of row s = g k + f
         return labels[s // k][s % k]
 
-    owner = np.arange(n * k) // k
     stacks = (*frame.parts, frame.gen)
     arrays = [stack[0] for stack in stacks]  # one model broadcasts alone
     spectra = np.empty((n * k, size - n_fixed))
     residuals = np.empty((n * k, len(_RESIDUALS)))
-    residuals[:, 0] = frame.orthonormality[owner]
+    residuals[:, 0] = frame.orthonormality.repeat(k)
     for c in chunks(n * k, math.isqrt(size)):
         if n > 1:  # each slice takes the frame of its model
-            arrays = [stack[owner[c]] for stack in stacks]
+            owner = np.arange(n * k)[c] // k
+            arrays = [stack[owner] for stack in stacks]
         spectra[c] = _sweep_chunk(
             *arrays, weights[c], spreads[c], lambda s, c=c: label(c.start + s),
             residuals[c],
@@ -354,38 +357,41 @@ def _sweep_group(frame: _Frame, rows: np.ndarray, labels, n_fixed: int):
     return spectra[:, :, 0], spectra, residuals.reshape(n, k, len(_RESIDUALS))
 
 
-def _sweeps(models, rhos, rows, labels, fpss=None) -> list:
+def _sweeps(models, rhos, rows, labels) -> list:
     """The Sweep of each model for its k_i weight rows rows[i] (each d^2
     entries in vec order, of the state rhos[i]) under labels[i].
 
-    A missing fps is computed.  The models that share d, dim N and k are
-    stacked: their frames are built together and every (model, row) pair
-    is one slice of the same chunked sweep (see the module docstring),
-    with the result each model gets alone.  Each stage runs for all models
-    before the next, so the error raised is that of the first failing
-    stage."""
-    n = len(models)
-    gens, fpss = _generators(models), list(fpss or [None] * n)
-    todo = [i for i, fps in enumerate(fpss) if fps is None]
-    if todo:
-        computed = fixed_point_structures(pick(models, todo), pick(rhos, todo))
-        for i, fps in zip(todo, computed):
-            fpss[i] = fps
-
-    out: list = [None] * n
+    The models that share d, dim N and k are stacked: their frames are
+    built together and every (model, row) pair is one slice of the same
+    chunked sweep (see the module docstring), with the result each model
+    gets alone; no frame is kept.  Each stage runs for all models before
+    the next, so the error raised is that of the first failing stage."""
+    gens, fpss = _generators(models), fixed_point_structures(models, rhos)
+    out: list = [None] * len(models)
     keys = [(m.dim, fps.dim, len(r)) for m, fps, r in zip(models, fpss, rows)]
     for idx in batches(keys):
         splits = [rhos[i]._split for i in idx]
-        frame = _frame(pick(fpss, idx), [split[0] for split in splits],
-                       [split[3] for split in splits], pick(gens, idx))
-        if n == 1:
-            object.__setattr__(fpss[0], "_frame", frame)
+        frame = _build_frame(pick(fpss, idx), [split[0] for split in splits],
+                             [split[3] for split in splits])
+        frame.rotate(pick(gens, idx))
         d, n_fixed, k = keys[idx[0]]
         stack = np.array(pick(rows, idx)).reshape(len(idx), k, d * d)
         arrays = _sweep_group(frame, stack, pick(labels, idx), n_fixed)
         for i, lambdas, spectra, residuals in zip(idx, *arrays):
             out[i] = Sweep(n_fixed, lambdas, spectra, residuals)
     return out
+
+
+def _kept_sweep(model, rho, rows, labels, fps) -> Sweep:
+    """The Sweep of one model for its weight rows (k, d^2) of the state rho
+    under labels, as _sweeps gives it, on the frame kept on its fps
+    (computed when None)."""
+    gen = _generators([model])[0]
+    if fps is None:
+        fps = fixed_point_structures([model], [rho])[0]
+    p, _, _, w = rho._split
+    arrays = _sweep_group(_kept_frame(fps, p, w, gen), rows[None], [labels], fps.dim)
+    return Sweep(fps.dim, *(array[0] for array in arrays))
 
 
 def _table_columns(models, rhos, functions) -> tuple[list, list]:
@@ -444,8 +450,7 @@ def gap_sweep(
         return []
     _check_metrics(model, rho, metrics)
     labels = [m.f.label for m in metrics]
-    (sweep,) = _sweeps([model], [rho], [weight_rows(metrics)], [labels], [fps])
-    return sweep.reports(labels)
+    return _kept_sweep(model, rho, weight_rows(metrics), labels, fps).reports(labels)
 
 
 def spectral_gap_f(
@@ -470,8 +475,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     annihilated by E to MEMBERSHIP_TOL.
     """
     same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
-    frame = _frame([fps], [metric.eigenvalues], [metric.rotation])
-    object.__setattr__(fps, "_frame", frame)
+    frame = _kept_frame(fps, metric.eigenvalues, metric.rotation)
     kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
     if kernel.shape[1] == 0:
         return kernel
@@ -612,7 +616,10 @@ def gap_curves(
     """Power-family gap curve of each model on one alpha grid (QmsGapError
     if it is empty, DimensionMismatchError for lists of unequal lengths):
     one function_sweeps for all models."""
-    return _curves(models, rhos, alphas, None)
+    same_lengths(models=models, rhos=rhos)
+    alphas, functions = _powers(alphas)
+    sweeps = _sweeps(models, rhos, *_table_columns(models, rhos, functions))
+    return [_curve(alphas, sweep.lambdas.tolist()) for sweep in sweeps]
 
 
 def gap_curve(
@@ -622,21 +629,22 @@ def gap_curve(
     fps: Optional[FixedPointStructure] = None,
     gen: Optional[Superoperator] = None,
 ) -> GapCurve:
-    """Power-family gaps on the alpha grid: gap_curves for one model, with
-    its fps if given; gen, if given, must be generator(model) (QmsGapError)."""
+    """Power-family gaps on the alpha grid: gap_curves for one model, on
+    the frame kept on its fps (computed when None); gen, if given, must be
+    generator(model) (QmsGapError)."""
     _check_generator(model, gen)
-    return _curves([model], [rho], alphas, [fps])[0]
+    alphas, functions = _powers(alphas)
+    (rows,), (labels,) = _table_columns([model], [rho], functions)
+    return _curve(alphas, _kept_sweep(model, rho, rows, labels, fps).lambdas.tolist())
 
 
-def _curves(models, rhos, alphas, fpss) -> list[GapCurve]:
-    """gap_curves with the models' fixed-point structures (None: computed)."""
-    same_lengths(models=models, rhos=rhos)
+def _powers(alphas) -> tuple[list, list]:
+    """The alpha grid as floats and its power functions; QmsGapError if it
+    is empty."""
     alphas = [float(alpha) for alpha in alphas]
     if not alphas:
         raise QmsGapError("gap curve needs at least one alpha")
-    functions = [power(alpha) for alpha in alphas]
-    sweeps = _sweeps(models, rhos, *_table_columns(models, rhos, functions), fpss)
-    return [_curve(alphas, sweep.lambdas.tolist()) for sweep in sweeps]
+    return alphas, [power(alpha) for alpha in alphas]
 
 
 def empirical_decay_rate(
@@ -663,8 +671,8 @@ def empirical_decay_rate(
     _check_metrics(model, rho, [metric])
     if fps is None:
         fps = fixed_point_structure(model, rho)
-    frame = _frame([fps], [metric.eigenvalues], [metric.rotation], _generators([model]))
-    object.__setattr__(fps, "_frame", frame)
+    gen = _generators([model])[0]
+    frame = _kept_frame(fps, metric.eigenvalues, metric.rotation, gen)
     kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:
         return math.inf

@@ -1115,8 +1115,12 @@ def strict_gap_search(
     are the natural search space; a plain scan finds positive margins
     quickly at d = 2.  Draws with lambda_gns <= GNS_GAP_FLOOR (or no decay
     at all) are skipped, so a zero gap rounded to either sign never sets a
-    ratio.  Exhaustion is reported, not raised: the separation target is an
-    empirical goal, not a theorem.
+    ratio.  The floor skips exactly the draws with one jump V (V not a
+    multiple of 1): the GNS Dirichlet form is
+    (1/2) sum_k tr(rho [x, V_k]^H [x, V_k]), and x = V - tr(rho V) 1 lies in
+    ker E and commutes with V, so lambda_gns = 0 exactly there, up to
+    round-off.  Exhaustion is reported, not raised: the separation target
+    is an empirical goal, not a theorem.
     """
     if rng is None:
         rng = _rng_for(cfg, 51)

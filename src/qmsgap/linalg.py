@@ -135,7 +135,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of one matrix or of each matrix in a stack.
 
     Pade [13/13] scaling and squaring (Higham 2005), the number of
-    squarings chosen per matrix from its 1-norm.  Only numpy products and
+    squarings chosen per matrix from its 1-norm; each squaring round
+    gathers only the matrices that still need it.  Only numpy products and
     one solve: at d^2 <= 16 none of them is large enough for the BLAS to
     hand work to a second thread, a handoff that costs more than the
     product itself and whose latency depends on what else the machine runs.
@@ -162,7 +163,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     )
     r = np.linalg.solve(v - u, v + u)
     for k in range(int(squarings.max(initial=0.0))):
-        r = np.where((squarings > k)[..., None, None], r @ r, r)
+        todo = squarings > k  # only the matrices with a k-th squaring left
+        left = r[todo]
+        r[todo] = left @ left
     return r
 
 
@@ -287,6 +290,11 @@ def batches(keys, per_item: int = 1) -> list:
 def pick(items, idx) -> list:
     """The items at the positions idx (one batch's rows of a column)."""
     return [items[i] for i in idx]
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays of one shape as one stack: a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def same_lengths(**lists) -> None:

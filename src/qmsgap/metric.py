@@ -66,6 +66,7 @@ from .linalg import (
     DEFAULT_TOL,
     Superoperator,
     _as_complex_square,
+    _stack,
     dag,
     grouped,
     herm_eig,
@@ -139,8 +140,8 @@ def weight_table(rhos: Sequence[DensityMatrix], functions) -> list[np.ndarray]:
     out: list = [None] * len(rhos)
     for idx in grouped(rho.dim for rho in rhos).values():
         splits = [rhos[i]._split for i in idx]
-        p = np.array([split[0] for split in splits])
-        ratios = np.array([split[2] for split in splits])
+        p = _stack([split[0] for split in splits])
+        ratios = _stack([split[2] for split in splits])
         n, d = p.shape
         table = np.empty((n, len(functions), d, d))  # [g, f, j, i]: rows in vec order
         for k, f in enumerate(functions):
@@ -172,8 +173,9 @@ def same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
 
 def weight_rows(metrics: Sequence[FMetric]) -> np.ndarray:
     """Rows w_f = vec(p_j f(p_i / p_j)) of metrics of one d, stacked
-    (n, d^2): the diagonal f-Grams in the eigen frame."""
-    return np.array([m.weights.T for m in metrics]).reshape(len(metrics), -1)
+    (n, d^2): the diagonal f-Grams in the eigen frame; of one metric, a
+    view of its row."""
+    return _stack([m.weights.T for m in metrics]).reshape(len(metrics), -1)
 
 
 def f_inner(metric: FMetric, x, y) -> complex:

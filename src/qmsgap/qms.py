@@ -62,6 +62,7 @@ from .linalg import (
     Superoperator,
     _as_complex_square,
     _herm_eigs,
+    _stack,
     batches,
     choi_matrix,
     dag,
@@ -200,7 +201,8 @@ def _generators(models: Sequence[GKSLModel]) -> list[Superoperator]:
     Those not yet kept are built and checked as stacks of one d
     (linalg.batches, _generator_stack): the PostconditionError of the first
     failing model of a stack, whose models then keep no generator.  Each
-    model keeps a copy of its own matrix, not a view of the stack.  A model
+    model of several keeps a copy of its own matrix, not a view of the
+    stack; a lone one keeps the view, its stack being its own.  A model
     listed twice keeps the first."""
     keys = ((m.dim,) if m._generator is None else None for m in models)
     for idx in batches(keys):
@@ -208,7 +210,7 @@ def _generators(models: Sequence[GKSLModel]) -> list[Superoperator]:
         _check_generators(mats)
         for i, mat in zip(idx, mats):
             if models[i]._generator is None:
-                mat = mat.copy()
+                mat = mat.copy() if len(idx) > 1 else mat
                 mat.setflags(write=False)
                 gen = Superoperator(dim=models[i].dim, matrix=mat)
                 object.__setattr__(models[i], "_generator", gen)
@@ -222,11 +224,6 @@ def _check_generator(model: GKSLModel, gen: Optional[Superoperator]) -> None:
         raise QmsGapError("gen must be generator(model), the model's own generator")
 
 
-def _stack(arrays: list) -> np.ndarray:
-    """The arrays of one shape as one stack: a view of a lone one."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _generator_stack(models: Sequence[GKSLModel]) -> np.ndarray:
     """L of each model of one d in column-stacking coordinates, stacked in
     the models' order: i (1 (x) H - H^T (x) 1), then for each jump V in turn
@@ -235,9 +232,9 @@ def _generator_stack(models: Sequence[GKSLModel]) -> np.ndarray:
     Jump k updates the rows of the models that have a k-th jump: the cross
     term is one np.kron per model and jump, each term with an identity side
     one np.kron for those rows (2 + 3 n_jumps calls for one model).  Each
-    row is updated in place, where mat[have] would gather and scatter the
-    stack.  Every entry is the same product and the same sequence of sums as
-    the model built alone."""
+    row is updated in place through its view, where mat[have] would gather
+    and scatter the stack.  Every entry is the same product and the same
+    sequence of sums as the model built alone."""
     d = models[0].dim
     eye = np.eye(d, dtype=complex)
     h = _stack([m.hamiltonian for m in models])
@@ -249,8 +246,9 @@ def _generator_stack(models: Sequence[GKSLModel]) -> np.ndarray:
         vdag_v = dag(v) @ v
         sides = 0.5 * (np.kron(eye, vdag_v) + np.kron(_transposes(vdag_v), eye))
         for i, a, b, side in zip(have, v_t, v_t.conj(), sides):
-            mat[i] += np.kron(a, b)
-            mat[i] -= side
+            row = mat[i]
+            row += np.kron(a, b)
+            row -= side
     return mat
 
 
@@ -271,8 +269,7 @@ def _check_generators(mats: np.ndarray) -> None:
     image = images[:, :, 1].reshape(-1, d, d, order="F")
     star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
     star = frobenius_norms(star) <= margin
-    omega = np.eye(d).reshape(-1) / math.sqrt(d)  # vec(1) / sqrt(d)
-    off = np.eye(d * d) - np.outer(omega, omega)
+    off = _off_identity(d)
     blocks = off @ choi_matrix(mats) @ off  # P C P, Omega's eigenvalue 0
     blocks.reshape(len(mats), -1)[:, :: d * d + 1] += margin[:, None]
     try:  # succeeds iff no P C P has an eigenvalue below -margin
@@ -290,6 +287,15 @@ def _check_generators(mats: np.ndarray) -> None:
                 f"generator is not conditionally completely positive: projected "
                 f"Choi floor {floors[g]:.3e} below {-margin[g]:.3e}"
             )
+
+
+@functools.lru_cache(maxsize=None)
+def _off_identity(d: int) -> np.ndarray:
+    """P = 1 - Omega Omega^H for Omega = vec(1) / sqrt(d), read-only."""
+    omega = np.eye(d).reshape(-1) / math.sqrt(d)
+    off = np.eye(d * d) - np.outer(omega, omega)
+    off.setflags(write=False)
+    return off
 
 
 def _check_time(t: float) -> None:
@@ -323,7 +329,7 @@ def semigroups(models: Sequence[GKSLModel], times) -> list[np.ndarray]:
         _check_time(float(t))
     out: list = [None] * len(models)
     for idx in batches(((m.dim,) for m in models), len(times)):
-        gens = np.array([generator(models[i]).matrix for i in idx])
+        gens = _stack([generator(models[i]).matrix for i in idx])
         phis = expm(times[None, :, None, None] * gens[:, None])
         for g, i in enumerate(idx):
             out[i] = phis[g]
@@ -450,8 +456,9 @@ class FixedPointStructure:
     B = [vec(b_j)], the b_j spanning N, and coefficients
     R = (B^H G B)^{-1} (G B)^H, G the GNS Gram.  basis, dim and degenerate
     (dim N > 1) derive from them; E itself, d^2 x d^2, is never formed.
-    The gap routines keep the model's eigen frame in `_frame` (see gap.py),
-    checked against the state and generator on every use."""
+    The one-model gap routines keep the model's eigen frame in `_frame` and
+    read it through gap._kept_frame (see gap.py), which checks it against
+    the state and generator on every use; the batched ones keep none."""
 
     columns: np.ndarray
     coefficients: np.ndarray
@@ -487,10 +494,12 @@ def fixed_point_structures(
     """The fixed-point structure of each model under its state, in order.
 
     Requires lists of one length and faithful states of the model's d
-    (DimensionMismatchError, QmsGapError).  B is the model's split of ker L
-    (`_kernels`), R solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram,
-    E's identities are asserted on the factors (PostconditionError), and
-    models of one d and dim N share stacked solves (linalg.batches)."""
+    (DimensionMismatchError, QmsGapError) that the model leaves invariant:
+    QmsGapError when |L_*(rho)|_F exceeds 1e-9, the bar computed invariant
+    states are held to.  B is the model's split of ker L (`_kernels`), R
+    solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram, E's identities
+    are asserted on the factors (PostconditionError), and models of one d
+    and dim N share stacked solves (linalg.batches)."""
     same_lengths(models=models, rhos=rhos)
     for model, rho in zip(models, rhos):
         _check_state_dim(model, rho.dim)
@@ -500,8 +509,16 @@ def fixed_point_structures(
     out: list = [None] * len(models)
     for idx in batches((m.dim, ker.shape[1]) for m, ker in zip(models, kernels)):
         d, k = models[idx[0]].dim, kernels[idx[0]].shape[1]
-        vecs = np.array(pick(kernels, idx))  # columns span ker L
-        state = np.array([rhos[i].rho for i in idx])
+        vecs = _stack(pick(kernels, idx))  # columns span ker L
+        state = _stack([rhos[i].rho for i in idx])
+        states = state.reshape(len(idx), d * d, order="F")  # vec(rho) per row
+        duals = dag(_stack([models[i]._generator.matrix for i in idx]))
+        for residual in frobenius_norms(duals @ states[:, :, None]).tolist():
+            if residual > 1e-9:
+                raise QmsGapError(
+                    f"state is not invariant: residual |L_*(rho)| {residual:.3e} "
+                    f"exceeds 1e-9"
+                )
         # rows vec(b_j rho)^T: the b_j^T are the C-order d x d blocks of vecs
         blocks = vecs.reshape(len(idx), d, d, k).transpose(0, 3, 1, 2)
         weighted = (state.swapaxes(1, 2)[:, None] @ blocks).reshape(len(idx), k, d * d)
@@ -509,7 +526,7 @@ def fixed_point_structures(
         coeffs.setflags(write=False)
         for g, i in enumerate(idx):
             out[i] = FixedPointStructure(columns=kernels[i], coefficients=coeffs[g])
-        _check_expectations(vecs, coeffs, state.reshape(len(idx), d * d, order="F"))
+        _check_expectations(vecs, coeffs, states)
     return out
 
 
@@ -534,16 +551,17 @@ def _check_expectations(columns, coeffs, states) -> None:
     images = columns @ (coeffs @ probes)  # E(1), E(x), E(x^H)
     image = images[:, :, 1].reshape(-1, d, d, order="F")
     star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
-    preserved = dag(coeffs) @ (dag(columns) @ states[:, :, None])  # E^H vec(rho)
-    residuals = np.stack([images[:, :, 0] - probes[:, 0], preserved[:, :, 0] - states,
-                          star.reshape(-1, d * d) / scale], axis=1)
-    norms = np.linalg.norm(residuals, axis=2)
+    states = states[:, :, None]
+    preserved = dag(coeffs) @ (dag(columns) @ states)  # E^H vec(rho)
     idempotent = np.abs(coeffs @ columns - np.eye(columns.shape[2])).max(axis=(1, 2))
-    failing = np.maximum(idempotent, norms.max(axis=1)) > 1e-9
+    unital = frobenius_norms(images[:, :, :1] - probes[:, :1])
+    defects = np.array([idempotent, unital, frobenius_norms(preserved - states),
+                        frobenius_norms(star / scale)])
+    failing = defects.max(axis=0) > 1e-9
     if failing.any():
         g = int(failing.argmax())
         names = ("idempotent", "unital", "state-preserving", "star-preserving")
-        row = dict(zip(names, map(float, (idempotent[g], *norms[g]))))
+        row = dict(zip(names, defects[:, g].tolist()))
         raise PostconditionError(f"conditional-expectation identities fail: {row!r}")
 
 

@@ -834,12 +834,19 @@ def _bad_expectation_case():
     return model, rho, fps
 
 
-def _sweeps_given(models, rhos, functions, fpss):
+def _sweeps_given(monkeypatch, models, rhos, functions, fpss):
     # function_sweeps with the fixed-point structures given (None: computed)
-    return gap._sweeps(models, rhos, *gap._table_columns(models, rhos, functions), fpss)
+    real = gap.fixed_point_structures
+
+    def given(*args):
+        computed = real(*args)
+        return [fps if fps is not None else own for fps, own in zip(fpss, computed)]
+
+    monkeypatch.setattr(gap, "fixed_point_structures", given)
+    return function_sweeps(models, rhos, functions)
 
 
-def test_batch_raises_the_error_of_a_failing_model():
+def test_batch_raises_the_error_of_a_failing_model(monkeypatch):
     # a batched call runs each stage for all models before the next, so it
     # raises the error of the first failing stage; the campaign restores
     # model order (tests/test_harness.py)
@@ -849,7 +856,8 @@ def test_batch_raises_the_error_of_a_failing_model():
         gap_sweep(model, rho, f_metrics(rho, SUITE), fps=fps)
     with pytest.raises(PostconditionError) as batched:
         _sweeps_given(
-            [good[0], model, good[0]], [good[1], rho, good[1]], SUITE, [None, fps, None]
+            monkeypatch, [good[0], model, good[0]], [good[1], rho, good[1]], SUITE,
+            [None, fps, None],
         )
     assert str(batched.value) == str(alone.value)
 
@@ -963,7 +971,7 @@ def test_duplicate_weights_warn_once_per_label_in_order():
     assert labels == [f.label for f in DUPLICATES]
 
 
-def test_a_failing_duplicate_raises_what_a_model_by_model_run_raises():
+def test_a_failing_duplicate_raises_what_a_model_by_model_run_raises(monkeypatch):
     # the kms basis leaves ker E of _bad_expectation_case; power(0.5) comes
     # first, with the weights of kms or ones that fail the same way
     functions = (power(0.5), kms(), gns(), power(0.0), transpose(bkm()), bkm())
@@ -974,7 +982,7 @@ def test_a_failing_duplicate_raises_what_a_model_by_model_run_raises():
     assert "for power(0.5)" in str(alone.value)
     with pytest.raises(PostconditionError) as batched:
         _sweeps_given(
-            [good[0], model, good[0]], [good[1], rho, good[1]], functions,
+            monkeypatch, [good[0], model, good[0]], [good[1], rho, good[1]], functions,
             [None, fps, None],
         )
     assert str(batched.value) == str(alone.value)
@@ -1041,18 +1049,18 @@ def test_a_batch_keeps_no_frame_and_takes_one_stacked_svd_per_shape(monkeypatch)
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    _sweeps_given(models, rhos, SUITE, fpss)
+    _sweeps_given(monkeypatch, models, rhos, SUITE, fpss)
     assert sorted(stacks) == [(2,), (3,)]  # one per (d, dim N) group
     assert all(fps._frame is None for fps in fpss)
 
 
-def test_a_batch_of_d8_models_keeps_no_frame():
+def test_a_batch_of_d8_models_keeps_no_frame(monkeypatch):
     # at d = 8 a chunk holds one model, so each model is a group of its own
     rng = np.random.default_rng(8)
     draws = [random_faithful_model(rng, 8)[:2] for _ in range(3)]
     models, rhos = map(list, zip(*draws))
     fpss = fixed_point_structures(models, rhos)
-    _sweeps_given(models, rhos, (gns(), kms()), fpss)
+    _sweeps_given(monkeypatch, models, rhos, (gns(), kms()), fpss)
     assert all(fps._frame is None for fps in fpss)
 
 
@@ -1099,6 +1107,75 @@ def test_frame_follows_the_generator():
     _assert_same_reports(
         [positive], [spectral_gap_f(model, rho, metric, fps=_fresh(fps))]
     )
+
+
+def _count_decompositions(monkeypatch):
+    kernels = ((np, "kron"), (np.linalg, "svd"), (np.linalg, "eigh"),
+               (np.linalg, "eigvalsh"), (np.linalg, "solve"), (np.linalg, "cholesky"))
+    return {name: _count_calls(monkeypatch, owner, name) for owner, name in kernels}
+
+
+def _counted(calls):
+    return {name: len(made) for name, made in calls.items() if made}
+
+
+def test_a_scan_item_makes_a_fixed_set_of_decompositions(monkeypatch):
+    # a fresh draw, its fixed points and its gns, kms and bkm gaps, as
+    # strict_gap_search and perfbench's scan take them: the generator's
+    # 2 + 3 n_jumps np.kron terms and Choi cholesky, one SVD for both
+    # kernels, one eigh for the state, one solve for E, one SVD for the
+    # frame and one eigvalsh per gap
+    calls = _count_decompositions(monkeypatch)
+    model, rho, rejected = random_faithful_model(np.random.default_rng(3), 3)
+    fps = fixed_point_structure(model, rho, gen=generator(model))
+    for f in (gns(), kms(), bkm()):
+        spectral_gap_f(model, rho, f_metric(rho, f), fps=fps)
+    assert rejected == 0
+    assert _counted(calls) == {"kron": 2 + 3 * len(model.jumps), "svd": 2, "eigh": 1,
+                               "solve": 1, "cholesky": 1, "eigvalsh": 3}
+    for made in calls.values():
+        made.clear()
+    spectral_gap_f(model, rho, f_metric(rho, power(0.3)), fps=fps)  # kept frame
+    assert _counted(calls) == {"eigvalsh": 1}
+
+
+def test_one_jump_models_have_a_zero_gns_gap():
+    # x = V - tr(rho V) 1 lies in ker E and commutes with the one jump V, so
+    # the GNS Dirichlet form (1/2) tr(rho [x, V]^H [x, V]) vanishes on it;
+    # on this sample every draw with more jumps has a gap above 1e-3, far
+    # above strict_gap's GNS_GAP_FLOOR
+    draws = list(qms.random_faithful_models(np.random.default_rng(42), [2, 3, 4] * 20))
+    models, rhos = [m for m, _, _ in draws], [r for _, r, _ in draws]
+    lambdas = [sweep.lambdas[0] for sweep in function_sweeps(models, rhos, [gns()])]
+    one = [abs(lam) for m, lam in zip(models, lambdas) if len(m.jumps) == 1]
+    other = [lam for m, lam in zip(models, lambdas) if len(m.jumps) > 1]
+    assert one and other
+    assert max(one) <= 1e-12
+    assert min(other) > 1e-3
+
+
+def _not_invariant():
+    # rho = 1/2 for the thermal qubit, |L_*(rho)|_F = 0.53
+    model = thermal_qubit(0.25, 1.0)
+    rho = density_matrix(np.eye(2) / 2.0)
+    return model, rho, f"{check_invariance(model, rho):.3e}"
+
+
+@pytest.mark.parametrize("route", ["spectral_gap_f", "gap_curve", "function_sweeps",
+                                   "empirical_decay_rate"])
+def test_a_state_the_model_does_not_keep_is_refused(route):
+    model, rho, residual = _not_invariant()
+    call = {
+        "spectral_gap_f": lambda: spectral_gap_f(model, rho, f_metric(rho, kms())),
+        "gap_curve": lambda: gap_curve(model, rho, ALPHAS),
+        "function_sweeps": lambda: function_sweeps([model], [rho], SUITE),
+        "empirical_decay_rate": lambda: empirical_decay_rate(
+            model, rho, f_metric(rho, kms())
+        ),
+    }[route]
+    with pytest.raises(QmsGapError, match="state is not invariant") as raised:
+        call()
+    assert residual in str(raised.value)
 
 
 def test_decay_rates_share_one_semigroup_stack(monkeypatch):

@@ -224,6 +224,12 @@ def test_expm_of_stack_equals_each_matrix(random_complex):
     for t, phi in zip(times, stacked):
         np.testing.assert_array_equal(phi, expm(t * a))
     np.testing.assert_allclose(stacked[0], np.eye(9), atol=1e-15)
+    # a (model, time) stack, as semigroups builds it: each squaring round
+    # takes only the matrices with squarings left, on both leading axes
+    pair = np.stack([a, 0.3 * random_complex(9, 9)])
+    grid = expm(times[None, :, None, None] * pair[:, None])
+    for g, t in np.ndindex(*grid.shape[:2]):
+        np.testing.assert_array_equal(grid[g, t], expm(times[t] * pair[g]))
 
 
 def test_expm_names_non_finite_input(random_complex):

@@ -679,7 +679,8 @@ def test_stacked_fixed_points_raise_for_the_first_failing_model(rng):
 
 def test_projection_that_is_not_an_expectation_is_named(rng):
     # N = M_2 (x) 1 and a correlated state that is not invariant: the
-    # GNS-orthogonal projection onto N is then not *-preserving
+    # GNS-orthogonal projection onto N is then not *-preserving, and
+    # fixed_point_structures refuses the state before it solves for it
     eye = np.eye(2, dtype=complex)
     h = 0.4 * SIGMA_X + 0.1 * SIGMA_Z
     jumps = (SIGMA_MINUS, 0.5 * SIGMA_PLUS, 0.3 * (SIGMA_X + 0.4 * SIGMA_Z))
@@ -687,11 +688,18 @@ def test_projection_that_is_not_an_expectation_is_named(rng):
         hamiltonian=np.kron(eye, h), jumps=tuple(np.kron(eye, j) for j in jumps)
     )
     rho = random_density(np.random.default_rng(1), 4)
-    with pytest.raises(PostconditionError, match="star-preserving") as alone:
+    units = [np.kron(np.outer(a, b), eye) for a in eye for b in eye]
+    with pytest.raises(PostconditionError, match="star-preserving"):
+        qms._check_expectations(
+            *(part[None] for part in _gns_factors(rho.rho, *units)), vec(rho.rho)[None]
+        )
+    residual = check_invariance(model, rho)
+    with pytest.raises(QmsGapError, match="state is not invariant") as alone:
         fixed_point_structure(model, rho)
+    assert f"{residual:.3e}" in str(alone.value)
     good = depolarizing_qubit(GAMMA)
     half = invariant_state(good)
-    with pytest.raises(PostconditionError) as batched:
+    with pytest.raises(QmsGapError) as batched:
         fixed_point_structures([good, model, good], [half, rho, half])
     assert str(batched.value) == str(alone.value)
 

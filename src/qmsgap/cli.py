@@ -160,6 +160,14 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path: ConfigError (exit 3) naming it if that fails."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_verify(args) -> int:
     # imported here: gap and curve never need the campaign runner, and a
     # cold process compiles every module it imports
@@ -173,8 +181,8 @@ def cmd_verify(args) -> int:
     text = report.render_text(include_timing=True)
     if args.out is not None:
         out = Path(args.out)
-        out.write_text(text)
-        Path(str(out) + ".csv").write_text(report.to_csv())
+        _write(out, text)
+        _write(Path(str(out) + ".csv"), report.to_csv())
         sys.stdout.write(f"report written to {out}\n")
     else:
         sys.stdout.write(text)
@@ -185,7 +193,7 @@ def cmd_verify(args) -> int:
             if args.out is not None
             else Path("qmsgap_counterexamples.json")
         )
-        counter_path.write_text(json.dumps(report.counterexamples(), indent=2))
+        _write(counter_path, json.dumps(report.counterexamples(), indent=2))
         sys.stdout.write(f"counterexamples written to {counter_path}\n")
         return EXIT_PROPERTY_FAILURE
     return EXIT_OK

@@ -24,7 +24,10 @@ from .monotone import (
     kms,
     power,
 )
-from .qms import DensityMatrix, GKSLModel, check_invariance, density_matrix
+from .qms import (
+    INVARIANCE_TOL, DensityMatrix, GKSLModel, _not_invariant, check_invariance,
+    density_matrix,
+)
 
 SCHEMA_VERSION = 1
 
@@ -108,11 +111,8 @@ def model_from_dict(doc) -> tuple[GKSLModel, Optional[DensityMatrix]]:
         if not rho.faithful:
             raise NotFaithfulError("supplied rho is not faithful")
         residual = check_invariance(model, rho)
-        if residual > 1e-9:  # the bar computed invariant states are held to
-            raise ConfigError(
-                f"supplied rho is not invariant: residual |L_*(rho)| {residual:.3e} "
-                f"exceeds 1e-9"
-            )
+        if residual > INVARIANCE_TOL:  # the bar computed states are held to
+            raise ConfigError(f"supplied rho is {_not_invariant(residual)}")
     return model, rho
 
 

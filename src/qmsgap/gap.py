@@ -33,13 +33,14 @@ R~ = R W from the factors E = B_N R that fixed_point_structure solved
 for (the frame solves nothing); and, from one SVD of the fixed-point
 constraints C = Q^H diag(sqrt w_gns), a unitary [V Y] with Y spanning
 diag(sqrt w_gns) N and V its null space diag(sqrt w_gns) ker E.  A frame
-holds these for a stack of models, model axis first.  A one-model call
-keeps its frame on its FixedPointStructure, keyed by the W rho keeps and
-by the generator L~ came from, and reads it through one accessor
+holds these for a stack of models, model axis first, each from the
+generator and state its FixedPointStructure was solved for.  A one-model
+call takes only the structure fixed_point_structure returned for its model
+and state (QmsGapError for any other) and keeps its frame on it, built once
 (`_kept_frame`), so `spectral_gap_f` one f at a time, `gap_curve`,
-`decaying_subspace` and `empirical_decay_rate` (with its exp(t L~)) build
-it only once; `gap_sweep` and `gap_curve` hand it straight to the sweep
-core, and the one-model chain gathers no stack of one.
+`decaying_subspace` and `empirical_decay_rate` (with its exp(t L~)) share
+it; `gap_sweep` and `gap_curve` hand it straight to the sweep core, and the
+one-model chain gathers no stack of one.
 
 E is the rho-preserving conditional expectation onto the fixed-point
 algebra, so it commutes with the modular group (Takesaki, J. Funct. Anal.
@@ -126,19 +127,17 @@ from .metric import (
 )
 from .monotone import power
 from .qms import (
+    MEMBERSHIP_TOL,
     DensityMatrix,
     FixedPointStructure,
     GKSLModel,
     _check_generator,
     _check_state_dim,
-    _generators,
-    fixed_point_structure,
     fixed_point_structures,
     semigroups,
 )
 
 SUBSPACE_DROP_TOL = 1e-10
-MEMBERSHIP_TOL = 1e-9  # the margin fixed_point_structure asserts E's identities at
 _DECAY_TIMES = np.array([1e-4, 2e-4, 4e-4])  # empirical_decay_rate's t, 2t, 4t
 _RESIDUALS = ("orthonormality", "adjoint_consistency", "subspace_invariance",
               "kernel_membership")
@@ -195,38 +194,31 @@ class Sweep(NamedTuple):
         ]
 
 
+@dataclass
 class _Frame:
     """The eigen frame (see the module docstring) of models of one d and
-    dim N, stacked on a leading model axis: its state part (W, the
-    orthonormality of [V Y] and the slice parts V, |V_i|^2, Y^H, Y Y^H, Q
-    and R~) is keyed by the W model 0's state keeps (state), its generator
-    part (L~ and model 0's decay stack) by model 0's generator.  Only a
-    one-model frame is kept, so only its keys are ever read."""
+    dim N, stacked on a leading model axis: the orthonormality of [V Y], the
+    slice parts V, |V_i|^2, Y^H, Y Y^H, Q and R~, L~ and, once
+    empirical_decay_rate asks, model 0's decay stack exp(t L~)."""
 
-    __slots__ = ("state", "rotation", "orthonormality", "parts", "source", "gen",
-                 "decay")
-
-    def __init__(self, state, rotation, ortho, parts):
-        self.state, self.rotation, self.orthonormality = state, rotation, ortho
-        self.parts, self.source, self.gen, self.decay = parts, None, None, None
-
-    def rotate(self, gens: Sequence[Superoperator]) -> None:
-        """Set L~ = W^H L W for the generator of each model, keyed by
-        gens[0]; the decay stack of the generator before goes."""
-        self.gen = dag(self.rotation) @ _stack([g.matrix for g in gens]) @ self.rotation
-        self.source, self.decay = gens[0], None
+    orthonormality: np.ndarray
+    parts: tuple
+    gen: np.ndarray
+    decay: Optional[np.ndarray] = None
 
 
-def _build_frame(fpss: Sequence[FixedPointStructure], eigenvalues, rotations) -> _Frame:
-    """State part of the frame of models with one d and one dim N (their
-    states' descending eigenvalues p and rotations W): Q and R~ from E's
-    factors, and [V Y], the conjugate transpose of the right singular
-    vectors, from one stacked SVD, of the fixed-point constraints
-    C = Q^H diag(sqrt w_gns) (see the module docstring)."""
-    d, n_fixed = len(eigenvalues[0]), fpss[0].dim
-    rotation = _stack(rotations)
+def _build_frame(fpss: Sequence[FixedPointStructure]) -> _Frame:
+    """The frame of models with one d and one dim N, from the generator and
+    state each structure was solved for: Q and R~ from E's factors, L~, and
+    [V Y], the conjugate transpose of the right singular vectors, from one
+    stacked SVD of the fixed-point constraints C = Q^H diag(sqrt w_gns) (see
+    the module docstring)."""
+    gens, rhos = zip(*(fps._solved_for for fps in fpss))
+    p, _, _, w = zip(*(rho._split for rho in rhos))  # eigenvalues, rotations
+    d, n_fixed = rhos[0].dim, fpss[0].dim
+    rotation = _stack(w)
     span = dag(rotation) @ _stack([fps.columns for fps in fpss])
-    root_gns = np.sqrt(np.repeat(_stack(eigenvalues), d, axis=1))
+    root_gns = np.sqrt(np.repeat(_stack(p), d, axis=1))
     constraints = dag(span) * root_gns[:, None, :]
     unitary = dag(np.linalg.svd(constraints)[2])
     ortho = np.maximum.reduce(
@@ -239,27 +231,29 @@ def _build_frame(fpss: Sequence[FixedPointStructure], eigenvalues, rotations) ->
     fixed_h = dag(fixed)
     rows = np.add.reduce((kernel.conj() * kernel).real, axis=-1)
     parts = (kernel, rows, np.ascontiguousarray(fixed_h), fixed @ fixed_h, span, coords)
-    return _Frame(rotations[0], rotation, ortho, parts)
+    gen = dag(rotation) @ _stack([g.matrix for g in gens]) @ rotation  # L~
+    return _Frame(ortho, parts, gen)
 
 
-def _kept_frame(
-    fps: FixedPointStructure, eigenvalues, rotation, gen: Optional[Superoperator] = None
-) -> _Frame:
-    """The frame of one model kept on its fps, for the state of the
-    eigenvalues and rotation W given and, with gen, the L~ of that
-    generator: built (and kept) when fps keeps none or one of another
-    state, L~ rotated again for the generator of another model that shares
-    the fps.  The one-model routines read their frame here; the batched
-    ones build theirs and keep none, also for a group of one model (every
-    group at d = 8): such a frame serves once, and a pool's frames would be
-    held as long as the pool."""
-    frame = fps._frame
-    if frame is None or frame.state is not rotation:
-        frame = _build_frame([fps], [eigenvalues], [rotation])
-        object.__setattr__(fps, "_frame", frame)
-    if gen is not None and frame.source is not gen:
-        frame.rotate([gen])
-    return frame
+def _kept_frame(fps: FixedPointStructure) -> _Frame:
+    """The frame of the model and state fps was solved for, built once and
+    kept on fps: the one-model routines read theirs here.  The batched ones
+    keep none, also for a group of one model (every group at d = 8): such a
+    frame serves once, and a pool's frames would live as long as the pool."""
+    if fps._frame is None:
+        object.__setattr__(fps, "_frame", _build_frame([fps]))
+    return fps._frame
+
+
+def _own_fps(model, rho, fps: Optional[FixedPointStructure]) -> FixedPointStructure:
+    """fps, or fixed_point_structure(model, rho) when None: QmsGapError
+    unless fixed_point_structure returned fps for this model and state."""
+    if fps is None:
+        return fixed_point_structures([model], [rho])[0]
+    owner = fps._solved_for
+    if owner is None or owner[0] is not model._generator or owner[1] is not rho:
+        raise QmsGapError("fps must be fixed_point_structure(model, rho) of this call")
+    return fps
 
 
 def _f_basis_defects(kernel, rows, span, coords, weights, root, ratios, label):
@@ -366,14 +360,11 @@ def _sweeps(models, rhos, rows, labels) -> list:
     chunked sweep (see the module docstring), with the result each model
     gets alone; no frame is kept.  Each stage runs for all models before
     the next, so the error raised is that of the first failing stage."""
-    gens, fpss = _generators(models), fixed_point_structures(models, rhos)
+    fpss = fixed_point_structures(models, rhos)
     out: list = [None] * len(models)
     keys = [(m.dim, fps.dim, len(r)) for m, fps, r in zip(models, fpss, rows)]
     for idx in batches(keys):
-        splits = [rhos[i]._split for i in idx]
-        frame = _build_frame(pick(fpss, idx), [split[0] for split in splits],
-                             [split[3] for split in splits])
-        frame.rotate(pick(gens, idx))
+        frame = _build_frame(pick(fpss, idx))
         d, n_fixed, k = keys[idx[0]]
         stack = np.array(pick(rows, idx)).reshape(len(idx), k, d * d)
         arrays = _sweep_group(frame, stack, pick(labels, idx), n_fixed)
@@ -384,13 +375,9 @@ def _sweeps(models, rhos, rows, labels) -> list:
 
 def _kept_sweep(model, rho, rows, labels, fps) -> Sweep:
     """The Sweep of one model for its weight rows (k, d^2) of the state rho
-    under labels, as _sweeps gives it, on the frame kept on its fps
-    (computed when None)."""
-    gen = _generators([model])[0]
-    if fps is None:
-        fps = fixed_point_structures([model], [rho])[0]
-    p, _, _, w = rho._split
-    arrays = _sweep_group(_kept_frame(fps, p, w, gen), rows[None], [labels], fps.dim)
+    under labels, as _sweeps gives it, on the frame kept on _own_fps."""
+    fps = _own_fps(model, rho, fps)
+    arrays = _sweep_group(_kept_frame(fps), rows[None], [labels], fps.dim)
     return Sweep(fps.dim, *(array[0] for array in arrays))
 
 
@@ -436,14 +423,15 @@ def gap_sweep(
     """Gap reports for every metric (all built from rho), in order.
 
     Builds the model's eigen frame on first use, keeps it on fps and batches
-    the functions over it (see the module docstring).  No metrics give no
-    reports.  An empty decaying subspace (nothing decays) reports
-    lambda_f = +inf.  Warns IllConditionedWarning for weights spread beyond
-    COND_GUARD and NegativeGapWarning for a gap below -1e-8, which signals a
-    non-contraction bug upstream; raises RankDeficiencyError when some
-    f-weights spread beyond 1 / SUBSPACE_DROP_TOL, PostconditionError when
-    an f-basis leaves ker E by more than MEMBERSHIP_TOL, QmsGapError for
-    metrics of another state than rho and DimensionMismatchError for
+    the functions over it (see the module docstring); fps, computed when
+    None, must be fixed_point_structure(model, rho) (QmsGapError).  No
+    metrics give no reports.  An empty decaying subspace (nothing decays)
+    reports lambda_f = +inf.  Warns IllConditionedWarning for weights spread
+    beyond COND_GUARD and NegativeGapWarning for a gap below -1e-8, which
+    signals a non-contraction bug upstream; raises RankDeficiencyError when
+    some f-weights spread beyond 1 / SUBSPACE_DROP_TOL, PostconditionError
+    when an f-basis leaves ker E by more than MEMBERSHIP_TOL, QmsGapError
+    for metrics of another state than rho and DimensionMismatchError for
     metrics on another d than the model.
     """
     if not metrics:
@@ -470,12 +458,15 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     """f-orthonormal basis (columns in C^{d^2}) of ker E.
 
     diag(w_f)^{-1/2} V rotated back to column-stacking coordinates (see the
-    module docstring).  Raises RankDeficiencyError when the f-weights spread
-    beyond 1 / SUBSPACE_DROP_TOL and PostconditionError when the basis is not
+    module docstring).  QmsGapError unless fps was solved under the
+    metric's state, RankDeficiencyError when the f-weights spread beyond
+    1 / SUBSPACE_DROP_TOL and PostconditionError when the basis is not
     annihilated by E to MEMBERSHIP_TOL.
     """
     same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
-    frame = _kept_frame(fps, metric.eigenvalues, metric.rotation)
+    if fps._solved_for is None or fps._solved_for[1]._split[3] is not metric.rotation:
+        raise QmsGapError("fps must be solved under the metric's state")
+    frame = _kept_frame(fps)
     kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
     if kernel.shape[1] == 0:
         return kernel
@@ -485,7 +476,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     _f_basis_defects(
         kernel, rows, span, coords, weights, root, ratios, lambda s: metric.f.label
     )
-    return frame.rotation[0] @ (kernel / root[0][:, None])
+    return metric.rotation @ (kernel / root[0][:, None])
 
 
 def _operator_norms(rows: np.ndarray, rotated: np.ndarray) -> np.ndarray:
@@ -630,8 +621,8 @@ def gap_curve(
     gen: Optional[Superoperator] = None,
 ) -> GapCurve:
     """Power-family gaps on the alpha grid: gap_curves for one model, on
-    the frame kept on its fps (computed when None); gen, if given, must be
-    generator(model) (QmsGapError)."""
+    the frame kept on its fps (taken as gap_sweep takes it); gen, if given,
+    must be generator(model) (QmsGapError)."""
     _check_generator(model, gen)
     alphas, functions = _powers(alphas)
     (rows,), (labels,) = _table_columns([model], [rho], functions)
@@ -666,13 +657,11 @@ def empirical_decay_rate(
     on the Delta-invariance of ker E that gap_sweep uses.  Phi~_t at the
     three times is exponentiated once per frame and serves every metric.
     Raises RankDeficiencyError when that f-Gram loses rank, QmsGapError for
-    a metric of another state than rho; math.inf when nothing decays.
+    a metric of another state than rho or an fps other than
+    fixed_point_structure(model, rho); math.inf when nothing decays.
     """
     _check_metrics(model, rho, [metric])
-    if fps is None:
-        fps = fixed_point_structure(model, rho)
-    gen = _generators([model])[0]
-    frame = _kept_frame(fps, metric.eigenvalues, metric.rotation, gen)
+    frame = _kept_frame(_own_fps(model, rho, fps))
     kernel = frame.parts[0][0]
     if kernel.shape[1] == 0:
         return math.inf

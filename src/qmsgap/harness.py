@@ -174,6 +174,12 @@ _DECAY_SET = (
 _CURVE_ALPHAS = tuple(round(0.05 * k, 10) for k in range(21))
 
 
+def _check_dims(dims) -> None:
+    """ConfigError unless dims is a nonempty list of integers 2..8."""
+    if not dims or any(_integer(d, "dims entry") < 2 or d > 8 for d in dims):
+        raise ConfigError("dims must be a nonempty subset of {2, ..., 8}")
+
+
 def default_f_suite() -> tuple[dict, ...]:
     suite = [{"kind": "power", "alpha": round(0.1 * k, 10)} for k in range(11)]
     suite += [{"kind": "kms"}, {"kind": "bkm"}]
@@ -199,10 +205,7 @@ class CampaignConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if _integer(self.n_models, "n_models") < 1:
             raise ConfigError("n_models must be at least 1")
-        if not self.dims or any(
-            _integer(d, "dims entry") < 2 or d > 8 for d in self.dims
-        ):
-            raise ConfigError("dims must be a nonempty subset of {2, ..., 8}")
+        _check_dims(self.dims)
         if not self.f_suite:
             raise ConfigError("f_suite must not be empty")
         if not self.t_grid or any(_finite(t, "t_grid entry") < 0 for t in self.t_grid):
@@ -1120,8 +1123,9 @@ def strict_gap_search(
     (1/2) sum_k tr(rho [x, V_k]^H [x, V_k]), and x = V - tr(rho V) 1 lies in
     ker E and commutes with V, so lambda_gns = 0 exactly there, up to
     round-off.  Exhaustion is reported, not raised: the separation target
-    is an empirical goal, not a theorem.
+    is an empirical goal, not a theorem; dims follow CampaignConfig's rule.
     """
+    _check_dims(dims)
     if rng is None:
         rng = _rng_for(cfg, 51)
     n_draws = cfg.count("strict_gap")

@@ -84,6 +84,8 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 
 FAITHFULNESS_THRESHOLD = 1e-8
 KERNEL_TOL = 1e-8
+INVARIANCE_TOL = 1e-9  # the bar |L_*(rho)|_F of every state taken as invariant
+MEMBERSHIP_TOL = 1e-9  # E's identities are held to it, and so gap's f-bases of ker E
 MAX_DRAWS = 20  # random_faithful_model gives up after this many draws
 DRAW_EIG_FLOOR = 1e-4  # random_faithful_model's floor on min eig of rho
 DENSITY_EIG_FLOOR = 1e-3  # random_density's floor on its spectrum
@@ -407,8 +409,8 @@ def _invariant_states(models: Sequence[GKSLModel]) -> list[DensityMatrix]:
 
     The candidate is the last column of ker L_*, scaled to trace one and
     Hermitized; PostconditionError if its trace is below 1e-12 or if the
-    residual |L_*(rho)| exceeds 1e-9, ConvergenceFailureError if its
-    herm_eigs fails or fails to reconstruct it."""
+    residual |L_*(rho)| exceeds INVARIANCE_TOL, ConvergenceFailureError if
+    its herm_eigs fails or fails to reconstruct it."""
     splits = _kernels(models)
     for dual_kernel, _ in splits:
         if dual_kernel.shape[1] > 1:
@@ -434,7 +436,7 @@ def _invariant_states(models: Sequence[GKSLModel]) -> list[DensityMatrix]:
             )
         duals = dag(_stack([models[i]._generator.matrix for i in idx]))
         residuals = frobenius_norms(duals @ rhos.reshape(-1, d * d, 1, order="F"))
-        if (residuals > 1e-9).any():
+        if (residuals > INVARIANCE_TOL).any():
             raise PostconditionError(f"invariant-state residual {residuals.max():.3e}")
         for g, i in enumerate(idx):
             eigen = HermitianEigen(values=values[g], vectors=vectors[g])
@@ -442,8 +444,14 @@ def _invariant_states(models: Sequence[GKSLModel]) -> list[DensityMatrix]:
     return out
 
 
+def _not_invariant(residual: float) -> str:
+    """What a state with |L_*(rho)|_F = residual above INVARIANCE_TOL is."""
+    bar = np.format_float_scientific(INVARIANCE_TOL, trim="-", exp_digits=1)
+    return f"not invariant: residual |L_*(rho)| {residual:.3e} exceeds {bar}"
+
+
 def check_invariance(model: GKSLModel, rho) -> float:
-    """Frobenius norm of L_*(rho) for a d x d rho; invariant below 1e-9."""
+    """Frobenius norm of L_*(rho) for a d x d rho; invariant to INVARIANCE_TOL."""
     mat = rho.rho if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     _check_state_dim(model, len(mat))
     return float(np.linalg.norm(generator(model).matrix.conj().T @ vec(mat)))
@@ -456,12 +464,15 @@ class FixedPointStructure:
     B = [vec(b_j)], the b_j spanning N, and coefficients
     R = (B^H G B)^{-1} (G B)^H, G the GNS Gram.  basis, dim and degenerate
     (dim N > 1) derive from them; E itself, d^2 x d^2, is never formed.
-    The one-model gap routines keep the model's eigen frame in `_frame` and
-    read it through gap._kept_frame (see gap.py), which checks it against
-    the state and generator on every use; the batched ones keep none."""
+    The one-model gap routines take it only for the generator and state it
+    was solved for (`_solved_for`; None when built by hand) and keep their
+    frame of them in `_frame` (gap._kept_frame); the batched ones keep none."""
 
     columns: np.ndarray
     coefficients: np.ndarray
+    _solved_for: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _frame: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -495,11 +506,11 @@ def fixed_point_structures(
 
     Requires lists of one length and faithful states of the model's d
     (DimensionMismatchError, QmsGapError) that the model leaves invariant:
-    QmsGapError when |L_*(rho)|_F exceeds 1e-9, the bar computed invariant
-    states are held to.  B is the model's split of ker L (`_kernels`), R
-    solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram, E's identities
-    are asserted on the factors (PostconditionError), and models of one d
-    and dim N share stacked solves (linalg.batches)."""
+    QmsGapError when |L_*(rho)|_F exceeds INVARIANCE_TOL, the bar computed
+    invariant states are held to.  B is the model's split of ker L
+    (`_kernels`), R solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram,
+    E's identities are asserted on the factors (PostconditionError), and
+    models of one d and dim N share stacked solves (linalg.batches)."""
     same_lengths(models=models, rhos=rhos)
     for model, rho in zip(models, rhos):
         _check_state_dim(model, rho.dim)
@@ -514,11 +525,8 @@ def fixed_point_structures(
         states = state.reshape(len(idx), d * d, order="F")  # vec(rho) per row
         duals = dag(_stack([models[i]._generator.matrix for i in idx]))
         for residual in frobenius_norms(duals @ states[:, :, None]).tolist():
-            if residual > 1e-9:
-                raise QmsGapError(
-                    f"state is not invariant: residual |L_*(rho)| {residual:.3e} "
-                    f"exceeds 1e-9"
-                )
+            if residual > INVARIANCE_TOL:
+                raise QmsGapError(f"state is {_not_invariant(residual)}")
         # rows vec(b_j rho)^T: the b_j^T are the C-order d x d blocks of vecs
         blocks = vecs.reshape(len(idx), d, d, k).transpose(0, 3, 1, 2)
         weighted = (state.swapaxes(1, 2)[:, None] @ blocks).reshape(len(idx), k, d * d)
@@ -526,6 +534,7 @@ def fixed_point_structures(
         coeffs.setflags(write=False)
         for g, i in enumerate(idx):
             out[i] = FixedPointStructure(columns=kernels[i], coefficients=coeffs[g])
+            object.__setattr__(out[i], "_solved_for", (models[i]._generator, rhos[i]))
         _check_expectations(vecs, coeffs, states)
     return out
 
@@ -544,8 +553,8 @@ def _probes(d: int) -> tuple[np.ndarray, float]:
 
 def _check_expectations(columns, coeffs, states) -> None:
     """Assert R B = I (so E^2 = E), E(1) = 1, tr(rho E(x)) = tr(rho x) and
-    *-preservation at 1e-9 for stacked factors E = B R, with no d^2 x d^2
-    product; states holds vec(rho) per row."""
+    *-preservation at MEMBERSHIP_TOL for stacked factors E = B R, with no
+    d^2 x d^2 product; states holds vec(rho) per row."""
     d = math.isqrt(columns.shape[1])
     probes, scale = _probes(d)
     images = columns @ (coeffs @ probes)  # E(1), E(x), E(x^H)
@@ -557,7 +566,7 @@ def _check_expectations(columns, coeffs, states) -> None:
     unital = frobenius_norms(images[:, :, :1] - probes[:, :1])
     defects = np.array([idempotent, unital, frobenius_norms(preserved - states),
                         frobenius_norms(star / scale)])
-    failing = defects.max(axis=0) > 1e-9
+    failing = defects.max(axis=0) > MEMBERSHIP_TOL
     if failing.any():
         g = int(failing.argmax())
         names = ("idempotent", "unital", "state-preserving", "star-preserving")

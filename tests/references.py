@@ -8,7 +8,7 @@ from qmsgap.config import SCHEMA_VERSION
 from qmsgap.harness import CampaignConfig, CampaignReport, PropertyResult
 from qmsgap.errors import FunctionDomainError, NotPSDError
 from qmsgap.linalg import DEFAULT_TOL, Superoperator, dag, herm_eig, kron
-from qmsgap.qms import DensityMatrix, FixedPointStructure, GKSLModel
+from qmsgap.qms import DensityMatrix, FixedPointStructure, GKSLModel, generator
 
 
 def gns_gram_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -22,6 +22,16 @@ def with_generator(model: GKSLModel, matrix: np.ndarray) -> GKSLModel:
     twin = GKSLModel(hamiltonian=model.hamiltonian, jumps=model.jumps)
     object.__setattr__(twin, "_generator", Superoperator(dim=model.dim, matrix=matrix))
     return twin
+
+
+def solved_for(
+    fps: FixedPointStructure, model: GKSLModel, rho: DensityMatrix
+) -> FixedPointStructure:
+    """fps marked as solved for model and rho, unchecked: the one-model gap
+    routines then take as the model's own an E foreign to its generator or
+    to rho."""
+    object.__setattr__(fps, "_solved_for", (generator(model), rho))
+    return fps
 
 
 def gksl_generator_matrix(model: GKSLModel) -> np.ndarray:

@@ -319,6 +319,26 @@ def test_verify_failure_path_emits_counterexamples(
     assert "model" in counter[0]
 
 
+@pytest.mark.parametrize("blocked", ["r.txt", "r.txt.csv", "r.txt.counterexamples.json"])
+def test_verify_exit_3_when_it_cannot_write(capsys, tmp_path, campaign_config, blocked):
+    # a missing directory blocks the report; a directory in the way blocks
+    # the CSV, or the counterexamples of a failing run
+    path, doc = campaign_config
+    out = tmp_path / "r.txt"
+    target = tmp_path / blocked
+    if blocked == "r.txt":
+        out = target = tmp_path / "missing" / "r.txt"
+    else:
+        target.mkdir()
+    if blocked.endswith(".json"):
+        doc["tolerances"] = {"contractivity": 1e-18}
+        path = tmp_path / "harsh.json"
+        path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(path), "--out", str(out))
+    assert code == 3
+    assert err.startswith(f"qmsgap: input error: cannot write {target}: ")
+
+
 def test_unknown_subcommand_is_input_error(capsys):
     code, _, _ = run(capsys, "explode")
     assert code == 3

@@ -64,7 +64,7 @@ from qmsgap.qms import (
     thermal_qubit,
 )
 
-from references import gns_gram_matrix, projector, with_generator
+from references import gns_gram_matrix, projector, solved_for, with_generator
 
 GAMMA = 0.35
 G_UP, G_DOWN = 0.3, 0.9
@@ -473,10 +473,10 @@ def test_basis_leaving_ker_e_is_named():
     rho = invariant_state(model)
     fixed = np.column_stack([vec(np.eye(2)), vec(SIGMA_X)])
     gram = gns_gram_matrix(rho)
-    fps = FixedPointStructure(
+    fps = solved_for(FixedPointStructure(
         columns=fixed,
         coefficients=np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram),
-    )
+    ), model, rho)
     (report,) = gap_sweep(model, rho, [f_metric(rho, gns())], fps=fps)
     assert report.residuals["kernel_membership"] <= 1e-12
     decaying_subspace(f_metric(rho, gns()), fps)
@@ -631,8 +631,8 @@ def _flipped_thermal():
 
 
 def test_gap_sweep_warns_on_negative_gap():
-    model, rho, flipped = _flipped_thermal()
-    fps = fixed_point_structure(model, rho)
+    _, rho, flipped = _flipped_thermal()
+    fps = fixed_point_structure(flipped, rho)
     with pytest.warns(NegativeGapWarning):
         (report,) = gap_sweep(flipped, rho, [f_metric(rho, gns())], fps=fps)
     assert report.lambda_f == pytest.approx(-(G_UP + G_DOWN), rel=1e-12)
@@ -827,10 +827,10 @@ def _bad_expectation_case():
     rho = invariant_state(model)
     fixed = np.column_stack([vec(np.eye(2)), vec(SIGMA_X)])
     gram = gns_gram_matrix(rho)
-    fps = FixedPointStructure(
+    fps = solved_for(FixedPointStructure(
         columns=fixed,
         coefficients=np.linalg.solve(dag(fixed) @ gram @ fixed, dag(fixed) @ gram),
-    )
+    ), model, rho)
     return model, rho, fps
 
 
@@ -1005,8 +1005,9 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def _fresh(fps):
-    return FixedPointStructure(fps.columns, fps.coefficients)
+def _fresh(fps, model, rho):
+    # the factors of fps on a structure that keeps no frame yet
+    return solved_for(FixedPointStructure(fps.columns, fps.coefficients), model, rho)
 
 
 def test_frame_is_built_once_per_model_and_state(monkeypatch):
@@ -1030,7 +1031,7 @@ def test_a_one_model_call_keeps_exactly_one_frame():
     assert fps._frame is None
     gap_curve(model, rho, ALPHAS, fps=fps)
     kept = fps._frame
-    assert kept is not None and kept.rotation.shape[0] == 1  # one model
+    assert kept is not None and kept.gen.shape[0] == 1  # one model
     spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
     assert fps._frame is kept
 
@@ -1074,9 +1075,9 @@ def test_frame_reads_the_expectation_instead_of_solving_for_it(monkeypatch):
 
 
 
-def test_a_metric_of_another_state_never_takes_the_kept_frame(monkeypatch):
-    # diagonal dephasing: N is the diagonal algebra and E takes the diagonal
-    # part for every diagonal state, so one fps serves both states below,
+def _dephasing():
+    # diagonal dephasing: N is the diagonal algebra and every diagonal state
+    # is invariant; E takes the diagonal part under each of the two below,
     # whose eigenbases order the levels differently
     model = GKSLModel(
         hamiltonian=np.diag([0.9, -0.4, 0.1]).astype(complex),
@@ -1084,29 +1085,101 @@ def test_a_metric_of_another_state_never_takes_the_kept_frame(monkeypatch):
     )
     rho = density_matrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
     other = density_matrix(np.diag([0.2, 0.5, 0.3]).astype(complex))
+    return model, rho, other
+
+
+def test_an_fps_solved_under_another_state_is_refused(monkeypatch):
+    # the fps of rho has the E of other's, but serves rho alone
+    model, rho, other = _dephasing()
     fps = fixed_point_structure(model, rho)
+    theirs = fixed_point_structure(model, other)
     assert fps.dim == 3
+    np.testing.assert_allclose(projector(fps).matrix, projector(theirs).matrix,
+                               atol=1e-12)
     spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
+    kept = fps._frame
     svds = _count_calls(monkeypatch, np.linalg, "svd")
-    theirs = f_metric(other, kms())
-    got = spectral_gap_f(model, other, theirs, fps=fps)
-    assert len(svds) == 1
-    want = spectral_gap_f(model, other, theirs, fps=_fresh(fps))
-    _assert_same_reports([got], [want])
+    metric = f_metric(other, kms())
+    with pytest.raises(QmsGapError, match="fps must be"):
+        spectral_gap_f(model, other, metric, fps=fps)
+    assert svds == [] and fps._frame is kept
+    _assert_same_reports([spectral_gap_f(model, other, metric, fps=theirs)],
+                         [spectral_gap_f(model, other, metric)])
 
 
-def test_frame_follows_the_generator():
-    # one fps serves the model and a twin whose generator is -L
+def test_an_fps_of_another_model_is_refused():
+    # the model and a twin whose generator is -L share N, E and rho, but
+    # each takes only its own fps
     model, rho, flipped = _flipped_thermal()
     fps = fixed_point_structure(model, rho)
     metric = f_metric(rho, gns())
+    with pytest.raises(QmsGapError, match="fps must be"):
+        spectral_gap_f(flipped, rho, metric, fps=fps)
+    assert fps._frame is None
     with pytest.warns(NegativeGapWarning):
-        negative = spectral_gap_f(flipped, rho, metric, fps=fps)
+        negative = spectral_gap_f(flipped, rho, metric,
+                                  fps=fixed_point_structure(flipped, rho))
     positive = spectral_gap_f(model, rho, metric, fps=fps)
     assert negative.lambda_f < 0 < positive.lambda_f
-    _assert_same_reports(
-        [positive], [spectral_gap_f(model, rho, metric, fps=_fresh(fps))]
-    )
+    _assert_same_reports([positive], [spectral_gap_f(model, rho, metric)])
+
+
+def _foreign_fps(case):
+    """A call's model and state, an fps fixed_point_structure did not
+    return for them, and the state decaying_subspace (which takes no model)
+    gets its metric from."""
+    rng = np.random.default_rng(1)
+    model, rho, _ = random_faithful_model(rng, 3)
+    other_model, other_rho, _ = random_faithful_model(rng, 3)
+    fps = fixed_point_structure(model, rho)
+    if case == "another_model":
+        # rho is not other_model's state either, but the fps is refused
+        # first; decaying_subspace takes its metric from other_rho
+        return other_model, rho, fps, other_rho
+    if case == "another_state":
+        dephasing, state, other = _dephasing()
+        return dephasing, other, fixed_point_structure(dephasing, state), other
+    return model, rho, FixedPointStructure(fps.columns, fps.coefficients), rho
+
+
+ONE_MODEL_ROUTINES = {
+    "spectral_gap_f": lambda m, r, fps: spectral_gap_f(m, r, f_metric(r, kms()), fps=fps),
+    "gap_sweep": lambda m, r, fps: gap_sweep(m, r, f_metrics(r, SUITE), fps=fps),
+    "gap_curve": lambda m, r, fps: gap_curve(m, r, ALPHAS, fps=fps),
+    "empirical_decay_rate": lambda m, r, fps: empirical_decay_rate(
+        m, r, f_metric(r, kms()), fps=fps
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["another_model", "another_state", "hand_built"])
+def test_only_the_fps_of_the_calls_model_and_state_is_taken(case):
+    model, rho, fps, state = _foreign_fps(case)
+    calls = [partial(call, model, rho, fps) for call in ONE_MODEL_ROUTINES.values()]
+    calls.append(partial(decaying_subspace, f_metric(state, kms()), fps))
+    for call in calls:
+        with pytest.raises(QmsGapError, match="fps must be"):
+            call()
+        assert fps._frame is None
+
+
+def test_a_foreign_fps_gives_no_gap_of_another_model():
+    # seed 1: the first d = 3 draw's E and state, swept with the second
+    # draw's generator, would read a negative KMS gap (-0.0219); the second
+    # draw's own KMS gap is 0.1347
+    model, rho, fps, other_rho = _foreign_fps("another_model")
+    with pytest.raises(QmsGapError, match=r"fixed_point_structure\(model, rho\)"):
+        spectral_gap_f(model, rho, f_metric(rho, kms()), fps=fps)
+    own = spectral_gap_f(model, other_rho, f_metric(other_rho, kms()))
+    assert own.lambda_f == pytest.approx(0.1347, abs=1e-4)
+    # a foreign fps cannot carry a state past the invariance check either
+    a, b = thermal_qubit(0.25, 1.0), thermal_qubit(0.6, 0.9, 0.3)
+    rho_a = invariant_state(a)
+    metric = f_metric(rho_a, kms())
+    with pytest.raises(QmsGapError, match="state is not invariant"):
+        spectral_gap_f(b, rho_a, metric)
+    with pytest.raises(QmsGapError, match="fps must be"):
+        spectral_gap_f(b, rho_a, metric, fps=fixed_point_structure(a, rho_a))
 
 
 def _count_decompositions(monkeypatch):
@@ -1182,7 +1255,8 @@ def test_decay_rates_share_one_semigroup_stack(monkeypatch):
     model, rho, _ = random_faithful_model(np.random.default_rng(11), 3)
     fps = fixed_point_structure(model, rho)
     metrics = f_metrics(rho, (gns(), kms(), bkm(), power(0.3)))
-    want = [empirical_decay_rate(model, rho, m, fps=_fresh(fps)) for m in metrics]
+    want = [empirical_decay_rate(model, rho, m, fps=_fresh(fps, model, rho))
+            for m in metrics]
     expms = _count_calls(monkeypatch, gap, "expm")
     got = [empirical_decay_rate(model, rho, m, fps=fps) for m in metrics]
     assert got == want
@@ -1322,10 +1396,10 @@ def test_subspace_invariance_bounds_what_the_deflation_neglects(thermal):
     # deflated gap moves from the compressed one by at most (K / 2)^2 over
     # the shift's margin, which is at least 1
     model, rho = thermal
-    fps = fixed_point_structure(model, rho)
     coupling_map = np.outer(vec(np.eye(2)), vec(SIGMA_X).conj())
     coupled = generator(model).matrix + 0.1 * coupling_map
     twin = with_generator(model, coupled)
+    fps = solved_for(fixed_point_structure(model, rho), twin, rho)
     for f in (gns(), kms(), power(0.2)):
         metric = f_metric(rho, f)
         (report,) = gap_sweep(twin, rho, [metric], fps=fps)

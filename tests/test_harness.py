@@ -162,9 +162,8 @@ def test_non_degenerate_block_draw_fails_with_counterexample(monkeypatch):
 
 def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
     # qms._generators sets each generator qms.generator returns, after its
-    # Choi check (qms.choi_matrix, on a stack of the generators of one d),
-    # and gap._sweeps calls it too; every model a family draws must hold a
-    # generator matrix set so
+    # Choi check (qms.choi_matrix, on a stack of the generators of one d);
+    # every model a family draws must hold a generator matrix set so
     checked, stacks = {}, []
     real_choi, real_generators = qms.choi_matrix, qms._generators
 
@@ -186,7 +185,6 @@ def test_every_model_family_reaches_the_complete_positivity_check(monkeypatch):
         return out
 
     monkeypatch.setattr(qms, "_generators", generators)
-    monkeypatch.setattr(gap, "_generators", generators)
     monkeypatch.setattr(qms, "choi_matrix", choi)
     drawn = {}
 
@@ -343,6 +341,21 @@ def test_strict_gap_search_is_deterministic():
     r1 = strict_gap_search(cfg, dims=(2,))
     r2 = strict_gap_search(cfg, dims=(2,))
     assert r1 == r2
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((), "dims must be a nonempty subset"),
+    ((1,), "dims must be a nonempty subset"),
+    ((2, 9), "dims must be a nonempty subset"),
+    ((2.0,), "dims entry must be an integer"),
+])
+def test_strict_gap_search_checks_its_dims(dims, message):
+    # the rule CampaignConfig holds its dims to, before any draw
+    cfg = CampaignConfig(seed=77, n_models=4, counts={"strict_gap": 2})
+    with pytest.raises(ConfigError, match=message):
+        CampaignConfig(seed=77, dims=dims)
+    with pytest.raises(ConfigError, match=message):
+        strict_gap_search(cfg, dims=dims)
 
 
 def test_driven_thermal_qubit_separates_kms_from_gns():

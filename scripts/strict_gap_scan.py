@@ -14,14 +14,17 @@ import argparse
 import json
 import sys
 
-from qmsgap.harness import CampaignConfig, strict_gap_search
+from qmsgap.errors import ConfigError
+from qmsgap.harness import CampaignConfig, _check_dims, strict_gap_search
 
 
 def dims_list(spec: str) -> tuple[int, ...]:
-    """The comma-separated dimensions of --dims, each in 2..8."""
+    """The comma-separated dimensions of --dims, checked as a campaign's dims."""
     dims = tuple(int(d) for d in spec.split(","))
-    if not all(2 <= d <= 8 for d in dims):
-        raise argparse.ArgumentTypeError(f"dimensions must lie in 2..8, got {spec!r}")
+    try:
+        _check_dims(dims)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {spec!r}") from exc
     return dims
 
 

@@ -27,7 +27,7 @@ With rho = U diag(p) U^H and W = conj(U) (x) U, so that
 W^H vec(x) = vec(U^H x U), every f-Gram is diagonal:
 G_f = W diag(w_f) W^H with w_f = vec(p_j f(p_i / p_j)) = w_gns * f(Delta),
 the modular operator Delta being diag(p_i / p_j) here.  Only w_f depends on
-f, and W only on rho (kept on the state, formed once).  So a
+f, and W only on rho (formed on the state's first use, then kept).  So a
 model's frame is built once: L~ = W^H L W; Q = W^H B_N and
 R~ = R W from the factors E = B_N R that fixed_point_structure solved
 for (the frame solves nothing); and, from one SVD of the fixed-point
@@ -63,7 +63,7 @@ one f) is one eigvalsh of the deflated H_f plus a fixed handful of
 O(dim N d^4) numpy calls, Q (R~ diag(w_f)^{-1/2} V) among them, with Y Y^H
 and |V_i|^2 (|B~_f|^2 = sum_i |V_i|^2 / w_f,i) kept on the frame; one
 stacked eigvalsh serves a chunk of slices.  `f_operator_norms` rotates a
-map S once (a read-only S keeps S~ = W^H S W, keyed by the W rho keeps)
+map S once (a read-only S keeps S~ = W^H S W, keyed by the state rho)
 and takes the 2-norms of A_f = diag(sqrt w_f) S~ diag(1/sqrt w_f) as
 sqrt(lambda_max(A_f^H A_f)); `spectral_gap_f`, `decaying_subspace` and
 `f_operator_norm` are thin wrappers over the two.  `empirical_decay_rate`,
@@ -214,11 +214,10 @@ def _build_frame(fpss: Sequence[FixedPointStructure]) -> _Frame:
     stacked SVD of the fixed-point constraints C = Q^H diag(sqrt w_gns) (see
     the module docstring)."""
     gens, rhos = zip(*(fps._solved_for for fps in fpss))
-    p, _, _, w = zip(*(rho._split for rho in rhos))  # eigenvalues, rotations
     d, n_fixed = rhos[0].dim, fpss[0].dim
-    rotation = _stack(w)
+    rotation = _stack([rho.rotation for rho in rhos])
     span = dag(rotation) @ _stack([fps.columns for fps in fpss])
-    root_gns = np.sqrt(np.repeat(_stack(p), d, axis=1))
+    root_gns = np.sqrt(np.repeat(_stack([rho.eigenvalues for rho in rhos]), d, axis=1))
     constraints = dag(span) * root_gns[:, None, :]
     unitary = dag(np.linalg.svd(constraints)[2])
     ortho = np.maximum.reduce(
@@ -395,7 +394,7 @@ def _check_metrics(model: GKSLModel, rho: DensityMatrix, metrics) -> None:
     """The metrics must be on the model's d (DimensionMismatchError) and
     come from rho, the one state of the call (QmsGapError)."""
     same_state(metrics, model.dim, "model")
-    if not rho.faithful or metrics[0].rotation is not rho._split[3]:
+    if metrics[0].state is not rho:
         raise QmsGapError("the metrics of a call must come from its state rho")
 
 
@@ -464,7 +463,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     annihilated by E to MEMBERSHIP_TOL.
     """
     same_state([metric], math.isqrt(len(fps.columns)), "fixed-point structure")
-    if fps._solved_for is None or fps._solved_for[1]._split[3] is not metric.rotation:
+    if fps._solved_for is None or fps._solved_for[1] is not metric.state:
         raise QmsGapError("fps must be solved under the metric's state")
     frame = _kept_frame(fps)
     kernel, rows, _, _, span, coords = (part[0] for part in frame.parts)
@@ -476,7 +475,7 @@ def decaying_subspace(metric: FMetric, fps: FixedPointStructure) -> np.ndarray:
     _f_basis_defects(
         kernel, rows, span, coords, weights, root, ratios, lambda s: metric.f.label
     )
-    return metric.rotation @ (kernel / root[0][:, None])
+    return metric.state.rotation @ (kernel / root[0][:, None])
 
 
 def _operator_norms(rows: np.ndarray, rotated: np.ndarray) -> np.ndarray:
@@ -512,10 +511,11 @@ def f_operator_norms(metrics: Sequence[FMetric], s: Superoperator) -> np.ndarray
     if not metrics:
         return np.empty(0)
     same_state(metrics, s.dim, "map")
-    w = metrics[0].rotation
+    state = metrics[0].state
     kept = s._rotated
-    if kept is None or kept[0] is not w:
-        kept = (w, dag(w[None, None]) @ s.matrix[None, None] @ w[None, None])
+    if kept is None or kept[0] is not state:
+        w = state.rotation[None, None]
+        kept = (state, dag(w) @ s.matrix[None, None] @ w)
         if not s.matrix.flags.writeable:
             object.__setattr__(s, "_rotated", kept)
     return _operator_norms(weight_rows(metrics)[None], kept[1])[0, 0]
@@ -541,7 +541,7 @@ def function_norms(
     keys = [(m.dim,) if len(r) else None for m, r in zip(models, rows)]
     for idx in batches(keys, len(times)):
         phis = np.array(semigroups(pick(models, idx), times))
-        w = np.array([rhos[i]._split[3] for i in idx])[:, None]
+        w = np.array([rhos[i].rotation for i in idx])[:, None]
         stack = np.array(pick(rows, idx))
         for i, norms in zip(idx, _operator_norms(stack, dag(w) @ phis @ w)):
             out[i] = norms
@@ -666,7 +666,7 @@ def empirical_decay_rate(
     if kernel.shape[1] == 0:
         return math.inf
     weights = weight_rows([metric])[0]
-    raw = kernel / np.sqrt(np.repeat(metric.eigenvalues, metric.dim))[:, None]
+    raw = kernel / np.sqrt(np.repeat(rho.eigenvalues, rho.dim))[:, None]
     gram = dag(raw) @ (weights[:, None] * raw)
     vals, vecs = np.linalg.eigh((gram + dag(gram)) / 2.0)
     if vals[0] <= SUBSPACE_DROP_TOL * vals[-1]:

@@ -220,6 +220,8 @@ class CampaignConfig:
         for name, count in self.counts.items():
             if name not in PROPERTY_ORDER:
                 raise ConfigError(f"count for unknown property {name!r}")
+            if name in _SharedPool.READERS:
+                raise ConfigError(f"count for {name!r}: it runs on all n_models models")
             if _integer(count, f"count for {name!r}") < 1:
                 raise ConfigError(f"count for {name!r} must be >= 1 (vacuous run)")
         for name, tol in self.tolerances.items():
@@ -749,7 +751,7 @@ def _om1_bounds(cfg, rng, pool):
         rows = weight_table(rhos, functions)
         defects = [0.0] * len(rhos)
         for idx in batches(((rho.dim,) for rho in rhos), len(functions)):
-            w = np.repeat([rhos[i]._split[3] for i in idx], len(functions), axis=0)
+            w = np.repeat([rhos[i].rotation for i in idx], len(functions), axis=0)
             grams = _grams(w, np.concatenate(pick(rows, idx)))
             grams = grams.reshape((len(idx), len(functions)) + grams.shape[1:])
             diff = (grams[:, 0] + grams[:, 1])[:, None] - grams[:, 2:]
@@ -815,8 +817,8 @@ def _metric_closed_forms(cfg, rng, pool):
         of tr(x^H rho^s y rho^(1-s)), both taken for the stack at once."""
         _, _, states, x, y = zip(*triples)
         rhos, x, y = _random_states(states), np.array(x), np.array(y)
-        u = np.array([rho.eigen.vectors for rho in rhos])
-        p = np.array([rho.eigen.values for rho in rhos])
+        u = np.array([rho.basis[:, ::-1] for rho in rhos])
+        p = np.array([rho.eigenvalues[::-1] for rho in rhos])
         root = (u * np.sqrt(p)[:, None]) @ dag(u)
         kms_directs = np.trace(dag(x) @ root @ y @ root, axis1=-2, axis2=-1)
         n, d = u.shape[:2]
@@ -1026,7 +1028,7 @@ def detailed_balance_model(
 
     gen = generator(model)
     (weights,) = weight_table([rho], [gns()])[0]
-    adj = _adjoint(rho._split[3], weights, gen.matrix)
+    adj = _adjoint(rho.rotation, weights, gen.matrix)
     residual = float(np.abs(adj - gen.matrix).max())
     if residual > 1e-9 * max(1.0, float(np.abs(gen.matrix).max())):
         raise RateMismatchError(

@@ -189,8 +189,8 @@ class Superoperator:
     """Matrix form of a linear map on M_d(C) in column-stacking coordinates.
 
     ``matrix @ vec(x) == vec(S(x))`` for the represented map S.  When the
-    matrix is read-only, the f-operator norms keep (W, W^H S W) in
-    `_rotated`, W the rotation of the state they measured in (see gap.py).
+    matrix is read-only, the f-operator norms keep (rho, W^H S W) in
+    `_rotated`, rho the state they measured in (see gap.py).
     """
 
     dim: int

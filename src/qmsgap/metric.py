@@ -16,19 +16,18 @@ which in the eigenbasis reduces to the weighted sum
 All f-computations here go through this weight matrix rather than through
 a d^2 x d^2 eigendecomposition of f(Delta): the diagonal structure is
 exact, weights cost O(d^2), and no spurious non-normality enters.
-A DensityMatrix keeps its descending eigen split, as a GKSLModel keeps its
-generator, with the eigen-frame rotation W = conj(U) (x) U (so that
-W^H vec(x) = vec(U^H x U)) formed there and nowhere else.  So every metric
-of a state, from any call, shares its read-only `eigenvalues`, `basis` and
-`rotation`: that identity is how the gap routines recognize metrics of
-one state.  `weight_table` is the one evaluator of the weights: for the
-states of one d it evaluates each function once on their stacked modular
-ratios and writes a table (n, k, d^2) of rows w_f = vec(p_j f(p_i / p_j))
-in column-stacking order, the vectorization of the weights in that frame;
-each state's rows sit beside its own p, U and W.  The gap and norm
-engines and the campaign read those rows; `f_metric_table`, `f_metrics`
-and `f_metric` hand out FMetric views of them (weights is a row read as a
-d x d matrix), and `weight_rows` stacks the rows of given metrics.
+A DensityMatrix keeps p (descending) and U as read-only fields, and forms
+the eigen-frame rotation W = conj(U) (x) U (so that W^H vec(x) =
+vec(U^H x U)) on first use, there and nowhere else.  Every FMetric points
+at its state (`metric.state`), and the gap routines recognize metrics of
+one state by that identity.  `weight_table` is the one evaluator of the
+weights: for the states of one d it evaluates each function once on the
+modular ratios p_i / p_j of their stacked p and writes a table (n, k, d^2)
+of rows w_f = vec(p_j f(p_i / p_j)) in column-stacking order, the
+vectorization of the weights in that frame.  The gap and norm engines and
+the campaign read those rows; `f_metric_table`, `f_metrics` and `f_metric`
+hand out FMetric views of them (weights is a row read as a d x d matrix),
+and `weight_rows` stacks the rows of given metrics.
 
 Notable members: f = 1 gives the GNS product tr(x^H y rho) (w_ij = p_j),
 f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
@@ -81,22 +80,16 @@ _RESOLVENT_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)  # loewner_order_probe'
 
 @dataclass(frozen=True)
 class FMetric:
-    """Spectral data of rho plus the weight matrix of <., .>_f.
-
-    eigenvalues are descending, basis columns match them, rotation is
-    W = conj(basis) (x) basis (all three kept by the state), and
-    weights[i, j] = eigenvalues[j] * f(eigenvalues[i] / eigenvalues[j]).
-    """
+    """The weights[i, j] = p_j f(p_i / p_j) of <., .>_f in the eigen frame
+    of its state, p the state's descending eigenvalues."""
 
     f: MonotoneFunction
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    rotation: np.ndarray
+    state: DensityMatrix
     weights: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.state.dim
 
 
 def f_metrics(rho: DensityMatrix, functions) -> list[FMetric]:
@@ -109,17 +102,15 @@ def f_metric_table(rhos: Sequence[DensityMatrix], functions) -> list[list[FMetri
     """For each state, the metric of each function, in order: views of
     its rows of weight_table.
 
-    The metrics of a state share its kept eigenvalues, basis and rotation
-    arrays (descending; see the module docstring), and each metric's
-    weights are its weight row read as a d x d matrix.  Raises as
-    weight_table does.
+    The metrics of a state point at it (see the module docstring), and
+    each metric's weights are its weight row read as a d x d matrix.
+    Forms no W.  Raises as weight_table does.
     """
     functions = tuple(functions)
     table = []
     for rho, rows in zip(rhos, weight_table(rhos, functions)):
-        p, u, _, w = rho._split
-        weights = rows.reshape(len(functions), len(p), len(p)).swapaxes(1, 2)
-        table.append([FMetric(f, p, u, w, wf) for f, wf in zip(functions, weights)])
+        weights = rows.reshape(len(functions), rho.dim, rho.dim).swapaxes(1, 2)
+        table.append([FMetric(f, rho, wf) for f, wf in zip(functions, weights)])
     return table
 
 
@@ -128,8 +119,9 @@ def weight_table(rhos: Sequence[DensityMatrix], functions) -> list[np.ndarray]:
     function, (len(functions), d^2): the rows weight_rows stacks.
 
     The states of one d are one (n, k, d^2) table, and each function is
-    evaluated once on the stack of their modular ratios, with the entries
-    it gives each state alone; each state's rows are a view of its table.
+    evaluated once on the modular ratios p_i / p_j of their stacked
+    eigenvalues, with the entries it gives each state alone; each state's
+    rows are a view of its table.
     Raises NotFaithfulError for a state that is not faithful and
     PostconditionError when some weight is <= 0 (or NaN).
     """
@@ -139,9 +131,8 @@ def weight_table(rhos: Sequence[DensityMatrix], functions) -> list[np.ndarray]:
             raise NotFaithfulError("f-metric needs a faithful state")
     out: list = [None] * len(rhos)
     for idx in grouped(rho.dim for rho in rhos).values():
-        splits = [rhos[i]._split for i in idx]
-        p = _stack([split[0] for split in splits])
-        ratios = _stack([split[2] for split in splits])
+        p = _stack([rhos[i].eigenvalues for i in idx])
+        ratios = p[:, :, None] / p[:, None, :]
         n, d = p.shape
         table = np.empty((n, len(functions), d, d))  # [g, f, j, i]: rows in vec order
         for k, f in enumerate(functions):
@@ -167,7 +158,7 @@ def same_state(metrics: Sequence[FMetric], dim: int, what: str) -> None:
         raise DimensionMismatchError(
             f"metric of dimension {first.dim} for a {what} of dimension {dim}"
         )
-    if any(m.rotation is not first.rotation for m in metrics[1:]):
+    if any(m.state is not first.state for m in metrics[1:]):
         raise QmsGapError("metrics of one call must come from one state")
 
 
@@ -181,13 +172,14 @@ def weight_rows(metrics: Sequence[FMetric]) -> np.ndarray:
 def f_inner(metric: FMetric, x, y) -> complex:
     """<x, y>_f = sum_ij w_ij conj(x~_ij) y~_ij, x~ = U^H x U in the
     eigenbasis of rho; DimensionMismatchError unless x and y are d x d."""
+    u = metric.state.basis
     pair = [np.asarray(z, dtype=complex) for z in (x, y)]
     for z in pair:
-        if z.shape != metric.basis.shape:
+        if z.shape != u.shape:
             raise DimensionMismatchError(
                 f"metric of dimension {metric.dim} for a matrix of shape {z.shape}"
             )
-    xt, yt = (dag(metric.basis) @ z @ metric.basis for z in pair)
+    xt, yt = (dag(u) @ z @ u for z in pair)
     return complex(np.sum(metric.weights * xt.conj() * yt))
 
 
@@ -206,8 +198,8 @@ def warn_if_ill_conditioned(condition: float) -> None:
 
 def f_gram(metric: FMetric) -> Superoperator:
     """Positive definite G_f with <vec(x), G_f vec(y)> = <x, y>_f: _grams
-    of the metric's rotation and weight row."""
-    gram = _grams(metric.rotation[None], weight_rows([metric]))[0]
+    of its state's rotation and the metric's weight row."""
+    gram = _grams(metric.state.rotation[None], weight_rows([metric]))[0]
     return Superoperator(dim=metric.dim, matrix=gram)
 
 
@@ -226,7 +218,7 @@ def f_gram_sqrt(metric: FMetric) -> tuple[np.ndarray, np.ndarray]:
     in the eigen frame); it is the materialized reference that tests check
     f-operator norms against, and perfbench traces it by name.
     """
-    w = metric.rotation
+    w = metric.state.rotation
     root = np.sqrt(weight_rows([metric])[0])
     return (w * root) @ dag(w), (w / root) @ dag(w)
 
@@ -239,7 +231,7 @@ def f_adjoint(metric: FMetric, s: Superoperator) -> Superoperator:
     DimensionMismatchError for s on another d than the metric.
     """
     same_state([metric], s.dim, "map")
-    adj = _adjoint(metric.rotation, weight_rows([metric])[0], s.matrix)
+    adj = _adjoint(metric.state.rotation, weight_rows([metric])[0], s.matrix)
     return Superoperator(dim=metric.dim, matrix=adj)
 
 

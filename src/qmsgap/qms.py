@@ -58,7 +58,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEigen,
     Superoperator,
     _as_complex_square,
     _herm_eigs,
@@ -128,23 +127,21 @@ class GKSLModel:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A state rho: PSD, trace one; faithful iff min eigenvalue > threshold."""
+    """A state rho = U diag(p) U^H, PSD and of trace one, faithful iff min p >
+    threshold: eigenvalues p descending, basis U matching, both read-only."""
 
     rho: np.ndarray
-    eigen: HermitianEigen
+    eigenvalues: np.ndarray
+    basis: np.ndarray
     faithful: bool
 
     @functools.cached_property
-    def _split(self) -> tuple:
-        """Descending eigenvalues p, their basis U, the modular ratios
-        p_i / p_j and the eigen-frame rotation W = conj(U) (x) U, read-only:
-        made once, shared by the state's f-metrics."""
-        p = self.eigen.values[::-1].copy()
-        u = self.eigen.vectors[:, ::-1].copy()
-        split = (p, u, p[:, None] / p[None, :], kron(u.conj(), u))
-        for part in split:
-            part.setflags(write=False)
-        return split
+    def rotation(self) -> np.ndarray:
+        """W = conj(U) (x) U, so W^H vec(x) = vec(U^H x U): read-only, formed
+        on first use."""
+        w = kron(self.basis.conj(), self.basis)
+        w.setflags(write=False)
+        return w
 
     @property
     def dim(self) -> int:
@@ -170,10 +167,18 @@ def density_matrices(
             raise QmsGapError(f"state trace {trace!r} is not 1 within tolerance")
         if low < -DEFAULT_TOL:
             raise QmsGapError(f"state has negative eigenvalue {low:.3e}")
+    return _states(values, vectors, rebuilt, faithfulness_threshold)
+
+
+def _states(values, vectors, rebuilt, threshold: float) -> list[DensityMatrix]:
+    """The states rebuilt[g] of a stack from its ascending _herm_eigs pairs,
+    each a row of one descending, read-only copy of them."""
+    p, u = values[:, ::-1].copy(), vectors[:, :, ::-1].copy()
+    p.setflags(write=False)
+    u.setflags(write=False)
     return [
-        DensityMatrix(rho=rho, eigen=HermitianEigen(values=w, vectors=v),
-                      faithful=bool(w[0] > faithfulness_threshold))
-        for w, v, rho in zip(values, vectors, rebuilt)
+        DensityMatrix(rho=rho, eigenvalues=w, basis=v, faithful=bool(w[-1] > threshold))
+        for rho, w, v in zip(rebuilt, p, u)
     ]
 
 
@@ -438,9 +443,9 @@ def _invariant_states(models: Sequence[GKSLModel]) -> list[DensityMatrix]:
         residuals = frobenius_norms(duals @ rhos.reshape(-1, d * d, 1, order="F"))
         if (residuals > INVARIANCE_TOL).any():
             raise PostconditionError(f"invariant-state residual {residuals.max():.3e}")
-        for g, i in enumerate(idx):
-            eigen = HermitianEigen(values=values[g], vectors=vectors[g])
-            out[i] = DensityMatrix(rho=rhos[g], eigen=eigen, faithful=True)
+        states = _states(values, vectors, rhos, FAITHFULNESS_THRESHOLD)
+        for i, state in zip(idx, states):
+            out[i] = state
     return out
 
 
@@ -665,7 +670,7 @@ def random_faithful_model(
                 NoFaithfulInvariantStateError):
             rejected += 1
             continue
-        if rho.eigen.values.min() > DRAW_EIG_FLOOR:
+        if rho.eigenvalues.min() > DRAW_EIG_FLOOR:
             return model, rho, rejected
         rejected += 1
     raise QmsGapError(
@@ -696,7 +701,7 @@ def random_faithful_models(
     except (QmsGapError, np.linalg.LinAlgError):
         states = []
     if len(states) == len(models) and all(
-        state.eigen.values.min() > DRAW_EIG_FLOOR for state in states
+        state.eigenvalues.min() > DRAW_EIG_FLOOR for state in states
     ):
         return iter([(model, state, 0) for model, state in zip(models, states)])
     rng.bit_generator.state = start

@@ -366,6 +366,16 @@ def test_exit_2_for_a_kernel_dimension_too_close_to_call(capsys, command):
 
 
 RHO_NOT_INVARIANT = Path(__file__).parent / "data" / "rho_not_invariant.json"
+POOL_COUNT = Path(__file__).parent / "data" / "campaign_pool_count.json"
+
+
+def test_verify_exit_3_for_a_count_of_a_shared_pool_property(capsys):
+    # gap_comparison and contractivity run on the n_models shared models, so
+    # a count for either would be ignored: it is an input error instead
+    code, out, err = run(capsys, "verify", str(POOL_COUNT))
+    assert code == 3 and out == ""
+    assert err == ("qmsgap: input error: count for 'gap_comparison': it runs on "
+                   "all n_models models\n")
 
 
 @pytest.mark.parametrize("command", ["gap", "curve", "verify"])

@@ -549,7 +549,7 @@ def test_a_kept_rotation_serves_only_metrics_of_its_state(rng):
 
 
 def test_a_state_forms_its_rotation_once(rng, monkeypatch):
-    # W = conj(U) (x) U is formed where the state keeps its eigen split and
+    # W = conj(U) (x) U is formed by DensityMatrix.rotation on first use and
     # nowhere else: every gap, norm, Gram and adjoint of the state reads it
     assert not hasattr(gap, "kron") and not hasattr(metric_module, "kron")
     builds = _count_calls(monkeypatch, qms, "kron")
@@ -562,7 +562,26 @@ def test_a_state_forms_its_rotation_once(rng, monkeypatch):
         f_gram(m)
     f_adjoint(metrics[0], generator(model))
     assert len(builds) == 1
-    assert all(m.rotation is metrics[0].rotation for m in metrics)
+    assert all(m.state.rotation is rho.rotation for m in metrics)
+
+
+def test_metrics_and_inner_products_form_no_rotation(rng, monkeypatch):
+    # W is lazy: weights and f_inner read p and U alone, and one gap call
+    # then forms exactly one W per state
+    builds = _count_calls(monkeypatch, qms, "kron")
+    draws = [random_faithful_model(rng, d) for d in (2, 3, 3)]
+    rhos = [rho for _, rho, _ in draws]
+    table = f_metric_table(rhos, SUITE[:4])
+    for rho, row in zip(rhos, table):
+        x = rng.standard_normal((rho.dim, rho.dim))
+        for m in row:
+            f_inner(m, x, x)
+    assert builds == [] and all("rotation" not in vars(rho) for rho in rhos)
+    for (model, rho, _), row in zip(draws, table):
+        gap_sweep(model, rho, row)
+    assert len(builds) == len(rhos)
+    function_sweeps([model for model, _, _ in draws], rhos, SUITE[:4])
+    assert len(builds) == len(rhos)
 
 
 def test_a_writable_matrix_is_never_kept(rng):
@@ -1454,7 +1473,7 @@ def _as_bytes(out):
         return out.columns.tobytes(), out.coefficients.tobytes()
     if isinstance(out, Superoperator):
         return out.matrix.tobytes()
-    return out.rho.tobytes(), out.eigen.values.tobytes()
+    return out.rho.tobytes(), out.eigenvalues.tobytes()
 
 
 @pytest.mark.parametrize("entry", sorted(GEN_KEYWORDS))
@@ -1490,6 +1509,18 @@ def test_a_metric_of_another_state_is_named():
         with pytest.raises(QmsGapError, match="come from its state rho"):
             call()
     own = f_metric(rho, kms())
+    # a metric of rho's twin, equal arrays but another state, is foreign too
+    twin = f_metric(density_matrix(rho.rho), kms())
+    one_state = "metrics of one call must come from one state"
+    for call, message in (
+        (lambda: gap_sweep(model, rho, [twin]), "come from its state rho"),
+        (lambda: gap_sweep(model, rho, [own, twin]), one_state),
+        (lambda: f_operator_norms([own, twin], semigroup(model, 1.0)), one_state),
+        (lambda: decaying_subspace(twin, fps), "solved under the metric's state"),
+    ):
+        with pytest.raises(QmsGapError, match=message):
+            call()
+    assert decaying_subspace(own, fps).shape == (9, 9 - fps.dim)
     assert empirical_decay_rate(model, rho, own) == pytest.approx(
         spectral_gap_f(model, rho, own).lambda_f, rel=1e-8
     )

@@ -258,6 +258,15 @@ def test_config_validation():
     assert cfg.seed == 9 and cfg.n_models == 3
 
 
+@pytest.mark.parametrize("name", ["gap_comparison", "contractivity"])
+def test_a_count_of_a_shared_pool_property_is_refused(name):
+    # both run on n_models shared models and read no count of their own
+    with pytest.raises(ConfigError, match=f"{name!r}: it runs on all n_models"):
+        CampaignConfig(seed=1, n_models=6, dims=(2,), counts={name: 2},
+                       properties=("gap_comparison", "contractivity"))
+    assert set(harness._SharedPool.READERS) == {"gap_comparison", "contractivity"}
+
+
 def test_config_roundtrip():
     cfg = small_config(seed=11)
     again = CampaignConfig.from_dict(campaign_config_to_dict(cfg))

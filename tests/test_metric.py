@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from qmsgap.errors import (
 )
 from qmsgap.linalg import dag, vec
 from qmsgap.metric import (
+    FMetric,
     QuadraticForm,
     f_adjoint,
     f_gram,
@@ -53,7 +55,7 @@ def diag_state(*populations):
 
 def test_weight_closed_forms(rng):
     rho = random_density(rng, 4)
-    p = f_metric(rho, gns()).eigenvalues
+    p = f_metric(rho, gns()).state.eigenvalues
     np.testing.assert_allclose(
         f_metric(rho, gns()).weights, np.tile(p, (4, 1)), atol=1e-12
     )
@@ -90,7 +92,7 @@ def test_gns_inner_product_is_trace_form(rng, random_complex):
 def test_kms_inner_product_closed_form(rng, random_complex):
     rho = random_density(rng, 4)
     metric = f_metric(rho, kms())
-    u, p = rho.eigen.vectors, rho.eigen.values
+    u, p = rho.basis, rho.eigenvalues
     root = (u * np.sqrt(p)) @ dag(u)
     for _ in range(10):
         x, y = random_complex(4, 4), random_complex(4, 4)
@@ -103,7 +105,7 @@ def test_bkm_inner_product_matches_quadrature(rng, random_complex):
     # tr(x^H rho^s y rho^(1-s)) over s in [0, 1]
     rho = random_density(rng, 3)
     metric = f_metric(rho, bkm())
-    u, p = rho.eigen.vectors, rho.eigen.values
+    u, p = rho.basis, rho.eigenvalues
     nodes, weights = np.polynomial.legendre.leggauss(64)
     s_nodes, s_weights = (nodes + 1.0) / 2.0, weights / 2.0
     for _ in range(10):
@@ -165,24 +167,27 @@ def test_f_metrics_share_one_split_and_equal_f_metric(rng):
     metrics = f_metrics(rho, functions)
     first = metrics[0]
     for name in ("eigenvalues", "basis", "rotation"):
-        assert not getattr(first, name).flags.writeable
+        assert not getattr(first.state, name).flags.writeable
     for f, m in zip(functions, metrics):
         assert m.f is f
-        assert m.eigenvalues is first.eigenvalues and m.basis is first.basis
-        assert m.rotation is first.rotation
+        assert m.state.eigenvalues is first.state.eigenvalues
+        assert m.state.basis is first.state.basis
+        assert m.state.rotation is first.state.rotation
         single = f_metric(rho, f)
-        for name in ("eigenvalues", "basis", "rotation", "weights"):
-            assert getattr(m, name).tobytes() == getattr(single, name).tobytes()
+        for name in ("eigenvalues", "basis", "rotation"):
+            want = getattr(single.state, name)
+            assert getattr(m.state, name).tobytes() == want.tobytes()
+        assert m.weights.tobytes() == single.weights.tobytes()
     assert f_metrics(rho, []) == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 def test_eigenbasis_rotation_equals_numpy_kron(rng, d):
-    # the state's W, kept beside its eigen split, is np.kron's bit for bit
+    # the state's W, formed on first use, is np.kron's bit for bit
     metric = f_metric(random_density(rng, d), kms())
-    want = np.kron(metric.basis.conj(), metric.basis)
-    assert metric.rotation.tobytes() == want.tobytes()
-    assert not metric.rotation.flags.writeable
+    want = np.kron(metric.state.basis.conj(), metric.state.basis)
+    assert metric.state.rotation.tobytes() == want.tobytes()
+    assert not metric.state.rotation.flags.writeable
 
 
 def test_gram_of_trace_state_is_half_identity():
@@ -507,30 +512,39 @@ def test_moreau_postcondition_catches_tampering(random_psd):
         moreau_form(tampered, 0.5, np.array([1.0, -1.0j, 0.5]))
 
 
+def test_metrics_of_one_state_point_at_it(rng):
+    rho = random_density(rng, 3)
+    row = f_metrics(rho, (gns(), kms())) + f_metric_table([rho], (bkm(),))[0]
+    assert all(m.state is rho for m in row + [f_metric(rho, kms())])
+    twin = density_matrix(rho.rho)  # equal arrays, another state
+    assert f_metric(twin, kms()).state is twin and row[0].dim == 3
+    assert [f.name for f in dataclasses.fields(FMetric)] == ["f", "state", "weights"]
+
+
 def test_metric_table_equals_one_state_at_a_time(rng):
     rhos = [random_density(rng, d) for d in (2, 3, 2, 4, 3)]
     functions = builtin_functions() + (from_measure([(0.5, 0.4), (3.0, 0.6)]),)
     table = f_metric_table(rhos, functions)
     for rho, row in zip(rhos, table):
         assert [m.f for m in row] == list(functions)
-        assert all(m.basis is row[0].basis for m in row)
+        assert all(m.state.basis is row[0].state.basis for m in row)
         for got, want in zip(row, f_metrics(rho, functions)):
-            np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
-            np.testing.assert_array_equal(got.basis, want.basis)
+            np.testing.assert_array_equal(got.state.eigenvalues, want.state.eigenvalues)
+            np.testing.assert_array_equal(got.state.basis, want.state.basis)
             np.testing.assert_array_equal(got.weights, want.weights)
     assert f_metric_table([], functions) == []
 
 
 def test_metrics_of_one_state_share_its_kept_split(rng):
-    # the state keeps its descending eigen split, so metrics of separate
-    # calls carry the same read-only arrays (which is how the gap routines
-    # recognize one state)
+    # metrics of separate calls point at the one state, so they read the
+    # same read-only arrays (and the gap routines recognize the state)
     rho = random_density(rng, 3)
     first, second = f_metric(rho, kms()), f_metric(rho, kms())
     (other,) = f_metric_table([rho], [bkm()])[0]
     for name in ("eigenvalues", "basis", "rotation"):
-        assert getattr(first, name) is getattr(second, name) is getattr(other, name)
-        assert not getattr(first, name).flags.writeable
+        assert (getattr(first.state, name) is getattr(second.state, name)
+                is getattr(other.state, name))
+        assert not getattr(first.state, name).flags.writeable
     stranger = f_metric(random_density(rng, 3), kms())
-    assert stranger.basis is not first.basis
-    assert stranger.rotation is not first.rotation
+    assert stranger.state.basis is not first.state.basis
+    assert stranger.state.rotation is not first.state.rotation

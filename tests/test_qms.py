@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def test_random_faithful_model_conditioning(rng):
     for d in (2, 3, 4):
         _, rho, _ = random_faithful_model(rng, d)
         assert rho.faithful
-        assert rho.eigen.values.min() > 1e-4
+        assert rho.eigenvalues.min() > 1e-4
 
 
 def test_random_faithful_model_rejects_a_kernel_too_close_to_call(monkeypatch):
@@ -310,7 +311,7 @@ def _one_model_loop(rng, dims):
             except (KernelDecisionError, NonUniqueInvariantStateError,
                     NoFaithfulInvariantStateError):
                 continue
-            if rho.eigen.values.min() > qms.DRAW_EIG_FLOOR:
+            if rho.eigenvalues.min() > qms.DRAW_EIG_FLOOR:
                 yield model, rho, rejected
                 break
         else:
@@ -359,10 +360,10 @@ def _assert_same_draws(got, want):
     assert len(got) == len(want)
     for (model, rho, rejected), (model_w, rho_w, rejected_w) in zip(got, want):
         assert rejected == rejected_w
-        for a, b in zip((model.hamiltonian, *model.jumps, rho.rho, rho.eigen.values,
-                         rho.eigen.vectors),
+        for a, b in zip((model.hamiltonian, *model.jumps, rho.rho, rho.eigenvalues,
+                         rho.basis),
                         (model_w.hamiltonian, *model_w.jumps, rho_w.rho,
-                         rho_w.eigen.values, rho_w.eigen.vectors)):
+                         rho_w.eigenvalues, rho_w.basis)):
             assert a.tobytes() == b.tobytes()
 
 
@@ -435,6 +436,20 @@ def test_density_matrix_validation():
     assert not pure.faithful
 
 
+def test_a_state_keeps_its_descending_eigen_split(rng):
+    # p descending, U matching, both read-only; U diag(p) U^H is rho
+    states = [random_density(rng, 4), density_matrix(np.diag([0.2, 0.5, 0.3]))]
+    states.append(random_faithful_model(rng, 3)[1])
+    for state in states:
+        p, u = state.eigenvalues, state.basis
+        assert (np.diff(p) <= 0).all()
+        assert not p.flags.writeable and not u.flags.writeable
+        np.testing.assert_allclose((u * p) @ dag(u), state.rho, atol=1e-14)
+    assert [f.name for f in dataclasses.fields(qms.DensityMatrix)] == [
+        "rho", "eigenvalues", "basis", "faithful"
+    ]
+
+
 def test_stacked_random_states_equal_a_two_dimensional_construction():
     rng, loop = np.random.default_rng(3), np.random.default_rng(3)
     got = qms._random_states([qms._state_draw(rng, 3) for _ in range(5)])
@@ -445,8 +460,8 @@ def test_stacked_random_states_equal_a_two_dimensional_construction():
         u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         rho = (u * p) @ dag(u)
         values, vectors = np.linalg.eigh((rho + dag(rho)) / 2.0)
-        np.testing.assert_array_equal(state.eigen.values, values)
-        np.testing.assert_array_equal(state.eigen.vectors, vectors)
+        np.testing.assert_array_equal(state.eigenvalues, values[::-1])
+        np.testing.assert_array_equal(state.basis, vectors[:, ::-1])
         np.testing.assert_array_equal(state.rho, (vectors * values) @ dag(vectors))
         assert state.faithful
     assert rng.bit_generator.state == loop.bit_generator.state

@@ -28,17 +28,9 @@ from .gap import (
     gap_sweep,
     spectral_gap_f,
 )
-from .linalg import (
-    HermitianEigen,
-    Superoperator,
-    choi_matrix,
-    herm_eig,
-    unvec,
-    vec,
-)
+from .linalg import Superoperator, choi_matrix, unvec, vec
 from .metric import (
     FMetric,
-    QuadraticForm,
     f_adjoint,
     f_gram,
     f_inner,

@@ -33,8 +33,10 @@ GapReport; only decay_equivalence and metric_closed_forms, which check
 that API, build metrics.  The
 matrix-analysis properties (moreau_identity, om1_bounds, loewner_order,
 metric_closed_forms) draw their cases one by one too and decide each batch
-in stacks of one d (_stacked), their states included.  The cases come out
-with the same ids in the same order.  Those routines run each stage for
+in stacks of one d (_stacked), their states included; moreau_forms and
+_loewner_order_probes return arrays of values and margins, and build no
+object per matrix or pair.  The cases come out with the same ids in the
+same order.  Those routines run each stage for
 all models before the next, so a batch that raises or warns is run again
 one draw at a time (_pool, the one place that restores model order):
 errors and warnings are then those of a model-by-model run, a pair that
@@ -77,7 +79,6 @@ from .gap import (
 )
 from .linalg import batches, chunks, dag, frobenius, grouped, pick
 from .metric import (
-    QuadraticForm,
     _adjoint,
     _grams,
     _loewner_order_probes,
@@ -231,12 +232,14 @@ class CampaignConfig:
                 raise ConfigError(f"tolerance for {name!r} must be > 0, got {tol!r}")
         for descriptor in self.f_suite:
             cfgmod.function_from_descriptor(descriptor)
+        if self.model_override is not None:
+            cfgmod.model_from_dict(self.model_override)
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
     def count(self, name: str) -> int:
-        return int(self.counts.get(name, DEFAULT_COUNTS.get(name, self.n_models)))
+        return int(self.counts.get(name, DEFAULT_COUNTS[name]))
 
     def functions(self) -> tuple[MonotoneFunction, ...]:
         return tuple(cfgmod.function_from_descriptor(d) for d in self.f_suite)
@@ -590,11 +593,12 @@ def _decay_equivalence(cfg, rng, pool):
     no-reverse-inequality phenomenon), so draws whose smallest gap over
     the decay set falls below _DECAY_GAP_FLOOR are redrawn and counted;
     a redraw keeps the case's dim, and the cases cycle through cfg.dims.
-    Running out of the 20-draws-per-case budget raises.
+    Running out of the 20-draws-per-case budget raises.  An override
+    model, which never varies, is one case and is never redrawn.
     """
     tol = cfg.tolerance("decay_equivalence")
     functions = tuple(cfgmod.function_from_descriptor(d) for d in _DECAY_SET)
-    n_wanted = cfg.count("decay_equivalence")
+    n_wanted = _pool_size(cfg, cfg.count("decay_equivalence"))
 
     produced = 0
     attempts = 0
@@ -685,7 +689,7 @@ def _minimize_moreau(a, lam, xi) -> tuple[list[float], np.ndarray]:
     Its gradient 2 A eta - 2 (xi - eta) / lam vanishes exactly where
     (A + 1/lam) eta = xi / lam: one stacked LU solve, then each objective
     evaluated directly.  It never touches the eigendecomposition that
-    moreau_form's closed form goes through, so it stays an independent
+    moreau_forms' closed form goes through, so it stays an independent
     oracle.
     """
     lam = np.asarray(lam, dtype=float)
@@ -714,7 +718,7 @@ def _moreau_identity(cfg, rng, pool):
     def decide(cases):
         _, _, a, xi, lam = (np.array(column) for column in zip(*cases))
         lams = np.column_stack([lam, np.tile(descending, (len(lam), 1))])
-        values = moreau_forms([QuadraticForm(matrix=m) for m in a], lams, xi)
+        values = moreau_forms(a, lams, xi)
         minima, _ = _minimize_moreau(a, lam, xi)
         defects = []
         for (closed, *row), minimized in zip(values.tolist(), minima):
@@ -777,11 +781,9 @@ def _loewner_order(cfg, rng, pool):
 
     def decide(pairs):
         _, _, a, b = (np.array(column) for column in zip(*pairs))
-        return [
-            max(0.0, -min(r.base_margin, *(m for _, m in r.resolvent_margins),
-                          *(m for _, m in r.function_margins))) / tol
-            for r in _loewner_order_probes(a, b, floor=tol)
-        ]
+        worst = _loewner_order_probes(a, b, floor=tol).min(axis=1).tolist()
+        # max, not np.maximum: a pair whose worst margin is 0.0 gets 0.0, not -0.0
+        return [max(0.0, -m) / tol for m in worst]
 
     def then(pairs):
         """A lone pair that violates the order gets inf; a stack of pairs

@@ -13,8 +13,9 @@ Conventions
   so ``vec(a @ x @ b) == kron(b.T, a) @ vec(x)``.  Superoperators are
   d^2-by-d^2 matrices acting on these coordinates.  One convention
   everywhere prevents transpose bugs in modular operators and adjoints.
-* Hermitian inputs are symmetrized to (a + a^H)/2 after the Hermiticity
-  tolerance check, so eigensolves see exactly Hermitian data.
+* herm_eigs is the one Hermitian eigensolve, of a stack (n, d, d); one
+  matrix is a stack of one.  It symmetrizes its input to (a + a^H)/2
+  after the Hermiticity tolerance check, so eigh sees exactly Hermitian data.
 * The absolute/relative tolerance is DEFAULT_TOL = 1e-10; double
   precision at d <= 8 supports it comfortably.
 """
@@ -62,43 +63,16 @@ def _as_complex_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition a = U diag(values) U^H with ascending eigenvalues."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ dag(self.vectors)
-
-
-def herm_eig(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix with reconstruction check:
-    herm_eigs of one matrix."""
-    values, vectors = herm_eigs(_as_complex_square(a)[None])
-    return HermitianEigen(values=values[0], vectors=vectors[0])
-
-
-def herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of each matrix of a finite
-    stack (n, d, d) of Hermitian matrices, from one stacked eigh.
+    stack (n, d, d) of Hermitian matrices, from one stacked eigh, and the
+    stack of reconstructions U diag(values) U^H it checked.
 
     Raises NotHermitianError if ``||a - a^H||_F > DEFAULT_TOL * max(1, ||a||_F)``;
     otherwise the input is symmetrized and handed to the solver, and
     ConvergenceFailureError unless U diag(values) U^H reconstructs it as
     closely.  A stack raises the error of its first failing matrix.
     """
-    return _herm_eigs(a)[:2]
-
-
-def _herm_eigs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """herm_eigs, and the stack of reconstructions U diag(values) U^H it
-    checked."""
     scale = np.maximum(1.0, frobenius_norms(a))
     defects = frobenius_norms(a - dag(a))
     a = (a + dag(a)) / 2.0

@@ -34,13 +34,16 @@ f = t the anti-GNS product tr(y x^H rho) (w_ij = p_i), f = sqrt t the KMS
 product tr(x^H rho^(1/2) y rho^(1/2)) (w_ij = sqrt(p_i p_j)), and
 f = (t-1)/log t the BKM product, the s-integral of tr(x^H rho^s y rho^(1-s)).
 
-The module also provides Moreau regularization of quadratic forms,
+The module also provides Moreau regularization of the quadratic form
+Q(xi) = <xi, A xi> of a PSD matrix A,
 Q^(lam)(xi) = inf_eta Q(eta) + |xi - eta|^2 / lam = <xi, A(1 + lam A)^{-1} xi>,
 and an order probe checking that A <= B propagates to resolvents and to
-f(A) <= f(B) for operator monotone f.  Both are stacked routines
-(`moreau_forms`, `_loewner_order_probes`) that give each form or pair what
-it gets alone; `moreau_form` and `loewner_order_probe` are their stacks of
-one.
+f(A) <= f(B) for operator monotone f.  Both take stacks of matrices and
+return arrays that give each matrix or pair what it gets alone:
+`moreau_forms` its values from one herm_eigs of the stack, and
+`_loewner_order_probes` its margins from one herm_eigs of each side.
+`moreau_form` and `loewner_order_probe` are their stacks of one; only the
+latter labels its margins, as an OrderProbeReport.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .linalg import (
     _stack,
     dag,
     grouped,
-    herm_eig,
     herm_eigs,
 )
 from .monotone import MonotoneFunction, builtin_functions
@@ -243,55 +245,43 @@ def _adjoint(w: np.ndarray, weights: np.ndarray, matrix: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Quadratic forms, Moreau regularization and the Loewner order
+# Moreau regularization and the Loewner order
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Q(xi) = <xi, A xi> for a PSD matrix A on C^n (eigenvalue floor -1e-10)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        eig = herm_eig(self.matrix)
-        if eig.values.min() < -DEFAULT_TOL * max(1.0, eig.values.max(initial=0.0)):
-            raise NotPSDError("quadratic form requires a PSD matrix")
-        object.__setattr__(self, "_eigen", eig)
-
-    def __call__(self, xi) -> float:
-        xi = np.asarray(xi, dtype=complex)
-        return float(np.real(xi.conj() @ (self.matrix @ xi)))
+def moreau_form(a, lam: float, xi) -> float:
+    """Moreau regularization Q^(lam)(xi) = <xi, A(1 + lam A)^{-1} xi> of
+    Q(xi) = <xi, A xi> for a PSD matrix A: moreau_forms of one matrix at
+    one lam.  Increases to Q(xi) as lam decreases to 0."""
+    return float(moreau_forms(_as_complex_square(a)[None], [[lam]], [xi])[0, 0])
 
 
-def moreau_form(q: QuadraticForm, lam: float, xi) -> float:
-    """Moreau regularization Q^(lam)(xi) = <xi, A(1 + lam A)^{-1} xi>:
-    moreau_forms of one form at one lam.  Increases to Q(xi) as lam
-    decreases to 0."""
-    return float(moreau_forms([q], [[lam]], [xi])[0, 0])
+def moreau_forms(a, lams, xis) -> np.ndarray:
+    """Q^(lam)(xi) of each PSD matrix A of a finite stack a (n, d, d) at
+    each lam of its row of lams (n, k), for its xi (n, d): an (n, k) array,
+    from one herm_eigs of the stack.
 
-
-def moreau_forms(forms: Sequence[QuadraticForm], lams, xis) -> np.ndarray:
-    """Q^(lam)(xi) of each form of one d at each lam of its row of lams
-    (n, k), for its xi (n, d): an (n, k) array.
-
-    Also evaluates the variational form at its closed-form minimizer
+    NotPSDError for a matrix with an eigenvalue below -1e-10 max(1, its
+    largest); then OrderViolationError unless every lam is > 0.  Also
+    evaluates the variational form at its closed-form minimizer
     eta* = (1 + lam A)^{-1} xi and requires both to agree within 1e-10
-    (PostconditionError for the first form and lam that fails).
-    OrderViolationError unless every lam is > 0.
+    (PostconditionError for the first matrix and lam that fails).
     """
+    a = np.asarray(a, dtype=complex)
+    values, vectors, _ = herm_eigs(a)
+    if (values[:, 0] < -DEFAULT_TOL * np.maximum(1.0, values[:, -1])).any():
+        raise NotPSDError("quadratic form requires a PSD matrix")
     lams = np.asarray(lams, dtype=float)
     if not (lams > 0).all():  # NaN fails too
         raise OrderViolationError("Moreau parameter lam must be positive")
     xis = np.asarray(xis, dtype=complex)
-    vals = np.clip(np.array([q._eigen.values for q in forms]), 0.0, None)[:, None]
-    vectors = np.array([q._eigen.vectors for q in forms])
+    vals = np.clip(values, 0.0, None)[:, None]
     coords = (dag(vectors) @ xis[..., None])[:, None, :, 0]
     shrink = 1.0 + lams[..., None] * vals
     closed = np.sum(vals / shrink * np.abs(coords) ** 2, axis=-1)
 
     eta = (vectors[:, None] @ (coords / shrink)[..., None])[..., 0]
-    image = (np.array([q.matrix for q in forms])[:, None] @ eta[..., None])[..., 0]
+    image = (a[:, None] @ eta[..., None])[..., 0]
     miss = xis[:, None] - eta
     variational = (eta.conj() * image + miss.conj() * miss / lams[..., None]).sum(-1).real
     for c, v in zip(closed.flat, variational.flat):
@@ -312,30 +302,38 @@ class OrderProbeReport:
 def loewner_order_probe(a, b, floor: float = 1e-9) -> OrderProbeReport:
     """Check A <= B, then resolvent order A(1+lam A)^{-1} <= B(1+lam B)^{-1}
     for lam = 1e-3, 1e-2, ..., 1e3 and f(A) <= f(B) for each function of
-    monotone.builtin_functions: _loewner_order_probes of one pair.
+    monotone.builtin_functions: the margins of _loewner_order_probes of one
+    pair, labelled.
 
     Raises OrderViolationError naming the failing lam or f.  Margins are
     smallest eigenvalues of the differences, floored at -floor * scale.
     QmsGapError unless floor is finite and >= 0.
     """
     a = _as_complex_square(a, "A")[None]
-    return _loewner_order_probes(a, _as_complex_square(b, "B")[None], floor)[0]
+    row = _loewner_order_probes(a, _as_complex_square(b, "B")[None], floor)[0].tolist()
+    return OrderProbeReport(
+        base_margin=row[0],
+        resolvent_margins=tuple(zip(_RESOLVENT_GRID, row[1:8])),
+        function_margins=tuple(zip([f.label for f in builtin_functions()], row[8:])),
+    )
 
 
-def _loewner_order_probes(a, b, floor: float) -> list[OrderProbeReport]:
-    """loewner_order_probe of each pair (a[k], b[k]) of two finite stacks
-    (n, d, d), each entry of each report as that pair gives it alone.
+def _loewner_order_probes(a, b, floor: float) -> np.ndarray:
+    """The margins (n, 14) of each pair (a[k], b[k]) of two finite stacks
+    (n, d, d), each row as loewner_order_probe gives that pair alone: the
+    smallest eigenvalue of B - A, of the 7 resolvent differences and of
+    the 6 function differences, in that order.
 
     One herm_eigs of the A stack and one of the B stack, then one stacked
-    eigvalsh of the 14 differences of every pair: B - A, the 7 resolvents
-    and the 6 functions.  A failing pair raises its own error, that of the
-    first failing pair: NotPSDError naming A or B, or OrderViolationError
-    naming the precondition, lam or f (a stack that is not Hermitian
-    raises for its A matrices first).
+    eigvalsh of the 14 differences of every pair.  A failing pair raises
+    its own error, that of the first failing pair: NotPSDError naming A or
+    B, or OrderViolationError naming the precondition, lam or f (a stack
+    that is not Hermitian raises for its A matrices first).
     """
     if not (np.isfinite(floor) and floor >= 0):
         raise QmsGapError(f"order floor must be finite and >= 0, got {floor!r}")
-    values, vectors = (np.stack(x, axis=1) for x in zip(herm_eigs(a), herm_eigs(b)))
+    eigs = zip(herm_eigs(a)[:2], herm_eigs(b)[:2])
+    values, vectors = (np.stack(x, axis=1) for x in eigs)
     top = np.maximum(1.0, values.max(axis=-1))  # (n, 2): A's and B's scale
     psd = values.min(axis=-1) >= -DEFAULT_TOL * top
     clipped = np.clip(values, 0.0, None)[:, :, None]
@@ -366,11 +364,4 @@ def _loewner_order_probes(a, b, floor: float) -> list[OrderProbeReport]:
                 raise NotPSDError(f"{name} is not PSD")
         for j in np.flatnonzero(margins[k] < -bounds[k])[:1]:
             raise OrderViolationError(checks[j].format(margins[k, j]))
-    return [
-        OrderProbeReport(
-            base_margin=row[0],
-            resolvent_margins=tuple(zip(_RESOLVENT_GRID, row[1:8])),
-            function_margins=tuple(zip([f.label for f in functions], row[8:])),
-        )
-        for row in margins.tolist()
-    ]
+    return margins

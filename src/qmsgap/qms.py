@@ -60,7 +60,6 @@ from .linalg import (
     DEFAULT_TOL,
     Superoperator,
     _as_complex_square,
-    _herm_eigs,
     _stack,
     batches,
     choi_matrix,
@@ -68,6 +67,7 @@ from .linalg import (
     expm,
     frobenius,
     frobenius_norms,
+    herm_eigs,
     kron,
     pick,
     same_lengths,
@@ -161,7 +161,7 @@ def density_matrices(
     """The state of each matrix of a finite stack (n, d, d), rebuilt from
     its eigendecomposition by one herm_eigs: QmsGapError for the first that
     has a trace other than 1 or a negative eigenvalue (beyond DEFAULT_TOL)."""
-    values, vectors, rebuilt = _herm_eigs(rhos)
+    values, vectors, rebuilt = herm_eigs(rhos)
     for trace, low in zip(np.trace(rhos, axis1=1, axis2=2).real.tolist(), values[:, 0]):
         if abs(trace - 1.0) > DEFAULT_TOL:
             raise QmsGapError(f"state trace {trace!r} is not 1 within tolerance")
@@ -171,7 +171,7 @@ def density_matrices(
 
 
 def _states(values, vectors, rebuilt, threshold: float) -> list[DensityMatrix]:
-    """The states rebuilt[g] of a stack from its ascending _herm_eigs pairs,
+    """The states rebuilt[g] of a stack from its ascending herm_eigs pairs,
     each a row of one descending, read-only copy of them."""
     p, u = values[:, ::-1].copy(), vectors[:, :, ::-1].copy()
     p.setflags(write=False)
@@ -432,7 +432,7 @@ def _invariant_states(models: Sequence[GKSLModel]) -> list[DensityMatrix]:
         cands = cands / traces[:, None, None]
         cands = (cands + dag(cands)) / 2.0  # exactly Hermitian from here on
         cands = cands / cands.trace(axis1=1, axis2=2).real[:, None, None]
-        values, vectors, rhos = _herm_eigs(cands)
+        values, vectors, rhos = herm_eigs(cands)
         floors = values[:, 0]
         if (floors <= FAITHFULNESS_THRESHOLD).any():
             raise NoFaithfulInvariantStateError(

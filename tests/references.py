@@ -7,7 +7,7 @@ import numpy as np
 from qmsgap.config import SCHEMA_VERSION
 from qmsgap.harness import CampaignConfig, CampaignReport, PropertyResult
 from qmsgap.errors import FunctionDomainError, NotPSDError
-from qmsgap.linalg import DEFAULT_TOL, Superoperator, dag, herm_eig, kron
+from qmsgap.linalg import DEFAULT_TOL, Superoperator, dag, herm_eigs, kron
 from qmsgap.qms import DensityMatrix, FixedPointStructure, GKSLModel, generator
 
 
@@ -63,15 +63,15 @@ def psd_function(a, g) -> np.ndarray:
     is applied, so functions like sqrt never see round-off negatives; one
     below the band is a NotPSDError, and a non-finite g a FunctionDomainError.
     """
-    eig = herm_eig(a)
-    floor = -DEFAULT_TOL * max(1.0, float(np.abs(eig.values).max(initial=0.0)))
-    if eig.values.min(initial=0.0) < floor:
-        raise NotPSDError(f"matrix has eigenvalue {eig.values.min():.3e} below {floor:.3e}")
+    (values,), (vectors,), _ = herm_eigs(np.asarray(a, dtype=complex)[None])
+    floor = -DEFAULT_TOL * max(1.0, float(np.abs(values).max(initial=0.0)))
+    if values.min(initial=0.0) < floor:
+        raise NotPSDError(f"matrix has eigenvalue {values.min():.3e} below {floor:.3e}")
     with np.errstate(all="ignore"):
-        gv = np.asarray(g(np.clip(eig.values, 0.0, None)), dtype=float)
+        gv = np.asarray(g(np.clip(values, 0.0, None)), dtype=float)
     if not np.isfinite(gv).all():
         raise FunctionDomainError("scalar function non-finite on the spectrum")
-    return (eig.vectors * gv) @ dag(eig.vectors)
+    return (vectors * gv) @ dag(vectors)
 
 
 def random_model_by_matrix(rng: np.random.Generator, dim: int) -> GKSLModel:

@@ -367,6 +367,7 @@ def test_exit_2_for_a_kernel_dimension_too_close_to_call(capsys, command):
 
 RHO_NOT_INVARIANT = Path(__file__).parent / "data" / "rho_not_invariant.json"
 POOL_COUNT = Path(__file__).parent / "data" / "campaign_pool_count.json"
+BAD_OVERRIDE = Path(__file__).parent / "data" / "campaign_bad_override.json"
 
 
 def test_verify_exit_3_for_a_count_of_a_shared_pool_property(capsys):
@@ -376,6 +377,14 @@ def test_verify_exit_3_for_a_count_of_a_shared_pool_property(capsys):
     assert code == 3 and out == ""
     assert err == ("qmsgap: input error: count for 'gap_comparison': it runs on "
                    "all n_models models\n")
+
+
+def test_verify_exit_3_for_a_malformed_override_that_no_property_draws(capsys):
+    # moreau_identity and om1_bounds draw no models, yet the override is read
+    # when the config is built: no property runs
+    code, out, err = run(capsys, "verify", str(BAD_OVERRIDE))
+    assert code == 3 and out == ""
+    assert err == "qmsgap: input error: unknown keys in model config: ['jump']\n"
 
 
 @pytest.mark.parametrize("command", ["gap", "curve", "verify"])

@@ -99,6 +99,43 @@ def test_depolarizing_override_passes():
     assert property_result(report, "gap_comparison").n_cases == 1
 
 
+def test_an_override_model_is_one_case_of_each_property_that_draws_models(monkeypatch):
+    # decay_equivalence too: an override never varies, so it is one case
+    parsed = []
+    real = harness.cfgmod.model_from_dict
+
+    def counted(doc):
+        parsed.append(doc)
+        return real(doc)
+
+    override = model_to_dict(depolarizing_qubit(0.35))
+    drawing = ("gap_comparison", "contractivity", "decay_equivalence",
+               "transpose_symmetry", "alpha_curve")
+    cfg = CampaignConfig(seed=1, n_models=5, dims=(2,), model_override=override,
+                         properties=drawing)
+    monkeypatch.setattr(harness.cfgmod, "model_from_dict", counted)
+    report = run_campaign(cfg)
+    assert report.all_passed
+    assert [r.n_cases for r in report.results] == [1] * len(drawing)
+    assert len(parsed) == 4  # the shared pool, then one draw a property
+
+
+@pytest.mark.parametrize(
+    "properties",
+    [("moreau_identity", "om1_bounds"),  # no property draws a model
+     ("moreau_identity", "strict_gap", "gap_comparison")],
+)
+def test_a_malformed_override_fails_when_the_config_is_built(monkeypatch, properties):
+    def no_run(*args):
+        raise AssertionError("a property ran")
+
+    monkeypatch.setattr(harness, "_run_property", no_run)
+    override = {**model_to_dict(depolarizing_qubit(0.35)), "jump": []}
+    with pytest.raises(ConfigError, match=r"unknown keys in model config: \['jump'\]"):
+        run_campaign(CampaignConfig(seed=1, properties=properties,
+                                    model_override=override))
+
+
 def test_failed_property_reports_replayable_counterexamples():
     cfg = small_config(seed=3, tolerances={"gap_comparison": 1e-18})
     report = run_campaign(cfg)

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from qmsgap import harness
+from qmsgap import harness, metric
 from qmsgap.errors import (
     DimensionMismatchError,
     IllConditionedWarning,
     NotFaithfulError,
+    NotPSDError,
     OrderViolationError,
     PostconditionError,
     QmsGapError,
@@ -17,7 +18,6 @@ from qmsgap.errors import (
 from qmsgap.linalg import dag, vec
 from qmsgap.metric import (
     FMetric,
-    QuadraticForm,
     f_adjoint,
     f_gram,
     f_inner,
@@ -298,15 +298,13 @@ def test_f_adjoint_warns_when_ill_conditioned():
 
 
 def test_moreau_scalar_value():
-    form = QuadraticForm(matrix=np.eye(1, dtype=complex))
-    assert moreau_form(form, 1.0, np.array([1.0])) == pytest.approx(0.5, abs=1e-14)
+    assert moreau_form(np.eye(1), 1.0, np.array([1.0])) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_moreau_of_zero_form():
-    form = QuadraticForm(matrix=np.zeros((3, 3), dtype=complex))
     xi = np.array([1.0, 2.0, -1.0j])
     for lam in (0.3, 1.0, 7.0):
-        assert moreau_form(form, lam, xi) == pytest.approx(0.0, abs=1e-14)
+        assert moreau_form(np.zeros((3, 3)), lam, xi) == pytest.approx(0.0, abs=1e-14)
 
 
 def _descend(a, lam, xi):
@@ -339,7 +337,7 @@ def test_moreau_matches_direct_minimization(rng, random_complex):
         xi = random_complex(3)
         xi /= np.linalg.norm(xi)
         lam = float(np.exp(rng.uniform(-2, 2)))
-        closed = moreau_form(QuadraticForm(matrix=a), lam, xi)
+        closed = moreau_form(a, lam, xi)
         assert abs(closed - _descend(a, lam, xi)) <= 1e-8 * max(1.0, closed)
 
 
@@ -363,35 +361,58 @@ def test_exact_moreau_oracle_matches_the_descent(rng, random_complex):
 def test_moreau_increases_to_the_form(rng, random_complex):
     z = random_complex(4, 4)
     a = z @ dag(z) / 4.0
-    form = QuadraticForm(matrix=a)
     xi = random_complex(4)
-    values = [moreau_form(form, lam, xi) for lam in (1.0, 0.1, 0.01, 0.001)]
+    form = float(np.vdot(xi, a @ xi).real)  # Q(xi) = <xi, A xi>
+    values = [moreau_form(a, lam, xi) for lam in (1.0, 0.1, 0.01, 0.001)]
     assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
-    assert values[-1] <= form(xi) + 1e-9
-    assert values[-1] == pytest.approx(form(xi), rel=1e-2)
+    assert values[-1] <= form + 1e-9
+    assert values[-1] == pytest.approx(form, rel=1e-2)
 
 
 def test_moreau_needs_positive_lambda(rng, random_complex):
-    form = QuadraticForm(matrix=np.eye(2, dtype=complex))
     with pytest.raises(OrderViolationError):
-        moreau_form(form, 0.0, np.array([1.0, 0.0]))
+        moreau_form(np.eye(2), 0.0, np.array([1.0, 0.0]))
 
 
 def test_moreau_rejects_a_lambda_that_is_nan():
-    form = QuadraticForm(matrix=np.eye(2, dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OrderViolationError):
-            moreau_form(form, float("nan"), np.array([1.0, 0.0]))
+            moreau_form(np.eye(2), float("nan"), np.array([1.0, 0.0]))
 
 
 def test_stacked_moreau_forms_equal_one_form_at_a_time(rng, random_psd, random_complex):
-    forms = [QuadraticForm(matrix=random_psd(3)) for _ in range(4)]
+    a = np.array([random_psd(3) for _ in range(4)])
     xis = random_complex(4, 3)
     lams = np.exp(rng.uniform(-3, 2, (4, 5)))
-    got = moreau_forms(forms, lams, xis)
-    for form, row, xi, values in zip(forms, lams, xis, got):
-        assert [moreau_form(form, lam, xi) for lam in row] == values.tolist()
+    got = moreau_forms(a, lams, xis)
+    for m, row, xi, values in zip(a, lams, xis, got):
+        assert [moreau_form(m, lam, xi) for lam in row] == values.tolist()
+
+
+def test_moreau_rejects_a_matrix_that_is_not_psd(random_psd):
+    a = np.array([random_psd(3) for _ in range(3)])
+    a[1] = -(random_psd(3) + 0.1 * np.eye(3))  # every eigenvalue <= -0.1
+    xis, lams = np.ones((3, 3)), np.ones((3, 1))
+    with pytest.raises(NotPSDError, match="quadratic form requires a PSD matrix"):
+        moreau_forms(a, lams, xis)
+    with pytest.raises(NotPSDError, match="quadratic form requires a PSD matrix"):
+        moreau_form(a[1], 1.0, xis[1])
+    moreau_forms(a[[0, 2]], lams[:2], xis[:2])  # the PSD ones pass
+
+
+def test_moreau_forms_decomposes_a_stack_with_one_herm_eigs(monkeypatch, rng, random_psd):
+    a = np.array([random_psd(3) for _ in range(4)])
+    calls = []
+    real = metric.herm_eigs
+
+    def counted(x):
+        calls.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(metric, "herm_eigs", counted)
+    moreau_forms(a, np.exp(rng.uniform(-3, 2, (4, 5))), np.ones((4, 3)))
+    assert calls == [(4, 3, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +493,11 @@ def _order_pairs(random_psd, d, n):
 def test_stacked_order_probes_equal_one_pair_at_a_time(random_psd, d):
     a, b = _order_pairs(random_psd, d, 6)
     got = _loewner_order_probes(a, b, 1e-9)
-    assert got == [loewner_order_probe(x, y) for x, y in zip(a, b)]
+    assert got.shape == (6, 14)
+    for row, x, y in zip(got.tolist(), a, b):
+        report = loewner_order_probe(x, y)
+        margins = report.resolvent_margins + report.function_margins
+        assert row == [report.base_margin] + [m for _, m in margins]
 
 
 @pytest.mark.parametrize(
@@ -500,16 +525,19 @@ def test_stacked_order_probes_raise_the_error_of_the_first_failing_pair(
 # ---------------------------------------------------------------------------
 
 
-def test_moreau_postcondition_catches_tampering(random_psd):
-    form = QuadraticForm(matrix=random_psd(3))
+def test_moreau_postcondition_catches_tampering(monkeypatch, random_psd):
+    a, xi = random_psd(3), np.array([1.0, -1.0j, 0.5])
     # sanity: the shipped implementation satisfies its own identity
-    moreau_form(form, 0.5, np.array([1.0, -1.0j, 0.5]))
+    moreau_form(a, 0.5, xi)
+    real = metric.herm_eigs
+
+    def shifted(x):  # eigendata of x + 0.1, not of x
+        values, vectors, rebuilt = real(x)
+        return values + 0.1, vectors, rebuilt
+
+    monkeypatch.setattr(metric, "herm_eigs", shifted)
     with pytest.raises(PostconditionError):
-        tampered = QuadraticForm(matrix=random_psd(3))
-        object.__setattr__(
-            tampered, "matrix", tampered.matrix + 0.1 * np.eye(3)
-        )  # break the cached eigendecomposition
-        moreau_form(tampered, 0.5, np.array([1.0, -1.0j, 0.5]))
+        moreau_form(a, 0.5, xi)
 
 
 def test_metrics_of_one_state_point_at_it(rng):

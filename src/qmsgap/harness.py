@@ -77,7 +77,7 @@ from .gap import (
     gap_curves,
     gap_sweep,
 )
-from .linalg import batches, chunks, dag, frobenius, grouped, pick
+from .linalg import batches, chunks, dag, frobenius, grouped, kron, pick
 from .metric import (
     _adjoint,
     _grams,
@@ -98,6 +98,9 @@ from .monotone import (
     transpose,
 )
 from .qms import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_Z,
     DensityMatrix,
     GKSLModel,
     _random_states,
@@ -189,7 +192,8 @@ def default_f_suite() -> tuple[dict, ...]:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Seeded campaign parameters; see run_campaign."""
+    """Seeded campaign parameters; see run_campaign.  A model_override is
+    parsed once, on build, and its (model, rho) kept in `_override`."""
 
     seed: int
     n_models: int = 50
@@ -200,6 +204,9 @@ class CampaignConfig:
     counts: dict[str, int] = field(default_factory=dict)
     model_override: Optional[dict] = None
     properties: tuple[str, ...] = PROPERTY_ORDER
+    _override: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if _integer(self.seed, "seed") < 0:
@@ -233,7 +240,9 @@ class CampaignConfig:
         for descriptor in self.f_suite:
             cfgmod.function_from_descriptor(descriptor)
         if self.model_override is not None:
-            cfgmod.model_from_dict(self.model_override)
+            object.__setattr__(
+                self, "_override", cfgmod.model_from_dict(self.model_override)
+            )
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
@@ -248,7 +257,8 @@ class CampaignConfig:
     def from_dict(cls, doc: dict, seed: Optional[int] = None) -> "CampaignConfig":
         if not isinstance(doc, dict):
             raise ConfigError("campaign config must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)} - {"schema_version"})
+        keys = {f.name for f in fields(cls) if f.init} | {"schema_version"}
+        unknown = sorted(set(doc) - keys)
         if unknown:
             raise ConfigError(f"unknown keys in campaign config: {unknown}")
         if doc.get("schema_version", cfgmod.SCHEMA_VERSION) != cfgmod.SCHEMA_VERSION:
@@ -425,11 +435,11 @@ def _random_draws(rng: np.random.Generator, dims, indices) -> Iterator:
 
 
 def _draws(cfg: CampaignConfig, rng: np.random.Generator, indices) -> Iterator:
-    """The pool models at the indices: the override model if the config has
-    one, else random ones drawn as one stack."""
+    """The pool models at the indices: the override model the config keeps
+    if it has one, else random ones drawn as one stack."""
     if cfg.model_override is None:
         return _random_draws(rng, cfg.dims, indices)
-    model, rho = cfgmod.model_from_dict(cfg.model_override)
+    model, rho = cfg._override
     rho = invariant_state(model) if rho is None else rho
     return (PoolEntry(i, model, rho) for i in indices)
 
@@ -1073,17 +1083,14 @@ def degenerate_block_model(
     g_z = float(rng.uniform(0.2, 1.0))
 
     eye2 = np.eye(2, dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     jumps = (
-        np.sqrt(g_z) * np.kron(sz, eye2),
-        np.sqrt(gamma_down) * np.kron(eye2, sm),
-        np.sqrt(gamma_up) * np.kron(eye2, sp),
+        np.sqrt(g_z) * kron(SIGMA_Z, eye2),
+        np.sqrt(gamma_down) * kron(eye2, SIGMA_MINUS),
+        np.sqrt(gamma_up) * kron(eye2, SIGMA_PLUS),
     )
     h = np.diag(rng.standard_normal(4).astype(complex))
     model = GKSLModel(hamiltonian=h, jumps=jumps)
-    rho = density_matrix(np.kron(eye2 / 2.0, np.diag(p2.astype(complex))))
+    rho = density_matrix(kron(eye2 / 2.0, np.diag(p2.astype(complex))))
     return model, rho
 
 

@@ -8,15 +8,16 @@ Heisenberg generator
 is unital (L(1) = 0), *-preserving and conditionally completely positive,
 so Phi_t = exp(t L) is a semigroup of unital completely positive maps
 (Lindblad; Gorini, Kossakowski and Sudarshan), and `generator` asserts all
-three on every matrix it builds.  States evolve under the trace dual
-L_*, whose matrix in column-stacking coordinates is the conjugate
-transpose of the generator matrix.
+three on every matrix it builds, reading them from its Choi matrix.
+States evolve under the trace dual L_*, whose matrix in column-stacking
+coordinates is the conjugate transpose of the generator matrix.
 
 The fixed-point algebra N = {x : L(x) = 0} carries a state-preserving
 conditional expectation E, realized here as the GNS-orthogonal projection
 onto N and kept as its two rank-dim N factors (FixedPointStructure); the
-defining identities E^2 = E, E(1) = 1, tr(rho E(x)) = tr(rho x) and
-*-preservation are asserted on those factors after construction.
+defining identities E^2 = E, E(1) = 1 and tr(rho E(x)) = tr(rho x) are
+asserted on those factors after construction, and *-preservation on the
+Choi matrix of E = B R, formed for that check alone.
 
 Models are immutable: a GKSLModel keeps read-only copies of H and the
 jumps (the caller's arrays stay as they were), so `generator` builds and
@@ -187,13 +188,14 @@ def generator(model: GKSLModel) -> Superoperator:
     of unital completely positive maps for every t >= 0: _generators for
     one model.
 
-    That holds exactly when L(1) = 0, L is *-preserving and L is
-    conditionally completely positive: its Choi matrix is positive
-    semidefinite off Omega = vec(1) / sqrt(d) (Lindblad, Commun. Math. Phys.
-    48, 1976; Gorini, Kossakowski and Sudarshan, J. Math. Phys. 17, 1976).
-    PostconditionError unless each holds within max(1, max |L|) times
-    1e-10, 1e-9 and 1e-9 (the floor of P C P for the Choi matrix C and the
-    projector P = 1 - Omega Omega^H).
+    That holds exactly when the Choi matrix C of L meets three conditions
+    (Lindblad, Commun. Math. Phys. 48, 1976; Gorini, Kossakowski and
+    Sudarshan, J. Math. Phys. 17, 1976): its diagonal d x d blocks sum to
+    L(1) = 0, it is Hermitian (L is *-preserving), and P C P is positive
+    semidefinite for P = 1 - Omega Omega^H, Omega = vec(1) / sqrt(d) (L is
+    conditionally completely positive).  C decides all three:
+    PostconditionError unless |L(1)|_F, |C - C^H|_F and minus the floor of
+    P C P are within max(1, max |L|) times 1e-10, 1e-9 and 1e-9.
     Built and checked on the first call for a model; the model keeps the
     result, with a read-only matrix, and later calls return that object.
     """
@@ -267,17 +269,16 @@ def _transposes(a: np.ndarray) -> np.ndarray:
 def _check_generators(mats: np.ndarray) -> None:
     """PostconditionError for the first stacked generator matrix of one d
     that fails one of generator's three conditions, naming the first of
-    them it fails."""
+    them it fails; all three are read from its Choi matrix C."""
     d = math.isqrt(mats.shape[-1])
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     margin = 1e-9 * scale
-    images = mats @ _probes(d)[0]  # L(1), L(x), L(x^H)
-    unital = frobenius_norms(images[:, :, :1]) <= DEFAULT_TOL * scale
-    image = images[:, :, 1].reshape(-1, d, d, order="F")
-    star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
-    star = frobenius_norms(star) <= margin
+    choi = choi_matrix(mats)  # block (i, j) is L(|i><j|)
+    ones = np.trace(choi.reshape(-1, d, d, d, d), axis1=1, axis2=3)  # L(1)
+    unital = frobenius_norms(ones) <= DEFAULT_TOL * scale
+    star = frobenius_norms(choi - dag(choi)) <= margin  # C Hermitian
     off = _off_identity(d)
-    blocks = off @ choi_matrix(mats) @ off  # P C P, Omega's eigenvalue 0
+    blocks = off @ choi @ off  # P C P, Omega's eigenvalue 0
     blocks.reshape(len(mats), -1)[:, :: d * d + 1] += margin[:, None]
     try:  # succeeds iff no P C P has an eigenvalue below -margin
         np.linalg.cholesky(blocks)
@@ -468,7 +469,8 @@ class FixedPointStructure:
     the GNS-orthogonal projection onto N, as its rank-dim N factors: columns
     B = [vec(b_j)], the b_j spanning N, and coefficients
     R = (B^H G B)^{-1} (G B)^H, G the GNS Gram.  basis, dim and degenerate
-    (dim N > 1) derive from them; E itself, d^2 x d^2, is never formed.
+    (dim N > 1) derive from them; E itself, d^2 x d^2, is not kept, only
+    formed for the Choi matrix of its *-check (_check_expectations).
     The one-model gap routines take it only for the generator and state it
     was solved for (`_solved_for`; None when built by hand) and keep their
     frame of them in `_frame` (gap._kept_frame); the batched ones keep none."""
@@ -514,7 +516,7 @@ def fixed_point_structures(
     QmsGapError when |L_*(rho)|_F exceeds INVARIANCE_TOL, the bar computed
     invariant states are held to.  B is the model's split of ker L
     (`_kernels`), R solves with G B = [vec(b_j rho)] and no d^2 x d^2 Gram,
-    E's identities are asserted on the factors (PostconditionError), and
+    E's identities are asserted (_check_expectations; PostconditionError), and
     models of one d and dim N share stacked solves (linalg.batches)."""
     same_lengths(models=models, rhos=rhos)
     for model, rho in zip(models, rhos):
@@ -544,33 +546,20 @@ def fixed_point_structures(
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _probes(d: int) -> tuple[np.ndarray, float]:
-    """Columns vec(1), vec(x), vec(x^H) for a fixed probe x, read-only, and
-    max(1, |x|)."""
-    n = d * d
-    probe = np.arange(1, n + 1) - 0.25j * np.arange(n)  # vec(x)
-    probe_h = probe.reshape((d, d), order="F").conj().reshape(n)
-    columns = np.stack([np.eye(d, dtype=complex).reshape(n), probe, probe_h], axis=1)
-    columns.setflags(write=False)
-    return columns, max(1.0, float(np.linalg.norm(probe)))
-
-
 def _check_expectations(columns, coeffs, states) -> None:
     """Assert R B = I (so E^2 = E), E(1) = 1, tr(rho E(x)) = tr(rho x) and
-    *-preservation at MEMBERSHIP_TOL for stacked factors E = B R, with no
-    d^2 x d^2 product; states holds vec(rho) per row."""
-    d = math.isqrt(columns.shape[1])
-    probes, scale = _probes(d)
-    images = columns @ (coeffs @ probes)  # E(1), E(x), E(x^H)
-    image = images[:, :, 1].reshape(-1, d, d, order="F")
-    star = images[:, :, 2].reshape(-1, d, d, order="F") - dag(image)
+    *-preservation at MEMBERSHIP_TOL for stacked factors E = B R; states
+    holds vec(rho) per row.  E's d^2 x d^2 matrices are formed for this
+    stack alone and not kept: *-preservation is their Choi matrices'
+    Hermiticity."""
+    one = np.eye(math.isqrt(columns.shape[1])).reshape(-1, 1)  # vec(1)
+    choi = choi_matrix(columns @ coeffs)
     states = states[:, :, None]
     preserved = dag(coeffs) @ (dag(columns) @ states)  # E^H vec(rho)
     idempotent = np.abs(coeffs @ columns - np.eye(columns.shape[2])).max(axis=(1, 2))
-    unital = frobenius_norms(images[:, :, :1] - probes[:, :1])
+    unital = frobenius_norms(columns @ (coeffs @ one) - one)
     defects = np.array([idempotent, unital, frobenius_norms(preserved - states),
-                        frobenius_norms(star / scale)])
+                        frobenius_norms(choi - dag(choi))])
     failing = defects.max(axis=0) > MEMBERSHIP_TOL
     if failing.any():
         g = int(failing.argmax())

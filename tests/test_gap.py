@@ -31,7 +31,8 @@ from qmsgap.gap import (
     gap_sweep,
     spectral_gap_f,
 )
-from qmsgap.harness import degenerate_block_model
+from qmsgap.config import function_from_descriptor
+from qmsgap.harness import default_f_suite, degenerate_block_model
 from qmsgap.linalg import Superoperator, dag, unvec, vec
 from qmsgap.metric import (
     f_adjoint,
@@ -1231,19 +1232,73 @@ def test_a_scan_item_makes_a_fixed_set_of_decompositions(monkeypatch):
     assert _counted(calls) == {"eigvalsh": 1}
 
 
+def _sixty_draws():
+    # 60 seeded random faithful models, 20 each at d = 2, 3 and 4
+    draws = list(qms.random_faithful_models(np.random.default_rng(42), [2, 3, 4] * 20))
+    return [m for m, _, _ in draws], [r for _, r, _ in draws]
+
+
 def test_one_jump_models_have_a_zero_gns_gap():
     # x = V - tr(rho V) 1 lies in ker E and commutes with the one jump V, so
     # the GNS Dirichlet form (1/2) tr(rho [x, V]^H [x, V]) vanishes on it;
     # on this sample every draw with more jumps has a gap above 1e-3, far
     # above strict_gap's GNS_GAP_FLOOR
-    draws = list(qms.random_faithful_models(np.random.default_rng(42), [2, 3, 4] * 20))
-    models, rhos = [m for m, _, _ in draws], [r for _, r, _ in draws]
+    models, rhos = _sixty_draws()
     lambdas = [sweep.lambdas[0] for sweep in function_sweeps(models, rhos, [gns()])]
     one = [abs(lam) for m, lam in zip(models, lambdas) if len(m.jumps) == 1]
     other = [lam for m, lam in zip(models, lambdas) if len(m.jumps) > 1]
     assert one and other
     assert max(one) <= 1e-12
     assert min(other) > 1e-3
+
+
+def _commutator_gns_gap(model, rho):
+    # The carre du champ of L is sum_k [x, V_k]^H [x, V_k] and tr(rho L(y)) = 0,
+    # so -Re <x, L x>_gns = (1/2) sum_k tr(rho [x, V_k]^H [x, V_k]): lambda_gns
+    # is its minimum over tr(rho x^H x) = 1 on ker E, with no L, E or frame.
+    # C_k = V_k^T (x) 1 - 1 (x) V_k maps vec(x) to vec([x, V_k]) and
+    # B = rho^T (x) 1 is the GNS Gram; whitened by B = F F^H, ker E is the
+    # complement of F^H vec(1), on which A = (1/2) sum_k C_k^H B C_k is >= 0
+    d = model.dim
+    eye = np.eye(d)
+    gram = np.kron(rho.rho.T, eye)
+    commutators = [np.kron(v.T, eye) - np.kron(eye, v) for v in model.jumps]
+    form = sum(dag(c) @ gram @ c for c in commutators) / 2.0
+    factor = np.linalg.cholesky(gram)
+    unwhiten = np.linalg.inv(factor)
+    one = dag(factor) @ vec(eye)
+    off = np.eye(d * d) - np.outer(one, one.conj()) / np.vdot(one, one).real
+    return np.linalg.eigvalsh(off @ (unwhiten @ form @ dag(unwhiten)) @ off)[1]
+
+
+def test_gns_gap_matches_the_commutator_oracle():
+    # the projected form's lowest eigenvalue, 0, is on F^H vec(1) itself, so
+    # the second-smallest is the minimum on ker E
+    models, rhos = _sixty_draws()
+    for model, rho in zip(models, rhos):
+        lam = spectral_gap_f(model, rho, f_metric(rho, gns())).lambda_f
+        oracle = _commutator_gns_gap(model, rho)
+        assert abs(lam - oracle) <= 1e-12 * max(1.0, lam)
+        if len(model.jumps) == 1:
+            assert max(abs(lam), abs(oracle)) <= 1e-12
+    assert any(len(m.jumps) == 1 for m in models)
+
+
+def test_every_gap_is_at_most_the_slowest_decay_rate_of_l():
+    # if L x = mu x with mu != 0, x lies in ker E and Re <x, L x>_f =
+    # Re mu |x|_f^2, so every lambda_f <= a(L), the least -Re mu over the
+    # nonzero eigenvalues of L; the kernel_dim smallest |mu| are its zeros,
+    # which the oracle decides itself at 1e3 eps max |mu|
+    models, rhos = _sixty_draws()
+    functions = [gns()] + [function_from_descriptor(doc) for doc in default_f_suite()]
+    edge = 1e3 * np.finfo(float).eps
+    for model, sweep in zip(models, function_sweeps(models, rhos, functions)):
+        mu = np.linalg.eigvals(generator(model).matrix)
+        mu = mu[np.argsort(np.abs(mu))]
+        zero, rest = mu[: sweep.kernel_dim], mu[sweep.kernel_dim :]
+        top = np.abs(mu).max()
+        assert np.abs(zero).max() <= edge * top < np.abs(rest).min()
+        assert sweep.lambdas.max() <= (-rest.real).min()
 
 
 def _not_invariant():

@@ -100,24 +100,27 @@ def test_depolarizing_override_passes():
 
 
 def test_an_override_model_is_one_case_of_each_property_that_draws_models(monkeypatch):
-    # decay_equivalence too: an override never varies, so it is one case
-    parsed = []
-    real = harness.cfgmod.model_from_dict
+    # decay_equivalence too: an override never varies, so it is one case;
+    # the config parses the override once and every drawing property runs
+    # that one model, so its generator is built once
+    calls = {"parse": 0, "build": 0}
+    parse, build = harness.cfgmod.model_from_dict, qms._generator_stack
 
-    def counted(doc):
-        parsed.append(doc)
-        return real(doc)
+    def counted(name, real, *args):
+        calls[name] += 1
+        return real(*args)
 
-    override = model_to_dict(depolarizing_qubit(0.35))
-    drawing = ("gap_comparison", "contractivity", "decay_equivalence",
-               "transpose_symmetry", "alpha_curve")
-    cfg = CampaignConfig(seed=1, n_models=5, dims=(2,), model_override=override,
-                         properties=drawing)
-    monkeypatch.setattr(harness.cfgmod, "model_from_dict", counted)
+    monkeypatch.setattr(harness.cfgmod, "model_from_dict", partial(counted, "parse", parse))
+    monkeypatch.setattr(qms, "_generator_stack", partial(counted, "build", build))
+    doc = load_json(ROOT / "tests" / "data" / "campaign_override.json")
+    cfg = CampaignConfig.from_dict(doc)
     report = run_campaign(cfg)
     assert report.all_passed
-    assert [r.n_cases for r in report.results] == [1] * len(drawing)
-    assert len(parsed) == 4  # the shared pool, then one draw a property
+    assert [r.n_cases for r in report.results] == [1] * len(doc["properties"])
+    assert calls == {"parse": 1, "build": 1}
+    # the kept model is no config key
+    with pytest.raises(ConfigError, match=r"unknown keys in campaign config: \['_override'\]"):
+        CampaignConfig.from_dict({**doc, "_override": None})
 
 
 @pytest.mark.parametrize(

@@ -519,6 +519,27 @@ def test_generator_rejects_a_map_that_is_not_star_preserving():
         generator(model)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+def test_a_star_defect_no_fixed_probe_sees_is_refused(monkeypatch, eps):
+    # L of the depolarizing qubit plus eps b a^H, with a orthogonal to vec(1),
+    # vec(x) and vec(x^H) for the probe x a single-probe check would read:
+    # the map is unital and passes that check, but its Choi matrix is not
+    # Hermitian, so it is not *-preserving
+    d = 2
+    x = unvec(np.arange(1, d * d + 1) - 0.25j * np.arange(d * d))
+    probes = np.column_stack([vec(np.eye(d)), vec(x), vec(dag(x))])
+    a = np.linalg.svd(dag(probes))[2][-1].conj()
+    b = vec(SIGMA_X)
+    bump = eps * np.outer(b, a.conj())
+    assert np.abs(dag(probes) @ a).max() < 1e-14
+    real = qms._generator_stack
+    monkeypatch.setattr(qms, "_generator_stack", lambda models: real(models) + bump)
+    model = depolarizing_qubit(0.3)
+    with pytest.raises(PostconditionError, match=r"^generator is not \*-preserving$"):
+        generator(model)
+    assert model._generator is None
+
+
 def test_generator_rejects_a_map_that_is_not_conditionally_completely_positive(
     monkeypatch,
 ):

@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
     log.info("running campaign seed=%d n_models=%d", cfg.seed, cfg.n_models)
     report = run_campaign(cfg)
 
-    text = report.render_text(include_timing=True)
+    text = report.render_text()
     if args.out is not None:
         out = Path(args.out)
         _write(out, text)

@@ -12,6 +12,13 @@ inner products match their trace formulas, detailed balance collapses all
 gaps to one value, a strict KMS > GNS gap separation exists, and the
 degenerate fixed-point mode reproduces the comparison on ker E.
 
+Registry: each criterion is one row of _PROPERTIES, its cases, default
+tolerance and default count of cases, in report order; PROPERTY_ORDER and
+DEFAULT_TOLERANCES are read from it.  A row of count None reads the shared
+pool of n_models models, and CampaignConfig.count gives n_models for it.
+A config is parsed once, on build: it keeps its f_suite functions and an
+override's model and state, and a run parses nothing again.
+
 Reproducibility: every random draw flows from a named spawn key of the
 campaign seed (numpy SeedSequence / PCG64), so identical configs produce
 identical reports on one build; RNG streams may drift across numpy
@@ -95,6 +102,7 @@ from .monotone import (
     check_om1_bounds,
     gns,
     kms,
+    power,
     transpose,
 )
 from .qms import (
@@ -112,49 +120,6 @@ from .qms import (
     random_faithful_models,
 )
 
-PROPERTY_ORDER = (
-    "gap_comparison",
-    "contractivity",
-    "decay_equivalence",
-    "transpose_symmetry",
-    "alpha_curve",
-    "moreau_identity",
-    "om1_bounds",
-    "loewner_order",
-    "metric_closed_forms",
-    "detailed_balance_collapse",
-    "strict_gap",
-    "degenerate_gap",
-)
-
-DEFAULT_TOLERANCES = {
-    "gap_comparison": 1e-7,
-    "contractivity": 1e-8,
-    "decay_equivalence": 1e-6,
-    "transpose_symmetry": 1e-7,
-    "alpha_curve": 1e-7,
-    "moreau_identity": 1e-12,      # the oracle is an exact solve
-    "om1_bounds": 1e-9,
-    "loewner_order": 1e-9,
-    "metric_closed_forms": 1e-9,   # BKM quadrature; the KMS check uses 1e-11
-    "detailed_balance_collapse": 1e-7,
-    "strict_gap": 1e-3,            # required (kms - gns) / gns separation
-    "degenerate_gap": 1e-7,
-}
-
-DEFAULT_COUNTS = {
-    "decay_equivalence": 20,
-    "transpose_symmetry": 50,
-    "alpha_curve": 50,
-    "moreau_identity": 50,
-    "om1_bounds": 50,
-    "loewner_order": 50,
-    "metric_closed_forms": 100,
-    "detailed_balance_collapse": 20,
-    "strict_gap": 500,
-    "degenerate_gap": 10,
-}
-
 KMS_CLOSED_FORM_TOL = 1e-11
 # models drawn, then checked as one batch, at a time.  The batched routines
 # stack the models of one d, so draws cycling d = 2, 3, 4 give 16 models a
@@ -168,13 +133,8 @@ _BATCH = 48
 GNS_GAP_FLOOR = 1e-10
 _DECAY_GAP_FLOOR = 1e-3
 BALANCE_TOL = 1e-10  # detailed_balance_model's relative tolerance on each flow
-_TRANSPOSE_SET = ({"kind": "gns"}, {"kind": "power", "alpha": 0.3}, {"kind": "bkm"})
-_DECAY_SET = (
-    {"kind": "gns"},
-    {"kind": "kms"},
-    {"kind": "bkm"},
-    {"kind": "power", "alpha": 0.3},
-)
+_TRANSPOSE_SET = (gns(), power(0.3), bkm())
+_DECAY_SET = (gns(), kms(), bkm(), power(0.3))
 _CURVE_ALPHAS = tuple(round(0.05 * k, 10) for k in range(21))
 
 
@@ -192,8 +152,9 @@ def default_f_suite() -> tuple[dict, ...]:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Seeded campaign parameters; see run_campaign.  A model_override is
-    parsed once, on build, and its (model, rho) kept in `_override`."""
+    """Seeded campaign parameters; see run_campaign.  Built once: the f_suite
+    functions are kept in `_functions` and a model_override's model and
+    state (solved here if it supplies no rho) in `_override`."""
 
     seed: int
     n_models: int = 50
@@ -203,8 +164,11 @@ class CampaignConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
     model_override: Optional[dict] = None
-    properties: tuple[str, ...] = PROPERTY_ORDER
-    _override: Optional[tuple] = field(
+    properties: tuple[str, ...] = field(default_factory=lambda: PROPERTY_ORDER)
+    _functions: tuple[MonotoneFunction, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+    _override: Optional[tuple[GKSLModel, DensityMatrix]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -219,39 +183,41 @@ class CampaignConfig:
         if not self.t_grid or any(_finite(t, "t_grid entry") < 0 for t in self.t_grid):
             raise ConfigError("t_grid must be nonempty with t >= 0")
         for name in self.properties:
-            if name not in PROPERTY_ORDER:
+            if name not in _PROPERTIES:
                 raise ConfigError(f"unknown property {name!r}")
         if not self.properties:
             raise ConfigError("property list is empty (vacuous run)")
         if len(set(self.properties)) != len(self.properties):
             raise ConfigError("property list contains duplicates")
         for name, count in self.counts.items():
-            if name not in PROPERTY_ORDER:
+            if name not in _PROPERTIES:
                 raise ConfigError(f"count for unknown property {name!r}")
-            if name in _SharedPool.READERS:
+            if _PROPERTIES[name].count is None:
                 raise ConfigError(f"count for {name!r}: it runs on all n_models models")
             if _integer(count, f"count for {name!r}") < 1:
                 raise ConfigError(f"count for {name!r} must be >= 1 (vacuous run)")
         for name, tol in self.tolerances.items():
-            if name not in PROPERTY_ORDER:
+            if name not in _PROPERTIES:
                 raise ConfigError(f"tolerance for unknown property {name!r}")
             if _finite(tol, f"tolerance for {name!r}") <= 0:
                 raise ConfigError(f"tolerance for {name!r} must be > 0, got {tol!r}")
-        for descriptor in self.f_suite:
-            cfgmod.function_from_descriptor(descriptor)
+        functions = tuple(cfgmod.function_from_descriptor(d) for d in self.f_suite)
+        object.__setattr__(self, "_functions", functions)
         if self.model_override is not None:
-            object.__setattr__(
-                self, "_override", cfgmod.model_from_dict(self.model_override)
-            )
+            model, rho = cfgmod.model_from_dict(self.model_override)
+            rho = invariant_state(model) if rho is None else rho
+            object.__setattr__(self, "_override", (model, rho))
 
     def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+        return float(self.tolerances.get(name, _PROPERTIES[name].tolerance))
 
     def count(self, name: str) -> int:
-        return int(self.counts.get(name, DEFAULT_COUNTS[name]))
+        """The cases the property draws; n_models for a shared-pool reader."""
+        default = _PROPERTIES[name].count
+        return int(self.counts.get(name, self.n_models if default is None else default))
 
     def functions(self) -> tuple[MonotoneFunction, ...]:
-        return tuple(cfgmod.function_from_descriptor(d) for d in self.f_suite)
+        return self._functions
 
     @classmethod
     def from_dict(cls, doc: dict, seed: Optional[int] = None) -> "CampaignConfig":
@@ -377,7 +343,7 @@ class CampaignReport:
                 )
         return "\n".join(lines) + "\n"
 
-    def render_text(self, include_timing: bool = True) -> str:
+    def render_text(self) -> str:
         cfg = self.config
         lines = [
             f"campaign seed={cfg.seed} n_models={cfg.n_models} "
@@ -387,18 +353,17 @@ class CampaignReport:
             f"{'property':<28}{'cases':>7}{'worst defect':>16}  result",
         ]
         for r in self.results:
-            timing = f"  [{r.seconds:.2f}s]" if include_timing else ""
             lines.append(
                 f"{r.name:<28}{r.n_cases:>7}{r.worst_defect:>16.6g}  "
-                f"{'PASS' if r.passed else 'FAIL'}{timing}"
+                f"{'PASS' if r.passed else 'FAIL'}  [{r.seconds:.2f}s]"
             )
         lines.append("")
         verdict = "all properties passed" if self.all_passed else "FAILURES present"
-        total = f" in {self.total_seconds:.1f}s" if include_timing else ""
         lines.append(
             f"{len(self.results)} properties, "
             f"{sum(r.n_cases for r in self.results)} cases, "
-            f"{self.n_rejected_draws} rejected draws: {verdict}{total}"
+            f"{self.n_rejected_draws} rejected draws: {verdict} "
+            f"in {self.total_seconds:.1f}s"
         )
         return "\n".join(lines) + "\n"
 
@@ -440,7 +405,6 @@ def _draws(cfg: CampaignConfig, rng: np.random.Generator, indices) -> Iterator:
     if cfg.model_override is None:
         return _random_draws(rng, cfg.dims, indices)
     model, rho = cfg._override
-    rho = invariant_state(model) if rho is None else rho
     return (PoolEntry(i, model, rho) for i in indices)
 
 
@@ -493,12 +457,11 @@ def _columns(entries: list[PoolEntry]) -> tuple[list, list]:
 
 
 class _SharedPool:
-    """The models that the READERS, gap comparison and contractivity,
-    quantify over, drawn from spawn key 0 on first use, _BATCH at a time.
-    run_campaign drops them after the last reader it runs, so they are not
-    held through the batches of later properties; n_rejected stays."""
-
-    READERS = ("gap_comparison", "contractivity")
+    """The models that the shared-pool readers (the properties of count
+    None: gap comparison and contractivity) quantify over, drawn from spawn
+    key 0 on first use, _BATCH at a time.  run_campaign drops them after the
+    last reader it runs, so they are not held through the batches of later
+    properties; n_rejected stays."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
@@ -607,7 +570,6 @@ def _decay_equivalence(cfg, rng, pool):
     model, which never varies, is one case and is never redrawn.
     """
     tol = cfg.tolerance("decay_equivalence")
-    functions = tuple(cfgmod.function_from_descriptor(d) for d in _DECAY_SET)
     n_wanted = _pool_size(cfg, cfg.count("decay_equivalence"))
 
     produced = 0
@@ -618,7 +580,7 @@ def _decay_equivalence(cfg, rng, pool):
         (entry,) = _draws(cfg, rng, [produced])
         rejected += entry.rejected
         fps = fixed_point_structure(entry.model, entry.rho)
-        metrics = f_metrics(entry.rho, functions)
+        metrics = f_metrics(entry.rho, _DECAY_SET)
         reports = gap_sweep(entry.model, entry.rho, metrics, fps=fps)
         if (
             min(r.lambda_f for r in reports) < _DECAY_GAP_FLOOR
@@ -646,14 +608,13 @@ def _decay_equivalence(cfg, rng, pool):
 
 def _transpose_symmetry(cfg, rng, pool):
     tol = cfg.tolerance("transpose_symmetry")
-    functions = tuple(cfgmod.function_from_descriptor(d) for d in _TRANSPOSE_SET)
-    transposes = tuple(transpose(f) for f in functions)
+    transposes = tuple(transpose(f) for f in _TRANSPOSE_SET)
     pairs = _pool(
         partial(_draws, cfg, rng), _pool_size(cfg, cfg.count("transpose_symmetry")),
-        then=partial(_gaps, functions + transposes),
+        then=partial(_gaps, _TRANSPOSE_SET + transposes),
     )
     for entry, lambdas in pairs:
-        n = len(functions)
+        n = len(_TRANSPOSE_SET)
         defect = -math.inf
         for lam, lam_t in zip(lambdas[:n], lambdas[n:]):
             defect = max(defect, abs(lam - lam_t) / (tol * max(1.0, lam)))
@@ -920,20 +881,35 @@ def _degenerate_gap(cfg, rng, pool):
         yield Case(case_id, entry.dim, defect, entry.model, entry.rho)
 
 
-_PROPERTY_CASES: dict[str, Callable[..., Iterator[Case]]] = {
-    "gap_comparison": _gap_comparison,
-    "contractivity": _contractivity,
-    "decay_equivalence": _decay_equivalence,
-    "transpose_symmetry": _transpose_symmetry,
-    "alpha_curve": _alpha_curve,
-    "moreau_identity": _moreau_identity,
-    "om1_bounds": _om1_bounds,
-    "loewner_order": _loewner_order,
-    "metric_closed_forms": _metric_closed_forms,
-    "detailed_balance_collapse": _detailed_balance_collapse,
-    "strict_gap": _strict_gap,
-    "degenerate_gap": _degenerate_gap,
+class _Property(NamedTuple):
+    """A criterion: its cases, its default tolerance and its default count
+    of cases (None: it reads the n_models models of the shared pool)."""
+
+    cases: Callable[..., Iterator[Case]]
+    tolerance: float
+    count: Optional[int]
+
+
+# the criteria in report order; the k-th draws from spawn key 10 + k
+_PROPERTIES: dict[str, _Property] = {
+    "gap_comparison": _Property(_gap_comparison, 1e-7, None),
+    "contractivity": _Property(_contractivity, 1e-8, None),
+    "decay_equivalence": _Property(_decay_equivalence, 1e-6, 20),
+    "transpose_symmetry": _Property(_transpose_symmetry, 1e-7, 50),
+    "alpha_curve": _Property(_alpha_curve, 1e-7, 50),
+    # the oracle is an exact solve
+    "moreau_identity": _Property(_moreau_identity, 1e-12, 50),
+    "om1_bounds": _Property(_om1_bounds, 1e-9, 50),
+    "loewner_order": _Property(_loewner_order, 1e-9, 50),
+    # BKM quadrature; the KMS check uses KMS_CLOSED_FORM_TOL
+    "metric_closed_forms": _Property(_metric_closed_forms, 1e-9, 100),
+    "detailed_balance_collapse": _Property(_detailed_balance_collapse, 1e-7, 20),
+    # the required (kms - gns) / gns separation
+    "strict_gap": _Property(_strict_gap, 1e-3, 500),
+    "degenerate_gap": _Property(_degenerate_gap, 1e-7, 10),
 }
+PROPERTY_ORDER = tuple(_PROPERTIES)
+DEFAULT_TOLERANCES = {name: p.tolerance for name, p in _PROPERTIES.items()}
 
 
 def _run_property(cfg: CampaignConfig, name: str, pool: _SharedPool) -> PropertyResult:
@@ -942,7 +918,7 @@ def _run_property(cfg: CampaignConfig, name: str, pool: _SharedPool) -> Property
     rng = _rng_for(cfg, 10 + PROPERTY_ORDER.index(name))
     start = time.perf_counter()
     result = PropertyResult(name=name, tolerance=cfg.tolerance(name), cases=[])
-    for case in _PROPERTY_CASES[name](cfg, rng, pool):
+    for case in _PROPERTIES[name].cases(cfg, rng, pool):
         passed = bool(case.defect <= 1.0)
         result.cases.append(CaseRecord(case.case_id, case.dim, case.defect, passed))
         result.n_rejected += case.rejected
@@ -975,7 +951,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     t0 = time.perf_counter()
     pool = _SharedPool(cfg)
     last_reader = next(
-        (name for name in reversed(cfg.properties) if name in _SharedPool.READERS), None
+        (name for name in reversed(cfg.properties) if _PROPERTIES[name].count is None),
+        None,
     )
     results = []
     for name in cfg.properties:

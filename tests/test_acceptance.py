@@ -123,4 +123,4 @@ def test_12_degenerate_ground_state(report):
 
 def test_report_is_fully_green(report):
     assert report.all_passed
-    print(report.render_text(include_timing=True))
+    print(report.render_text())

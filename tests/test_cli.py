@@ -387,6 +387,26 @@ def test_verify_exit_3_for_a_malformed_override_that_no_property_draws(capsys):
     assert err == "qmsgap: input error: unknown keys in model config: ['jump']\n"
 
 
+@pytest.mark.parametrize("jump, error", [
+    ([[1, 0], [0, -1.0]], "kernel of the dual generator has dimension 2"),
+    ([[0, 1], [0, 0.0]], "invariant state has eigenvalue 0.000e+00"),
+])
+def test_verify_exit_2_for_an_ill_posed_override_that_no_property_draws(
+    capsys, tmp_path, jump, error
+):
+    # dephasing has many invariant states and decay to the ground state one
+    # that is not faithful: the override's state is solved when the config
+    # is built, so moreau_identity, which draws no model, never runs
+    model = GKSLModel(hamiltonian=np.zeros((2, 2)), jumps=(np.array(jump),))
+    doc = {"schema_version": 1, "seed": 1, "properties": ["moreau_identity"],
+           "model_override": model_to_dict(model)}
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("qmsgap: model ill-posed: ") and error in err
+
+
 @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
 def test_exit_3_for_a_supplied_rho_that_is_not_invariant(capsys, tmp_path, command):
     # the thermal qubit (0.25, 1.0) with rho = 1 / 2: |L_*(rho)| = 0.53, as

@@ -43,7 +43,7 @@ from qmsgap.metric import (
     f_metric_table,
     f_metrics,
 )
-from qmsgap.monotone import anti_gns, bkm, gns, kms, power, transpose
+from qmsgap.monotone import anti_gns, bkm, from_measure, gns, kms, power, transpose
 from qmsgap.qms import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -1299,6 +1299,46 @@ def test_every_gap_is_at_most_the_slowest_decay_rate_of_l():
         top = np.abs(mu).max()
         assert np.abs(zero).max() <= edge * top < np.abs(rest).min()
         assert sweep.lambdas.max() <= (-rest.real).min()
+
+
+def test_no_extreme_kernel_beats_the_gns_gap():
+    """Why a scan over the kernels h(., lam) is complete.
+
+    lambda_f is the minimum over x in ker E of D_f(x) / N_f(x), and the
+    Dirichlet form D_f and the norm N_f are both linear in f, so lambda_f
+    is quasi-concave in f: D_m / N_m of a mixture m lies between the
+    quotients of its parts.  The normalized operator monotone f are the
+    probability measures on [0, inf], f = integral of h(., lam) dm(lam),
+    whose extreme points are the atoms; so the infimum of lambda_f over
+    every f is the infimum over lam of lambda_h(., lam).  t h(1/t, lam) =
+    h(t, 1/lam) and the transpose keeps every gap, so lam in [0, 1] is
+    enough, and h(., 0) = 1 is GNS.  The mixture check assumes no theorem:
+    it catches weights that are not linear in f.
+    """
+    models, rhos = _sixty_draws()
+    lams = np.geomspace(1e-6, 1.0, 12)
+    atoms = [from_measure([(0.0, 1.0)])]
+    atoms += [from_measure([(lam, 1.0)]) for lam in lams]
+    atoms += [from_measure([(1.0 / lam, 1.0)]) for lam in lams]
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(20):
+        lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(2, 2)))
+        w = rng.uniform(0.1, 0.9, size=2)
+        pairs.append([[(lam[k, 0], w[k]), (lam[k, 1], 1.0 - w[k])] for k in range(2)])
+    measures = [from_measure(f) for pair in pairs for f in pair]
+    mixtures = [from_measure([(l, w / 2.0) for l, w in f + g]) for f, g in pairs]
+    functions = [gns()] + atoms + measures + mixtures
+    for sweep in function_sweeps(models, rhos, functions):
+        lam_gns, lam_zero, *rest = sweep.lambdas.tolist()
+        kernels, rest = np.array(rest[:24]), rest[24:]
+        parts, mixed = np.array(rest[:40]).reshape(20, 2), np.array(rest[40:])
+        assert abs(lam_zero - lam_gns) <= 1e-12 * max(1.0, lam_gns)
+        assert kernels.min() >= lam_gns - 1e-7 * max(1.0, lam_gns)
+        lower, upper = kernels[:12], kernels[12:]
+        assert (np.abs(lower - upper) <= 1e-12 * np.maximum(1.0, np.abs(lower))).all()
+        assert (mixed >= parts.min(axis=1) - 1e-12 * np.maximum(1.0, mixed)).all()
+    assert sum(len(m.jumps) == 1 for m in models) > 0  # zero GNS gaps are covered
 
 
 def _not_invariant():

@@ -12,6 +12,8 @@ from qmsgap import gap, harness, linalg, qms
 from qmsgap.config import load_json, model_from_dict, model_to_dict
 from qmsgap.errors import (
     ConfigError,
+    NoFaithfulInvariantStateError,
+    NonUniqueInvariantStateError,
     PostconditionError,
     QmsGapError,
     RateMismatchError,
@@ -30,7 +32,9 @@ from qmsgap.harness import (
 from qmsgap.metric import FMetric, f_adjoint, f_metric, f_metrics
 from qmsgap.monotone import builtin_functions, gns, kms, power
 from qmsgap.qms import (
+    SIGMA_MINUS,
     SIGMA_X,
+    SIGMA_Z,
     GKSLModel,
     check_invariance,
     density_matrix,
@@ -121,6 +125,48 @@ def test_an_override_model_is_one_case_of_each_property_that_draws_models(monkey
     # the kept model is no config key
     with pytest.raises(ConfigError, match=r"unknown keys in campaign config: \['_override'\]"):
         CampaignConfig.from_dict({**doc, "_override": None})
+
+
+def _counted(monkeypatch, module, name):
+    """The calls of module.name, counted from here on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_campaign_parses_its_functions_once_when_the_config_is_built(monkeypatch):
+    # the 13 descriptors of the f_suite, and no descriptor during the run
+    calls = _counted(monkeypatch, harness.cfgmod, "function_from_descriptor")
+    cfg = acceptance_config(42)
+    assert len(calls) == len(cfg.f_suite) == 13
+    assert run_campaign(cfg).all_passed
+    assert len(calls) == 13
+
+
+def test_an_override_state_is_solved_once_when_the_config_is_built(monkeypatch):
+    calls = _counted(monkeypatch, harness, "invariant_state")
+    doc = load_json(ROOT / "tests" / "data" / "campaign_override.json")
+    cfg = CampaignConfig.from_dict(doc)
+    assert calls == ["invariant_state"]
+    assert run_campaign(cfg).all_passed
+    assert calls == ["invariant_state"]
+
+
+@pytest.mark.parametrize("jump, error", [
+    (SIGMA_Z, NonUniqueInvariantStateError),
+    (SIGMA_MINUS, NoFaithfulInvariantStateError),
+])
+def test_an_ill_posed_override_fails_when_the_config_is_built(jump, error):
+    # no property draws a model, yet the override's state is solved at build
+    override = model_to_dict(GKSLModel(hamiltonian=np.zeros((2, 2)), jumps=(jump,)))
+    with pytest.raises(error):
+        CampaignConfig(seed=1, properties=("moreau_identity",), model_override=override)
 
 
 @pytest.mark.parametrize(
@@ -304,7 +350,14 @@ def test_a_count_of_a_shared_pool_property_is_refused(name):
     with pytest.raises(ConfigError, match=f"{name!r}: it runs on all n_models"):
         CampaignConfig(seed=1, n_models=6, dims=(2,), counts={name: 2},
                        properties=("gap_comparison", "contractivity"))
-    assert set(harness._SharedPool.READERS) == {"gap_comparison", "contractivity"}
+    readers = {name for name, row in harness._PROPERTIES.items() if row.count is None}
+    assert readers == {"gap_comparison", "contractivity"}
+
+
+def test_a_shared_pool_property_counts_the_n_models_models():
+    cfg = acceptance_config(42)
+    assert cfg.count("gap_comparison") == cfg.count("contractivity") == 200
+    assert cfg.count("strict_gap") == 500
 
 
 def test_config_roundtrip():
@@ -358,6 +411,54 @@ def test_detailed_balance_collapses_the_gap_family(rng):
     ]
     spread = max(lambdas) - min(lambdas)
     assert spread <= 1e-7 * min(lambdas)
+
+
+def _chain_oracle(p, rates):
+    """min(lambda_rev, min over i != j of (Gamma_i + Gamma_j) / 2) for the
+    chain in which rates[(i, j)] moves weight from level j to level i.
+
+    (Qf)_j = sum_i r_ij (f_i - f_j) and Gamma_j = sum_i r_ij is the total
+    rate out of j.  With H = 0 each coherence |i><j| is an eigenvector of L
+    of eigenvalue -(Gamma_i + Gamma_j) / 2, and the diagonal decays as Q
+    does; Q is self-adjoint in L^2(p), so lambda_rev is the second-smallest
+    eigenvalue of -D^(1/2) Q D^(-1/2), D = diag(p).  No eigen frame of rho
+    or of L is used."""
+    d = len(p)
+    q = np.zeros((d, d))
+    for (i, j), rate in rates.items():
+        q[j, i] += rate
+        q[j, j] -= rate
+    out = -np.diagonal(q)
+    root = np.sqrt(p)
+    sym = -(root[:, None] * q / root[None, :])
+    lam_rev = np.linalg.eigvalsh((sym + sym.T) / 2.0)[1]
+    coherences = min(out[i] + out[j] for i in range(d) for j in range(d) if i != j)
+    return min(lam_rev, coherences / 2.0)
+
+
+def test_classical_chains_out_to_the_faithfulness_edge_match_their_oracle():
+    # every f-gap of a detailed-balanced chain is the oracle's, down to a
+    # least eigenvalue of rho of 1.02e-8, just above FAITHFULNESS_THRESHOLD
+    rng = np.random.default_rng(2024)
+    models, rhos, oracles = [], [], []
+    for d in (2, 3, 4, 6, 8):
+        for p_min in (1e-2, 1e-4, 1e-6, 1e-7, 1.1e-8):
+            p = np.geomspace(1.0, p_min, d)
+            p /= p.sum()
+            rates = {}
+            for i in range(d):  # as random_detailed_balance draws them
+                for j in range(i + 1, d):
+                    down = float(rng.uniform(0.2, 1.5))
+                    rates[(i, j)] = down
+                    rates[(j, i)] = down * p[j] / p[i]
+            rho = density_matrix(np.diag(p.astype(complex)))
+            models.append(detailed_balance_model(rho, rates))
+            rhos.append(rho)
+            oracles.append(_chain_oracle(p, rates))
+    assert min(rho.eigenvalues.min() for rho in rhos) < 1e-7
+    sweeps = gap.function_sweeps(models, rhos, builtin_functions())
+    for sweep, oracle in zip(sweeps, oracles):
+        assert np.abs(sweep.lambdas - oracle).max() <= 1e-12 * oracle
 
 
 def test_degenerate_block_model_structure(rng):
@@ -437,7 +538,7 @@ def test_model_serialization_roundtrip(rng):
 
 
 def test_render_text_mentions_every_property(small_report):
-    text = small_report.render_text(include_timing=False)
+    text = small_report.render_text()
     for name in PROPERTY_ORDER:
         assert name in text
     assert "all properties passed" in text
@@ -705,7 +806,7 @@ def test_acceptance_csv_equals_that_of_a_draw_by_draw_run(monkeypatch):
     ("gap_comparison", "contractivity"), ("contractivity", "gap_comparison"),
 ])
 def test_the_pool_is_drawn_once_and_dropped_after_its_last_reader(monkeypatch, readers):
-    cases = dict(harness._PROPERTY_CASES)
+    rows = dict(harness._PROPERTIES)
     refs, shared, alive = [], [], []
 
     def reader(cfg, rng, pool, name):
@@ -714,16 +815,19 @@ def test_the_pool_is_drawn_once_and_dropped_after_its_last_reader(monkeypatch, r
             shared.append(all(ref() is model for ref, model in zip(refs, models)))
         else:
             refs.extend(map(weakref.ref, models))
-        yield from cases[name](cfg, rng, pool)
+        yield from rows[name].cases(cfg, rng, pool)
 
     def later(cfg, rng, pool):
         gc.collect()
         alive.append(sum(ref() is not None for ref in refs))
-        yield from cases["transpose_symmetry"](cfg, rng, pool)
+        yield from rows["transpose_symmetry"].cases(cfg, rng, pool)
+
+    def patch(name, cases):
+        monkeypatch.setitem(harness._PROPERTIES, name, rows[name]._replace(cases=cases))
 
     for name in readers:
-        monkeypatch.setitem(harness._PROPERTY_CASES, name, partial(reader, name=name))
-    monkeypatch.setitem(harness._PROPERTY_CASES, "transpose_symmetry", later)
+        patch(name, partial(reader, name=name))
+    patch("transpose_symmetry", later)
     report = run_campaign(small_config(properties=readers + ("transpose_symmetry",)))
     assert report.all_passed
     assert len(refs) == 4 and shared == [True] and alive == [0]

@@ -4,7 +4,10 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+from qmsgap.harness import acceptance_config, run_campaign
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,3 +67,11 @@ def test_strict_gap_scan_dims_outside_2_to_8_are_a_usage_error():
         done = run_script("strict_gap_scan.py", "--draws", "20", "--dims", dims)
         assert done.returncode == 2 and done.stdout == ""
         assert "argument --dims" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_run_campaign_writes_the_report_of_the_acceptance_campaign(tmp_path):
+    done = run_script("run_campaign.py", "--n-models", "6", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert "all properties passed" in (tmp_path / "report.txt").read_text()
+    want = run_campaign(replace(acceptance_config(42), n_models=6)).to_csv()
+    assert (tmp_path / "report.csv").read_text() == want
